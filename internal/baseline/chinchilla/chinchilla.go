@@ -75,7 +75,9 @@ func Spec(cfg Config, prog *cc.Program) link.RuntimeSpec {
 	}
 }
 
-// Chinchilla is the runtime.
+// Chinchilla is the runtime. Apart from PreStore it keeps the optional vm
+// hooks at their defaults: with promoted locals the conventional frame
+// reserves nothing on the stack, and it has no time semantics (Table 5).
 type Chinchilla struct {
 	cfg Config
 	img *link.Image
@@ -94,6 +96,11 @@ type Chinchilla struct {
 	undoLen int
 	reg     *obs.Registry
 }
+
+var (
+	_ vm.Runtime   = (*Chinchilla)(nil)
+	_ vm.PreStorer = (*Chinchilla)(nil)
+)
 
 // New builds the runtime for an image linked with Spec. The image must
 // have been compiled with cc.Options.StaticLocals.
@@ -135,7 +142,7 @@ func (c *Chinchilla) Name() string { return "chinchilla" }
 func (c *Chinchilla) Stats() map[string]int64 { return c.reg.CounterSnapshot() }
 
 // Boot implements vm.Runtime.
-func (c *Chinchilla) Boot(m *vm.Machine, cold bool) error {
+func (c *Chinchilla) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(c.addrMagic) != initMagic {
 		m.Spend(m.Cost.RestoreBase)
 		m.Mem.WriteWord(c.addrActive, 0)
@@ -146,17 +153,15 @@ func (c *Chinchilla) Boot(m *vm.Machine, cold bool) error {
 			SP: c.img.StackBase + c.img.StackLen,
 			FP: c.img.StackBase + c.img.StackLen,
 		}
-		if err := c.Checkpoint(m, vm.CpTimer); err != nil { // bypass the gap gate
-			return err
-		}
+		c.Checkpoint(m, vm.CpTimer) // bypass the gap gate
 		m.Spend(m.Cost.NVWritePerWord)
 		m.Mem.WriteWord(c.addrMagic, initMagic)
-		return nil
+		return
 	}
-	return c.restore(m)
+	c.restore(m)
 }
 
-func (c *Chinchilla) restore(m *vm.Machine) error {
+func (c *Chinchilla) restore(m *vm.Machine) {
 	m.Spend(m.Cost.RestoreBase)
 	c.active = int(m.Mem.ReadWord(c.addrActive) & 1)
 	slot := c.addrSlot[c.active]
@@ -203,15 +208,14 @@ func (c *Chinchilla) restore(m *vm.Machine) error {
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
 	c.reg.Inc("restores")
-	return nil
 }
 
 // Checkpoint implements vm.Runtime: registers plus the (small) used stack,
 // double-buffered; trigger checkpoints respect the skip heuristic.
-func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
+func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	if kind == vm.CpManual && m.SinceCheckpoint() < c.cfg.MinGapCycles {
 		c.reg.Inc("skipped-triggers")
-		return nil
+		return
 	}
 	captured := slotMetaLen + int(c.img.StackBase+c.img.StackLen-m.Regs.SP)
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(captured))
@@ -245,23 +249,22 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
 	m.PopCat()
 	m.NoteCheckpoint(kind)
 	c.reg.Inc("checkpoints")
-	return nil
 }
 
-// PreStore implements vm.Runtime: force a checkpoint before the store when
-// the log is full.
-func (c *Chinchilla) PreStore(m *vm.Machine) error {
+// PreStore implements vm.PreStorer: force a checkpoint before the store
+// when the log is full.
+func (c *Chinchilla) PreStore(m *vm.Machine) {
 	if c.undoLen < c.undoCap {
-		return nil
+		return
 	}
 	c.reg.Inc("forced-checkpoints")
-	return c.Checkpoint(m, vm.CpTimer) // bypass the gap gate
+	c.Checkpoint(m, vm.CpTimer) // bypass the gap gate
 }
 
 // LoggedStore implements vm.Runtime: every instrumented store is logged —
 // Chinchilla has no working-stack fast path, which is why its per-store
 // overhead exceeds TICS's on stack-local traffic.
-func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) error {
+func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	if c.undoLen >= c.undoCap {
 		m.Fault("chinchilla: write log overflow")
 	}
@@ -283,48 +286,4 @@ func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uin
 	m.PopCat()
 	m.RawStore(addr, size, value)
 	c.reg.Inc("stores-logged")
-	return nil
-}
-
-// Enter implements vm.Runtime: with promoted locals the frame is tiny.
-func (c *Chinchilla) Enter(m *vm.Machine, fn int) error {
-	meta, err := m.Img.FuncAt(fn)
-	if err != nil {
-		return err
-	}
-	if m.Regs.SP < m.Img.StackBase+uint32(meta.FrameBytes) {
-		m.Fault("stack overflow entering %s", meta.Name)
-	}
-	m.Push(m.Regs.FP)
-	m.Regs.FP = m.Regs.SP
-	return nil
-}
-
-// Leave implements vm.Runtime.
-func (c *Chinchilla) Leave(m *vm.Machine) error {
-	m.Regs.SP = m.Regs.FP
-	m.Regs.FP = m.Pop()
-	m.Regs.PC = m.Pop()
-	return nil
-}
-
-// OnExpiry implements vm.Runtime as a no-op: Chinchilla has no time
-// semantics (Table 5); mid-block expirations go unhandled.
-func (c *Chinchilla) OnExpiry(m *vm.Machine) error { return nil }
-
-// OnInterrupt implements vm.Runtime: a plain call-like transfer.
-func (c *Chinchilla) OnInterrupt(m *vm.Machine, isrEntry uint32) error {
-	m.Push(m.Regs.PC)
-	m.Regs.PC = isrEntry
-	return nil
-}
-
-// OnInterruptReturn implements vm.Runtime as a no-op: only TICS gives
-// ISRs exactly-once commit semantics (paper §4).
-func (c *Chinchilla) OnInterruptReturn(m *vm.Machine) error { return nil }
-
-// Transition implements vm.Runtime.
-func (c *Chinchilla) Transition(m *vm.Machine, task int32) error {
-	m.Fault("transition_to(%d): chinchilla is not a task runtime", task)
-	return nil
 }

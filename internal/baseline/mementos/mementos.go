@@ -65,7 +65,9 @@ const (
 	slotMetaLen = 6 * 4      // pc, sp, fp, rv, cpDisabled, pad
 )
 
-// Mementos is the runtime.
+// Mementos is the runtime. It keeps every optional vm hook at its default:
+// conventional frames, call-like interrupts, and no handling of mid-block
+// expirations (Table 5: timely execution unsupported).
 type Mementos struct {
 	cfg Config
 	img *link.Image
@@ -81,6 +83,8 @@ type Mementos struct {
 	active int
 	reg    *obs.Registry
 }
+
+var _ vm.Runtime = (*Mementos)(nil)
 
 // New builds the runtime for an image linked with Spec.
 func New(img *link.Image, cfg Config) (*Mementos, error) {
@@ -116,7 +120,7 @@ func (b *Mementos) Name() string { return "mementos" }
 func (b *Mementos) Stats() map[string]int64 { return b.reg.CounterSnapshot() }
 
 // Boot implements vm.Runtime.
-func (b *Mementos) Boot(m *vm.Machine, cold bool) error {
+func (b *Mementos) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(b.addrMagic) != initMagic {
 		m.Spend(m.Cost.RestoreBase)
 		m.Regs = vm.Registers{
@@ -124,17 +128,15 @@ func (b *Mementos) Boot(m *vm.Machine, cold bool) error {
 			SP: b.img.StackBase + b.img.StackLen,
 			FP: b.img.StackBase + b.img.StackLen,
 		}
-		if err := b.Checkpoint(m, vm.CpManual); err != nil {
-			return err
-		}
+		b.Checkpoint(m, vm.CpManual)
 		m.Spend(m.Cost.NVWritePerWord)
 		m.Mem.WriteWord(b.addrMagic, initMagic)
-		return nil
+		return
 	}
-	return b.restore(m)
+	b.restore(m)
 }
 
-func (b *Mementos) restore(m *vm.Machine) error {
+func (b *Mementos) restore(m *vm.Machine) {
 	m.Spend(m.Cost.RestoreBase)
 	b.active = int(m.Mem.ReadWord(b.addrActive) & 1)
 	slot := b.addrSlot[b.active]
@@ -155,7 +157,6 @@ func (b *Mementos) restore(m *vm.Machine) error {
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
 	b.reg.Inc("restores")
-	return nil
 }
 
 // copyCharged copies n bytes from src to dst word-by-word, charging
@@ -171,7 +172,7 @@ func (b *Mementos) copyCharged(m *vm.Machine, dst, src uint32, n int, passes int
 // Checkpoint implements vm.Runtime: the full-state double-buffered commit.
 // Trigger checkpoints (the instrumented Chkpt opcodes) respect the voltage
 // gate; timer checkpoints always run.
-func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
+func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	if kind == vm.CpManual && b.cfg.VoltageThresholdCycles > 0 {
 		// The Mementos voltage check, with hysteresis: checkpoint at a
 		// trigger only once the supply is low, and at most once per
@@ -180,7 +181,7 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
 		if m.Remaining() > b.cfg.VoltageThresholdCycles ||
 			m.SinceCheckpoint() < b.cfg.VoltageThresholdCycles {
 			b.reg.Inc("skipped-triggers")
-			return nil
+			return
 		}
 	}
 	captured := slotMetaLen + int(b.img.StackBase+b.img.StackLen-m.Regs.SP)
@@ -211,60 +212,10 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
 	m.PopCat()
 	m.NoteCheckpoint(kind)
 	b.reg.Inc("checkpoints")
-	return nil
 }
-
-// Enter implements vm.Runtime: a conventional prologue.
-func (b *Mementos) Enter(m *vm.Machine, fn int) error {
-	meta, err := m.Img.FuncAt(fn)
-	if err != nil {
-		return err
-	}
-	if m.Regs.SP < m.Img.StackBase+uint32(meta.FrameBytes) {
-		m.Fault("stack overflow entering %s", meta.Name)
-	}
-	m.Push(m.Regs.FP)
-	m.Regs.FP = m.Regs.SP
-	m.Regs.SP -= uint32(meta.LocalBytes)
-	return nil
-}
-
-// Leave implements vm.Runtime.
-func (b *Mementos) Leave(m *vm.Machine) error {
-	m.Regs.SP = m.Regs.FP
-	m.Regs.FP = m.Pop()
-	m.Regs.PC = m.Pop()
-	return nil
-}
-
-// PreStore implements vm.Runtime (no log to fill).
-func (b *Mementos) PreStore(m *vm.Machine) error { return nil }
 
 // LoggedStore implements vm.Runtime: raw stores — consistency comes from
 // the full-state checkpoint (or fails to, when VersionGlobals is off).
-func (b *Mementos) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) error {
+func (b *Mementos) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	m.RawStore(addr, size, value)
-	return nil
-}
-
-// OnExpiry implements vm.Runtime as a no-op: without TICS's
-// restore-to-block-entry machinery a mid-block expiration cannot be
-// delivered safely (Table 5: timely execution unsupported).
-func (b *Mementos) OnExpiry(m *vm.Machine) error { return nil }
-
-// OnInterrupt implements vm.Runtime: a plain call-like transfer.
-func (b *Mementos) OnInterrupt(m *vm.Machine, isrEntry uint32) error {
-	m.Push(m.Regs.PC)
-	m.Regs.PC = isrEntry
-	return nil
-}
-
-// OnInterruptReturn implements vm.Runtime as a no-op: only TICS gives
-// ISRs exactly-once commit semantics (paper §4).
-func (b *Mementos) OnInterruptReturn(m *vm.Machine) error { return nil }
-
-// Transition implements vm.Runtime.
-func (b *Mementos) Transition(m *vm.Machine, task int32) error {
-	m.Fault("transition_to(%d): mementos is not a task runtime", task)
-	return nil
 }

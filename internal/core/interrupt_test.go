@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	tics "repro"
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/vm"
@@ -125,6 +126,36 @@ func TestISRKilledByFailureNeverHappened(t *testing.T) {
 	if stats["interrupts"] <= stats["isr-checkpoints"] {
 		// With failures injected mid-ISR, some deliveries must vanish.
 		t.Logf("note: every ISR completed (interrupts=%d, commits=%d)", stats["interrupts"], stats["isr-checkpoints"])
+	}
+}
+
+// TestDefaultInterruptTransfer covers the vm's default interrupt hooks (a
+// call-like transfer into the ISR, nothing on return) under runtimes that
+// keep them: on continuous power every delivered interrupt runs its ISR
+// exactly once and the foreground work is untouched.
+func TestDefaultInterruptTransfer(t *testing.T) {
+	for _, kind := range []tics.RuntimeKind{tics.RTPlain, tics.RTMementos} {
+		img, err := tics.Build(isrSrc, tics.BuildOptions{Runtime: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := tics.NewMachine(img, tics.RunOptions{InterruptPeriodMs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil || !res.Completed {
+			t.Fatalf("%s: %v %+v", kind, err, res)
+		}
+		if res.Interrupts == 0 {
+			t.Fatalf("%s: no interrupts delivered", kind)
+		}
+		if ticks, _ := m.ReadGlobal("ticks"); int64(ticks) != res.Interrupts {
+			t.Fatalf("%s: %d ticks committed for %d interrupts", kind, ticks, res.Interrupts)
+		}
+		if got := res.OutLog[0][0]; got != 5242 {
+			t.Fatalf("%s: foreground work: %d", kind, got)
+		}
 	}
 }
 

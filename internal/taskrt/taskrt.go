@@ -141,7 +141,10 @@ func Validate(cfg Config, hasRecursion, usesPointers bool) error {
 	return nil
 }
 
-// Runtime is the shared task engine.
+// Runtime is the shared task engine. Frames, interrupts and expirations
+// keep the vm defaults: task frames are conventional, an interrupted task
+// simply restarts (InK's event kernel would enqueue instead), and time is
+// expressed on MayFly graph edges, not via @expires blocks.
 type Runtime struct {
 	cfg     Config
 	profile kindProfile
@@ -159,6 +162,12 @@ type Runtime struct {
 	undoLen int
 	reg     *obs.Registry
 }
+
+var (
+	_ vm.Runtime      = (*Runtime)(nil)
+	_ vm.PreStorer    = (*Runtime)(nil)
+	_ vm.Transitioner = (*Runtime)(nil)
+)
 
 // New builds a task runtime for an image linked with Spec(cfg). Every task
 // name must resolve to a zero-argument function in the image. MayFly
@@ -237,7 +246,7 @@ func (r *Runtime) setupTask(m *vm.Machine) {
 
 // Boot implements vm.Runtime: roll back the active task's logged writes
 // and restart it from its beginning (tasks are atomic and idempotent).
-func (r *Runtime) Boot(m *vm.Machine, cold bool) error {
+func (r *Runtime) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(r.addrMagic) != initMagic {
 		m.Spend(m.Cost.RestoreBase)
 		r.cur = r.cfg.StartTask
@@ -245,7 +254,7 @@ func (r *Runtime) Boot(m *vm.Machine, cold bool) error {
 		m.Mem.WriteWord(r.addrHdr, uint32(r.cur)&0xFFFF)
 		m.Mem.WriteWord(r.addrMagic, initMagic)
 		r.setupTask(m)
-		return nil
+		return
 	}
 	m.Spend(m.Cost.RestoreBase)
 	hdr := m.Mem.ReadWord(r.addrHdr)
@@ -278,7 +287,6 @@ func (r *Runtime) Boot(m *vm.Machine, cold bool) error {
 		r.checkTokens(m)
 	}
 	r.setupTask(m)
-	return nil
 }
 
 // checkTokens enforces MayFly edge freshness on entry to the current task:
@@ -301,16 +309,16 @@ func (r *Runtime) checkTokens(m *vm.Machine) {
 	}
 }
 
-// Transition implements vm.Runtime: the commit point. A single word write
+// Transition implements vm.Transitioner: the commit point. A single word write
 // clears the log and switches tasks atomically, then control jumps to the
 // next task's entry with a fresh stack.
-func (r *Runtime) Transition(m *vm.Machine, task int32) error {
+func (r *Runtime) Transition(m *vm.Machine, task int32) {
 	m.Spend(r.profile.transitionCycles)
 	if task == TaskDone {
 		m.Mem.WriteWord(r.addrHdr, uint32(r.cfg.StartTask)&0xFFFF)
 		r.undoLen = 0
 		m.Halt()
-		return nil
+		return
 	}
 	if task < 0 || int(task) >= len(r.entries) {
 		m.Fault("transition_to(%d): no such task", task)
@@ -335,21 +343,20 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) error {
 		r.checkTokens(m)
 	}
 	r.setupTask(m)
-	return nil
 }
 
-// PreStore implements vm.Runtime.
-func (r *Runtime) PreStore(m *vm.Machine) error {
+// PreStore implements vm.PreStorer: a task whose writes overflow the
+// privatization buffer can never commit, so it faults before the store.
+func (r *Runtime) PreStore(m *vm.Machine) {
 	if r.undoLen >= r.undoCap {
 		m.Fault("%s: task writes exceed the privatization buffer (%d entries); split the task",
 			r.cfg.Kind, r.undoCap)
 	}
-	return nil
 }
 
 // LoggedStore implements vm.Runtime: privatize-on-first-write, modeled as
 // a write-ahead log entry cleared at the transition commit.
-func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) error {
+func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	m.EmitEvent(obs.EvUndoAppend, int64(addr), int64(size))
 	m.PushCat(obs.CatUndoLog)
 	m.Spend(r.profile.privatizeCycles)
@@ -368,48 +375,8 @@ func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32
 	m.PopCat()
 	m.RawStore(addr, size, value)
 	r.reg.Inc("stores-versioned")
-	return nil
 }
 
 // Checkpoint implements vm.Runtime: task systems have no checkpoints; the
 // transition is the only commit point.
-func (r *Runtime) Checkpoint(m *vm.Machine, kind vm.CpKind) error { return nil }
-
-// Enter implements vm.Runtime.
-func (r *Runtime) Enter(m *vm.Machine, fn int) error {
-	meta, err := m.Img.FuncAt(fn)
-	if err != nil {
-		return err
-	}
-	if m.Regs.SP < m.Img.StackBase+uint32(meta.FrameBytes) {
-		m.Fault("stack overflow entering %s", meta.Name)
-	}
-	m.Push(m.Regs.FP)
-	m.Regs.FP = m.Regs.SP
-	m.Regs.SP -= uint32(meta.LocalBytes)
-	return nil
-}
-
-// Leave implements vm.Runtime.
-func (r *Runtime) Leave(m *vm.Machine) error {
-	m.Regs.SP = m.Regs.FP
-	m.Regs.FP = m.Pop()
-	m.Regs.PC = m.Pop()
-	return nil
-}
-
-// OnExpiry implements vm.Runtime as a no-op: task systems express time on
-// graph edges (MayFly), not via @expires blocks; mid-task expirations go
-// unhandled.
-func (r *Runtime) OnExpiry(m *vm.Machine) error { return nil }
-
-// OnInterrupt implements vm.Runtime: a plain call-like transfer (InK's
-// event kernel would enqueue instead; interrupted tasks simply restart).
-func (r *Runtime) OnInterrupt(m *vm.Machine, isrEntry uint32) error {
-	m.Push(m.Regs.PC)
-	m.Regs.PC = isrEntry
-	return nil
-}
-
-// OnInterruptReturn implements vm.Runtime as a no-op.
-func (r *Runtime) OnInterruptReturn(m *vm.Machine) error { return nil }
+func (r *Runtime) Checkpoint(m *vm.Machine, kind vm.CpKind) {}

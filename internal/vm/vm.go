@@ -36,7 +36,6 @@ const (
 	CpTimer
 	CpStackGrow
 	CpStackShrink
-	CpTrigger // baseline trigger-point checkpoints (loop back-edges, calls)
 	cpKindCount
 )
 
@@ -50,55 +49,8 @@ func (k CpKind) String() string {
 		return "stack-grow"
 	case CpStackShrink:
 		return "stack-shrink"
-	case CpTrigger:
-		return "trigger"
 	}
 	return "?"
-}
-
-// Runtime is the intermittency-protection strategy plugged into the
-// machine. internal/core implements TICS; internal/baseline and
-// internal/taskrt implement the systems TICS is compared against.
-type Runtime interface {
-	Name() string
-	// Boot runs at every power-up. cold is true only for the first boot of
-	// a fresh device; afterwards the runtime restores whatever state its
-	// strategy preserved. Boot must set the register file.
-	Boot(m *Machine, cold bool) error
-	// Enter implements the Enter opcode (function prologue, stack checks,
-	// TICS stack grow). fn indexes the image's function table.
-	Enter(m *Machine, fn int) error
-	// Leave implements the Leave opcode (epilogue + return, TICS stack
-	// shrink).
-	Leave(m *Machine) error
-	// PreStore runs at the start of every instrumented-store instruction,
-	// before its operands are popped. A runtime whose log is full takes
-	// its forced checkpoint here, so the saved PC re-executes the whole
-	// store instruction on restore (a checkpoint taken after the pops
-	// would resume with a corrupted operand stack).
-	PreStore(m *Machine) error
-	// LoggedStore implements the instrumented store opcodes: the runtime
-	// applies its consistency discipline (undo logging, privatization)
-	// and performs the write.
-	LoggedStore(m *Machine, addr uint32, size int, value uint32) error
-	// Checkpoint handles a checkpoint request. Runtimes without
-	// checkpoints treat it as a no-op.
-	Checkpoint(m *Machine, kind CpKind) error
-	// OnExpiry fires when an armed @expires/catch deadline passes.
-	OnExpiry(m *Machine) error
-	// Transition handles the TransTo opcode (task-based runtimes only).
-	Transition(m *Machine, task int32) error
-	// OnInterrupt delivers an interrupt: the runtime performs the
-	// call-like transfer into the ISR and applies its discipline (TICS
-	// disables automatic checkpoints for the ISR's duration, §4).
-	OnInterrupt(m *Machine, isrEntry uint32) error
-	// OnInterruptReturn runs right after the ISR's return-from-interrupt
-	// (TICS places an implicit checkpoint here, §4).
-	OnInterruptReturn(m *Machine) error
-	// Stats returns runtime-specific counters for experiment reports. The
-	// returned map must be a defensive copy: callers may mutate it without
-	// corrupting the runtime's live counters.
-	Stats() map[string]int64
 }
 
 // powerFailure is the panic sentinel unwinding the current window.
@@ -216,7 +168,14 @@ type Machine struct {
 	ExpiryDeadline int64
 	ExpiryCatchPC  uint32
 
-	rt       Runtime
+	rt Runtime
+	// Optional runtime hooks, resolved by apply; nil selects the default.
+	framer    Framer
+	preStorer PreStorer
+	expirer   Expirer
+	trans     Transitioner
+	irq       Interrupter
+
 	powerSrc power.Source
 	clock    timekeeper.Keeper
 	sensors  SensorBank
@@ -366,6 +325,11 @@ func (m *Machine) apply(cfg Config) error {
 	m.Img = cfg.Image
 	m.Cost = cfg.Cost
 	m.rt = cfg.Runtime
+	m.framer, _ = cfg.Runtime.(Framer)
+	m.preStorer, _ = cfg.Runtime.(PreStorer)
+	m.expirer, _ = cfg.Runtime.(Expirer)
+	m.trans, _ = cfg.Runtime.(Transitioner)
+	m.irq, _ = cfg.Runtime.(Interrupter)
 	m.powerSrc = cfg.Power
 	m.clock = cfg.Clock
 	m.sensors = cfg.Sensors
@@ -830,24 +794,20 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 		m.EmitEvent(obs.EvBoot, 0, 0)
 	}
 	m.PushCat(obs.CatRestore)
-	if err := m.rt.Boot(m, cold); err != nil {
-		return false, err
-	}
+	m.rt.Boot(m, cold)
 	m.PopCat()
 	m.resetRecStack()
 	for !m.halted {
-		if err := m.step(); err != nil {
-			return false, err
-		}
+		m.step()
 		if m.cycles > m.maxCycles {
-			return false, nil // watchdog; Run turns this into starvation
+			return // watchdog; Run turns this into starvation
 		}
 		if m.maxWallMs > 0 && m.TrueNowMs() >= m.maxWallMs {
 			m.timedOut = true
-			return false, nil
+			return
 		}
 	}
-	return false, nil
+	return
 }
 
 func (m *Machine) chargeFor(op isa.Op) {
@@ -863,7 +823,7 @@ func (m *Machine) chargeFor(op isa.Op) {
 	}
 }
 
-func (m *Machine) step() error {
+func (m *Machine) step() {
 	d, ok := m.decoded[m.Regs.PC]
 	if !ok {
 		m.Fault("PC=%#x is not an instruction boundary", m.Regs.PC)
@@ -871,10 +831,10 @@ func (m *Machine) step() error {
 	in := d.in
 	m.chargeFor(in.Op)
 	next := d.next
-	switch in.Op {
-	case isa.StoreGL, isa.StoreGBL, isa.StoreIL, isa.StoreIBL, isa.Mark, isa.SetTS:
-		if err := m.rt.PreStore(m); err != nil {
-			return err
+	if m.preStorer != nil {
+		switch in.Op {
+		case isa.StoreGL, isa.StoreGBL, isa.StoreIL, isa.StoreIBL, isa.Mark, isa.SetTS:
+			m.preStorer.PreStore(m)
 		}
 	}
 	switch in.Op {
@@ -899,17 +859,13 @@ func (m *Machine) step() error {
 	case isa.StoreG:
 		m.RawStore(uint32(in.Imm), 4, m.Pop())
 	case isa.StoreGL:
-		if err := m.rt.LoggedStore(m, uint32(in.Imm), 4, m.Pop()); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, uint32(in.Imm), 4, m.Pop())
 	case isa.LoadGB:
 		m.Push(uint32(m.Mem.ReadByteAt(uint32(in.Imm))))
 	case isa.StoreGB:
 		m.RawStore(uint32(in.Imm), 1, m.Pop())
 	case isa.StoreGBL:
-		if err := m.rt.LoggedStore(m, uint32(in.Imm), 1, m.Pop()); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, uint32(in.Imm), 1, m.Pop())
 	case isa.LoadL:
 		m.Push(m.Mem.ReadWord(uint32(int32(m.Regs.FP) + in.Imm)))
 	case isa.StoreL:
@@ -923,9 +879,7 @@ func (m *Machine) step() error {
 		m.RawStore(m.Pop(), 4, v)
 	case isa.StoreIL:
 		v := m.Pop()
-		if err := m.rt.LoggedStore(m, m.Pop(), 4, v); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, m.Pop(), 4, v)
 	case isa.LoadIB:
 		m.Push(uint32(m.Mem.ReadByteAt(m.Pop())))
 	case isa.StoreIB:
@@ -933,9 +887,7 @@ func (m *Machine) step() error {
 		m.RawStore(m.Pop(), 1, v)
 	case isa.StoreIBL:
 		v := m.Pop()
-		if err := m.rt.LoggedStore(m, m.Pop(), 1, v); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, m.Pop(), 1, v)
 	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
 		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
 		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
@@ -974,12 +926,16 @@ func (m *Machine) step() error {
 			// land on the callee in the folded stacks.
 			m.rec.EnterFunc(int(in.Imm))
 		}
-		if err := m.rt.Enter(m, int(in.Imm)); err != nil {
-			return err
+		if m.framer != nil {
+			m.framer.Enter(m, int(in.Imm))
+		} else {
+			m.enter(int(in.Imm))
 		}
 	case isa.Leave:
-		if err := m.rt.Leave(m); err != nil {
-			return err
+		if m.framer != nil {
+			m.framer.Leave(m)
+		} else {
+			m.leave()
 		}
 		if m.rec != nil {
 			m.rec.LeaveFunc()
@@ -1027,9 +983,7 @@ func (m *Machine) step() error {
 	case isa.Mark:
 		addr := m.Img.MarkBase + uint32(4*in.Imm)
 		v := m.Mem.ReadWord(addr)
-		if err := m.rt.LoggedStore(m, addr, 4, v+1); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, addr, 4, v+1)
 		if m.OnMark != nil {
 			m.OnMark(in.Imm, m.clock.Now())
 		}
@@ -1040,9 +994,7 @@ func (m *Machine) step() error {
 		// Advance PC first so the checkpoint resumes after this
 		// instruction instead of re-taking it forever.
 		m.Regs.PC = next
-		if err := m.rt.Checkpoint(m, CpManual); err != nil {
-			return err
-		}
+		m.rt.Checkpoint(m, CpManual)
 	case isa.CpDis:
 		m.CpDisable++
 	case isa.CpEn:
@@ -1052,9 +1004,7 @@ func (m *Machine) step() error {
 	case isa.SetTS:
 		m.Spend(m.Cost.TimestampWrite)
 		addr := m.Pop()
-		if err := m.rt.LoggedStore(m, addr, 4, uint32(int32(m.clock.Now()))); err != nil {
-			return err
-		}
+		m.rt.LoggedStore(m, addr, 4, uint32(int32(m.clock.Now())))
 	case isa.ExpBegin, isa.ExpCatch:
 		m.Spend(m.Cost.TimeRead)
 		dur := int64(int32(m.Pop()))
@@ -1077,9 +1027,10 @@ func (m *Machine) step() error {
 			next = uint32(in.Imm)
 		}
 	case isa.TransTo:
-		if err := m.rt.Transition(m, in.Imm); err != nil {
-			return err
+		if m.trans == nil {
+			m.Fault("transition_to(%d): %s is not a task runtime", in.Imm, m.rt.Name())
 		}
+		m.trans.Transition(m, in.Imm)
 		m.EmitEvent(obs.EvTaskCommit, int64(in.Imm), 0)
 		m.resetRecStack() // a fresh task stack replaces the old frames
 		next = m.Regs.PC  // transitions jump to the next task's entry
@@ -1089,17 +1040,15 @@ func (m *Machine) step() error {
 	m.Regs.PC = next
 	// Timer-driven automatic checkpoints.
 	if m.autoCpCycles > 0 && !m.CpDisabled() && m.sinceCp >= m.autoCpCycles && !m.halted {
-		if err := m.rt.Checkpoint(m, CpTimer); err != nil {
-			return err
-		}
+		m.rt.Checkpoint(m, CpTimer)
 	}
 	// Armed data-expiration deadline (exception-based @expires/catch).
 	if m.ExpiryArmed && m.clock.Now() >= m.ExpiryDeadline {
 		m.ExpiryArmed = false
 		m.EmitEvent(obs.EvExpiry, m.ExpiryDeadline, 0)
 		m.PushCat(obs.CatRestore)
-		if err := m.rt.OnExpiry(m); err != nil {
-			return err
+		if m.expirer != nil {
+			m.expirer.OnExpiry(m)
 		}
 		m.PopCat()
 		m.resetRecStack() // TICS restored to the block-entry checkpoint
@@ -1109,8 +1058,8 @@ func (m *Machine) step() error {
 	if m.inISR && m.Regs.PC == m.isrRetPC && m.Regs.SP == m.isrRetSP {
 		m.inISR = false
 		m.EmitEvent(obs.EvISRExit, m.irqCount, 0)
-		if err := m.rt.OnInterruptReturn(m); err != nil {
-			return err
+		if m.irq != nil {
+			m.irq.OnInterruptReturn(m)
 		}
 	}
 	// Periodic timer interrupt. Delivery waits out ISRs already running
@@ -1123,11 +1072,13 @@ func (m *Machine) step() error {
 		m.isrRetSP = m.Regs.SP
 		m.irqCount++
 		m.EmitEvent(obs.EvISREnter, m.irqCount, 0)
-		if err := m.rt.OnInterrupt(m, m.irqEntry); err != nil {
-			return err
+		if m.irq != nil {
+			m.irq.OnInterrupt(m, m.irqEntry)
+		} else {
+			m.Push(m.Regs.PC) // call-like transfer into the ISR
+			m.Regs.PC = m.irqEntry
 		}
 	}
-	return nil
 }
 
 func (m *Machine) alu(op isa.Op, l, r uint32) uint32 {

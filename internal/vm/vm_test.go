@@ -67,6 +67,58 @@ int main() { return rec(0); }`)
 	}
 }
 
+func TestFaultTransitionWithoutTaskRuntime(t *testing.T) {
+	img := build(t, `int main() { transition_to(1); return 0; }`)
+	m, err := vm.New(vm.Config{Image: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, runErr := m.Run()
+	if runErr == nil || res.Fault == nil ||
+		!strings.Contains(res.Fault.Error(), "not a task runtime") || !strings.Contains(res.Fault.Error(), "plain") {
+		t.Fatalf("expected transition fault, got %v / %+v", runErr, res)
+	}
+}
+
+// taskStub is the plain runtime plus a Transition hook that ends the run.
+type taskStub struct {
+	*vm.Plain
+	transitions int
+}
+
+func (s *taskStub) Transition(m *vm.Machine, task int32) {
+	s.transitions++
+	m.Halt()
+}
+
+// TestResetResolvesHooks: pooled machines get a fresh runtime on every
+// Reset, so the optional hooks must follow the new runtime, including
+// dropping back to the defaults.
+func TestResetResolvesHooks(t *testing.T) {
+	prep, err := vm.Prepare(build(t, `int main() { transition_to(1); return 0; }`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := &taskStub{Plain: vm.NewPlain()}
+	m, err := vm.New(vm.Config{Prepared: prep, Runtime: stub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := m.Run(); err != nil || !res.Completed || stub.transitions != 1 {
+		t.Fatalf("stub runtime: %v %+v transitions=%d", err, res, stub.transitions)
+	}
+	if err := m.Reset(vm.Config{Prepared: prep}); err != nil {
+		t.Fatal(err)
+	}
+	res, runErr := m.Run()
+	if runErr == nil || res.Fault == nil || !strings.Contains(res.Fault.Error(), "not a task runtime") {
+		t.Fatalf("after Reset to plain: %v / %+v", runErr, res)
+	}
+	if stub.transitions != 1 {
+		t.Fatalf("Reset kept the old runtime's Transition hook (%d calls)", stub.transitions)
+	}
+}
+
 func TestPlainRestartsFromMain(t *testing.T) {
 	// A plain program under intermittent power restarts main() but keeps
 	// its non-volatile globals: the counter keeps growing across reboots

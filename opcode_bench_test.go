@@ -46,8 +46,8 @@ var opcodeUnits = []struct {
 		return []isa.Instr{{Op: isa.PushI, Imm: 9}, {Op: isa.StoreG, Imm: int32(scratch)}}
 	}},
 	{"storeg.l", func(_, scratch uint32) []isa.Instr {
-		// The instrumented store: on the plain runtime this exercises the
-		// PreStore hook plus LoggedStore path with no log behind it —
+		// The instrumented store: on the plain runtime (no PreStore hook)
+		// this exercises the LoggedStore path with no log behind it —
 		// the dispatch overhead of instrumentation itself.
 		return []isa.Instr{{Op: isa.PushI, Imm: 9}, {Op: isa.StoreGL, Imm: int32(scratch)}}
 	}},
