@@ -60,8 +60,7 @@ func main() {
 		geGB    = flag.Float64("ge-gb", 0.05, "with -ge: per-frame Good→Bad transition probability")
 		geBG    = flag.Float64("ge-bg", 0.2, "with -ge: per-frame Bad→Good transition probability")
 
-		gatewayURL  = flag.String("gateway", "", "attach to a standalone ticsgate service at URL instead of the in-process gateway")
-		maxArrivals = flag.Int("max-arrivals", 0, "bound the gateway arrival buffer: admit at most N frames fleet-wide, shed the rest (0 = unbounded)")
+		gatewayURL = flag.String("gateway", "", "attach to a standalone ticsgate service at URL instead of the in-process gateway")
 
 		jsonOut    = flag.Bool("json", false, "print the report as JSON")
 		metrics    = flag.Bool("metrics", false, "dump the merged fleet metrics registry")
@@ -110,7 +109,6 @@ func main() {
 			GEBadToGood: *geBG,
 		},
 		FreshnessMs: *fresh,
-		MaxArrivals: *maxArrivals,
 		Virtualize:  *virt,
 		Collect:     *metrics || *promOut != "",
 		Trace:       *traceMsg != "" || *spansOut != "" || *perfOut != "",
@@ -258,9 +256,6 @@ func printReport(cfg fleet.Config, rep *fleet.Report) {
 		rep.Sends, rep.UniqueSends, rep.Link.Frames, rep.Link.FramesLost, rep.Link.AcksLost, rep.Link.Echoes)
 	fmt.Printf("gateway:      %d delivered, %d duplicates dropped, %d expired, %d lost\n",
 		rep.Gateway.Delivered, rep.Gateway.Duplicates, rep.Gateway.Expired, rep.Lost)
-	if rep.ArrivalsDropped > 0 {
-		fmt.Printf("shed:         %d arrivals dropped at the gateway buffer cap\n", rep.ArrivalsDropped)
-	}
 	fmt.Printf("latency:      p50 %.1f ms, p99 %.1f ms end-to-end\n", rep.LatencyP50, rep.LatencyP99)
 	fmt.Printf("phases:      ")
 	for _, p := range rep.Phases {

@@ -8,7 +8,7 @@ import (
 )
 
 // Anomaly detection: a deterministic outlier pass over per-device
-// outcomes, run after the gateway post-pass. Three detectors, each aimed
+// outcomes, run once the gateway has seen every arrival. Three detectors, each aimed
 // at a failure mode the paper (or its evaluation) names:
 //
 //   - Stragglers: devices whose consumed cycles or wall time sit k MADs
@@ -148,12 +148,12 @@ func DetectAnomalies(rep *Report, k float64) []Anomaly {
 	if rep.gw != nil && rep.Gateway.Expired > 0 {
 		ratios := make([]float64, n)
 		uniques := make([]float64, n)
+		delivered, expired := rep.gw.deviceCounts(n)
 		for i := 0; i < n; i++ {
-			st := rep.gw.DeviceStats(i)
-			u := st.Delivered + st.Expired
+			u := delivered[i] + expired[i]
 			uniques[i] = float64(u)
 			if u > 0 {
-				ratios[i] = float64(st.Expired) / float64(u)
+				ratios[i] = float64(expired[i]) / float64(u)
 			}
 		}
 		cut, idx = madOutliers(ratios, k)

@@ -206,11 +206,9 @@ func transmit(dev int, seed uint64, p LinkParams, log []vm.SendRec, tel *Telemet
 
 // ArrivalBefore is the gateway observation order: by arrival time,
 // tie-broken by (device, sequence, attempt, echo) so the global order is
-// total and therefore identical on every run. Exported because the
-// standalone gateway service (internal/gate) must pick the same "first
-// arrival" per (device, seq) — and sort its deliveries the same way —
-// regardless of the order HTTP batches land in, or its digest could not
-// match an in-process run.
+// total and therefore identical on every run. The gateway retains the
+// ArrivalBefore-minimal arrival per (device, seq) and logs deliveries in
+// this order, whatever order arrivals reach it in.
 func ArrivalBefore(a, b Arrival) bool {
 	if a.ArriveMs != b.ArriveMs {
 		return a.ArriveMs < b.ArriveMs

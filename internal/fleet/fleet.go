@@ -8,10 +8,11 @@
 //
 // Determinism is load-bearing. Per-device seeds derive from the fleet
 // seed through a splitmix64 mixer, every device owns all of its mutable
-// state (no shared RNGs anywhere), and the channel + gateway post-pass
-// runs single-threaded over results collected by device index — so a
-// fleet's gateway log digest and merged metrics are byte-identical
-// whether it ran on 1 worker or GOMAXPROCS workers. Any single device of
+// state (no shared RNGs anywhere), the channel pass runs single-threaded
+// in device-index order after each wave, and the gateway retains an
+// order-independent minimum per (device, seq) — so a fleet's gateway log
+// digest and merged metrics are byte-identical whether it ran on 1
+// worker or GOMAXPROCS workers, in one wave or many. Any single device of
 // a fleet can be exported as an internal/replay manifest and re-executed
 // bit-identically for debugging.
 package fleet
@@ -59,20 +60,10 @@ type Config struct {
 	FreshnessMs float64    // gateway end-to-end freshness deadline (0 = off)
 
 	// Remote streams each wave's arrivals to an out-of-process gateway
-	// (ticsgate over HTTP via internal/gate.Client) instead of running
-	// the in-process gateway pass; the report's gateway fields come from
+	// (ticsgate over HTTP via internal/gate.Client) instead of the
+	// in-process gateway; the report's gateway fields come from
 	// Remote.Finalize. Nil = in-process gateway, the default.
 	Remote RemoteGateway
-
-	// MaxArrivals bounds the gateway arrival buffer (0 = unbounded):
-	// once that many frames have been admitted, later frames are shed at
-	// the channel exit and counted in Report.ArrivalsDropped (exported
-	// as fleet_gateway_arrivals_dropped). The cap is applied in the
-	// deterministic channel-pass order, so a capped fleet is still
-	// byte-identical across worker counts — and it applies identically
-	// to in-process and remote gateways, preserving digest parity
-	// between the two attach modes at equal caps.
-	MaxArrivals int
 
 	// Collect attaches a flight recorder to every device and folds the
 	// per-device metric registries into Report.Metrics via
@@ -81,8 +72,9 @@ type Config struct {
 
 	// Trace enables end-to-end message telemetry: a span chain per
 	// (device, committed send seq) — emit, every channel attempt, gateway
-	// verdict — collected in the deterministic post-pass and exposed as
-	// Report.Telemetry. Independent of Collect; costs nothing per device.
+	// verdict — collected by the deterministic channel pass, closed when
+	// the run finishes, and exposed as Report.Telemetry. Independent of
+	// Collect; costs nothing per device.
 	Trace bool
 
 	// Profile turns on each device's cycle profiler and merges the
@@ -208,15 +200,10 @@ type Report struct {
 	UniqueSends int64 `json:"unique_sends"` // distinct (device, seq) packets
 	Link        LinkStats
 	Gateway     GatewayStats
-	// ArrivalsDropped counts frames shed at the channel exit because the
-	// arrival buffer hit Config.MaxArrivals — load shedding, distinct
-	// from channel loss (the frame survived the radio but the gateway
-	// buffer was full).
-	ArrivalsDropped int64   `json:"arrivals_dropped,omitempty"`
-	Lost            int64   `json:"lost"` // unique packets that never reached the gateway
-	LatencyP50      float64 `json:"latency_p50_ms"`
-	LatencyP99      float64 `json:"latency_p99_ms"`
-	Digest          string  `json:"digest"` // gateway log digest (determinism witness)
+	Lost        int64   `json:"lost"` // unique packets that never reached the gateway
+	LatencyP50  float64 `json:"latency_p50_ms"`
+	LatencyP99  float64 `json:"latency_p99_ms"`
+	Digest      string  `json:"digest"` // gateway log digest (determinism witness)
 
 	// Anomalies is the deterministic outlier pass over per-device
 	// outcomes: stragglers, livelock suspects, freshness hotspots.
@@ -298,10 +285,13 @@ func uniqueSends(log []vm.SendRec) int64 {
 // parallel on the worker pool — machines drawn from a small reuse pool
 // and reset between devices — and the wave's send logs stream straight
 // into the deterministic single-threaded channel pass (and are released)
-// before the next wave starts. The gateway, telemetry and merge passes
-// then run once over all collected arrivals, so every externally visible
-// result stays byte-identical across worker counts, wave sizes, and
-// pooled-versus-fresh machines.
+// before the next wave starts. The channel pass hands the wave's
+// arrivals to the gateway — the in-process core, or a remote one — and
+// drops them. The gateway keeps an order-independent minimum per
+// (device, seq), so the telemetry and merge passes that close the run
+// see the same state whatever the worker count, wave size, or pooled
+// versus fresh machines, and every externally visible result stays
+// byte-identical across them.
 func Run(cfg Config) (*Report, error) {
 	n := cfg.Devices
 	if n <= 0 {
@@ -352,8 +342,10 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Trace {
 		tel = NewTelemetry(n, cfg.FreshnessMs)
 	}
-	var arrivals []Arrival
-	var admitted int64 // arrivals admitted against cfg.MaxArrivals (both attach modes)
+	var gw *Gateway
+	if cfg.Remote == nil {
+		gw = NewGateway(cfg.FreshnessMs)
+	}
 	var elapsed float64
 	wave := cfg.waveSize(workers)
 	for lo := 0; lo < n; lo += wave {
@@ -382,11 +374,11 @@ func Run(cfg Config) (*Report, error) {
 		}
 
 		// Streaming handoff: this wave's send logs feed the channel pass
-		// in device order — the same total order as one big post-pass —
-		// and are dropped before the next wave materializes its own. The
-		// channel phase accumulates across re-entries. With a remote
-		// gateway the wave's arrivals ship out (and are released) here
-		// too, so the in-flight arrival buffer is one wave deep.
+		// in device order and are dropped before the next wave
+		// materializes its own; the wave's arrivals then go to the
+		// gateway and are dropped too, so the in-flight arrival buffer
+		// is one wave deep. The channel and gateway phases accumulate
+		// across re-entries.
 		pc.enter(PhaseChannel)
 		var waveArr []Arrival
 		for i := lo; i < hi; i++ {
@@ -397,32 +389,17 @@ func Run(cfg Config) (*Report, error) {
 			rep.UniqueSends += int64(outcomes[i].UniqueSends)
 			devArr, st := transmit(i, DeviceSeed(cfg.Seed, i), cfg.Link, log, tel)
 			rep.Link.add(st)
-			// Arrival-buffer bound: admit frames in channel-pass order up
-			// to the cap, shed (and count) the rest. PR8 bounded the send
-			// logs; this bounds the only other buffer that scales with
-			// total fleet traffic.
-			if cfg.MaxArrivals > 0 && admitted+int64(len(devArr)) > int64(cfg.MaxArrivals) {
-				keep := int64(cfg.MaxArrivals) - admitted
-				if keep < 0 {
-					keep = 0
-				}
-				rep.ArrivalsDropped += int64(len(devArr)) - keep
-				devArr = devArr[:keep]
-			}
-			admitted += int64(len(devArr))
-			if cfg.Remote != nil {
-				waveArr = append(waveArr, devArr...)
-			} else {
-				arrivals = append(arrivals, devArr...)
-			}
+			waveArr = append(waveArr, devArr...)
 			outcomes[i].Res.SendLog = nil
 		}
+		pc.enter(PhaseGateway)
 		if cfg.Remote != nil {
-			// The gateway phase accumulates the wire time of each wave's
-			// ingest alongside the final Finalize call below.
-			pc.enter(PhaseGateway)
 			if err := cfg.Remote.IngestWave(waveArr); err != nil {
 				return nil, fmt.Errorf("fleet: remote gateway ingest: %w", err)
+			}
+		} else {
+			for _, a := range waveArr {
+				gw.Accept(a)
 			}
 		}
 	}
@@ -445,42 +422,28 @@ func Run(cfg Config) (*Report, error) {
 		rep.Throughput = float64(rep.TotalCycles) / elapsed
 	}
 
-	// Deterministic post-pass. In-process: the gateway consumes the
-	// globally sorted arrival order, so neither the digest nor any span
-	// chain can depend on how the pool scheduled the device waves.
-	// Remote: the waves already streamed out; Finalize fetches the
-	// service's accounting, which is order-independent by construction
-	// (internal/gate retains the ArrivalBefore-minimal arrival per
-	// (device, seq)) and therefore equal to the in-process result.
-	var gw *Gateway
+	// The gateway's accounting is a pure function of the arrival set:
+	// the in-process core and internal/gate both retain the
+	// ArrivalBefore-minimal arrival per (device, seq), so neither the
+	// digest nor any span chain depends on how the pool scheduled the
+	// device waves, and a remote summary equals the in-process one.
 	pc.enter(PhaseGateway)
+	var sum RemoteSummary
 	if cfg.Remote != nil {
-		sum, err := cfg.Remote.Finalize()
-		if err != nil {
+		if sum, err = cfg.Remote.Finalize(); err != nil {
 			return nil, fmt.Errorf("fleet: remote gateway finalize: %w", err)
 		}
-		pc.enter(PhaseTelemetry)
-		tel.finalizeRemote()
-		rep.Gateway = sum.Stats
-		rep.Lost = rep.UniqueSends - sum.Unique
-		rep.LatencyP50 = sum.P50Ms
-		rep.LatencyP99 = sum.P99Ms
-		rep.Digest = sum.Digest
 	} else {
-		gw = NewGateway(cfg.FreshnessMs)
-		SortArrivals(arrivals)
-		for _, a := range arrivals {
-			tel.onVerdict(a, gw.Accept(a))
-		}
-		pc.enter(PhaseTelemetry)
-		tel.finalize()
+		sum = gw.Summary()
 		rep.gw = gw
-		rep.Gateway = gw.Stats()
-		rep.Lost = rep.UniqueSends - int64(gw.Unique())
-		rep.LatencyP50 = gw.LatencyQuantile(0.50)
-		rep.LatencyP99 = gw.LatencyQuantile(0.99)
-		rep.Digest = gw.Digest()
 	}
+	rep.Gateway = sum.Stats
+	rep.Lost = rep.UniqueSends - sum.Unique
+	rep.LatencyP50 = sum.P50Ms
+	rep.LatencyP99 = sum.P99Ms
+	rep.Digest = sum.Digest
+	pc.enter(PhaseTelemetry)
+	tel.finalize(gw)
 	rep.Telemetry = tel
 	rep.Anomalies = DetectAnomalies(rep, cfg.AnomalyK)
 
@@ -501,9 +464,6 @@ func Run(cfg Config) (*Report, error) {
 		merged.Add("fleet_gateway_duplicates", rep.Gateway.Duplicates)
 		merged.Add("fleet_gateway_expired", rep.Gateway.Expired)
 		merged.Add("fleet_packets_lost", rep.Lost)
-		// Always-present (like trace_events_dropped): a zero sample is
-		// the evidence load shedding did NOT happen.
-		merged.Add("fleet_gateway_arrivals_dropped", rep.ArrivalsDropped)
 		// The gateway's latency histogram lands in the rollup under the
 		// same bounds it was observed with, so a Prometheus
 		// histogram_quantile over the exported buckets agrees with

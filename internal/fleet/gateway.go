@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -15,37 +16,37 @@ import (
 // raw radio re-sending with the same Seq), link-layer retransmits after
 // a lost ACK, and channel echoes — which is what makes the end-to-end
 // pipeline exactly-once even when no single hop is.
+//
+// The gateway is order-independent: per (device, seq) it retains only
+// the ArrivalBefore-minimal arrival — the one a gateway observing the
+// globally sorted stream would see first — with the freshness budget it
+// is judged against, plus a count of all arrivals. Accept may therefore
+// be called in any order, wave by wave or batch by batch, and every
+// derived view (log, digest, stats, latency) is a pure function of the
+// arrival set. The durable ticsgate store (internal/gate) is this same
+// core plus a WAL.
 type Gateway struct {
-	// FreshnessMs is the end-to-end deadline: a packet whose first
-	// arrival lands more than FreshnessMs after its send is expired —
-	// delivered data that is too stale to act on, the paper's central
-	// time-consistency hazard pushed out to the network. Zero disables.
+	// FreshnessMs is the end-to-end deadline Accept judges arrivals
+	// against: a packet whose first arrival lands more than FreshnessMs
+	// after its send is expired — delivered data that is too stale to
+	// act on, the paper's central time-consistency hazard pushed out to
+	// the network. Zero disables.
 	FreshnessMs float64
 
-	seen   map[gwKey]struct{}
-	log    []Delivery
-	lat    *obs.Histogram
-	stats  GatewayStats
-	perDev map[int]*GatewayStats
+	index    map[gwKey]int // position of each (device, seq) in min
+	min      []retained    // per (device, seq): the ArrivalBefore-minimal arrival so far
+	arrivals int64
+	order    []int // indices into min in ArrivalBefore order; nil once an Accept changes min
 }
 
-// Verdict is what the gateway decided about one arrival.
-type Verdict uint8
-
-const (
-	VerdictDelivered Verdict = iota // first arrival, within the freshness deadline
-	VerdictDuplicate                // repeat (device, seq); dropped
-	VerdictExpired                  // first arrival, but past the freshness deadline
-)
-
-var verdictNames = [...]string{"delivered", "duplicate", "expired"}
-
-func (v Verdict) String() string {
-	if int(v) < len(verdictNames) {
-		return verdictNames[v]
-	}
-	return "?"
+// retained is the gateway's state for one (device, seq): its first
+// arrival and the freshness budget that arrival is judged against.
+type retained struct {
+	Arrival
+	freshMs float64
 }
+
+func (r *retained) expired() bool { return r.freshMs > 0 && r.ArriveMs-r.SentMs > r.freshMs }
 
 // LatencyBounds are the fixed bucket bounds (ms) of the gateway's
 // end-to-end latency histogram. Shared with the fleet metrics rollup so
@@ -78,68 +79,119 @@ type GatewayStats struct {
 // NewGateway builds an empty gateway with the given freshness deadline
 // (0 = no deadline).
 func NewGateway(freshnessMs float64) *Gateway {
-	return &Gateway{
-		FreshnessMs: freshnessMs,
-		seen:        make(map[gwKey]struct{}),
-		lat:         obs.NewHistogram(LatencyBounds),
-		perDev:      make(map[int]*GatewayStats),
-	}
+	return &Gateway{FreshnessMs: freshnessMs, index: make(map[gwKey]int)}
 }
 
-// Accept processes one arrival and returns the verdict — the last hop of
-// the message's span chain. Call in gateway observation order (see
-// SortArrivals) for deterministic logs.
-func (g *Gateway) Accept(a Arrival) Verdict {
-	g.stats.Arrivals++
-	dst := g.perDev[a.Dev]
-	if dst == nil {
-		dst = &GatewayStats{}
-		g.perDev[a.Dev] = dst
-	}
-	dst.Arrivals++
+// Accept folds one arrival into the gateway, judged against
+// FreshnessMs. Arrivals may come in any order.
+func (g *Gateway) Accept(a Arrival) { g.AcceptWithin(a, g.FreshnessMs) }
+
+// AcceptWithin is Accept with the arrival's own freshness budget (0 =
+// none) — how one ticsgate serves fleets with different deadlines.
+func (g *Gateway) AcceptWithin(a Arrival, freshMs float64) {
+	g.arrivals++
 	k := gwKey{a.Dev, a.Seq}
-	if _, dup := g.seen[k]; dup {
-		g.stats.Duplicates++
-		dst.Duplicates++
-		return VerdictDuplicate
+	switch i, ok := g.index[k]; {
+	case !ok:
+		g.index[k] = len(g.min)
+		g.min = append(g.min, retained{a, freshMs})
+	case ArrivalBefore(a, g.min[i].Arrival):
+		g.min[i] = retained{a, freshMs}
+	default:
+		return
 	}
-	g.seen[k] = struct{}{}
-	if g.FreshnessMs > 0 && a.ArriveMs-a.SentMs > g.FreshnessMs {
-		g.stats.Expired++
-		dst.Expired++
-		return VerdictExpired
+	g.order = nil
+}
+
+// AddDuplicates counts n arrivals that lost to already-retained minima
+// without replaying them — how a snapshot, which keeps only the minima
+// and the arrival total, restores the duplicate count.
+func (g *Gateway) AddDuplicates(n int64) { g.arrivals += n }
+
+// ordered returns the indices of the retained minima in ArrivalBefore
+// order, sorting once per change. Keys are distinct, so the order is
+// total.
+func (g *Gateway) ordered() []int {
+	if g.order == nil && len(g.min) > 0 {
+		g.order = make([]int, len(g.min))
+		for i := range g.order {
+			g.order[i] = i
+		}
+		slices.SortFunc(g.order, func(i, j int) int {
+			switch {
+			case ArrivalBefore(g.min[i].Arrival, g.min[j].Arrival):
+				return -1
+			case ArrivalBefore(g.min[j].Arrival, g.min[i].Arrival):
+				return 1
+			}
+			return 0
+		})
 	}
-	g.stats.Delivered++
-	dst.Delivered++
-	g.log = append(g.log, Delivery{Dev: a.Dev, Seq: a.Seq, Value: a.Value, SentMs: a.SentMs, ArriveMs: a.ArriveMs})
-	g.lat.Observe(a.ArriveMs - a.SentMs)
-	return VerdictDelivered
+	return g.order
+}
+
+// Retained calls fn for every retained first arrival, in ArrivalBefore
+// order, with the freshness budget it is judged against.
+func (g *Gateway) Retained(fn func(a Arrival, freshMs float64)) {
+	for _, i := range g.ordered() {
+		r := &g.min[i]
+		fn(r.Arrival, r.freshMs)
+	}
 }
 
 // Stats returns the gateway counters.
-func (g *Gateway) Stats() GatewayStats { return g.stats }
-
-// DeviceStats returns the gateway counters attributed to one device —
-// the per-device view the anomaly pass (freshness-loss hotspots) reads.
-func (g *Gateway) DeviceStats(dev int) GatewayStats {
-	if st := g.perDev[dev]; st != nil {
-		return *st
+func (g *Gateway) Stats() GatewayStats {
+	st := GatewayStats{Arrivals: g.arrivals, Duplicates: g.arrivals - int64(len(g.min))}
+	for i := range g.min {
+		if g.min[i].expired() {
+			st.Expired++
+		} else {
+			st.Delivered++
+		}
 	}
-	return GatewayStats{}
+	return st
 }
 
-// Log returns the accepted deliveries in observation order.
-func (g *Gateway) Log() []Delivery { return g.log }
+// deviceCounts returns the delivered and expired packet counts of
+// devices [0, n) — the per-device view the anomaly pass
+// (freshness-loss hotspots) reads.
+func (g *Gateway) deviceCounts(n int) (delivered, expired []int64) {
+	delivered, expired = make([]int64, n), make([]int64, n)
+	for i := range g.min {
+		r := &g.min[i]
+		switch {
+		case r.Dev < 0 || r.Dev >= n:
+		case r.expired():
+			expired[r.Dev]++
+		default:
+			delivered[r.Dev]++
+		}
+	}
+	return delivered, expired
+}
+
+// Log returns the accepted deliveries in observation (ArrivalBefore)
+// order.
+func (g *Gateway) Log() []Delivery {
+	var out []Delivery
+	for _, i := range g.ordered() {
+		r := &g.min[i]
+		if !r.expired() {
+			out = append(out, Delivery{Dev: r.Dev, Seq: r.Seq, Value: r.Value, SentMs: r.SentMs, ArriveMs: r.ArriveMs})
+		}
+	}
+	return out
+}
 
 // Unique returns how many distinct (device, sequence) packets arrived,
 // fresh or expired.
-func (g *Gateway) Unique() int { return len(g.seen) }
+func (g *Gateway) Unique() int { return len(g.min) }
 
 // DeviceLog returns the deliveries attributed to one device, in
 // observation order — the view `ticsrun -seq` output diffs against.
 func (g *Gateway) DeviceLog(dev int) []Delivery {
 	var out []Delivery
-	for _, d := range g.log {
+	for _, d := range g.Log() {
 		if d.Dev == dev {
 			out = append(out, d)
 		}
@@ -149,20 +201,33 @@ func (g *Gateway) DeviceLog(dev int) []Delivery {
 
 // Digest is a SHA-256 over the delivery log's canonical rendering — the
 // fleet's one-line determinism witness: identical digests mean identical
-// deliveries in identical order.
-func (g *Gateway) Digest() string { return DigestOf(g.log) }
-
-// DigestOf renders a delivery log into the canonical SHA-256 digest.
-// Shared with internal/gate: the standalone gateway service hashes its
-// durable delivery state through this exact function, which is what
-// makes an HTTP-attached fleet's digest byte-comparable to an
-// in-process run of the same manifest.
-func DigestOf(log []Delivery) string {
+// deliveries in identical order. The standalone gateway service hashes
+// its durable state through this same method, which is what makes an
+// HTTP-attached fleet's digest byte-comparable to an in-process run of
+// the same manifest.
+func (g *Gateway) Digest() string {
 	h := sha256.New()
-	for _, d := range log {
-		fmt.Fprintf(h, "%d %d %d %.6f %.6f\n", d.Dev, d.Seq, d.Value, d.SentMs, d.ArriveMs)
+	for _, i := range g.ordered() {
+		if r := &g.min[i]; !r.expired() {
+			fmt.Fprintf(h, "%d %d %d %.6f %.6f\n", r.Dev, r.Seq, r.Value, r.SentMs, r.ArriveMs)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// LatencyHistogram builds the end-to-end delivery latency histogram
+// over LatencyBounds, observed in log order so its Sum is a pure
+// function of the arrival set. The fleet rollup merges it into the
+// fleet-wide registry (bounds always match).
+func (g *Gateway) LatencyHistogram() *obs.Histogram {
+	h := obs.NewHistogram(LatencyBounds)
+	for _, i := range g.ordered() {
+		r := &g.min[i]
+		if !r.expired() {
+			h.Observe(r.ArriveMs - r.SentMs)
+		}
+	}
+	return h
 }
 
 // LatencyQuantile returns the q-quantile (0..1) of end-to-end delivery
@@ -170,9 +235,17 @@ func DigestOf(log []Delivery) string {
 // over LatencyBounds, the same estimator every other latency surface in
 // the repo uses — so a fleet report, a merged metrics dump, and a
 // Prometheus histogram_quantile over the exported buckets all agree.
-func (g *Gateway) LatencyQuantile(q float64) float64 { return g.lat.Quantile(q) }
+func (g *Gateway) LatencyQuantile(q float64) float64 { return g.LatencyHistogram().Quantile(q) }
 
-// LatencyHistogram exposes the underlying latency histogram so the fleet
-// rollup can merge it into the fleet-wide registry (bounds always match:
-// both sides use LatencyBounds).
-func (g *Gateway) LatencyHistogram() *obs.Histogram { return g.lat }
+// Summary bundles the accounting a finishing fleet reports — the same
+// fields a remote gateway's Finalize returns.
+func (g *Gateway) Summary() RemoteSummary {
+	h := g.LatencyHistogram()
+	return RemoteSummary{
+		Stats:  g.Stats(),
+		Unique: int64(g.Unique()),
+		P50Ms:  h.Quantile(0.50),
+		P99Ms:  h.Quantile(0.99),
+		Digest: g.Digest(),
+	}
+}

@@ -200,9 +200,7 @@ func TestLatencyQuantileUnified(t *testing.T) {
 	ref := obs.NewHistogram(LatencyBounds)
 	for i := 1; i <= 100; i++ {
 		lat := float64(i)
-		if v := gw.Accept(Arrival{Dev: 0, Seq: int64(i), SentMs: 0, ArriveMs: lat}); v != VerdictDelivered {
-			t.Fatalf("arrival %d: verdict %v", i, v)
-		}
+		gw.Accept(Arrival{Dev: 0, Seq: int64(i), SentMs: 0, ArriveMs: lat})
 		ref.Observe(lat)
 	}
 	// Uniform 1..100 ms lands exactly on the interpolation grid of
@@ -220,19 +218,7 @@ func TestLatencyQuantileUnified(t *testing.T) {
 	if gw.LatencyHistogram().Count != 100 || gw.LatencyHistogram().Sum != 5050 {
 		t.Fatalf("latency histogram miscounted: %+v", gw.LatencyHistogram())
 	}
-}
-
-// TestVerdictString keeps the verdict labels stable — they name
-// Prometheus series and span outcomes.
-func TestVerdictString(t *testing.T) {
-	for v, want := range map[Verdict]string{
-		VerdictDelivered: "delivered",
-		VerdictDuplicate: "duplicate",
-		VerdictExpired:   "expired",
-		Verdict(99):      "?",
-	} {
-		if v.String() != want {
-			t.Errorf("Verdict(%d).String() = %q, want %q", v, v.String(), want)
-		}
+	if st := gw.Stats(); st.Delivered != 100 || st.Duplicates != 0 || st.Expired != 0 {
+		t.Fatalf("stats %+v, want 100 delivered", st)
 	}
 }

@@ -18,10 +18,11 @@ import (
 // draws, never perturbing them), and the gateway verdict (delivered /
 // expired / lost, with end-to-end latency and the freshness budget left).
 //
-// Collection happens entirely in the fleet's single-threaded post-pass,
-// in device-index order, so traces inherit the fleet's worker-count
-// independence: the rendered trace of any message is byte-identical
-// whether the fleet ran on 1 worker or 16.
+// Emits and attempts are collected in the fleet's single-threaded
+// channel pass, in device-index order; verdicts are derived from the
+// gateway's retained minima when the run finishes. Traces therefore
+// inherit the fleet's worker-count independence: the rendered trace of
+// any message is byte-identical whether the fleet ran on 1 worker or 16.
 type Telemetry struct {
 	freshnessMs float64
 	byDev       []map[int64]*MessageTrace
@@ -146,64 +147,46 @@ func (t *Telemetry) markAckLost(dev int, seq int64, idx int) {
 	t.trace(dev, seq).Attempts[idx].AckLost = true
 }
 
-// onVerdict records what the gateway did with one arrival. The first
-// non-duplicate arrival fixes the message outcome; duplicates only bump
-// the drop counter.
-func (t *Telemetry) onVerdict(a Arrival, v Verdict) {
+// finalize closes every chain. With the in-process gateway g, each
+// retained minimum fixes its message's outcome (delivered or expired),
+// latency and remaining freshness budget, and every other arrival of
+// the message — each non-lost attempt span is exactly one arrival — was
+// a dropped duplicate. With a remote gateway (g == nil) dedup and
+// freshness were adjudicated in the service, so a message that reached
+// the wire ends as OutcomeRemote. Either way, a message none of whose
+// attempts arrived is OutcomeLost.
+func (t *Telemetry) finalize(g *Gateway) {
 	if t == nil {
 		return
 	}
-	tr := t.trace(a.Dev, a.Seq)
-	if v == VerdictDuplicate {
-		tr.Verdict.Duplicates++
-		return
-	}
-	lat := a.ArriveMs - a.SentMs
-	tr.Verdict.ArriveMs = a.ArriveMs
-	tr.Verdict.LatencyMs = lat
-	if t.freshnessMs > 0 {
-		tr.Verdict.FreshnessLeftMs = t.freshnessMs - lat
-	}
-	if v == VerdictExpired {
-		tr.Verdict.Outcome = OutcomeExpired
-	} else {
-		tr.Verdict.Outcome = OutcomeDelivered
-	}
-}
-
-// finalize closes every chain: a message with no gateway verdict lost
-// every attempt in the channel.
-func (t *Telemetry) finalize() {
-	if t == nil {
-		return
-	}
-	for _, m := range t.byDev {
-		for _, tr := range m {
-			if tr.Verdict.Outcome == "" {
-				tr.Verdict.Outcome = OutcomeLost
+	if g != nil {
+		for _, r := range g.min {
+			lat := r.ArriveMs - r.SentMs
+			v := VerdictSpan{Outcome: OutcomeDelivered, ArriveMs: r.ArriveMs, LatencyMs: lat}
+			if r.freshMs > 0 {
+				v.FreshnessLeftMs = r.freshMs - lat
 			}
+			if r.expired() {
+				v.Outcome = OutcomeExpired
+			}
+			t.trace(r.Dev, r.Seq).Verdict = v
 		}
 	}
-}
-
-// finalizeRemote closes every chain for a fleet attached to a remote
-// gateway: a message none of whose attempts arrived is lost; anything
-// that reached the wire is adjudicated in the service (OutcomeRemote).
-func (t *Telemetry) finalizeRemote() {
-	if t == nil {
-		return
-	}
 	for _, m := range t.byDev {
 		for _, tr := range m {
-			if tr.Verdict.Outcome != "" {
-				continue
-			}
-			tr.Verdict.Outcome = OutcomeLost
+			arrived := 0
 			for _, at := range tr.Attempts {
 				if !at.Lost {
-					tr.Verdict.Outcome = OutcomeRemote
-					break
+					arrived++
 				}
+			}
+			switch {
+			case arrived == 0:
+				tr.Verdict.Outcome = OutcomeLost
+			case g == nil:
+				tr.Verdict.Outcome = OutcomeRemote
+			default:
+				tr.Verdict.Duplicates = arrived - 1
 			}
 		}
 	}

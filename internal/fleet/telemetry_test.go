@@ -273,6 +273,5 @@ func TestTelemetryQueries(t *testing.T) {
 	if nilTel.Trace(0, 0) != nil || nilTel.Traces() != nil || nilTel.Devices() != 0 {
 		t.Fatal("nil telemetry not inert")
 	}
-	nilTel.onVerdict(Arrival{}, VerdictDelivered) // must not panic
-	nilTel.finalize()
+	nilTel.finalize(nil) // must not panic
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/obs"
 )
 
 // Frame is one channel arrival on the wire: what a fleet wave POSTs to
@@ -29,20 +28,13 @@ type Frame struct {
 	FreshMs  float64 `json:"fresh_ms,omitempty"` // freshness budget (0 = none)
 }
 
-// arrival converts the wire frame back to the fleet's arrival shape for
-// ordering comparisons.
+// arrival converts the wire frame back to the fleet's arrival shape.
 func (f Frame) arrival() fleet.Arrival {
 	return fleet.Arrival{
 		Dev: f.Dev, Seq: f.Seq, Value: f.Value,
 		SentMs: f.SentMs, DeviceMs: f.DeviceMs, ArriveMs: f.ArriveMs,
 		Attempt: f.Attempt, Echo: f.Echo,
 	}
-}
-
-// expired reports whether the frame's own freshness budget was blown.
-// Identical predicate to fleet.Gateway.Accept's deadline check.
-func (f Frame) expired() bool {
-	return f.FreshMs > 0 && f.ArriveMs-f.SentMs > f.FreshMs
 }
 
 // FrameFromArrival wraps a fleet arrival for the wire.
@@ -73,11 +65,6 @@ type Options struct {
 	CompactLimit int64
 }
 
-type packetKey struct {
-	dev int
-	seq int64
-}
-
 // RecoveryInfo describes what Open found on disk.
 type RecoveryInfo struct {
 	Snapshot       bool    `json:"snapshot"`        // a gate.snap was loaded
@@ -87,10 +74,12 @@ type RecoveryInfo struct {
 	DurationMs     float64 `json:"duration_ms"`
 }
 
-// Store is the gateway's durable state: exactly-once batch ingest over
-// an fsync-on-batch WAL, order-independent (device, seq) dedup, and
-// freshness accounting — everything reconstructible from disk at any
-// kill point. Not safe for concurrent use; the HTTP server serializes.
+// Store is the gateway's durable state: the in-process gateway core
+// (order-independent (device, seq) dedup and freshness accounting, each
+// frame judged against its own budget) behind exactly-once batch ingest
+// over an fsync-on-batch WAL — everything reconstructible from disk at
+// any kill point. Not safe for concurrent use; the HTTP server
+// serializes.
 type Store struct {
 	dir string
 	wal *os.File
@@ -101,12 +90,8 @@ type Store struct {
 	snapshots    int64
 	recovery     RecoveryInfo
 
-	// best holds, per (device, seq), the fleet.ArrivalBefore-minimal
-	// frame seen so far — exactly the arrival the in-process gateway
-	// would have adjudicated as "first", whatever order batches land in.
-	best     map[packetKey]Frame
-	arrivals int64             // frames across all applied batches
-	sources  map[string]uint64 // per-source applied-batch high-water mark
+	core    *fleet.Gateway    // dedup and freshness over every applied frame
+	sources map[string]uint64 // per-source applied-batch high-water mark
 }
 
 func (s *Store) walPath() string  { return filepath.Join(s.dir, "gate.wal") }
@@ -128,7 +113,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s := &Store{
 		dir:          dir,
 		compactLimit: opts.CompactLimit,
-		best:         make(map[packetKey]Frame),
+		core:         fleet.NewGateway(0),
 		sources:      make(map[string]uint64),
 	}
 	if s.compactLimit == 0 {
@@ -167,11 +152,11 @@ func (s *Store) loadSnapshot(b []byte) error {
 	if err != nil {
 		return fmt.Errorf("gate: snapshot: %w", err)
 	}
-	s.arrivals = arrivals
 	s.sources = sources
 	for _, f := range best {
-		s.best[packetKey{f.Dev, f.Seq}] = f
+		s.core.AcceptWithin(f.arrival(), f.FreshMs)
 	}
+	s.core.AddDuplicates(arrivals - int64(len(best)))
 	return nil
 }
 
@@ -295,13 +280,8 @@ func syncDir(dir string) error {
 // apply folds one batch into memory. Callers have already deduplicated
 // by batch sequence and made the record durable.
 func (s *Store) apply(source string, batch uint64, frames []Frame) {
-	s.arrivals += int64(len(frames))
 	for _, f := range frames {
-		k := packetKey{f.Dev, f.Seq}
-		cur, ok := s.best[k]
-		if !ok || fleet.ArrivalBefore(f.arrival(), cur.arrival()) {
-			s.best[k] = f
-		}
+		s.core.AcceptWithin(f.arrival(), f.FreshMs)
 	}
 	s.sources[source] = batch
 }
@@ -355,7 +335,11 @@ func (s *Store) Ingest(source string, batch uint64, frames []Frame) (applied boo
 // snapshot plus the old WAL, whose every batch is at or below the
 // snapshot's high-water marks and therefore replays as a no-op.
 func (s *Store) Compact() error {
-	payload := encodeSnapshot(s.arrivals, s.sources, s.bestFrames())
+	best := make([]Frame, 0, s.core.Unique())
+	s.core.Retained(func(a fleet.Arrival, freshMs float64) {
+		best = append(best, FrameFromArrival(a, freshMs))
+	})
+	payload := encodeSnapshot(s.core.Stats().Arrivals, s.sources, best)
 	tmp := s.snapPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -399,18 +383,6 @@ func (s *Store) Close() error {
 	return err
 }
 
-// bestFrames returns the retained first-arrivals in the canonical
-// fleet.ArrivalBefore order — deterministic, so snapshots and digests
-// of equal state are byte-equal.
-func (s *Store) bestFrames() []Frame {
-	out := make([]Frame, 0, len(s.best))
-	for _, f := range s.best {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return fleet.ArrivalBefore(out[i].arrival(), out[j].arrival()) })
-	return out
-}
-
 func sortedSourceKeys(m map[string]uint64) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -420,67 +392,20 @@ func sortedSourceKeys(m map[string]uint64) []string {
 	return keys
 }
 
-// Deliveries returns the accepted (fresh first-arrival) packets in the
-// order the in-process gateway would have logged them: the global
-// ArrivalBefore sort of the retained first-arrivals.
-func (s *Store) Deliveries() []fleet.Delivery {
-	var out []fleet.Delivery
-	for _, f := range s.bestFrames() {
-		if f.expired() {
-			continue
-		}
-		out = append(out, fleet.Delivery{Dev: f.Dev, Seq: f.Seq, Value: f.Value, SentMs: f.SentMs, ArriveMs: f.ArriveMs})
-	}
-	return out
-}
-
-// Digest is the SHA-256 over the delivery log, rendered through the
-// same fleet.DigestOf as the in-process gateway — the byte-comparable
+// Digest is the SHA-256 over the delivery log, rendered by the same
+// fleet.Gateway.Digest as the in-process gateway — the byte-comparable
 // exactly-once witness across process boundaries and crashes.
-func (s *Store) Digest() string { return fleet.DigestOf(s.Deliveries()) }
+func (s *Store) Digest() string { return s.core.Digest() }
 
-// Stats mirrors fleet.Gateway.Stats over the durable state.
-func (s *Store) Stats() fleet.GatewayStats {
-	st := fleet.GatewayStats{Arrivals: s.arrivals}
-	for _, f := range s.best {
-		if f.expired() {
-			st.Expired++
-		} else {
-			st.Delivered++
-		}
-	}
-	st.Duplicates = s.arrivals - int64(len(s.best))
-	return st
-}
+// Stats returns the gateway counters over the durable state.
+func (s *Store) Stats() fleet.GatewayStats { return s.core.Stats() }
 
 // Unique returns how many distinct (device, seq) packets arrived.
-func (s *Store) Unique() int { return len(s.best) }
-
-// latencyHistogram rebuilds the delivered-latency histogram over the
-// same fleet.LatencyBounds the in-process gateway observes into, so
-// quantiles agree with a local run to the bit.
-func (s *Store) latencyHistogram() *obs.Histogram {
-	h := obs.NewHistogram(fleet.LatencyBounds)
-	for _, f := range s.best {
-		if !f.expired() {
-			h.Observe(f.ArriveMs - f.SentMs)
-		}
-	}
-	return h
-}
+func (s *Store) Unique() int { return s.core.Unique() }
 
 // Summary bundles the remote-gateway accounting a finalizing fleet
 // needs — the exact fields fleet.Run fills from its in-process gateway.
-func (s *Store) Summary() fleet.RemoteSummary {
-	h := s.latencyHistogram()
-	return fleet.RemoteSummary{
-		Stats:  s.Stats(),
-		Unique: int64(s.Unique()),
-		P50Ms:  h.Quantile(0.50),
-		P99Ms:  h.Quantile(0.99),
-		Digest: s.Digest(),
-	}
-}
+func (s *Store) Summary() fleet.RemoteSummary { return s.core.Summary() }
 
 // WALBytes is the current log size (header included).
 func (s *Store) WALBytes() int64 { return s.walBytes }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/fleet"
@@ -103,6 +104,9 @@ func assertMatchesRef(t *testing.T, st *Store, gw *fleet.Gateway) {
 	}
 	if got, want := sum.P99Ms, gw.LatencyQuantile(0.99); got != want {
 		t.Fatalf("p99 mismatch: store %g, gateway %g", got, want)
+	}
+	if got, want := st.core.LatencyHistogram(), gw.LatencyHistogram(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("latency histogram mismatch (Sum included): store %+v, gateway %+v", got, want)
 	}
 }
 
@@ -294,7 +298,7 @@ func TestFreshnessPerFrame(t *testing.T) {
 	if stats.Delivered != 2 || stats.Expired != 1 {
 		t.Fatalf("stats = %+v, want 2 delivered / 1 expired", stats)
 	}
-	if n := len(st.Deliveries()); n != 2 {
+	if n := len(st.core.Log()); n != 2 {
 		t.Fatalf("deliveries = %d, want 2", n)
 	}
 }

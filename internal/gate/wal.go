@@ -8,13 +8,12 @@
 // acknowledged, so a SIGKILL at any byte boundary loses nothing that was
 // acked and re-delivers nothing that was applied.
 //
-// The store's dedup state is deliberately order-independent: for every
-// (device, seq) it retains the fleet.ArrivalBefore-minimal arrival, so
-// the delivery log, stats, latency quantiles and SHA-256 digest it
-// reports are a pure function of the *set* of ingested frames — equal to
-// what the in-process fleet.Gateway computes from the globally sorted
-// arrival stream, no matter how HTTP batches interleave, retry, or
-// replay across crashes.
+// The store's dedup state is the in-process fleet.Gateway core, which
+// is order-independent: for every (device, seq) it retains the
+// fleet.ArrivalBefore-minimal arrival, so the delivery log, stats,
+// latency quantiles and SHA-256 digest it reports are a pure function of
+// the *set* of ingested frames — equal to an in-process run, no matter
+// how HTTP batches interleave, retry, or replay across crashes.
 package gate
 
 import (
