@@ -51,7 +51,7 @@ func main() {
 
 	srv := gate.NewServer(st)
 	srv.CrashAfter = *crashAfter
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -36,12 +36,9 @@ import (
 	"os"
 	"sort"
 
-	tics "repro"
-	"repro/internal/apps"
 	"repro/internal/audit"
 	"repro/internal/obs"
 	"repro/internal/replay"
-	"repro/internal/sensors"
 	"repro/internal/vm"
 )
 
@@ -49,7 +46,7 @@ func main() {
 	var (
 		runtime  = flag.String("runtime", "tics", "runtime: plain|tics|tics-st|mementos|chinchilla|alpaca|ink|mayfly")
 		appName  = flag.String("app", "", "run a built-in benchmark instead of a file")
-		powerArg = flag.String("power", "continuous", "power source: continuous | duty:RATE | fail:CYCLES | harvest:CAP,RATE")
+		powerArg = flag.String("power", "continuous", "power source: continuous | duty:RATE | fail:CYCLES | sched:C@OFF,... | harvest:CAP,RATE")
 		timerMs  = flag.Float64("timer", 0, "timer-driven checkpoint period in ms (0 = off)")
 		wallMs   = flag.Float64("wall", 0, "wall-clock budget in ms (0 = run to completion)")
 		segment  = flag.Int("segment", 0, "TICS segment bytes (0 = minimum)")
@@ -134,37 +131,7 @@ func main() {
 
 	// The plain path keeps the zero-cost default: no recorder unless an
 	// observability flag (or the auditor, which is an event sink) asks.
-	opts := tics.BuildOptions{Runtime: tics.RuntimeKind(*runtime), SegmentBytes: *segment}
-	var src string
-	if *appName != "" {
-		app, ok := apps.ByName(*appName)
-		if !ok {
-			fatal(fmt.Errorf("unknown app %q", *appName))
-		}
-		src = app.Source
-		if opts.Runtime == tics.RTAlpaca || opts.Runtime == tics.RTInK || opts.Runtime == tics.RTMayFly {
-			taskSrc, tasks, edges := app.TaskSource, app.Tasks, app.Edges
-			if opts.Runtime == tics.RTMayFly {
-				taskSrc, tasks, edges = app.ForMayfly()
-			}
-			if taskSrc == "" {
-				fatal(fmt.Errorf("%s has no task port", app.Name))
-			}
-			src, opts.Tasks, opts.Edges = taskSrc, tasks, edges
-		}
-	} else {
-		src = spec.Source
-	}
-
-	src2, err := replay.ParsePower(*powerArg, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	clock, err := replay.ParseClock(*clockArg, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	img, err := tics.Build(src, opts)
+	img, _, err := replay.BuildImage(spec)
 	if err != nil {
 		fatal(err)
 	}
@@ -172,14 +139,7 @@ func main() {
 	if *traceOut != "" || *eventsOut != "" || *profileOut != "" || *metrics || attach != nil {
 		rec = obs.NewRecorder(obs.Options{Profile: *profileOut != "" || *metrics})
 	}
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Power:          src2,
-		Clock:          clock,
-		Sensors:        sensors.NewBank(*seed),
-		AutoCpPeriodMs: *timerMs,
-		MaxWallMs:      *wallMs,
-		Recorder:       rec,
-	})
+	m, err := spec.Machine(img, nil, nil, rec)
 	if err != nil {
 		fatal(err)
 	}

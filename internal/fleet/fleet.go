@@ -26,7 +26,6 @@ import (
 	tics "repro"
 	"repro/internal/obs"
 	"repro/internal/replay"
-	"repro/internal/sensors"
 	"repro/internal/vm"
 )
 
@@ -118,40 +117,29 @@ func DeviceSeed(fleetSeed uint64, dev int) uint64 {
 // fleet — the handle for exporting a fleet member to the single-device
 // tooling (ticsrun -replay, the auditor, the bisector).
 func (c Config) DeviceSpec(dev int) replay.Spec {
-	return replay.Spec{
+	spec := replay.Spec{
 		App:        c.App,
 		Source:     c.Source,
-		Runtime:    c.runtime(),
+		Runtime:    c.Runtime,
 		Segment:    c.Segment,
-		Power:      c.power(),
-		Clock:      c.clock(),
+		Power:      c.Power,
+		Clock:      c.Clock,
 		Seed:       DeviceSeed(c.Seed, dev),
 		TimerMs:    c.TimerMs,
 		WallMs:     c.WallMs,
 		MaxCycles:  c.MaxCycles,
 		Virtualize: c.Virtualize,
 	}
-}
-
-func (c Config) runtime() string {
-	if c.Runtime == "" {
-		return "tics"
+	if spec.Runtime == "" {
+		spec.Runtime = "tics"
 	}
-	return c.Runtime
-}
-
-func (c Config) power() string {
-	if c.Power == "" {
-		return "harvest:40000,800"
+	if spec.Power == "" {
+		spec.Power = "harvest:40000,800"
 	}
-	return c.Power
-}
-
-func (c Config) clock() string {
-	if c.Clock == "" {
-		return "perfect"
+	if spec.Clock == "" {
+		spec.Clock = "perfect"
 	}
-	return c.Clock
+	return spec
 }
 
 // DeviceOutcome is one device's run, collected by index. Res.SendLog is
@@ -491,8 +479,9 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// runDevice executes one device with fully private run state: its own
-// seeded power source, sensor bank, clock, and (when collecting) its own
+// runDevice executes device dev as the single-device run
+// cfg.DeviceSpec(dev) describes — replay.Spec.Machine gives it its own
+// seeded power source, sensor bank, clock and (when collecting) its own
 // recorder. The machine itself may be a pooled one handed in from a
 // previous device — it is reset to a fresh fork of the shared image
 // before running, which is indistinguishable from a new machine. The
@@ -500,18 +489,8 @@ func Run(cfg Config) (*Report, error) {
 // here may touch state shared with another in-flight device — the -race
 // fleet test enforces it.
 func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries []*obs.Registry, profiles []obs.Profile) (DeviceOutcome, *vm.Machine) {
-	seed := DeviceSeed(cfg.Seed, dev)
-	out := DeviceOutcome{ID: dev, Seed: seed}
-	src, err := replay.ParsePower(cfg.power(), seed)
-	if err != nil {
-		out.Err = err
-		return out, m
-	}
-	clock, err := replay.ParseClock(cfg.clock(), seed)
-	if err != nil {
-		out.Err = err
-		return out, m
-	}
+	spec := cfg.DeviceSpec(dev)
+	out := DeviceOutcome{ID: dev, Seed: spec.Seed}
 	var rec *obs.Recorder
 	if registries != nil {
 		// A small ring: fleet aggregation wants the metrics (and, with
@@ -521,36 +500,20 @@ func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries [
 		rec = obs.NewRecorder(obs.Options{RingCap: 64, Profile: profiles != nil})
 		registries[dev] = rec.Metrics()
 	}
-	opts := tics.RunOptions{
-		Power:           src,
-		Clock:           clock,
-		Sensors:         sensors.NewBank(seed),
-		AutoCpPeriodMs:  cfg.TimerMs,
-		MaxWallMs:       cfg.WallMs,
-		MaxCycles:       cfg.MaxCycles,
-		VirtualizeSends: cfg.Virtualize,
-		Recorder:        rec,
-	}
-	if m == nil {
-		if m, err = tics.NewMachine(img, opts); err != nil {
-			out.Err = err
-			return out, nil
-		}
-	} else if err = tics.ResetMachine(m, img, opts); err != nil {
+	m, err := spec.Machine(img, m, nil, rec)
+	if err != nil {
 		out.Err = err
 		return out, nil
 	}
-	res, runErr := m.Run()
-	out.Res = res
+	// A program fault is a device outcome, not a fleet error; it is
+	// already folded into Res.Fault. Only setup errors abort the fleet.
+	out.Res, _ = m.Run()
 	if profiles != nil {
 		// Run's trailing CommitObservables flushed pending attribution,
 		// so the snapshot partitions the device's cycles exactly. Each
 		// device writes only its own slot — pool convention.
 		profiles[dev] = rec.Profile()
 	}
-	// A program fault is a device outcome, not a fleet error; it is
-	// already folded into Res.Fault. Only setup errors abort the fleet.
-	_ = runErr
 	return out, m
 }
 

@@ -128,38 +128,47 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFleetDeviceExportReplays: any fleet member is exportable as a
-// replay manifest, the recorded run matches the in-fleet outcome, and
-// the manifest re-verifies bit-identically.
+// TestFleetDeviceExportReplays: every fleet member is exportable as a
+// replay manifest whose recorded run has the in-fleet outcome's result
+// digest, and the manifest re-verifies bit-identically. The config sets
+// every field replay.Spec.Machine maps (virtualized sends, timer
+// checkpoints, a cycle watchdog, a remanence clock) and runs fewer
+// workers than devices, so later devices run on reset pooled machines.
 func TestFleetDeviceExportReplays(t *testing.T) {
 	cfg := fleetCfg(2)
-	cfg.Devices = 4
+	cfg.Devices = 6
+	cfg.Virtualize = true
+	cfg.TimerMs = 3
+	cfg.MaxCycles = 120_000
+	cfg.Clock = "remanence:0.1,500"
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	const dev = 2
-	man, recorded, err := ExportDevice(cfg, dev)
-	if err != nil {
-		t.Fatal(err)
+	if rep.Starved == 0 {
+		t.Fatal("no device hit the MaxCycles watchdog; the config no longer exercises it")
 	}
-	inFleet := rep.Outcomes[dev].Res
-	if recorded.Result.Cycles != inFleet.Cycles {
-		t.Fatalf("exported run diverges from fleet outcome: %d vs %d cycles",
-			recorded.Result.Cycles, inFleet.Cycles)
-	}
-	if len(recorded.Result.SendLog) != rep.Outcomes[dev].Sends {
-		t.Fatalf("exported run sent %d packets, fleet device sent %d",
-			len(recorded.Result.SendLog), rep.Outcomes[dev].Sends)
-	}
+	for dev := 0; dev < cfg.Devices; dev++ {
+		man, recorded, err := ExportDevice(cfg, dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := rep.Outcomes[dev]
+		inFleet := replay.DigestOf(out.Res)
+		inFleet.Sends = out.Sends // the channel pass consumed the send log
+		if recorded.Res != inFleet {
+			t.Fatalf("device %d: exported run diverges from fleet outcome:\n recorded %+v\n fleet    %+v",
+				dev, recorded.Res, inFleet)
+		}
 
-	replayed, err := replay.Replay(man, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replay.VerifyReplay(man, replayed); err != nil {
-		t.Fatalf("exported manifest does not re-verify: %v", err)
+		replayed, err := replay.Replay(man, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.VerifyReplay(man, replayed); err != nil {
+			t.Fatalf("device %d: exported manifest does not re-verify: %v", dev, err)
+		}
 	}
 
 	if _, _, err := ExportDevice(cfg, cfg.Devices); err == nil {

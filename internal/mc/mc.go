@@ -38,6 +38,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/vm"
 )
 
 // Config configures one sweep.
@@ -172,7 +173,10 @@ func Sweep(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	r := &runner{img: img, spec: spec, prov: prov, budgetMs: cfg.AssumeBudgetMs}
+	r := &runner{img: img, spec: spec, prov: prov, budgetMs: cfg.AssumeBudgetMs, pool: make(chan *vm.Machine, cfg.Workers)}
+	for i := 0; i < cfg.Workers; i++ {
+		r.pool <- nil
+	}
 
 	// Phase 1: the oracle.
 	oracle, err := r.run(nil, true, true)
@@ -197,7 +201,7 @@ func Sweep(cfg Config) (*Report, error) {
 		// Starvation bound for interrupted runs: one reboot redoes at
 		// most one checkpoint epoch, so 4x oracle plus slack means "no
 		// forward progress", not "slow".
-		r.maxCycles = oracle.cycles*4 + 1_000_000
+		r.spec.MaxCycles = oracle.cycles*4 + 1_000_000
 	}
 
 	// Phase 2..Depth+1: breadth-first over reboot counts.

@@ -2,14 +2,12 @@ package mc
 
 import (
 	"fmt"
-	"sync"
 
 	tics "repro"
 	"repro/internal/audit"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
-	"repro/internal/sensors"
 	"repro/internal/vm"
 )
 
@@ -31,85 +29,31 @@ type runOutcome struct {
 }
 
 // runner executes schedules against one shared image using a pool of
-// COW-forked machines: the first run on each pool slot builds a machine
-// from the image's vm.Prepared snapshot, later runs rebind it with
-// Machine.Reset (indistinguishable from a fresh machine, pinned by the
-// pooled-reuse tests), so a 10k-schedule sweep does not pay 10k image
-// loads.
+// COW-forked machines: the pool holds one slot per worker, a nil slot
+// materializes into a machine from the image's vm.Prepared snapshot on
+// first claim, and later runs rebind it with Machine.Reset
+// (indistinguishable from a fresh machine, pinned by the pooled-reuse
+// tests), so a 10k-schedule sweep does not pay 10k image loads. After
+// the oracle, spec.MaxCycles holds the starvation bound for interrupted
+// runs.
 type runner struct {
-	img       *tics.Image
-	spec      replay.Spec
-	prov      *provenance
-	budgetMs  int64
-	maxCycles int64 // starvation bound for interrupted runs (0 = spec default)
-
-	mu   sync.Mutex
-	pool []*vm.Machine
-}
-
-func (r *runner) acquire() *vm.Machine {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n := len(r.pool); n > 0 {
-		m := r.pool[n-1]
-		r.pool = r.pool[:n-1]
-		return m
-	}
-	return nil
-}
-
-func (r *runner) release(m *vm.Machine) {
-	r.mu.Lock()
-	r.pool = append(r.pool, m)
-	r.mu.Unlock()
-}
-
-func (r *runner) runOptions(src power.Source, rec *obs.Recorder) (tics.RunOptions, error) {
-	clockSpec := r.spec.Clock
-	if clockSpec == "" {
-		clockSpec = "perfect"
-	}
-	clock, err := replay.ParseClock(clockSpec, r.spec.Seed)
-	if err != nil {
-		return tics.RunOptions{}, err
-	}
-	maxCycles := r.spec.MaxCycles
-	if r.maxCycles > 0 {
-		maxCycles = r.maxCycles
-	}
-	return tics.RunOptions{
-		Power:           src,
-		Clock:           clock,
-		Sensors:         sensors.NewBank(r.spec.Seed),
-		AutoCpPeriodMs:  r.spec.TimerMs,
-		MaxWallMs:       r.spec.WallMs,
-		MaxCycles:       maxCycles,
-		VirtualizeSends: r.spec.Virtualize,
-		Recorder:        rec,
-	}, nil
+	img      *tics.Image
+	spec     replay.Spec
+	prov     *provenance
+	budgetMs int64
+	pool     chan *vm.Machine
 }
 
 // run executes one schedule (nil = uninterrupted) and gathers the
 // outcome. collectGlobals snapshots the committed global data bytes;
 // collectStamps gathers event+store cycle stamps for deeper enumeration.
 func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
-	src := &power.Schedule{Windows: windows}
 	rec := obs.NewRecorder(obs.Options{RingCap: 64})
-	opts, err := r.runOptions(src, rec)
+	m, err := r.spec.Machine(r.img, <-r.pool, &power.Schedule{Windows: windows}, rec)
+	defer func() { r.pool <- m }()
 	if err != nil {
 		return runOutcome{}, err
 	}
-
-	m := r.acquire()
-	if m == nil {
-		m, err = tics.NewMachine(r.img, opts)
-	} else {
-		err = tics.ResetMachine(m, r.img, opts)
-	}
-	if err != nil {
-		return runOutcome{}, err
-	}
-	defer r.release(m)
 
 	aud, err := audit.Attach(m, audit.Options{})
 	if err != nil {
@@ -129,7 +73,7 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 	res, _ := m.Run() // a fault is itself a verdict, not an executor error
 
 	out := runOutcome{
-		digest:     digestOf(res),
+		digest:     replay.DigestOf(res),
 		violations: aud.Violations(),
 		auditTotal: aud.Total(),
 		stale:      tracker.stale,
@@ -158,25 +102,6 @@ func (r *runner) committedGlobals(m *vm.Machine) []byte {
 		out = append(out, m.Mem.ReadBytes(s.base, s.size)...)
 	}
 	return out
-}
-
-// digestOf mirrors replay's result digest so mc reports and manifests
-// agree field-for-field.
-func digestOf(res vm.Result) replay.ResultDigest {
-	d := replay.ResultDigest{
-		Completed: res.Completed,
-		Starved:   res.Starved,
-		TimedOut:  res.TimedOut,
-		Cycles:    res.Cycles,
-		Failures:  res.Failures,
-		Restores:  res.Restores,
-		Commits:   res.TotalCheckpoints,
-		Sends:     len(res.SendLog),
-	}
-	if res.Fault != nil {
-		d.Fault = res.Fault.Error()
-	}
-	return d
 }
 
 // stampSink collects the cycle stamp of every emitted event.

@@ -72,7 +72,9 @@ type ResultDigest struct {
 	Sends     int    `json:"sends"`
 }
 
-func digestOf(res vm.Result) ResultDigest {
+// DigestOf summarizes a run result. Manifests, fleet exports and mc
+// reports all use it, so their digests agree field for field.
+func DigestOf(res vm.Result) ResultDigest {
 	d := ResultDigest{
 		Completed: res.Completed,
 		Starved:   res.Starved,
@@ -162,34 +164,58 @@ func BuildImage(spec Spec) (*tics.Image, string, error) {
 	return img, src, nil
 }
 
-// execute runs the spec with the given power source and returns the full
-// captured stream.
-func execute(spec Spec, src power.Source, attach AttachFunc) (*Run, error) {
-	img, _, err := BuildImage(spec)
+// Machine turns the spec into a machine ready to Run on img, which must
+// be BuildImage(s)'s image. It is the one place a spec becomes run
+// options, so a fleet device, an mc schedule, a recording, a replay and
+// a plain ticsrun run of the same spec execute identically. A nil src
+// parses s.Power (default "continuous") with s.Seed; the clock (default
+// "perfect") and the sensor bank are seeded by s.Seed too. A non-nil m
+// is reset in place (a pooled machine); a nil m is built fresh. rec may
+// be nil for a run without observability.
+func (s Spec) Machine(img *tics.Image, m *vm.Machine, src power.Source, rec *obs.Recorder) (*vm.Machine, error) {
+	if src == nil {
+		var err error
+		if src, err = ParsePower(orDefault(s.Power, "continuous"), s.Seed); err != nil {
+			return nil, err
+		}
+	}
+	clock, err := ParseClock(orDefault(s.Clock, "perfect"), s.Seed)
 	if err != nil {
 		return nil, err
 	}
-	clockSpec := spec.Clock
-	if clockSpec == "" {
-		clockSpec = "perfect"
+	opts := tics.RunOptions{
+		Power:           src,
+		Clock:           clock,
+		Sensors:         sensors.NewBank(s.Seed),
+		AutoCpPeriodMs:  s.TimerMs,
+		MaxWallMs:       s.WallMs,
+		MaxCycles:       s.MaxCycles,
+		VirtualizeSends: s.Virtualize,
+		Recorder:        rec,
 	}
-	clock, err := ParseClock(clockSpec, spec.Seed)
-	if err != nil {
+	if m == nil {
+		return tics.NewMachine(img, opts)
+	}
+	if err := tics.ResetMachine(m, img, opts); err != nil {
 		return nil, err
 	}
+	return m, nil
+}
+
+func orDefault(v, def string) string {
+	if v == "" {
+		return def
+	}
+	return v
+}
+
+// execute runs the spec's image with the given power source and returns
+// the full captured stream.
+func execute(spec Spec, img *tics.Image, src power.Source, attach AttachFunc) (*Run, error) {
 	rec := obs.NewRecorder(obs.Options{RingCap: 1024})
 	cap := &capture{}
 	rec.AddSink(cap)
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Power:           src,
-		Clock:           clock,
-		Sensors:         sensors.NewBank(spec.Seed),
-		AutoCpPeriodMs:  spec.TimerMs,
-		MaxWallMs:       spec.WallMs,
-		MaxCycles:       spec.MaxCycles,
-		VirtualizeSends: spec.Virtualize,
-		Recorder:        rec,
-	})
+	m, err := spec.Machine(img, nil, src, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -208,29 +234,25 @@ func execute(spec Spec, src power.Source, attach AttachFunc) (*Run, error) {
 		JSONL:  jsonl,
 		SHA256: sha256Hex(jsonl),
 		Result: res,
-		Res:    digestOf(res),
+		Res:    DigestOf(res),
 	}, nil
 }
 
 // Record executes the spec against its live power source, logging every
 // window drawn, and returns the manifest a replay needs plus the run.
 func Record(spec Spec, attach AttachFunc) (*Manifest, *Run, error) {
-	if spec.Power == "" {
-		spec.Power = "continuous"
-	}
-	if spec.Clock == "" {
-		spec.Clock = "perfect"
-	}
+	spec.Power = orDefault(spec.Power, "continuous")
+	spec.Clock = orDefault(spec.Clock, "perfect")
 	inner, err := ParsePower(spec.Power, spec.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	recSrc := &RecordingSource{Inner: inner}
-	run, err := execute(spec, recSrc, attach)
+	img, src, err := BuildImage(spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, src, err := BuildImage(spec) // re-resolve for the program hash
+	recSrc := &RecordingSource{Inner: inner}
+	run, err := execute(spec, img, recSrc, attach)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -254,7 +276,11 @@ func Replay(man *Manifest, attach AttachFunc) (*Run, error) {
 	if man.Version != 1 {
 		return nil, fmt.Errorf("replay: unsupported manifest version %d", man.Version)
 	}
-	return execute(man.Spec, &PlaybackSource{Windows: man.Windows}, attach)
+	img, _, err := BuildImage(man.Spec)
+	if err != nil {
+		return nil, err
+	}
+	return execute(man.Spec, img, &PlaybackSource{Windows: man.Windows}, attach)
 }
 
 // VerifyReplay checks a replayed run against the manifest's recorded
