@@ -102,7 +102,7 @@ const (
 const NumOps = int(opCount)
 
 // Class is the cost class of an opcode.
-type Class int
+type Class uint8
 
 const (
 	ClassALU Class = iota

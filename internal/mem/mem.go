@@ -264,8 +264,21 @@ func (m *Memory) Region(kind RegionKind) (Region, bool) {
 
 func (m *Memory) check(addr uint32, n int, what string) {
 	if uint64(addr)+uint64(n) > Size {
-		panic(fmt.Sprintf("mem: %s of %d bytes at %#x out of range", what, n, addr))
+		panic(RangeError{Op: what, Addr: addr, N: n})
 	}
+}
+
+// RangeError is the panic value of an access that leaves the address
+// space. It is typed so the VM can turn a wild program access into a
+// device fault while other panics still crash the host.
+type RangeError struct {
+	Op   string // "read" or "write"
+	Addr uint32
+	N    int
+}
+
+func (e RangeError) Error() string {
+	return fmt.Sprintf("mem: %s of %d bytes at %#x out of range", e.Op, e.N, e.Addr)
 }
 
 // peekRange copies len(b) bytes starting at addr into b, page by page,

@@ -1,0 +1,39 @@
+package vm
+
+import (
+	"repro/internal/isa"
+	"repro/internal/mem"
+)
+
+// InstrAt exposes the decoded-table lookup: the instruction starting at
+// pc and the address after it, or ok=false when pc is not an instruction
+// boundary.
+func (m *Machine) InstrAt(pc uint32) (in isa.Instr, next uint32, ok bool) {
+	d := m.instrAt(pc)
+	if d == nil {
+		return isa.Instr{}, 0, false
+	}
+	return d.in, d.next, true
+}
+
+// StepAt executes the single instruction at pc on a powered machine whose
+// stack holds a few spare words, as Run's inner loop would, and returns
+// the program fault it raised (nil when it executed cleanly).
+func (m *Machine) StepAt(pc uint32) (fault error) {
+	top := m.Img.StackBase + m.Img.StackLen - 64
+	m.Regs = Registers{PC: pc, SP: top, FP: top}
+	m.PowerOn(1 << 40)
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case machineFault:
+			fault = r.err
+		case mem.RangeError:
+			fault = r
+		default:
+			panic(r)
+		}
+	}()
+	m.step()
+	return nil
+}

@@ -239,7 +239,13 @@ type Machine struct {
 	OutLog     map[int32][]int32
 	outPending []outEntry
 
-	decoded map[uint32]decodedInstr
+	// decoded is the dense PC-indexed instruction table (shared with every
+	// machine forked from the same Prepared); slot i describes address
+	// textBase+i. classCost is the cycle price of each isa.Class under
+	// this machine's cost model.
+	decoded   []decodedInstr
+	textBase  uint32
+	classCost [4]int64
 	// prepared is the shared image this machine forked from (nil when the
 	// machine owns a privately loaded flat memory). Reset requires it.
 	prepared *Prepared
@@ -248,10 +254,15 @@ type Machine struct {
 	rec *obs.Recorder
 }
 
+// decodedInstr is one slot of the decoded table. The slots of an
+// immediate's bytes stay zero (ok unset), so a jump into the middle of an
+// instruction faults.
 type decodedInstr struct {
-	in   isa.Instr
-	next uint32
-	fn   int // enclosing function index (-1 for the boot stub)
+	in    isa.Instr
+	next  uint32
+	fn    int32     // enclosing function index (-1 for the boot stub)
+	class isa.Class // cost class, resolved once at decode time
+	ok    bool      // an instruction starts at this address
 }
 
 type outEntry struct {
@@ -265,7 +276,7 @@ type outEntry struct {
 // a single one instead of re-loading and re-decoding the image per device.
 type Prepared struct {
 	Img     *link.Image
-	decoded map[uint32]decodedInstr
+	decoded []decodedInstr
 	base    *mem.Base
 }
 
@@ -324,6 +335,12 @@ func (cfg Config) normalize() (Config, error) {
 func (m *Machine) apply(cfg Config) error {
 	m.Img = cfg.Image
 	m.Cost = cfg.Cost
+	m.classCost = [4]int64{
+		isa.ClassALU:  cfg.Cost.Instr,
+		isa.ClassMem:  cfg.Cost.InstrMem,
+		isa.ClassCtl:  cfg.Cost.InstrCtl,
+		isa.ClassTrap: cfg.Cost.TrapBase,
+	}
 	m.rt = cfg.Runtime
 	m.framer, _ = cfg.Runtime.(Framer)
 	m.preStorer, _ = cfg.Runtime.(PreStorer)
@@ -375,7 +392,7 @@ func New(cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{}
+	m := &Machine{textBase: cfg.Image.TextBase}
 	if cfg.Prepared != nil {
 		m.Mem = mem.Fork(cfg.Prepared.base)
 		m.decoded = cfg.Prepared.decoded
@@ -429,21 +446,39 @@ func (m *Machine) Reset(cfg Config) error {
 	return m.apply(cfg)
 }
 
-// decodeImage decodes the image's text segment into the instruction map
-// machines dispatch from.
-func decodeImage(img *link.Image) (map[uint32]decodedInstr, error) {
-	decoded := make(map[uint32]decodedInstr)
+// decodeImage decodes the image's text segment into the dense table
+// machines dispatch from: one slot per text byte, indexed by
+// pc - img.TextBase.
+func decodeImage(img *link.Image) ([]decodedInstr, error) {
 	code := img.Text
+	decoded := make([]decodedInstr, len(code))
 	for off := 0; off < len(code); {
 		in, next, err := isa.Decode(code, off)
 		if err != nil {
 			return nil, err
 		}
 		addr := img.TextBase + uint32(off)
-		decoded[addr] = decodedInstr{in: in, next: img.TextBase + uint32(next), fn: fnAt(img, addr)}
+		decoded[off] = decodedInstr{
+			in:    in,
+			next:  img.TextBase + uint32(next),
+			fn:    int32(fnAt(img, addr)),
+			class: isa.Lookup(in.Op).Class,
+			ok:    true,
+		}
 		off = next
 	}
 	return decoded, nil
+}
+
+// instrAt returns the decoded instruction starting at pc, or nil when pc
+// is not an instruction boundary (below the text, past its end, or inside
+// an instruction). A pc below TextBase wraps the offset past the table.
+func (m *Machine) instrAt(pc uint32) *decodedInstr {
+	off := pc - m.textBase
+	if off >= uint32(len(m.decoded)) || !m.decoded[off].ok {
+		return nil
+	}
+	return &m.decoded[off]
 }
 
 // fnAt resolves an instruction address to its enclosing function index
@@ -548,8 +583,8 @@ func (m *Machine) resetRecStack() {
 		return
 	}
 	fn := -1
-	if d, ok := m.decoded[m.Regs.PC]; ok && d.in.Op != isa.Enter {
-		fn = d.fn
+	if d := m.instrAt(m.Regs.PC); d != nil && d.in.Op != isa.Enter {
+		fn = int(d.fn)
 	}
 	m.rec.ResetStack(fn)
 }
@@ -679,10 +714,12 @@ func (m *Machine) Pop() uint32 {
 }
 
 // writable reports whether the program may store to addr (globals, mark
-// counters, or the stack region — never text or the runtime area).
+// counters, or the stack region — never text or the runtime area). The
+// end is computed in 64 bits so an address near 2^32 cannot wrap past
+// the check.
 func (m *Machine) writable(addr uint32, size int) bool {
-	end := addr + uint32(size)
-	return addr >= m.Img.GlobalsBase && end <= m.Img.StackBase+m.Img.StackLen
+	end := uint64(addr) + uint64(size)
+	return addr >= m.Img.GlobalsBase && end <= uint64(m.Img.StackBase)+uint64(m.Img.StackLen)
 }
 
 // RawStore performs an uninstrumented program store with bounds checking.
@@ -784,6 +821,11 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 			failed = true
 		case machineFault:
 			fault = r.err
+		case mem.RangeError:
+			// An access outside the address space (a runtime reading the old
+			// value at a wild address, say) is a program fault, not a host
+			// crash.
+			fault = r
 		default:
 			panic(r)
 		}
@@ -810,26 +852,13 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 	return
 }
 
-func (m *Machine) chargeFor(op isa.Op) {
-	switch isa.Lookup(op).Class {
-	case isa.ClassALU:
-		m.Spend(m.Cost.Instr)
-	case isa.ClassMem:
-		m.Spend(m.Cost.InstrMem)
-	case isa.ClassCtl:
-		m.Spend(m.Cost.InstrCtl)
-	case isa.ClassTrap:
-		m.Spend(m.Cost.TrapBase)
-	}
-}
-
 func (m *Machine) step() {
-	d, ok := m.decoded[m.Regs.PC]
-	if !ok {
+	d := m.instrAt(m.Regs.PC)
+	if d == nil {
 		m.Fault("PC=%#x is not an instruction boundary", m.Regs.PC)
 	}
 	in := d.in
-	m.chargeFor(in.Op)
+	m.Spend(m.classCost[d.class])
 	next := d.next
 	if m.preStorer != nil {
 		switch in.Op {
