@@ -51,7 +51,7 @@ func main() {
 
 	srv := gate.NewServer(st)
 	srv.CrashAfter = *crashAfter
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	hs := newHTTPServer(*addr, srv.Handler(), serverTimeouts)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -75,6 +75,29 @@ func main() {
 	}
 	if err := st.Close(); err != nil {
 		fatal(err)
+	}
+}
+
+// timeouts bound how long one connection may hold the server.
+type timeouts struct {
+	readHeader, read, write, idle time.Duration
+}
+
+// serverTimeouts are ticsgate's. read covers the whole request, body
+// included, so a client trickling a body cannot pin a connection and its
+// goroutine; write covers the handler (WAL append and fsync) plus the
+// response. Both exceed the client's gate.DefaultRequestTimeout, so the
+// server never cuts off a request its client is still waiting for.
+var serverTimeouts = timeouts{readHeader: 5 * time.Second, read: 15 * time.Second, write: 15 * time.Second, idle: 60 * time.Second}
+
+func newHTTPServer(addr string, h http.Handler, t timeouts) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: t.readHeader,
+		ReadTimeout:       t.read,
+		WriteTimeout:      t.write,
+		IdleTimeout:       t.idle,
 	}
 }
 

@@ -52,7 +52,7 @@ func main() {
 		effectLoss = flag.Bool("effect-loss", false, "flag schedules that complete but commit fewer sends/outs than the oracle")
 		outPath    = flag.String("out", "", "write the minimized counterexample manifest to this file")
 		crosscheck = flag.String("crosscheck", "", "correlate checker verdicts with ticsvet findings over the seeded corpus in DIR")
-		verbose    = flag.Bool("v", false, "log sweep progress to stderr")
+		verbose    = flag.Bool("v", false, "log one progress line per depth to stderr (candidates, kept, elapsed, rates)")
 	)
 	flag.Parse()
 

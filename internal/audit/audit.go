@@ -109,8 +109,9 @@ type Options struct {
 }
 
 type writeRec struct {
-	val byte
-	seq int64 // events emitted before the store executed
+	seq   int64  // events emitted before the store executed
+	epoch uint32 // epoch of the store; the record is live only in it
+	val   byte
 }
 
 type regFile struct{ pc, sp, fp, rv uint32 }
@@ -133,10 +134,14 @@ type Auditor struct {
 	regsValid bool
 	commitSeq int64
 
-	undoCheck  bool
-	timeCheck  bool
-	covered    map[uint32]bool     // bytes covered by undo appends this epoch
-	lastWriter map[uint32]writeRec // last store into each audited byte this epoch
+	undoCheck bool
+	timeCheck bool
+	// Per-byte epoch state over [base, end), indexed by addr-base. An
+	// entry counts only while its stamp equals epoch, so closing an
+	// epoch (a commit or a restore) is one increment, not a clear.
+	epoch      uint32
+	covered    []uint32   // epoch in which an undo append last covered the byte
+	lastWriter []writeRec // last store into each audited byte
 
 	cpOpen      bool
 	cpBeginSeq  int64
@@ -157,25 +162,49 @@ type Auditor struct {
 // Attach builds an auditor for m and subscribes it to the machine's
 // recorder and store stream. The machine must have a recorder attached.
 func Attach(m *vm.Machine, opt Options) (*Auditor, error) {
+	a := &Auditor{}
+	if err := a.Reattach(m, opt); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Reattach makes a the auditor of a new run on m, exactly as Attach
+// would, but reuses a's buffers when the audited region has the same
+// size. A pooled machine that is Reset between runs (dropping its store
+// observers, its recorder having been Reset too) keeps one auditor this
+// way instead of allocating per-byte state per run.
+func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	rec := m.Recorder()
 	if rec == nil {
-		return nil, errors.New("audit: machine has no recorder attached (the auditor is an event-stream sink)")
+		return errors.New("audit: machine has no recorder attached (the auditor is an event-stream sink)")
 	}
 	if rec.Seq() != 0 {
-		return nil, errors.New("audit: recorder already carries events; attach the auditor before Run")
+		return errors.New("audit: recorder already carries events; attach the auditor before Run")
 	}
 	if opt.MaxViolations <= 0 {
 		opt.MaxViolations = 64
 	}
-	a := &Auditor{
+	n := int(m.Img.StackBase - m.Img.GlobalsBase)
+	if len(a.shadow) != n {
+		a.shadow, a.cur = make([]byte, n), make([]byte, n)
+		a.covered, a.lastWriter = make([]uint32, n), make([]writeRec, n)
+		a.epoch = 0
+	}
+	*a = Auditor{
 		m:          m,
 		opt:        opt,
 		base:       m.Img.GlobalsBase,
 		end:        m.Img.StackBase,
-		covered:    map[uint32]bool{},
-		lastWriter: map[uint32]writeRec{},
+		shadow:     a.shadow,
+		cur:        a.cur,
+		epoch:      a.epoch,
+		covered:    a.covered,
+		lastWriter: a.lastWriter,
 		commitSeq:  -1,
+		violations: a.violations[:0],
 	}
+	a.closeEpoch()
 	a.timeCheck = opt.CheckTime == nil || *opt.CheckTime
 	if opt.CheckUndoLog != nil {
 		a.undoCheck = *opt.CheckUndoLog
@@ -185,11 +214,19 @@ func Attach(m *vm.Machine, opt Options) (*Auditor, error) {
 			a.undoCheck = true
 		}
 	}
-	a.shadow = make([]byte, a.end-a.base)
-	a.cur = make([]byte, a.end-a.base)
 	rec.AddSink(a)
 	m.ObserveStores(a.onStore)
-	return a, nil
+	return nil
+}
+
+// closeEpoch retires every covered and lastWriter entry at once.
+func (a *Auditor) closeEpoch() {
+	a.epoch++
+	if a.epoch == 0 { // wrapped: clear the stamps so none aliases the new epoch
+		clear(a.covered)
+		clear(a.lastWriter)
+		a.epoch = 1
+	}
 }
 
 // Region returns the audited address interval [base, end).
@@ -218,9 +255,10 @@ func (a *Auditor) onStore(addr uint32, size int, val uint32, _ int64) {
 	if n == 0 {
 		return
 	}
+	off := o - a.base
 	if a.undoCheck {
 		for i := uint32(0); i < n; i++ {
-			if !a.covered[o+i] {
+			if a.covered[off+i] != a.epoch {
 				a.report(Violation{
 					Check:     CheckUndoLog,
 					EventSeq:  a.seq,
@@ -235,7 +273,7 @@ func (a *Auditor) onStore(addr uint32, size int, val uint32, _ int64) {
 		}
 	}
 	for i := uint32(0); i < n; i++ {
-		a.lastWriter[o+i] = writeRec{val: byte(val >> (8 * (o + i - addr))), seq: a.seq - 1}
+		a.lastWriter[off+i] = writeRec{seq: a.seq - 1, epoch: a.epoch, val: byte(val >> (8 * (o + i - addr)))}
 	}
 }
 
@@ -269,8 +307,9 @@ func (a *Auditor) OnEvent(seq int64, ev obs.Event) {
 		a.checkRestore(seq)
 	case obs.EvUndoAppend:
 		lo, n := overlap(uint32(ev.Arg0), uint32(ev.Arg1), a.base, a.end)
+		off := lo - a.base
 		for i := uint32(0); i < n; i++ {
-			a.covered[lo+i] = true
+			a.covered[off+i] = a.epoch
 		}
 	case obs.EvExpiry:
 		a.expiryPending = true
@@ -311,8 +350,7 @@ func (a *Auditor) snapshot(seq int64, regsKnown bool) {
 	a.commitSeq = seq
 	// A commit closes the epoch: the undo log resets, and stores before
 	// this point can no longer explain post-restore divergence.
-	clear(a.covered)
-	clear(a.lastWriter)
+	a.closeEpoch()
 }
 
 // checkRestore verifies rollback exactness, register exactness and
@@ -320,8 +358,7 @@ func (a *Auditor) snapshot(seq int64, regsKnown bool) {
 // complete: registers and memory are rebuilt).
 func (a *Auditor) checkRestore(seq int64) {
 	defer func() {
-		clear(a.covered)
-		clear(a.lastWriter)
+		a.closeEpoch()
 		a.torn = nil
 		a.cpOpen = false
 		a.expiryPending = false
@@ -365,10 +402,10 @@ func (a *Auditor) checkRestore(seq int64) {
 		}
 		if reported < 8 {
 			addr := a.base + uint32(i)
-			w, haveW := a.lastWriter[addr]
+			w := a.lastWriter[i]
 			writerSeq := int64(-1)
 			detail := fmt.Sprintf("%d byte(s) differ from the commit at event %d", j-i, a.commitSeq)
-			if haveW {
+			if w.epoch == a.epoch {
 				writerSeq = w.seq
 				detail += fmt.Sprintf("; last store to %#06x (value byte %#02x) happened after event %d and was not rolled back",
 					addr, w.val, w.seq)

@@ -222,3 +222,97 @@ func TestFailFastHaltsAndStopsChecking(t *testing.T) {
 		t.Fatalf("fail-fast recorded %d violations", a.Total())
 	}
 }
+
+// TestWriterAttributionEndsAtCommit: a commit closes the epoch, so a byte
+// whose last program store came before the latest commit has no known
+// writer. Here the store is committed into the shadow, then the byte is
+// corrupted outside the program's store stream; the restore must flag
+// the divergence without blaming the stale store.
+func TestWriterAttributionEndsAtCommit(t *testing.T) {
+	m, a := rig(t, audit.Options{})
+	base, _ := a.Region()
+	m.EmitEvent(obs.EvCheckpointBegin, 0, 0)
+	m.EmitEvent(obs.EvCheckpointCommit, 0, 0)
+	m.EmitEvent(obs.EvUndoAppend, int64(base+2), 1)
+	m.Mem.WriteByteAt(base+2, 0xAB)
+	m.OnStore(base+2, 1, 0xAB, 0)
+	m.EmitEvent(obs.EvCheckpointBegin, 0, 0)
+	m.EmitEvent(obs.EvCheckpointCommit, 0, 0) // epoch k+1: the store is history
+	m.Mem.WriteByteAt(base+2, 0xCD)
+	m.EmitEvent(obs.EvRestore, 0, 0)
+
+	vs := a.Violations()
+	if len(vs) != 1 || vs[0].Check != audit.CheckRollback {
+		t.Fatalf("want one rollback violation, got %v", vs)
+	}
+	if vs[0].Addr != base+2 || vs[0].Want != 0xAB || vs[0].Got != 0xCD {
+		t.Fatalf("violation anchor wrong: %+v", vs[0])
+	}
+	if vs[0].WriterSeq != -1 || strings.Contains(vs[0].Detail, "last store") {
+		t.Fatalf("a store from before the last commit was blamed: %+v", vs[0])
+	}
+}
+
+// TestUndoCoverageEndsWithItsEpoch: an undo append covers stores only
+// until the next commit or restore.
+func TestUndoCoverageEndsWithItsEpoch(t *testing.T) {
+	for _, closer := range []obs.EventKind{obs.EvCheckpointCommit, obs.EvRestore} {
+		m, a := rig(t, audit.Options{})
+		base, _ := a.Region()
+		m.EmitEvent(obs.EvCheckpointBegin, 0, 0)
+		m.EmitEvent(obs.EvCheckpointCommit, 0, 0)
+		m.EmitEvent(obs.EvUndoAppend, int64(base+8), 4)
+		m.OnStore(base+8, 4, 42, 0)
+		if a.Total() != 0 {
+			t.Fatalf("store covered in its own epoch flagged: %v", a.Violations())
+		}
+		m.EmitEvent(closer, 0, 0)
+		m.OnStore(base+8, 4, 43, 0)
+		vs := a.Violations()
+		if len(vs) != 1 || vs[0].Check != audit.CheckUndoLog || vs[0].Addr != base+8 {
+			t.Fatalf("after %s, the previous epoch's undo entry still covered the store: %v", closer, vs)
+		}
+	}
+}
+
+// TestReattachStartsClean: an auditor reused through Reattach on a
+// second machine carries nothing over from its previous run — no
+// violations, no undo coverage, no shadow — and reports a new run
+// exactly as a freshly attached auditor does.
+func TestReattachStartsClean(t *testing.T) {
+	m, a := rig(t, audit.Options{})
+	base, _ := a.Region()
+	m.EmitEvent(obs.EvCheckpointBegin, 0, 0)
+	m.EmitEvent(obs.EvCheckpointCommit, 0, 0)
+	m.EmitEvent(obs.EvUndoAppend, int64(base+8), 4)
+	m.OnStore(base+12, 4, 1, 0) // uncovered: one violation in the first run
+	if a.Total() != 1 {
+		t.Fatalf("first run: %v", a.Violations())
+	}
+
+	drive := func(m *vm.Machine) {
+		m.OnStore(base+8, 4, 7, 0) // covered only in the previous run
+		m.EmitEvent(obs.EvRestore, 0, 0)
+	}
+	m2, fresh := rig(t, audit.Options{})
+	drive(m2)
+
+	m3, _ := rig(t, audit.Options{})
+	// rig attached an auditor to m3's recorder already; give the reused
+	// one a machine whose recorder carries no sinks or events.
+	m3.Recorder().Reset()
+	m3.OnStore = nil
+	if err := a.Reattach(m3, audit.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	drive(m3)
+	if a.Summary() != fresh.Summary() {
+		t.Fatalf("reattached auditor differs from a fresh one:\n%s\nfresh:\n%s", a.Summary(), fresh.Summary())
+	}
+	if a.Total() != 1 || a.Violations()[0].Check != audit.CheckUndoLog {
+		t.Fatalf("stale undo coverage leaked into the next run: %v", a.Violations())
+	}
+	if err := a.Reattach(m3, audit.Options{}); err == nil {
+		t.Fatal("Reattach onto a recorder that already carries events must fail")
+	}
+}

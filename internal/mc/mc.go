@@ -33,12 +33,11 @@ package mc
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/power"
 	"repro/internal/replay"
-	"repro/internal/vm"
 )
 
 // Config configures one sweep.
@@ -160,22 +159,13 @@ func Sweep(cfg Config) (*Report, error) {
 	spec := cfg.Spec
 	spec.Power = "continuous"
 
-	img, _, err := replay.BuildImage(spec)
+	r, err := newRunner(spec, cfg.AssumeBudgetMs, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	prov, err := buildProvenance(img)
+	insensitive, err := timeInsensitive(r.img)
 	if err != nil {
 		return nil, err
-	}
-	insensitive, err := timeInsensitive(img)
-	if err != nil {
-		return nil, err
-	}
-
-	r := &runner{img: img, spec: spec, prov: prov, budgetMs: cfg.AssumeBudgetMs, pool: make(chan *vm.Machine, cfg.Workers)}
-	for i := 0; i < cfg.Workers; i++ {
-		r.pool <- nil
 	}
 
 	// Phase 1: the oracle.
@@ -208,30 +198,15 @@ func Sweep(cfg Config) (*Report, error) {
 	level := [][]power.SchedWindow{nil} // parents (nil = the oracle)
 	parents := []runOutcome{oracle}
 	for depth := 1; depth <= cfg.Depth; depth++ {
-		var schedules [][]power.SchedWindow
-		for pi, parent := range parents {
-			prefix := level[pi]
-			// Later reboots must land after the earlier windows end.
-			base := int64(0)
-			for _, w := range prefix {
-				base += w.Cycles
-			}
-			for _, c := range boundariesFrom(parent.stamps, base, parent.cycles) {
-				sched := append(append([]power.SchedWindow{}, prefix...),
-					power.SchedWindow{Cycles: c, OffMs: cfg.OffMs})
-				schedules = append(schedules, sched)
-			}
+		start := time.Now()
+		schedules, candidates := enumerate(level, parents, cfg.OffMs, cfg.MaxSchedules)
+		for i := range parents {
+			parents[i].stamps = nil // spent: this level is enumerated
 		}
 		if depth == 1 {
-			rep.Boundaries = len(schedules)
+			rep.Boundaries = candidates
 		}
-		if cfg.MaxSchedules > 0 && len(schedules) > cfg.MaxSchedules {
-			kept := stride(schedules, cfg.MaxSchedules)
-			rep.Dropped += len(schedules) - len(kept)
-			logf("depth %d: downsampled %d schedules to %d (even stride)", depth, len(schedules), len(kept))
-			schedules = kept
-		}
-		logf("depth %d: %d schedules", depth, len(schedules))
+		rep.Dropped += candidates - len(schedules)
 
 		outcomes := make([]runOutcome, len(schedules))
 		errs := make([]error, len(schedules))
@@ -244,54 +219,103 @@ func Sweep(cfg Config) (*Report, error) {
 				return nil, e
 			}
 		}
+		var cycles int64
 		for i, out := range outcomes {
 			rep.Schedules++
-			rep.CyclesExplored += out.cycles
+			cycles += out.cycles
 			powerSpec := (&power.Schedule{Windows: schedules[i]}).Name()
-			var cycles []int64
+			var schedule []int64
 			for _, w := range schedules[i] {
-				cycles = append(cycles, w.Cycles)
+				schedule = append(schedule, w.Cycles)
 			}
-			rep.Findings = append(rep.Findings, judge(cfg, insensitive, false, out, oracle, powerSpec, cycles)...)
+			rep.Findings = append(rep.Findings, judge(cfg, insensitive, false, out, oracle, powerSpec, schedule)...)
 		}
+		rep.CyclesExplored += cycles
+		secs := time.Since(start).Seconds()
+		logf("depth %d: %d candidates, %d kept, %.0f ms, %.0f schedules/s, %.3g simulated cycles/s",
+			depth, candidates, len(schedules), secs*1e3, float64(len(schedules))/secs, float64(cycles)/secs)
 		level = schedules
 		parents = outcomes
 	}
 	return rep, nil
 }
 
-// boundariesFrom turns cycle stamps into candidate window lengths
-// relative to base (the cycles already consumed by earlier windows):
-// for each stamp S > base the windows S-base-1 and S-base, deduplicated
-// and sorted.
-func boundariesFrom(stamps []int64, base, total int64) []int64 {
-	seen := map[int64]bool{}
-	for _, s := range stamps {
+// enumerate builds the next level's schedules: every parent's prefix
+// extended by one reboot at each candidate window boundariesFrom finds in
+// the parent's stamps, in parent order. Of the level's n candidates it
+// keeps all, or — when max > 0 bounds the level below n — the max at
+// global indices i*n/max, an even deterministic stride. Only kept
+// schedules are built: a counting pass sizes each parent's candidate
+// list, then one forward cursor maps every kept index to its parent and
+// offset, re-deriving only the lists a kept index lands in. It returns
+// the kept schedules and n.
+func enumerate(prefixes [][]power.SchedWindow, parents []runOutcome, offMs float64, max int) ([][]power.SchedWindow, int) {
+	var cands []int64
+	counts := make([]int, len(parents))
+	n := 0
+	for pi, p := range parents {
+		cands = boundariesFrom(cands[:0], p.stamps, windowsEnd(prefixes[pi]), p.cycles)
+		counts[pi] = len(cands)
+		n += len(cands)
+	}
+	keep := n
+	if max > 0 && n > max {
+		keep = max
+	}
+	out := make([][]power.SchedWindow, keep)
+	pi, lo, hi := -1, 0, 0 // cursor: parent pi's candidates are global indices [lo, hi)
+	for i := range out {
+		g := i * n / keep
+		if g >= hi {
+			for g >= hi {
+				pi++
+				lo, hi = hi, hi+counts[pi]
+			}
+			p := parents[pi]
+			cands = boundariesFrom(cands[:0], p.stamps, windowsEnd(prefixes[pi]), p.cycles)
+		}
+		prefix := prefixes[pi]
+		sched := make([]power.SchedWindow, len(prefix)+1)
+		copy(sched, prefix)
+		sched[len(prefix)] = power.SchedWindow{Cycles: cands[g-lo], OffMs: offMs}
+		out[i] = sched
+	}
+	return out, n
+}
+
+// windowsEnd is the cycle count the windows consume: later reboots must
+// land after it.
+func windowsEnd(ws []power.SchedWindow) int64 {
+	var end int64
+	for _, w := range ws {
+		end += w.Cycles
+	}
+	return end
+}
+
+// boundariesFrom appends to dst the candidate window lengths of stamps
+// relative to base (the cycles already consumed by earlier windows): for
+// each stamp S with base < S < total, the windows S-base-1 and S-base,
+// deduplicated and sorted. A stamp is the machine's cycle counter at
+// emission, so stamps arrive nondecreasing and the candidates come out
+// in order; comparing each against the last one kept does the dedup.
+func boundariesFrom(dst, stamps []int64, base, total int64) []int64 {
+	last := int64(0) // windows are at least one cycle long
+	for i, s := range stamps {
+		if i > 0 && s < stamps[i-1] {
+			panic(fmt.Sprintf("mc: cycle stamp %d follows %d: stamps must be nondecreasing", s, stamps[i-1]))
+		}
 		if s <= base || s >= total {
 			continue
 		}
-		for _, c := range []int64{s - base - 1, s - base} {
-			if c >= 1 {
-				seen[c] = true
+		for _, c := range [2]int64{s - base - 1, s - base} {
+			if c > last {
+				dst = append(dst, c)
+				last = c
 			}
 		}
 	}
-	out := make([]int64, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// stride keeps max schedules with an even deterministic stride.
-func stride[T any](in []T, max int) []T {
-	out := make([]T, 0, max)
-	n := len(in)
-	for i := 0; i < max; i++ {
-		out = append(out, in[i*n/max])
-	}
-	return out
+	return dst
 }
 
 // judge derives findings from one schedule outcome. isOracle marks the

@@ -1,8 +1,10 @@
 package mc
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -257,17 +259,132 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 }
 
 // TestBoundariesFrom pins the boundary enumeration: stamps map to the
-// window lengths {S-base-1, S-base}, clipped, deduplicated, sorted.
+// window lengths {S-base-1, S-base}, clipped, deduplicated, sorted, and
+// appended to dst. Randomized nondecreasing stamps — runs of duplicates,
+// adjacent cycles, stamps at and below a non-zero base, at and past the
+// total — must match the map-and-sort reference.
 func TestBoundariesFrom(t *testing.T) {
-	got := boundariesFrom([]int64{5, 6, 100}, 0, 100)
+	got := boundariesFrom(nil, []int64{5, 6, 100}, 0, 100)
 	want := []int64{4, 5, 6}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("boundariesFrom = %v, want %v", got, want)
 	}
 	// With a base, stamps at or before the base are dead.
-	got = boundariesFrom([]int64{5, 50}, 10, 100)
-	want = []int64{39, 40}
+	got = boundariesFrom([]int64{-7}, []int64{5, 50}, 10, 100)
+	want = []int64{-7, 39, 40}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("boundariesFrom(base=10) = %v, want %v", got, want)
+		t.Fatalf("boundariesFrom(base=10) appended %v, want %v", got, want)
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	for trial := 0; trial < 2000; trial++ {
+		stamps := make([]int64, rng.IntN(40))
+		s := rng.Int64N(20)
+		for i := range stamps {
+			switch rng.IntN(4) {
+			case 0: // duplicate
+			case 1:
+				s++
+			case 2:
+				s += 2
+			default:
+				s += rng.Int64N(50)
+			}
+			stamps[i] = s
+		}
+		base := int64(0)
+		if rng.IntN(2) == 0 {
+			base = rng.Int64N(s + 2)
+		}
+		total := base + rng.Int64N(s-base+10)
+		got := boundariesFrom(nil, stamps, base, total)
+		want := boundariesRef(stamps, base, total)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("stamps %v base %d total %d:\n got %v\nwant %v", stamps, base, total, got, want)
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order stamps must panic, not enumerate a wrong level")
+		}
+	}()
+	boundariesFrom(nil, []int64{5, 4}, 0, 100)
+}
+
+// TestCappedDepthTwoGolden pins the capped depth-2 sweep ticsmc runs as
+// `ticsmc -app ar -depth 2 -max-schedules 250 -wall 200 -seed 1 -json`:
+// its level of 418,040 candidates is stride-sampled down to 250, and the
+// report — boundaries, dropped, cycles explored, the oracle digest —
+// must match the committed golden byte for byte.
+func TestCappedDepthTwoGolden(t *testing.T) {
+	if testing.Short() || raceDetector {
+		t.Skip("500 full ar runs; CI's mc smoke compares the same golden")
+	}
+	want, err := os.ReadFile("../../testdata/mc/ar-d2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Sweep(Config{
+		Spec:         replay.Spec{App: "ar", Runtime: "tics", TimerMs: 2, Seed: 1, WallMs: 200, Virtualize: true},
+		Depth:        2,
+		Workers:      runtime.GOMAXPROCS(0),
+		MaxSchedules: 250,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Fatalf("report differs from testdata/mc/ar-d2.json:\n%s", got.String())
+	}
+}
+
+// TestSweepLogsOneLinePerDepth: with a Log set, each depth level reports
+// its candidates, the schedules kept, and its elapsed time and rates —
+// and the counts agree with the report.
+func TestSweepLogsOneLinePerDepth(t *testing.T) {
+	a, ok := apps.ByName("swap")
+	if !ok {
+		t.Fatal("swap app missing")
+	}
+	var lines []string
+	rep, err := Sweep(Config{
+		Spec:         replay.Spec{Source: a.Source, Runtime: "tics", TimerMs: 2, Virtualize: true},
+		Depth:        2,
+		Workers:      2,
+		MaxSchedules: 50,
+		Log:          func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 2 {
+		t.Fatalf("want one line per depth, got %q", lines)
+	}
+	candidates, kept := 0, 0
+	for i, line := range lines {
+		var depth, c, k int
+		var ms, perSec, cyclesPerSec float64
+		if _, err := fmt.Sscanf(line, "depth %d: %d candidates, %d kept, %g ms, %g schedules/s, %g simulated cycles/s",
+			&depth, &c, &k, &ms, &perSec, &cyclesPerSec); err != nil || depth != i+1 {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		if i == 0 && c != rep.Boundaries {
+			t.Fatalf("depth 1 logs %d candidates, report has %d boundaries", c, rep.Boundaries)
+		}
+		if ms < 0 || perSec <= 0 || cyclesPerSec <= 0 {
+			t.Fatalf("line %q: implausible timing", line)
+		}
+		candidates += c
+		kept += k
+	}
+	if kept != rep.Schedules || candidates-kept != rep.Dropped {
+		t.Fatalf("logged %d candidates / %d kept; report has %d schedules, %d dropped", candidates, kept, rep.Schedules, rep.Dropped)
 	}
 }

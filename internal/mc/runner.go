@@ -29,42 +29,74 @@ type runOutcome struct {
 }
 
 // runner executes schedules against one shared image using a pool of
-// COW-forked machines: the pool holds one slot per worker, a nil slot
-// materializes into a machine from the image's vm.Prepared snapshot on
-// first claim, and later runs rebind it with Machine.Reset
-// (indistinguishable from a fresh machine, pinned by the pooled-reuse
-// tests), so a 10k-schedule sweep does not pay 10k image loads. After
-// the oracle, spec.MaxCycles holds the starvation bound for interrupted
-// runs.
+// slots, one per worker. A slot carries everything a schedule run needs
+// besides its power schedule: a COW-forked machine, its recorder, its
+// auditor and its freshness tracker. An empty slot materializes them on
+// first claim (the machine from the image's vm.Prepared snapshot); later
+// runs reset each in place — Machine.Reset, Recorder.Reset,
+// Auditor.Reattach, freshTracker.reset, each indistinguishable from a
+// fresh build (pinned by the pooled-reuse, Reset and Reattach tests) —
+// so a 10k-schedule sweep does not pay 10k image loads, recorder
+// registrations or auditor allocations. After the oracle, spec.MaxCycles
+// holds the starvation bound for interrupted runs.
 type runner struct {
 	img      *tics.Image
 	spec     replay.Spec
 	prov     *provenance
 	budgetMs int64
-	pool     chan *vm.Machine
+	pool     chan *slot
+}
+
+// newRunner builds spec's image and provenance index and a pool of
+// workers empty slots.
+func newRunner(spec replay.Spec, budgetMs int64, workers int) (*runner, error) {
+	img, _, err := replay.BuildImage(spec)
+	if err != nil {
+		return nil, err
+	}
+	prov, err := buildProvenance(img)
+	if err != nil {
+		return nil, err
+	}
+	r := &runner{img: img, spec: spec, prov: prov, budgetMs: budgetMs, pool: make(chan *slot, workers)}
+	for i := 0; i < workers; i++ {
+		r.pool <- &slot{}
+	}
+	return r, nil
+}
+
+// slot is one worker's reusable run state.
+type slot struct {
+	m       *vm.Machine
+	rec     *obs.Recorder
+	aud     *audit.Auditor
+	tracker *freshTracker
 }
 
 // run executes one schedule (nil = uninterrupted) and gathers the
 // outcome. collectGlobals snapshots the committed global data bytes;
 // collectStamps gathers event+store cycle stamps for deeper enumeration.
 func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
-	rec := obs.NewRecorder(obs.Options{RingCap: 64})
-	m, err := r.spec.Machine(r.img, <-r.pool, &power.Schedule{Windows: windows}, rec)
-	defer func() { r.pool <- m }()
-	if err != nil {
+	s := <-r.pool
+	defer func() { r.pool <- s }()
+	if s.rec == nil {
+		s.rec, s.aud, s.tracker = obs.NewRecorder(obs.Options{RingCap: 64}), &audit.Auditor{}, newFreshTracker(r.prov, r.budgetMs)
+	}
+	s.rec.Reset()
+	s.tracker.reset()
+	var err error
+	if s.m, err = r.spec.Machine(r.img, s.m, &power.Schedule{Windows: windows}, s.rec); err != nil {
 		return runOutcome{}, err
 	}
-
-	aud, err := audit.Attach(m, audit.Options{})
-	if err != nil {
+	m, rec, aud, tracker := s.m, s.rec, s.aud, s.tracker
+	if err := aud.Reattach(m, audit.Options{}); err != nil {
 		return runOutcome{}, err
 	}
-	tracker := newFreshTracker(r.prov, r.budgetMs)
 	tracker.attach(m, rec)
 
 	var stamps []int64
 	if collectStamps {
-		rec.AddSink(stampSink{m: m, out: &stamps})
+		rec.AddSink(stampSink{out: &stamps})
 		m.ObserveStores(func(addr uint32, size int, val uint32, deviceMs int64) {
 			stamps = append(stamps, m.Cycles())
 		})
@@ -106,7 +138,6 @@ func (r *runner) committedGlobals(m *vm.Machine) []byte {
 
 // stampSink collects the cycle stamp of every emitted event.
 type stampSink struct {
-	m   *vm.Machine
 	out *[]int64
 }
 

@@ -18,12 +18,13 @@ type globalSpan struct {
 }
 
 // srcSet is the resolved provenance of one stored/sent value: the globals
-// it was computed from. known=false means the backward walk met an
-// instruction it cannot invert (indirect load, call result, ...) and the
-// checker must not draw conclusions from this site.
+// it was computed from, as indices into provenance.spans. known=false means the backward
+// walk met an instruction it cannot invert (indirect load, call result,
+// ...) and the checker must not draw conclusions from this site; the
+// zero srcSet, which every PC without a site holds, is such a site.
 type srcSet struct {
 	known   bool
-	globals []string
+	globals []int
 }
 
 // provenance is the static data-provenance index for one image. For every
@@ -34,16 +35,23 @@ type srcSet struct {
 // their operands). The walk is linear within the emitted instruction
 // order; any jump target that could enter the expression mid-stream
 // demotes the site to unknown, so the index never over-claims.
+//
+// A global is identified by its index in spans (global names are
+// unique), resolved once here. sends and stores are dense tables indexed
+// by pc - textBase, like the interpreter's decode table, so the per-store
+// and per-send hooks do no map or string work.
 type provenance struct {
-	spans  []globalSpan      // sorted by base
-	sends  map[uint32]srcSet // Send PC -> payload sources
-	stores map[uint32]srcSet // direct global-store PC -> value sources
+	spans    []globalSpan // sorted by base
+	textBase uint32
+	sends    []srcSet // Send PC -> payload sources
+	stores   []srcSet // direct global-store PC -> value sources
 }
 
 func buildProvenance(img *tics.Image) (*provenance, error) {
 	p := &provenance{
-		sends:  map[uint32]srcSet{},
-		stores: map[uint32]srcSet{},
+		textBase: img.TextBase,
+		sends:    make([]srcSet, len(img.Text)),
+		stores:   make([]srcSet, len(img.Text)),
 	}
 	for _, g := range img.Program.Globals {
 		p.spans = append(p.spans, globalSpan{
@@ -81,35 +89,45 @@ func buildProvenance(img *tics.Image) (*provenance, error) {
 		switch in.Op {
 		case isa.Send:
 			srcs, _, ok := p.valueAt(instrs, addrs, targets, i-1)
-			p.sends[addrs[i]] = srcSet{known: ok, globals: srcs}
+			p.sends[addrs[i]-p.textBase] = srcSet{known: ok, globals: srcs}
 		case isa.StoreG, isa.StoreGL, isa.StoreGB, isa.StoreGBL:
-			if p.globalAt(uint32(in.Imm)) == nil {
+			if p.globalAt(uint32(in.Imm)) < 0 {
 				continue
 			}
 			srcs, _, ok := p.valueAt(instrs, addrs, targets, i-1)
-			p.stores[addrs[i]] = srcSet{known: ok, globals: srcs}
+			p.stores[addrs[i]-p.textBase] = srcSet{known: ok, globals: srcs}
 		}
 	}
 	return p, nil
 }
 
-// globalAt resolves an absolute address to the global whose data range
-// covers it (nil for runtime state, shadow timestamp slots, the stack).
-func (p *provenance) globalAt(addr uint32) *globalSpan {
+// globalAt resolves an absolute address to the index of the global whose
+// data range covers it (-1 for runtime state, shadow timestamp slots,
+// the stack).
+func (p *provenance) globalAt(addr uint32) int {
 	i := sort.Search(len(p.spans), func(i int) bool {
 		return p.spans[i].base+uint32(p.spans[i].size) > addr
 	})
 	if i < len(p.spans) && addr >= p.spans[i].base {
-		return &p.spans[i]
+		return i
 	}
-	return nil
+	return -1
+}
+
+// at returns the provenance table records for pc; a pc outside the text
+// reads as an unknown site.
+func (p *provenance) at(table []srcSet, pc uint32) srcSet {
+	if off := pc - p.textBase; off < uint32(len(table)) {
+		return table[off]
+	}
+	return srcSet{}
 }
 
 // valueAt resolves the provenance of the value left on top of the operand
 // stack by instruction j, returning the source globals, the index of the
 // first instruction of the producing expression, and whether the
 // resolution is sound.
-func (p *provenance) valueAt(instrs []isa.Instr, addrs []uint32, targets map[uint32]bool, j int) ([]string, int, bool) {
+func (p *provenance) valueAt(instrs []isa.Instr, addrs []uint32, targets map[uint32]bool, j int) ([]int, int, bool) {
 	if j < 0 {
 		return nil, 0, false
 	}
@@ -121,8 +139,8 @@ func (p *provenance) valueAt(instrs []isa.Instr, addrs []uint32, targets map[uin
 		// findings, never invent them).
 		return nil, j, true
 	case isa.LoadG, isa.LoadGB:
-		if g := p.globalAt(uint32(in.Imm)); g != nil {
-			return []string{g.name}, j, true
+		if g := p.globalAt(uint32(in.Imm)); g >= 0 {
+			return []int{g}, j, true
 		}
 		return nil, j, true
 	case isa.Neg, isa.Not, isa.LNot, isa.Dup:
@@ -147,19 +165,19 @@ func (p *provenance) valueAt(instrs []isa.Instr, addrs []uint32, targets map[uin
 		if targets[addrs[j]] || targets[addrs[rhsStart]] {
 			return nil, 0, false
 		}
-		return unionStrings(lhs, rhs), lhsStart, true
+		return union(lhs, rhs), lhsStart, true
 	}
 	return nil, 0, false
 }
 
-func unionStrings(a, b []string) []string {
+func union(a, b []int) []int {
 	if len(b) == 0 {
 		return a
 	}
 	if len(a) == 0 {
 		return b
 	}
-	out := append([]string{}, a...)
+	out := append([]int{}, a...)
 	for _, s := range b {
 		found := false
 		for _, t := range out {
@@ -196,12 +214,15 @@ type StaleSend struct {
 // globals use their @expires_after budget; unannotated globals use
 // assumeBudgetMs when positive (a scenario knob for programs that manage
 // freshness manually, the TV004/TV005 shapes).
+//
+// Production times are indexed like provenance.spans. A global never
+// written reads 0, its boot-time initial value.
 type freshTracker struct {
 	prov           *provenance
 	assumeBudgetMs int64
 
-	prod      map[string]int64 // production time of the current value
-	committed map[string]int64 // prod at the last commit point
+	prod      []int64 // production time of the current value
+	committed []int64 // prod at the last commit point
 	stale     []StaleSend
 }
 
@@ -209,9 +230,17 @@ func newFreshTracker(prov *provenance, assumeBudgetMs int64) *freshTracker {
 	return &freshTracker{
 		prov:           prov,
 		assumeBudgetMs: assumeBudgetMs,
-		prod:           map[string]int64{},
-		committed:      map[string]int64{},
+		prod:           make([]int64, len(prov.spans)),
+		committed:      make([]int64, len(prov.spans)),
 	}
+}
+
+// reset readies the tracker for a new run, reusing its tables. The stale
+// list starts over in fresh storage: the previous run's outcome keeps it.
+func (t *freshTracker) reset() {
+	clear(t.prod)
+	clear(t.committed)
+	t.stale = nil
 }
 
 // attach hooks the tracker onto a machine and its recorder. It chains
@@ -233,53 +262,39 @@ func (t *freshTracker) attach(m *vm.Machine, rec *obs.Recorder) {
 func (t *freshTracker) OnEvent(_ int64, ev obs.Event) {
 	switch ev.Kind {
 	case obs.EvCheckpointCommit, obs.EvTaskCommit:
-		for k, v := range t.prod {
-			t.committed[k] = v
-		}
+		copy(t.committed, t.prod)
 	case obs.EvRestore:
-		t.prod = map[string]int64{}
-		for k, v := range t.committed {
-			t.prod[k] = v
-		}
+		copy(t.prod, t.committed)
 	}
 }
 
 func (t *freshTracker) onStore(pc uint32, addr uint32, deviceMs int64) {
 	g := t.prov.globalAt(addr)
-	if g == nil {
+	if g < 0 {
 		return
 	}
-	set, ok := t.prov.stores[pc]
-	if !ok || !set.known || len(set.globals) == 0 {
+	set := t.prov.at(t.prov.stores, pc)
+	if !set.known || len(set.globals) == 0 {
 		// Unknown provenance or a fresh expression: the store produces a
 		// new value now.
-		t.prod[g.name] = deviceMs
+		t.prod[g] = deviceMs
 		return
 	}
 	// The stored value is as old as its oldest global source.
 	prod := deviceMs
 	for _, src := range set.globals {
-		if p, ok := t.prod[src]; ok {
-			if p < prod {
-				prod = p
-			}
-		} else if 0 < prod {
-			prod = 0 // never-written source: the boot-time initial value
-		}
+		prod = min(prod, t.prod[src])
 	}
-	t.prod[g.name] = prod
+	t.prod[g] = prod
 }
 
 func (t *freshTracker) onSend(rec vm.SendRec) {
-	set, ok := t.prov.sends[rec.PC]
-	if !ok || !set.known {
+	set := t.prov.at(t.prov.sends, rec.PC)
+	if !set.known {
 		return
 	}
 	for _, src := range set.globals {
-		g := t.globalByName(src)
-		if g == nil {
-			continue
-		}
+		g := &t.prov.spans[src]
 		budget := g.expiresMs
 		if budget < 0 {
 			if t.assumeBudgetMs <= 0 {
@@ -291,7 +306,7 @@ func (t *freshTracker) onSend(rec vm.SendRec) {
 		if age > budget {
 			t.stale = append(t.stale, StaleSend{
 				PC:       rec.PC,
-				Global:   src,
+				Global:   g.name,
 				Seq:      rec.Seq,
 				AgeMs:    age,
 				BudgetMs: budget,
@@ -299,15 +314,6 @@ func (t *freshTracker) onSend(rec vm.SendRec) {
 			})
 		}
 	}
-}
-
-func (t *freshTracker) globalByName(name string) *globalSpan {
-	for i := range t.prov.spans {
-		if t.prov.spans[i].name == name {
-			return &t.prov.spans[i]
-		}
-	}
-	return nil
 }
 
 // timeInsensitive reports whether the image's output can depend on timing

@@ -154,7 +154,8 @@ type Sink interface {
 }
 
 // Recorder is one machine run's flight recorder. It is not safe for
-// concurrent use; attach a fresh recorder per machine.
+// concurrent use; attach a fresh recorder per machine, or Reset one
+// between runs of a pooled machine.
 type Recorder struct {
 	ring    []Event
 	head    int // next write position
@@ -212,19 +213,15 @@ func NewRecorder(opts Options) *Recorder {
 		opts.Keep = MaskAll
 	}
 	r := &Recorder{
-		ring:      make([]Event, opts.RingCap),
-		keep:      opts.Keep,
-		reg:       NewRegistry(),
-		profile:   opts.Profile,
-		catStack:  []Category{CatApp},
-		foldNodes: []foldNode{{parent: -1, fn: -1, firstKid: -1, nextSib: -1}}, // node 0: the "(device)" root
-		foldCount: []int64{0},
+		ring:    make([]Event, opts.RingCap),
+		keep:    opts.Keep,
+		reg:     NewRegistry(),
+		profile: opts.Profile,
 	}
 	r.cpLatHist = r.reg.RegisterHistogram("checkpoint_latency_cycles", []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192})
 	r.cpSizeHist = r.reg.RegisterHistogram("checkpoint_size_bytes", []float64{16, 32, 64, 128, 256, 512, 1024, 2048})
 	r.failGapHist = r.reg.RegisterHistogram("cycles_between_failures", []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7})
 	r.reg.RegisterHistogram("undo_len_per_epoch", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
-	r.reg.SetGauge("trace_ring_cap", float64(opts.RingCap))
 	kindCounters := [evKindCount]string{
 		EvBoot: "boots", EvPowerFail: "power_failures",
 		EvCheckpointCommit: "checkpoint_commits", EvRestore: "restores",
@@ -243,7 +240,31 @@ func NewRecorder(opts Options) *Recorder {
 	// Registered at zero so the series is always scrapable: an absent
 	// drop counter is indistinguishable from a missing export.
 	r.dropCtr = r.reg.CounterRef("trace_events_dropped")
+	r.Reset()
 	return r
+}
+
+// Reset returns the recorder to its freshly built state, reusing its
+// storage: the ring, the profiler's tables and every registry cell
+// (zeroed in place, so cached counter and histogram refs stay valid).
+// Sinks and the function-name table are dropped; the next owner
+// re-subscribes, and the machine reinstalls the names on attach. A
+// pooled machine keeps its recorder across runs this way instead of
+// building and re-registering a fresh one per run. NewRecorder ends with
+// a Reset, so the two states cannot drift apart.
+func (r *Recorder) Reset() {
+	r.head, r.n, r.dropped, r.seq = 0, 0, 0, 0
+	clear(r.sinks)
+	r.sinks = r.sinks[:0]
+	r.reg.Reset()
+	r.reg.SetGauge("trace_ring_cap", float64(len(r.ring)))
+	r.funcs = nil
+	r.catStack = append(r.catStack[:0], CatApp)
+	r.pending, r.byCat = [catCount]int64{}, [catCount]int64{}
+	r.foldNodes = append(r.foldNodes[:0], foldNode{parent: -1, fn: -1, firstKid: -1, nextSib: -1}) // node 0: the "(device)" root
+	r.foldCount = append(r.foldCount[:0], 0)
+	r.curNode = 0
+	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = 0, 0, false, 0
 }
 
 // SetFunctions installs the image's function-name table (index-aligned

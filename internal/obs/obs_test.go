@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -298,3 +299,78 @@ func TestMergeProfiles(t *testing.T) {
 		t.Fatal("merge aliased an input map")
 	}
 }
+
+// TestResetEqualsFresh: a recorder reused through Reset is
+// indistinguishable from a fresh one after the same emissions — events,
+// drop count, Seq, every counter and histogram, the profile — however
+// dirty it was before, ring overflow and an open checkpoint included.
+func TestResetEqualsFresh(t *testing.T) {
+	opts := Options{RingCap: 4, Profile: true}
+	drive := func(r *Recorder, salt int64) {
+		r.SetFunctions([]string{"main", "leaf"})
+		r.EnterFunc(0)
+		r.OnSpend(10 + salt)
+		r.Emit(Event{Kind: EvBoot, Cycles: salt, Arg0: 1})
+		r.Emit(Event{Kind: EvCheckpointBegin, Cycles: 20 + salt, Arg1: 64})
+		r.PushCategory(CatCheckpoint)
+		r.OnSpend(5)
+		r.PopCategory()
+		r.Emit(Event{Kind: EvCheckpointCommit, Cycles: 90 + salt})
+		r.OnCommit()
+		r.EnterFunc(1)
+		r.OnSpend(7 * salt)
+		r.Emit(Event{Kind: EvUndoAppend, Cycles: 95 + salt, Arg0: 0x200, Arg1: 4})
+		r.Emit(Event{Kind: EvPowerFail, Cycles: 100 + salt})
+		r.OnPowerFail()
+		r.Emit(Event{Kind: EvUndoRollback, Cycles: 120 + salt, Arg0: 3})
+		r.Metrics().Observe("undo_len_per_epoch", float64(salt))
+		r.Emit(Event{Kind: EvSend, Cycles: 130 + salt, Arg0: salt})
+	}
+	var sinkSeqs []int64
+	sink := sinkFunc(func(seq int64, _ Event) { sinkSeqs = append(sinkSeqs, seq) })
+
+	reused := NewRecorder(opts)
+	reused.AddSink(sink)
+	drive(reused, 3)
+	reused.Emit(Event{Kind: EvCheckpointBegin, Cycles: 500}) // left open across the reset
+	reused.Reset()
+	sinkSeqs = nil
+	drive(reused, 1)
+	if len(sinkSeqs) != 0 {
+		t.Fatalf("Reset kept the previous owner's sink: it saw %d events", len(sinkSeqs))
+	}
+
+	fresh := NewRecorder(opts)
+	drive(fresh, 1)
+
+	if reused.Seq() != fresh.Seq() || reused.Dropped() != fresh.Dropped() {
+		t.Fatalf("seq/dropped: reused %d/%d, fresh %d/%d", reused.Seq(), reused.Dropped(), fresh.Seq(), fresh.Dropped())
+	}
+	evR, _ := json.Marshal(reused.Events())
+	evF, _ := json.Marshal(fresh.Events())
+	if string(evR) != string(evF) {
+		t.Fatalf("events differ:\nreused %s\nfresh  %s", evR, evF)
+	}
+	var dumpR, dumpF bytes.Buffer
+	reused.Metrics().Dump(&dumpR)
+	fresh.Metrics().Dump(&dumpF)
+	if dumpR.String() != dumpF.String() {
+		t.Fatalf("metrics differ:\nreused\n%s\nfresh\n%s", dumpR.String(), dumpF.String())
+	}
+	for _, name := range []string{"checkpoint_latency_cycles", "checkpoint_size_bytes", "cycles_between_failures", "undo_len_per_epoch"} {
+		hr := fmt.Sprintf("%+v", *reused.Metrics().Histogram(name))
+		hf := fmt.Sprintf("%+v", *fresh.Metrics().Histogram(name))
+		if hr != hf {
+			t.Fatalf("histogram %s differs:\nreused %s\nfresh  %s", name, hr, hf)
+		}
+	}
+	pr, _ := json.Marshal(reused.Profile())
+	pf, _ := json.Marshal(fresh.Profile())
+	if string(pr) != string(pf) {
+		t.Fatalf("profile differs:\nreused %s\nfresh  %s", pr, pf)
+	}
+}
+
+type sinkFunc func(seq int64, ev Event)
+
+func (f sinkFunc) OnEvent(seq int64, ev Event) { f(seq, ev) }

@@ -93,6 +93,21 @@ func (g *Registry) Gauge(name string) float64 {
 	return 0
 }
 
+// Reset zeroes every metric in place: counters and gauges read 0 and
+// histograms are empty, but every name stays registered and every ref
+// handed out by CounterRef, GaugeRef or RegisterHistogram stays valid.
+func (g *Registry) Reset() {
+	for _, c := range g.counters {
+		*c = 0
+	}
+	for _, ga := range g.gauges {
+		ga.v = 0
+	}
+	for _, h := range g.hists {
+		h.Reset()
+	}
+}
+
 // RegisterHistogram creates a histogram with the given ascending upper
 // bucket bounds (an implicit +Inf bucket is appended). Re-registering an
 // existing name keeps the existing histogram.
@@ -208,12 +223,9 @@ type Histogram struct {
 func NewHistogram(bounds []float64) *Histogram {
 	b := make([]float64, len(bounds))
 	copy(b, bounds)
-	return &Histogram{
-		Bounds: b,
-		Counts: make([]int64, len(b)+1),
-		Min:    math.Inf(1),
-		Max:    math.Inf(-1),
-	}
+	h := &Histogram{Bounds: b, Counts: make([]int64, len(b)+1)}
+	h.Reset()
+	return h
 }
 
 // Observe records one value.
@@ -228,6 +240,13 @@ func (h *Histogram) Observe(v float64) {
 	if v > h.Max {
 		h.Max = v
 	}
+}
+
+// Reset empties the histogram, keeping its bounds.
+func (h *Histogram) Reset() {
+	clear(h.Counts)
+	h.Count, h.Sum = 0, 0
+	h.Min, h.Max = math.Inf(1), math.Inf(-1)
 }
 
 // Clone returns a deep copy of the histogram.
