@@ -85,20 +85,15 @@ func (v Violation) String() string {
 	return s
 }
 
+// maxViolations bounds the recorded violation list; further violations
+// are counted (Total) but not stored.
+const maxViolations = 64
+
 // Options configures an Auditor.
 type Options struct {
 	// FailFast halts the machine on the first violation, so the run stops
 	// at the earliest evidence instead of accumulating follow-on noise.
 	FailFast bool
-	// MaxViolations bounds the recorded list (default 64); further
-	// violations are counted but not stored.
-	MaxViolations int
-	// CheckUndoLog forces the undo-completeness check on or off. Nil
-	// auto-enables it for runtimes whose discipline is undo/redo logging
-	// (tics, chinchilla, alpaca, ink, mayfly) and disables it for
-	// full-state checkpointers (plain, mementos), whose stores are
-	// legitimately unlogged.
-	CheckUndoLog *bool
 	// CheckTime forces the time-consistency check on or off. Nil enables
 	// it (the default): any runtime that sends data whose @expires
 	// deadline passed without handling the expiry is flagged. Harnesses
@@ -182,9 +177,6 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	if rec.Seq() != 0 {
 		return errors.New("audit: recorder already carries events; attach the auditor before Run")
 	}
-	if opt.MaxViolations <= 0 {
-		opt.MaxViolations = 64
-	}
 	n := int(m.Img.StackBase - m.Img.GlobalsBase)
 	if len(a.shadow) != n {
 		a.shadow, a.cur = make([]byte, n), make([]byte, n)
@@ -206,13 +198,12 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	}
 	a.closeEpoch()
 	a.timeCheck = opt.CheckTime == nil || *opt.CheckTime
-	if opt.CheckUndoLog != nil {
-		a.undoCheck = *opt.CheckUndoLog
-	} else {
-		switch m.Runtime().Name() {
-		case "tics", "chinchilla", "alpaca", "ink", "mayfly":
-			a.undoCheck = true
-		}
+	// Undo completeness applies to exactly the runtimes that keep a
+	// vm.UndoLog (tics-st is tics under another build); full-state
+	// checkpointers (plain, mementos) store legitimately unlogged.
+	switch m.Runtime().Name() {
+	case "tics", "chinchilla", "alpaca", "ink", "mayfly":
+		a.undoCheck = true
 	}
 	rec.AddSink(a)
 	m.ObserveStores(a.onStore)
@@ -237,7 +228,7 @@ func (a *Auditor) report(v Violation) {
 		return
 	}
 	a.total++
-	if len(a.violations) < a.opt.MaxViolations {
+	if len(a.violations) < maxViolations {
 		a.violations = append(a.violations, v)
 	}
 	if a.opt.FailFast {

@@ -56,7 +56,6 @@ const (
 const (
 	initMagic   = 0x4348494E // "CHIN"
 	slotMetaLen = 6 * 4
-	undoEntry   = 12
 )
 
 // Spec returns the linker spec. The modeled .data footprint carries the
@@ -82,19 +81,17 @@ type Chinchilla struct {
 	cfg Config
 	img *link.Image
 
-	undoCap  int
 	stackLen int
 
-	addrMagic   uint32
-	addrActive  uint32
-	addrUndoHdr uint32
-	addrSlot    [2]uint32
-	addrUndo    uint32
+	addrMagic  uint32
+	addrActive uint32
+	addrSlot   [2]uint32
+	// log is the write log, tagged with the checkpoint epoch.
+	log vm.UndoLog
 
-	active  int
-	epoch   uint32
-	undoLen int
-	reg     *obs.Registry
+	active int
+	epoch  uint32
+	reg    *obs.Registry
 }
 
 var (
@@ -112,21 +109,20 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 	c := &Chinchilla{
 		cfg:      cfg,
 		img:      img,
-		undoCap:  cfg.UndoCapBytes / undoEntry,
 		stackLen: int(img.StackLen),
 		reg:      obs.NewRegistry(),
 	}
 	a := img.RuntimeBase
 	c.addrMagic = a
 	c.addrActive = a + 4
-	c.addrUndoHdr = a + 8
+	undoHdr := a + 8
 	a += 16
 	c.addrSlot[0] = a
 	a += uint32(slotMetaLen + c.stackLen)
 	c.addrSlot[1] = a
 	a += uint32(slotMetaLen + c.stackLen)
-	c.addrUndo = a
-	a += uint32(c.undoCap * undoEntry)
+	c.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, 4, c.reg)
+	a = c.log.End()
 	if a > img.RuntimeBase+img.RuntimeLen {
 		return nil, fmt.Errorf("chinchilla: runtime area too small: need %d B, have %d B",
 			a-img.RuntimeBase, img.RuntimeLen)
@@ -146,8 +142,8 @@ func (c *Chinchilla) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(c.addrMagic) != initMagic {
 		m.Spend(m.Cost.RestoreBase)
 		m.Mem.WriteWord(c.addrActive, 0)
-		m.Mem.WriteWord(c.addrUndoHdr, 0)
-		c.active, c.epoch, c.undoLen = 0, 0, 0
+		c.log.Reset(m, 0)
+		c.active, c.epoch = 0, 0
 		m.Regs = vm.Registers{
 			PC: c.img.EntryPC,
 			SP: c.img.StackBase + c.img.StackLen,
@@ -166,39 +162,15 @@ func (c *Chinchilla) restore(m *vm.Machine) {
 	c.active = int(m.Mem.ReadWord(c.addrActive) & 1)
 	slot := c.addrSlot[c.active]
 	slotEpoch := m.Mem.ReadWord(slot + 20)
-	hdr := m.Mem.ReadWord(c.addrUndoHdr)
-	if hdr>>16 == slotEpoch&0xFFFF {
-		n := int(hdr & 0xFFFF)
-		if n > 0 {
-			m.EmitEvent(obs.EvUndoRollback, int64(n), 0)
-		}
-		m.PushCat(obs.CatUndoLog)
-		for i := n - 1; i >= 0; i-- {
-			m.Spend(m.Cost.UndoRollback)
-			e := c.addrUndo + uint32(i*undoEntry)
-			addr := m.Mem.ReadWord(e)
-			size := int(m.Mem.ReadWord(e + 4))
-			old := m.Mem.ReadWord(e + 8)
-			if size == 1 {
-				m.Mem.WriteByteAt(addr, byte(old))
-			} else {
-				m.Mem.WriteWord(addr, old)
-			}
-			c.reg.Inc("undo-rollbacks")
-		}
-		m.PopCat()
+	if logEpoch, n := c.log.Header(m); logEpoch == slotEpoch&0xFFFF {
+		c.log.Rollback(m, n)
 	}
 	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(c.addrUndoHdr, (slotEpoch&0xFFFF)<<16)
+	c.log.Reset(m, slotEpoch)
 	c.epoch = slotEpoch
-	c.undoLen = 0
 
 	sp := m.Mem.ReadWord(slot + 4)
-	used := int(c.img.StackBase + c.img.StackLen - sp)
-	for w := 0; w < (used+3)/4; w++ {
-		m.Spend(m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-		m.Mem.WriteWord(sp+uint32(4*w), m.Mem.ReadWord(slot+uint32(slotMetaLen+4*w)))
-	}
+	m.CopyCharged(sp, slot+slotMetaLen, int(c.img.StackBase+c.img.StackLen-sp), 1)
 	m.Regs = vm.Registers{
 		PC: m.Mem.ReadWord(slot + 0),
 		SP: sp,
@@ -219,7 +191,7 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	}
 	captured := slotMetaLen + int(c.img.StackBase+c.img.StackLen-m.Regs.SP)
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(captured))
-	m.ObserveMetric("undo_len_per_epoch", float64(c.undoLen))
+	m.ObserveMetric("undo_len_per_epoch", float64(c.log.Len()))
 	m.PushCat(obs.CatCheckpoint)
 	m.Spend(m.Cost.CheckpointBase)
 	target := 1 - c.active
@@ -232,20 +204,15 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	m.Mem.WriteWord(slot+12, m.Regs.RV)
 	m.Mem.WriteWord(slot+16, uint32(m.CpDisable))
 	m.Mem.WriteWord(slot+20, newEpoch)
-	used := int(c.img.StackBase + c.img.StackLen - m.Regs.SP)
-	for w := 0; w < (used+3)/4; w++ {
-		m.Spend(2 * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord))
-		m.Mem.WriteWord(slot+uint32(slotMetaLen+4*w), m.Mem.ReadWord(m.Regs.SP+uint32(4*w)))
-	}
+	m.CopyCharged(slot+slotMetaLen, m.Regs.SP, int(c.img.StackBase+c.img.StackLen-m.Regs.SP), 2)
 	// Pre-charge the flag flip and undo-header reset so no failure point
 	// sits between the durable commit and its bookkeeping (same atomic
 	// tail as the TICS checkpoint; see core.TICS.Checkpoint).
 	m.Spend(2 * m.Cost.NVWritePerWord)
 	m.Mem.WriteWord(c.addrActive, uint32(target))
 	c.active = target
-	m.Mem.WriteWord(c.addrUndoHdr, (newEpoch&0xFFFF)<<16)
+	c.log.Reset(m, newEpoch)
 	c.epoch = newEpoch
-	c.undoLen = 0
 	m.PopCat()
 	m.NoteCheckpoint(kind)
 	c.reg.Inc("checkpoints")
@@ -254,7 +221,7 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 // PreStore implements vm.PreStorer: force a checkpoint before the store
 // when the log is full.
 func (c *Chinchilla) PreStore(m *vm.Machine) {
-	if c.undoLen < c.undoCap {
+	if !c.log.Full() {
 		return
 	}
 	c.reg.Inc("forced-checkpoints")
@@ -265,25 +232,7 @@ func (c *Chinchilla) PreStore(m *vm.Machine) {
 // Chinchilla has no working-stack fast path, which is why its per-store
 // overhead exceeds TICS's on stack-local traffic.
 func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
-	if c.undoLen >= c.undoCap {
-		m.Fault("chinchilla: write log overflow")
-	}
-	m.EmitEvent(obs.EvUndoAppend, int64(addr), int64(size))
-	m.PushCat(obs.CatUndoLog)
-	m.Spend(m.Cost.UndoLogEntry)
-	var old uint32
-	if size == 1 {
-		old = uint32(m.Mem.ReadByteAt(addr))
-	} else {
-		old = m.Mem.ReadWord(addr)
-	}
-	e := c.addrUndo + uint32(c.undoLen*undoEntry)
-	m.Mem.WriteWord(e, addr)
-	m.Mem.WriteWord(e+4, uint32(size))
-	m.Mem.WriteWord(e+8, old)
-	c.undoLen++
-	m.Mem.WriteWord(c.addrUndoHdr, (c.epoch&0xFFFF)<<16|uint32(c.undoLen))
-	m.PopCat()
+	c.log.Append(m, addr, size, m.Cost.UndoLogEntry)
 	m.RawStore(addr, size, value)
 	c.reg.Inc("stores-logged")
 }

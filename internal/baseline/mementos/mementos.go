@@ -143,11 +143,11 @@ func (b *Mementos) restore(m *vm.Machine) {
 	sp := m.Mem.ReadWord(slot + 4)
 	cur := slot + slotMetaLen
 	if b.cfg.VersionGlobals {
-		b.copyCharged(m, b.globalsBase, cur, b.globalsLen, 1)
+		m.CopyCharged(b.globalsBase, cur, b.globalsLen, 1)
 		cur += uint32(b.globalsLen)
 	}
 	used := int(b.img.StackBase + b.img.StackLen - sp)
-	b.copyCharged(m, sp, cur, used, 1)
+	m.CopyCharged(sp, cur, used, 1)
 	m.Regs = vm.Registers{
 		PC: m.Mem.ReadWord(slot + 0),
 		SP: sp,
@@ -157,16 +157,6 @@ func (b *Mementos) restore(m *vm.Machine) {
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
 	b.reg.Inc("restores")
-}
-
-// copyCharged copies n bytes from src to dst word-by-word, charging
-// passes×(read+write) per word so mid-copy power failures land realistically.
-func (b *Mementos) copyCharged(m *vm.Machine, dst, src uint32, n int, passes int64) {
-	words := (n + 3) / 4
-	for w := 0; w < words; w++ {
-		m.Spend(passes * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord))
-		m.Mem.WriteWord(dst+uint32(4*w), m.Mem.ReadWord(src+uint32(4*w)))
-	}
 }
 
 // Checkpoint implements vm.Runtime: the full-state double-buffered commit.
@@ -201,11 +191,11 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	m.Mem.WriteWord(slot+16, uint32(m.CpDisable))
 	cur := slot + slotMetaLen
 	if b.cfg.VersionGlobals {
-		b.copyCharged(m, cur, b.globalsBase, b.globalsLen, 2)
+		m.CopyCharged(cur, b.globalsBase, b.globalsLen, 2)
 		cur += uint32(b.globalsLen)
 	}
 	used := int(b.img.StackBase + b.img.StackLen - m.Regs.SP)
-	b.copyCharged(m, cur, m.Regs.SP, used, 2)
+	m.CopyCharged(cur, m.Regs.SP, used, 2)
 	m.Spend(m.Cost.NVWritePerWord)
 	m.Mem.WriteWord(b.addrActive, uint32(target))
 	b.active = target

@@ -114,26 +114,22 @@ type TICS struct {
 	img *link.Image
 
 	segBytes int
-	segWords int
 	numSegs  int
-	undoCap  int // max entries
 
 	// Non-volatile layout (absolute addresses).
-	addrMagic   uint32
-	addrActive  uint32
-	addrUndoHdr uint32
-	addrSlot    [2]uint32 // meta, followed by the segment copy
-	addrUndo    uint32
-	addrSegCtl  uint32
+	addrMagic  uint32
+	addrActive uint32
+	addrSlot   [2]uint32 // meta, followed by the segment copy
+	addrSegCtl uint32
 
-	undoEntrySize int // 8 bytes of header + the logged payload
-	blockBytes    int
+	// log is the undo log, tagged with the checkpoint epoch.
+	log        vm.UndoLog
+	blockBytes int
 
 	// Volatile mirrors (re-read by Boot).
 	working int
 	active  int
 	epoch   uint32
-	undoLen int
 	// loggedBlocks dedups block-granularity log entries within one
 	// checkpoint epoch. Volatile: a failure empties the log (rollback), a
 	// checkpoint clears it, and Boot starts it fresh — all in sync.
@@ -179,18 +175,14 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 	default:
 		return nil, fmt.Errorf("core: undo block size %d B must be a power of two in [4,64]", cfg.UndoBlockBytes)
 	}
-	entrySize := 8 + cfg.UndoBlockBytes
 	t := &TICS{
-		cfg:           cfg,
-		img:           img,
-		segBytes:      cfg.SegmentBytes,
-		segWords:      cfg.SegmentBytes / 4,
-		numSegs:       int(img.StackLen) / cfg.SegmentBytes,
-		undoCap:       cfg.UndoCapBytes / entrySize,
-		undoEntrySize: entrySize,
-		blockBytes:    cfg.UndoBlockBytes,
-		loggedBlocks:  map[uint32]bool{},
-		reg:           obs.NewRegistry(),
+		cfg:          cfg,
+		img:          img,
+		segBytes:     cfg.SegmentBytes,
+		numSegs:      int(img.StackLen) / cfg.SegmentBytes,
+		blockBytes:   cfg.UndoBlockBytes,
+		loggedBlocks: map[uint32]bool{},
+		reg:          obs.NewRegistry(),
 	}
 	if t.numSegs < 1 {
 		return nil, fmt.Errorf("core: stack region of %d B holds no %d B segment", img.StackLen, cfg.SegmentBytes)
@@ -199,14 +191,14 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 	a := img.RuntimeBase
 	t.addrMagic = a
 	t.addrActive = a + 4
-	t.addrUndoHdr = a + 8
+	undoHdr := a + 8
 	a += 16
 	t.addrSlot[0] = a
 	a += uint32(slotMetaLen + t.segBytes)
 	t.addrSlot[1] = a
 	a += uint32(slotMetaLen + t.segBytes)
-	t.addrUndo = a
-	a += uint32(t.undoCap * t.undoEntrySize)
+	t.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, cfg.UndoBlockBytes, t.reg)
+	a = t.log.End()
 	t.addrSegCtl = a
 	a += uint32(segCtlLen * t.numSegs)
 	if a > img.RuntimeBase+img.RuntimeLen {
@@ -259,10 +251,9 @@ func (t *TICS) Boot(m *vm.Machine, cold bool) {
 func (t *TICS) coldBoot(m *vm.Machine) {
 	m.Spend(m.Cost.RestoreBase)
 	m.Mem.WriteWord(t.addrActive, 0)
-	m.Mem.WriteWord(t.addrUndoHdr, 0)
+	t.log.Reset(m, 0)
 	t.active = 0
 	t.epoch = 0
-	t.undoLen = 0
 	t.working = 0
 	m.Regs = vm.Registers{PC: t.img.EntryPC, SP: t.segTop(0), FP: t.segTop(0)}
 	m.CpDisable = 0
@@ -276,17 +267,14 @@ func (t *TICS) restore(m *vm.Machine) {
 	t.active = int(m.Mem.ReadWord(t.addrActive) & 1)
 	slot := t.addrSlot[t.active]
 	slotEpoch := m.Mem.ReadWord(slot + 24)
-	hdr := m.Mem.ReadWord(t.addrUndoHdr)
-	logEpoch, logLen := hdr>>16, int(hdr&0xFFFF)
-	if logEpoch == slotEpoch&0xFFFF {
+	if logEpoch, n := t.log.Header(m); logEpoch == slotEpoch&0xFFFF {
 		// Entries were appended after the active checkpoint: roll back.
-		t.rollback(m, logLen)
+		t.log.Rollback(m, n)
 	}
 	// Either way the log is now logically empty for the slot's epoch.
 	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(t.addrUndoHdr, (slotEpoch&0xFFFF)<<16)
+	t.log.Reset(m, slotEpoch)
 	t.epoch = slotEpoch
-	t.undoLen = 0
 
 	// Restore the checkpointed working segment (only the part the
 	// checkpoint captured; a differential checkpoint saved just the used
@@ -296,12 +284,8 @@ func (t *TICS) restore(m *vm.Machine) {
 	if used <= 0 || used > t.segBytes {
 		used = t.segBytes
 	}
-	startWord := (t.segBytes - used) / 4
-	for w := startWord; w < t.segWords; w++ {
-		m.Spend(m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-		v := m.Mem.ReadWord(slot + uint32(slotMetaLen+4*w))
-		m.Mem.WriteWord(t.segBase(t.working)+uint32(4*w), v)
-	}
+	off := uint32(t.segBytes-used) &^ 3
+	m.CopyCharged(t.segBase(t.working)+off, slot+slotMetaLen+off, t.segBytes-int(off), 1)
 	t.resetLogged()
 	m.Regs = vm.Registers{
 		PC: m.Mem.ReadWord(slot + 0),
@@ -312,36 +296,6 @@ func (t *TICS) restore(m *vm.Machine) {
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
 	t.reg.Inc("restores")
-}
-
-// rollback undoes logged stores newest-first. It is idempotent: a failure
-// mid-rollback re-runs it from the same log on the next boot.
-func (t *TICS) rollback(m *vm.Machine, n int) {
-	if n > 0 {
-		m.EmitEvent(obs.EvUndoRollback, int64(n), 0)
-	}
-	m.PushCat(obs.CatUndoLog)
-	defer m.PopCat()
-	for i := n - 1; i >= 0; i-- {
-		m.Spend(m.Cost.UndoRollback)
-		e := t.addrUndo + uint32(i*t.undoEntrySize)
-		addr := m.Mem.ReadWord(e)
-		size := int(m.Mem.ReadWord(e + 4))
-		switch {
-		case size == 1:
-			m.Mem.WriteByteAt(addr, byte(m.Mem.ReadWord(e+8)))
-		case size <= 4:
-			m.Mem.WriteWord(addr, m.Mem.ReadWord(e+8))
-		default: // block entry
-			for off := 0; off < size; off += 4 {
-				if off > 0 {
-					m.Spend(m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-				}
-				m.Mem.WriteWord(addr+uint32(off), m.Mem.ReadWord(e+8+uint32(off)))
-			}
-		}
-		t.reg.Inc("undo-rollbacks")
-	}
 }
 
 // resetLogged clears the volatile block-dedup set (in lockstep with the
@@ -376,7 +330,7 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 		}
 	}
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(slotMetaLen+used))
-	m.ObserveMetric("undo_len_per_epoch", float64(t.undoLen))
+	m.ObserveMetric("undo_len_per_epoch", float64(t.log.Len()))
 	m.PushCat(obs.CatCheckpoint)
 	m.Spend(m.Cost.CheckpointBase)
 	target := 1 - t.active
@@ -392,11 +346,8 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	m.Mem.WriteWord(slot+24, newEpoch)
 	m.Mem.WriteWord(slot+28, uint32(used))
 	// Copy the captured part (charged as the two-phase copy).
-	base := t.segBase(t.working)
-	for w := (t.segBytes - used) / 4; w < t.segWords; w++ {
-		m.Spend(2 * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord))
-		m.Mem.WriteWord(slot+uint32(slotMetaLen+4*w), m.Mem.ReadWord(base+uint32(4*w)))
-	}
+	off := uint32(t.segBytes-used) &^ 3
+	m.CopyCharged(slot+slotMetaLen+off, t.segBase(t.working)+off, t.segBytes-int(off), 2)
 	// Atomic commit. Pre-charge the flag flip and the undo-header reset:
 	// Spend can die with the window (power failure), and a failure after
 	// the flip but before the commit bookkeeping would leave a durably
@@ -409,9 +360,8 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	m.Mem.WriteWord(t.addrActive, uint32(target))
 	t.active = target
 	// Reset the undo log under the new epoch (single-word write).
-	m.Mem.WriteWord(t.addrUndoHdr, (newEpoch&0xFFFF)<<16)
+	t.log.Reset(m, newEpoch)
 	t.epoch = newEpoch
-	t.undoLen = 0
 	t.resetLogged()
 	m.PopCat()
 	m.NoteCheckpoint(kind)
@@ -426,7 +376,7 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 // its entry (paper §3.1.2: "TICS forces a checkpoint when the undo log is
 // full to eliminate the overflow and ensure forward progress").
 func (t *TICS) PreStore(m *vm.Machine) {
-	if t.undoLen < t.undoCap {
+	if !t.log.Full() {
 		return
 	}
 	if m.CpDisabled() {
@@ -446,46 +396,16 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		t.reg.Inc("stores-direct")
 		return
 	}
+	logAddr, logSize := addr, size
 	if t.blockBytes > 4 {
 		// Block granularity: log the containing block once per epoch;
 		// later writes to the same block skip straight to the store.
-		block := addr &^ uint32(t.blockBytes-1)
-		if t.loggedBlocks[block] {
+		logAddr, logSize = addr&^uint32(t.blockBytes-1), t.blockBytes
+		if t.loggedBlocks[logAddr] {
 			m.RawStore(addr, size, value)
 			t.reg.Inc("stores-block-hit")
 			return
 		}
-		if t.undoLen >= t.undoCap {
-			m.Fault("undo log overflow") // PreStore should have checkpointed
-		}
-		if t.skipUndoAt > 0 {
-			if t.skipUndoAt--; t.skipUndoAt == 0 {
-				m.RawStore(addr, size, value)
-				return
-			}
-		}
-		m.EmitEvent(obs.EvUndoAppend, int64(block), int64(t.blockBytes))
-		m.PushCat(obs.CatUndoLog)
-		m.Spend(m.Cost.UndoLogEntry)
-		e := t.addrUndo + uint32(t.undoLen*t.undoEntrySize)
-		m.Mem.WriteWord(e, block)
-		m.Mem.WriteWord(e+4, uint32(t.blockBytes))
-		for off := 0; off < t.blockBytes; off += 4 {
-			if off > 0 {
-				m.Spend(m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-			}
-			m.Mem.WriteWord(e+8+uint32(off), m.Mem.ReadWord(block+uint32(off)))
-		}
-		t.undoLen++
-		m.Mem.WriteWord(t.addrUndoHdr, (t.epoch&0xFFFF)<<16|uint32(t.undoLen))
-		m.PopCat()
-		t.loggedBlocks[block] = true
-		m.RawStore(addr, size, value)
-		t.reg.Inc("stores-logged")
-		return
-	}
-	if t.undoLen >= t.undoCap {
-		m.Fault("undo log overflow") // PreStore should have checkpointed
 	}
 	if t.skipUndoAt > 0 {
 		if t.skipUndoAt--; t.skipUndoAt == 0 {
@@ -493,24 +413,10 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 			return
 		}
 	}
-	m.EmitEvent(obs.EvUndoAppend, int64(addr), int64(size))
-	m.PushCat(obs.CatUndoLog)
-	m.Spend(m.Cost.UndoLogEntry)
-	var old uint32
-	if size == 1 {
-		old = uint32(m.Mem.ReadByteAt(addr))
-	} else {
-		old = m.Mem.ReadWord(addr)
+	t.log.Append(m, logAddr, logSize, m.Cost.UndoLogEntry)
+	if t.blockBytes > 4 {
+		t.loggedBlocks[logAddr] = true
 	}
-	e := t.addrUndo + uint32(t.undoLen*t.undoEntrySize)
-	m.Mem.WriteWord(e, addr)
-	m.Mem.WriteWord(e+4, uint32(size))
-	m.Mem.WriteWord(e+8, old)
-	// Commit the entry by bumping the count (atomic single-word write),
-	// then perform the program's store.
-	t.undoLen++
-	m.Mem.WriteWord(t.addrUndoHdr, (t.epoch&0xFFFF)<<16|uint32(t.undoLen))
-	m.PopCat()
 	m.RawStore(addr, size, value)
 	t.reg.Inc("stores-logged")
 }
@@ -531,13 +437,9 @@ func (t *TICS) Enter(m *vm.Machine, fn int) {
 		m.EmitEvent(obs.EvStackGrow, int64(t.working+1), int64(meta.EntryCopyBytes))
 		m.PushCat(obs.CatCheckpoint)
 		m.Spend(m.Cost.StackGrow)
-		copyBytes := meta.EntryCopyBytes
 		oldSP := m.Regs.SP
-		newSP := t.segTop(t.working+1) - uint32(copyBytes)
-		for off := 0; off < copyBytes; off += 4 {
-			m.Spend(m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-			m.Mem.WriteWord(newSP+uint32(off), m.Mem.ReadWord(oldSP+uint32(off)))
-		}
+		newSP := t.segTop(t.working+1) - uint32(meta.EntryCopyBytes)
+		m.CopyCharged(newSP, oldSP, meta.EntryCopyBytes, 1)
 		t.working++
 		ctl := t.addrSegCtl + uint32(t.working*segCtlLen)
 		m.Spend(2 * m.Cost.NVWritePerWord)

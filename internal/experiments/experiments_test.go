@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -24,6 +25,34 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := experiments.Find("nope"); ok {
 		t.Fatal("Find accepted an unknown id")
+	}
+}
+
+// TestExperimentsGolden pins every artifact byte for byte: the output
+// equals `ticsbench -experiment all`, committed as
+// testdata/experiments.golden (regenerate it with that command).
+func TestExperimentsGolden(t *testing.T) {
+	reports, err := experiments.RunAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	texts := make([]string, len(reports))
+	for i, r := range reports {
+		texts[i] = r.Text + "\n"
+	}
+	got := strings.Join(texts, strings.Repeat("=", 78)+"\n")
+	want, err := os.ReadFile("../../testdata/experiments.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("line %d drifted from testdata/experiments.golden:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("got %d lines, want %d", len(gl), len(wl))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	tics "repro"
 	"repro/internal/apps"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sensors"
 	"repro/internal/trace"
@@ -50,6 +51,9 @@ func runAR(src string, build tics.BuildOptions, tsName string, seed uint64) (Tab
 		Sensors:        sensors.NewBank(seed),
 		AutoCpPeriodMs: 10,
 		MaxCycles:      3_000_000_000,
+		// The detectors follow commits on the event stream; a one-slot
+		// ring keeps the recorder itself negligible.
+		Recorder: obs.NewRecorder(obs.Options{RingCap: 1}),
 	})
 	if err != nil {
 		return Table2Result{}, err

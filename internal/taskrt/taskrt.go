@@ -97,10 +97,7 @@ var profiles = map[Kind]kindProfile{
 	MayFly: {transitionCycles: 340, privatizeCycles: 70, textBytes: 2300, dataBytes: 4650},
 }
 
-const (
-	initMagic = 0x5441534B // "TASK"
-	undoEntry = 12
-)
+const initMagic = 0x5441534B // "TASK"
 
 // Spec returns the linker spec for a task-runtime build.
 func Spec(cfg Config) link.RuntimeSpec {
@@ -151,16 +148,14 @@ type Runtime struct {
 	img     *link.Image
 	entries []uint32 // task id → function entry address
 
-	undoCap int
-
 	addrMagic uint32
-	addrHdr   uint32 // count(16) | cur(16): single-word atomic commit
-	addrUndo  uint32
 	addrToken uint32 // MayFly per-edge token timestamps
+	// log is the privatization log, tagged with the current task: one
+	// header-word write clears it and switches tasks atomically.
+	log vm.UndoLog
 
-	cur     int
-	undoLen int
-	reg     *obs.Registry
+	cur int
+	reg *obs.Registry
 }
 
 var (
@@ -188,7 +183,6 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		profile: profiles[cfg.Kind],
 		img:     img,
-		undoCap: cfg.UndoCapBytes / undoEntry,
 		reg:     obs.NewRegistry(),
 	}
 	for _, name := range cfg.Tasks {
@@ -209,10 +203,8 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 	}
 	a := img.RuntimeBase
 	r.addrMagic = a
-	r.addrHdr = a + 4
-	a += 24
-	r.addrUndo = a
-	a += uint32(r.undoCap * undoEntry)
+	r.log = vm.NewUndoLog(a+4, a+24, cfg.UndoCapBytes, 4, r.reg)
+	a = r.log.End()
 	r.addrToken = a
 	a += uint32(4 * len(cfg.Edges))
 	if a > img.RuntimeBase+img.RuntimeLen {
@@ -250,37 +242,17 @@ func (r *Runtime) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(r.addrMagic) != initMagic {
 		m.Spend(m.Cost.RestoreBase)
 		r.cur = r.cfg.StartTask
-		r.undoLen = 0
-		m.Mem.WriteWord(r.addrHdr, uint32(r.cur)&0xFFFF)
+		r.log.Reset(m, uint32(r.cur))
 		m.Mem.WriteWord(r.addrMagic, initMagic)
 		r.setupTask(m)
 		return
 	}
 	m.Spend(m.Cost.RestoreBase)
-	hdr := m.Mem.ReadWord(r.addrHdr)
-	n := int(hdr >> 16)
-	r.cur = int(hdr & 0xFFFF)
-	if n > 0 {
-		m.EmitEvent(obs.EvUndoRollback, int64(n), 0)
-	}
-	m.PushCat(obs.CatUndoLog)
-	for i := n - 1; i >= 0; i-- {
-		m.Spend(m.Cost.UndoRollback)
-		e := r.addrUndo + uint32(i*undoEntry)
-		addr := m.Mem.ReadWord(e)
-		size := int(m.Mem.ReadWord(e + 4))
-		old := m.Mem.ReadWord(e + 8)
-		if size == 1 {
-			m.Mem.WriteByteAt(addr, byte(old))
-		} else {
-			m.Mem.WriteWord(addr, old)
-		}
-		r.reg.Inc("undo-rollbacks")
-	}
-	m.PopCat()
+	cur, n := r.log.Header(m)
+	r.cur = int(cur)
+	r.log.Rollback(m, n)
 	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(r.addrHdr, uint32(r.cur)&0xFFFF)
-	r.undoLen = 0
+	r.log.Reset(m, cur)
 	r.reg.Inc("task-restarts")
 	m.NoteRestore()
 	if r.cfg.Kind == MayFly {
@@ -303,7 +275,7 @@ func (r *Runtime) checkTokens(m *vm.Machine) {
 			r.reg.Inc("expired-tokens")
 			r.cur = e.OnExpired
 			m.Spend(m.Cost.NVWritePerWord)
-			m.Mem.WriteWord(r.addrHdr, uint32(r.cur)&0xFFFF)
+			r.log.Reset(m, uint32(r.cur))
 			return
 		}
 	}
@@ -315,8 +287,7 @@ func (r *Runtime) checkTokens(m *vm.Machine) {
 func (r *Runtime) Transition(m *vm.Machine, task int32) {
 	m.Spend(r.profile.transitionCycles)
 	if task == TaskDone {
-		m.Mem.WriteWord(r.addrHdr, uint32(r.cfg.StartTask)&0xFFFF)
-		r.undoLen = 0
+		r.log.Reset(m, uint32(r.cfg.StartTask))
 		m.Halt()
 		return
 	}
@@ -332,11 +303,10 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 			}
 		}
 	}
-	m.ObserveMetric("undo_len_per_epoch", float64(r.undoLen))
+	m.ObserveMetric("undo_len_per_epoch", float64(r.log.Len()))
 	r.cur = int(task)
-	r.undoLen = 0
 	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(r.addrHdr, uint32(r.cur)&0xFFFF) // atomic commit
+	r.log.Reset(m, uint32(r.cur)) // atomic commit
 	m.CommitObservables()
 	r.reg.Inc("transitions")
 	if r.cfg.Kind == MayFly {
@@ -348,31 +318,16 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 // PreStore implements vm.PreStorer: a task whose writes overflow the
 // privatization buffer can never commit, so it faults before the store.
 func (r *Runtime) PreStore(m *vm.Machine) {
-	if r.undoLen >= r.undoCap {
+	if r.log.Full() {
 		m.Fault("%s: task writes exceed the privatization buffer (%d entries); split the task",
-			r.cfg.Kind, r.undoCap)
+			r.cfg.Kind, r.log.Cap())
 	}
 }
 
 // LoggedStore implements vm.Runtime: privatize-on-first-write, modeled as
 // a write-ahead log entry cleared at the transition commit.
 func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
-	m.EmitEvent(obs.EvUndoAppend, int64(addr), int64(size))
-	m.PushCat(obs.CatUndoLog)
-	m.Spend(r.profile.privatizeCycles)
-	var old uint32
-	if size == 1 {
-		old = uint32(m.Mem.ReadByteAt(addr))
-	} else {
-		old = m.Mem.ReadWord(addr)
-	}
-	e := r.addrUndo + uint32(r.undoLen*undoEntry)
-	m.Mem.WriteWord(e, addr)
-	m.Mem.WriteWord(e+4, uint32(size))
-	m.Mem.WriteWord(e+8, old)
-	r.undoLen++
-	m.Mem.WriteWord(r.addrHdr, uint32(r.undoLen)<<16|uint32(r.cur)&0xFFFF)
-	m.PopCat()
+	r.log.Append(m, addr, size, r.profile.privatizeCycles)
 	m.RawStore(addr, size, value)
 	r.reg.Inc("stores-versioned")
 }

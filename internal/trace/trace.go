@@ -1,6 +1,7 @@
 // Package trace implements the time-consistency violation detectors
 // behind Table 2. It watches a machine's program-order stores and mark
-// events and classifies the three violation types of Figure 3:
+// events, follows commit points and restores on the machine's recorder,
+// and classifies the three violation types of Figure 3:
 //
 //   - Time/data misalignment (3c): at consume time, a sensor element's
 //     stored timestamp differs from the device time of its actual store
@@ -17,9 +18,11 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/link"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -77,8 +80,13 @@ type pairRange struct {
 }
 
 // Attach wires a detector to a machine built from img. It must be called
-// before Run.
+// before Run, on a machine with a recorder attached: the detector follows
+// commit points and restores as a sink on its event stream.
 func Attach(m *vm.Machine, img *link.Image, cfg Config) (*Detector, error) {
+	rec := m.Recorder()
+	if rec == nil {
+		return nil, errors.New("trace: machine has no recorder attached (the detector is an event-stream sink)")
+	}
 	d := &Detector{cfg: cfg, m: m, lastStore: map[uint32]int64{}}
 	for _, p := range cfg.Pairs {
 		g, ok := img.Program.Global(p.DataName)
@@ -109,9 +117,19 @@ func Attach(m *vm.Machine, img *link.Image, cfg Config) (*Detector, error) {
 	}
 	m.OnStore = d.onStore
 	m.OnMark = d.onMark
-	m.OnCheckpoint = func(vm.CpKind) { d.commit() }
-	m.OnRestore = d.discard
+	rec.AddSink(d)
 	return d, nil
+}
+
+// OnEvent implements obs.Sink: a checkpoint commit commits the pending
+// tallies and a restore discards them.
+func (d *Detector) OnEvent(_ int64, ev obs.Event) {
+	switch ev.Kind {
+	case obs.EvCheckpointCommit:
+		d.commit()
+	case obs.EvRestore:
+		d.discard()
+	}
 }
 
 // commit moves pending tallies into the committed counts.

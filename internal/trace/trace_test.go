@@ -4,10 +4,15 @@ import (
 	"testing"
 
 	tics "repro"
+	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
+
+// recorder is the minimal flight recorder a detector needs: the
+// detector reads commits and restores off its event stream.
+func recorder() *obs.Recorder { return obs.NewRecorder(obs.Options{RingCap: 1}) }
 
 // A compact sampling program with one annotated slot: fresh on continuous
 // power, stale when a long outage splits sampling from consumption.
@@ -40,7 +45,7 @@ func runWithDetector(t *testing.T, p power.Source) *trace.Detector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tics.NewMachine(img, tics.RunOptions{Power: p, AutoCpPeriodMs: 5, MaxCycles: 500_000_000})
+	m, err := tics.NewMachine(img, tics.RunOptions{Power: p, AutoCpPeriodMs: 5, MaxCycles: 500_000_000, Recorder: recorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +84,8 @@ func TestTICSStaysCleanUnderFailures(t *testing.T) {
 }
 
 // TestRebootMidWindowDiscardsPending pins the detector's pending/commit/
-// discard semantics by driving the machine hooks directly: tallies
+// discard semantics by driving stores, marks and the commit and restore
+// events directly: tallies
 // observed between a checkpoint and a power failure belong to an
 // execution the runtime rolled back, so the restore must discard them —
 // otherwise replayed code double-counts and aborted consumes count as
@@ -89,7 +95,7 @@ func TestRebootMidWindowDiscardsPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tics.NewMachine(img, tics.RunOptions{})
+	m, err := tics.NewMachine(img, tics.RunOptions{Recorder: recorder()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +116,7 @@ func TestRebootMidWindowDiscardsPending(t *testing.T) {
 
 	// A committed sample: store, then the checkpoint commits it.
 	m.OnStore(addr, 4, 1, 0)
-	m.OnCheckpoint(vm.CpManual)
+	m.EmitEvent(obs.EvCheckpointCommit, int64(vm.CpManual), 0)
 	if det.Misalign.Potential != 1 {
 		t.Fatalf("committed potential = %d, want 1", det.Misalign.Potential)
 	}
@@ -120,7 +126,7 @@ func TestRebootMidWindowDiscardsPending(t *testing.T) {
 	// next checkpoint, so the restore discards all of it.
 	m.OnStore(addr, 4, 2, 1000)
 	m.OnMark(0, 5000)
-	m.OnRestore()
+	m.EmitEvent(obs.EvRestore, 0, 0)
 	det.Finish()
 	if det.Misalign.Potential != 1 || det.Misalign.Observed != 0 || det.Expired.Observed != 0 {
 		t.Fatalf("discarded window leaked into committed counts: %+v %+v", det.Misalign, det.Expired)
@@ -129,7 +135,7 @@ func TestRebootMidWindowDiscardsPending(t *testing.T) {
 	// The replayed window reaches a checkpoint this time: now it counts.
 	m.OnStore(addr, 4, 2, 1000)
 	m.OnMark(0, 5000)
-	m.OnCheckpoint(vm.CpManual)
+	m.EmitEvent(obs.EvCheckpointCommit, int64(vm.CpManual), 0)
 	if det.Misalign.Observed == 0 || det.Expired.Observed == 0 {
 		t.Fatalf("committed window not counted: %+v %+v", det.Misalign, det.Expired)
 	}
@@ -143,7 +149,14 @@ func TestAttachErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := tics.NewMachine(img, tics.RunOptions{})
+	bare, err := tics.NewMachine(img, tics.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trace.Attach(bare, img.Image, trace.Config{Pairs: []trace.Pair{{DataName: "data"}}}); err == nil {
+		t.Fatal("machine without a recorder accepted")
+	}
+	m, err := tics.NewMachine(img, tics.RunOptions{Recorder: recorder()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,3 +37,20 @@ func (m *Machine) StepAt(pc uint32) (fault error) {
 	m.step()
 	return nil
 }
+
+// Powered runs fn in a powered window of the given cycles, as a boot
+// inside runWindow would, and reports whether the window ran out (a
+// power failure) before fn returned.
+func (m *Machine) Powered(cycles int64, fn func()) (failed bool) {
+	m.PowerOn(cycles)
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(powerFailure); !ok {
+				panic(r)
+			}
+			failed = true
+		}
+	}()
+	fn()
+	return false
+}

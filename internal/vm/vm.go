@@ -196,13 +196,11 @@ type Machine struct {
 
 	// OnStore observes every program-order store (after the runtime's
 	// consistency discipline) with the device clock reading; OnMark
-	// observes Mark opcodes; OnCheckpoint/OnRestore observe commit points
-	// and rollbacks so observers can keep only *committed* events. The
-	// Table 2 violation detectors hook these.
-	OnStore      func(addr uint32, size int, val uint32, deviceMs int64)
-	OnMark       func(id int32, deviceMs int64)
-	OnCheckpoint func(kind CpKind)
-	OnRestore    func()
+	// observes Mark opcodes. Commit points and restores are events on the
+	// recorder's stream (EvCheckpointCommit, EvRestore), which observers
+	// that keep only *committed* effects follow as obs.Sinks.
+	OnStore func(addr uint32, size int, val uint32, deviceMs int64)
+	OnMark  func(id int32, deviceMs int64)
 	// OnSend observes every transmission as it enters the committed
 	// SendLog: immediately for raw-radio sends, at the releasing commit
 	// point for virtualized ones (rec.TrueMs/EstMs are the commit stamps
@@ -435,7 +433,7 @@ func (m *Machine) Reset(cfg Config) error {
 	m.onMs, m.offMs = 0, 0
 	m.failures = 0
 	m.halted, m.timedOut = false, false
-	m.OnStore, m.OnMark, m.OnCheckpoint, m.OnRestore, m.OnSend = nil, nil, nil, nil, nil
+	m.OnStore, m.OnMark, m.OnSend = nil, nil, nil
 	m.inISR, m.isrRetPC, m.isrRetSP = false, 0, 0
 	m.cpCounts = [cpKindCount]int64{}
 	m.restores, m.irqCount = 0, 0
@@ -616,9 +614,6 @@ func (m *Machine) NoteCheckpoint(kind CpKind) {
 	m.sinceCp = 0
 	m.CommitObservables()
 	m.EmitEvent(obs.EvCheckpointCommit, int64(kind), 0)
-	if m.OnCheckpoint != nil {
-		m.OnCheckpoint(kind)
-	}
 }
 
 // CommitObservables flushes pending Out values into the committed log and
@@ -654,9 +649,6 @@ func (m *Machine) NoteRestore() {
 	m.sendPending = m.sendPending[:0]
 	m.sendSeq = m.sendSeqCommitted // re-executed sends reuse their seq numbers
 	m.EmitEvent(obs.EvRestore, 0, 0)
-	if m.OnRestore != nil {
-		m.OnRestore()
-	}
 }
 
 // Spend charges cycles; it panics with the power-failure sentinel when the
@@ -676,6 +668,18 @@ func (m *Machine) Spend(c int64) {
 	}
 	if m.remaining < 0 {
 		panic(powerFailure{})
+	}
+}
+
+// CopyCharged copies n bytes (whole words) from src to dst one word at a
+// time, charging passes×(NV read + NV write) before each word, so a power
+// failure mid-copy leaves exactly the words copied so far. Checkpoints
+// charge two passes (the two-phase commit), restores one.
+func (m *Machine) CopyCharged(dst, src uint32, n int, passes int64) {
+	c := passes * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
+	for off := 0; off < n; off += 4 {
+		m.Spend(c)
+		m.Mem.WriteWord(dst+uint32(off), m.Mem.ReadWord(src+uint32(off)))
 	}
 }
 
