@@ -9,10 +9,10 @@
 // to GOMAXPROCS); results are byte-identical for any worker count. The
 // report covers throughput (device-cycles/sec of host wall time),
 // delivery/duplicate/expired/lost counts and p50/p99 end-to-end latency.
-// -metrics folds every device's registry into fleet totals
-// (obs.Registry.Merge); -prom writes the merged registry in Prometheus
-// text format, plus per-device series labeled {shard="devN"} with
-// -prom-shards. -export-device N writes device N as a replay manifest
+// -metrics folds every device's recorder metrics into fleet totals; -prom
+// writes them in Prometheus text format, plus per-device series labeled
+// {shard="devN"} with -prom-shards (which re-runs each device to rebuild
+// its own registry). -export-device N writes device N as a replay manifest
 // for `ticsrun -replay` (single-device debugging of a fleet anomaly).
 package main
 

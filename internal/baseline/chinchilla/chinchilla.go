@@ -92,6 +92,8 @@ type Chinchilla struct {
 	active int
 	epoch  uint32
 	reg    *obs.Registry
+	// storesLogged counts per store; resolved on first increment.
+	storesLogged obs.LazyCounter
 }
 
 var (
@@ -112,6 +114,7 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 		stackLen: int(img.StackLen),
 		reg:      obs.NewRegistry(),
 	}
+	c.storesLogged = c.reg.Lazy("stores-logged")
 	a := img.RuntimeBase
 	c.addrMagic = a
 	c.addrActive = a + 4
@@ -234,5 +237,5 @@ func (c *Chinchilla) PreStore(m *vm.Machine) {
 func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	c.log.Append(m, addr, size, m.Cost.UndoLogEntry)
 	m.RawStore(addr, size, value)
-	c.reg.Inc("stores-logged")
+	c.storesLogged.Inc()
 }

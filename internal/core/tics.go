@@ -142,6 +142,8 @@ type TICS struct {
 	skipUndoAt int
 
 	reg *obs.Registry
+	// Per-store counters, resolved on first increment.
+	storesDirect, storesBlockHit, storesLogged obs.LazyCounter
 }
 
 var (
@@ -184,6 +186,9 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 		loggedBlocks: map[uint32]bool{},
 		reg:          obs.NewRegistry(),
 	}
+	t.storesDirect = t.reg.Lazy("stores-direct")
+	t.storesBlockHit = t.reg.Lazy("stores-block-hit")
+	t.storesLogged = t.reg.Lazy("stores-logged")
 	if t.numSegs < 1 {
 		return nil, fmt.Errorf("core: stack region of %d B holds no %d B segment", img.StackLen, cfg.SegmentBytes)
 	}
@@ -393,7 +398,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	m.Spend(m.Cost.PtrCheck)
 	if t.inWorking(addr, size) {
 		m.RawStore(addr, size, value)
-		t.reg.Inc("stores-direct")
+		t.storesDirect.Inc()
 		return
 	}
 	logAddr, logSize := addr, size
@@ -403,7 +408,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		logAddr, logSize = addr&^uint32(t.blockBytes-1), t.blockBytes
 		if t.loggedBlocks[logAddr] {
 			m.RawStore(addr, size, value)
-			t.reg.Inc("stores-block-hit")
+			t.storesBlockHit.Inc()
 			return
 		}
 	}
@@ -418,7 +423,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		t.loggedBlocks[logAddr] = true
 	}
 	m.RawStore(addr, size, value)
-	t.reg.Inc("stores-logged")
+	t.storesLogged.Inc()
 }
 
 // ---- Stack segmentation ----

@@ -65,8 +65,7 @@ type Config struct {
 	Remote RemoteGateway
 
 	// Collect attaches a flight recorder to every device and folds the
-	// per-device metric registries into Report.Metrics via
-	// obs.Registry.Merge.
+	// devices' metrics into Report.Metrics (see Run for how).
 	Collect bool
 
 	// Trace enables end-to-end message telemetry: a span chain per
@@ -197,8 +196,8 @@ type Report struct {
 	// outcomes: stragglers, livelock suspects, freshness hotspots.
 	Anomalies []Anomaly `json:"anomalies,omitempty"`
 
-	// Metrics is the fold of every device's registry (Collect only),
-	// plus fleet_* rollup counters.
+	// Metrics is the fold of every device's recorder metrics (Collect
+	// only), plus fleet_* rollup counters.
 	Metrics *obs.Registry `json:"-"`
 
 	// Telemetry holds the per-message span chains (Trace only).
@@ -208,9 +207,11 @@ type Report struct {
 	// (Profile only) — one flame graph over the whole deployment.
 	Profile *obs.Profile `json:"-"`
 
-	Outcomes   []DeviceOutcome `json:"-"`
-	gw         *Gateway
-	registries []*obs.Registry
+	Outcomes []DeviceOutcome `json:"-"`
+	gw       *Gateway
+	// cfg and img let DeviceRegistry re-run a device (Collect or Profile).
+	cfg *Config
+	img *tics.Image
 }
 
 // GatewayLog returns the accepted deliveries in observation order (nil
@@ -232,12 +233,39 @@ func (r *Report) DeviceLog(dev int) []Delivery {
 }
 
 // DeviceRegistry returns device dev's own metrics registry (nil unless
-// the fleet ran with Collect).
+// the fleet ran with Collect or Profile, or when dev is out of range). Run keeps no
+// per-device registries — each worker folds its devices into one — so
+// this re-runs device dev: it is the single-device run
+// cfg.DeviceSpec(dev) describes, and with the same recorder options it
+// records the same metrics. It costs one device run per call.
 func (r *Report) DeviceRegistry(dev int) *obs.Registry {
-	if r.registries == nil {
+	if r.cfg == nil || dev < 0 || dev >= r.Devices {
 		return nil
 	}
-	return r.registries[dev]
+	rec := newDeviceRecorder(*r.cfg)
+	m, err := r.cfg.DeviceSpec(dev).Machine(r.img, nil, nil, rec)
+	if err != nil {
+		return nil
+	}
+	m.Run()
+	return rec.Metrics()
+}
+
+// newDeviceRecorder builds the recorder a fleet device runs under. A
+// small ring: fleet aggregation wants the metrics (and, with Profile,
+// the folded stacks), not the event history (export a device to replay
+// for that).
+func newDeviceRecorder(cfg Config) *obs.Recorder {
+	return obs.NewRecorder(obs.Options{RingCap: 64, Profile: cfg.Profile})
+}
+
+// slot is one worker's share of the pool: a machine reset between
+// devices (nil until first use; rebuilt per device under DisablePool) and,
+// when collecting, one recorder rearmed before each device so every
+// device the slot runs folds into its registry and profile.
+type slot struct {
+	m   *vm.Machine
+	rec *obs.Recorder
 }
 
 // waveSize returns the number of devices simulated between streaming
@@ -300,31 +328,25 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	outcomes := make([]DeviceOutcome, n)
-	var registries []*obs.Registry
-	if cfg.Collect || cfg.Profile {
-		registries = make([]*obs.Registry, n)
-	}
-	var profiles []obs.Profile
-	if cfg.Profile {
-		profiles = make([]obs.Profile, n)
-	}
+	collect := cfg.Collect || cfg.Profile
 
-	// The machine pool holds one slot per worker; nil slots materialize
-	// lazily into machines on first claim and are reset between devices.
-	var pool chan *vm.Machine
-	if !cfg.DisablePool {
-		pool = make(chan *vm.Machine, workers)
-		for i := 0; i < workers; i++ {
-			pool <- nil
-		}
+	// The pool holds one slot per worker. A slot's machine and recorder
+	// materialize on first claim and are reset (machine) and rearmed
+	// (recorder) between devices.
+	slots := make([]slot, workers)
+	pool := make(chan *slot, workers)
+	for i := range slots {
+		pool <- &slots[i]
 	}
 
 	rep := &Report{
-		Devices:    n,
-		Workers:    workers,
-		Seed:       cfg.Seed,
-		Outcomes:   outcomes,
-		registries: registries,
+		Devices:  n,
+		Workers:  workers,
+		Seed:     cfg.Seed,
+		Outcomes: outcomes,
+	}
+	if collect {
+		rep.cfg, rep.img = &cfg, img
 	}
 	var tel *Telemetry
 	if cfg.Trace {
@@ -344,15 +366,9 @@ func Run(cfg Config) (*Report, error) {
 		pc.enter(PhaseDevices)
 		start := time.Now()
 		ParallelFor(hi-lo, workers, func(k int) {
-			i := lo + k
-			var m *vm.Machine
-			if pool != nil {
-				m = <-pool
-			}
-			outcomes[i], m = runDevice(img, cfg, i, m, registries, profiles)
-			if pool != nil {
-				pool <- m
-			}
+			s := <-pool
+			outcomes[lo+k] = runDevice(img, cfg, lo+k, s)
+			pool <- s
 		})
 		elapsed += time.Since(start).Seconds()
 		for i := lo; i < hi; i++ {
@@ -435,86 +451,104 @@ func Run(cfg Config) (*Report, error) {
 	rep.Telemetry = tel
 	rep.Anomalies = DetectAnomalies(rep, cfg.AnomalyK)
 
-	if cfg.Collect || cfg.Profile {
+	if collect {
+		// Each slot's registry already holds the sum over the devices it
+		// ran, in whatever order the pool handed them out. That fold is
+		// exact, so the merge below equals a per-device merge in device
+		// order: every value observed into a recorder registry is an
+		// integer (counters, undo-log lengths, cycle and byte counts), so
+		// counts, histogram sums, minima and maxima add and compare
+		// without rounding however they are grouped. The trace_ring_cap
+		// gauge, a sum of ring capacities, is integer-valued too.
 		merged := obs.NewRegistry()
-		for i, reg := range registries {
-			if reg == nil {
+		var profiles []obs.Profile
+		for _, s := range slots {
+			if s.rec == nil {
 				continue
 			}
-			if err := merged.Merge(reg); err != nil {
-				return nil, fmt.Errorf("fleet: device %d: %w", i, err)
+			if err := merged.Merge(s.rec.Metrics()); err != nil {
+				return nil, fmt.Errorf("fleet: %w", err)
+			}
+			if cfg.Profile {
+				profiles = append(profiles, s.rec.Profile())
 			}
 		}
-		merged.Add("fleet_devices", int64(n))
-		merged.Add("fleet_total_cycles", rep.TotalCycles)
-		merged.Add("fleet_sends_unique", rep.UniqueSends)
-		merged.Add("fleet_gateway_delivered", rep.Gateway.Delivered)
-		merged.Add("fleet_gateway_duplicates", rep.Gateway.Duplicates)
-		merged.Add("fleet_gateway_expired", rep.Gateway.Expired)
-		merged.Add("fleet_packets_lost", rep.Lost)
-		// The gateway's latency histogram lands in the rollup under the
-		// same bounds it was observed with, so a Prometheus
-		// histogram_quantile over the exported buckets agrees with
-		// Report.LatencyP50/P99 (both are obs.Histogram.Quantile). A
-		// remote-attached fleet has no local histogram — its latency
-		// surface is the service's own /metrics.
-		if gw != nil {
-			if err := merged.RegisterHistogram("fleet_gateway_latency_ms", LatencyBounds).
-				Merge(gw.LatencyHistogram()); err != nil {
-				return nil, fmt.Errorf("fleet: latency rollup: %w", err)
-			}
+		if cfg.Profile {
+			p := obs.MergeProfiles(profiles...)
+			rep.Profile = &p
 		}
-		for kind, c := range anomalyCounts(rep.Anomalies) {
-			merged.Add("fleet_anomaly_"+kind, c)
+		if err := addRollups(merged, rep); err != nil {
+			return nil, err
 		}
-		merged.Add("fleet_anomalies", int64(len(rep.Anomalies)))
 		rep.Metrics = merged
-	}
-	if cfg.Profile {
-		p := obs.MergeProfiles(profiles...)
-		rep.Profile = &p
 	}
 	rep.Phases, rep.WallSeconds = pc.finish()
 	rep.Resources = obs.SampleResources()
 	return rep, nil
 }
 
+// addRollups adds the fleet_* rollups of a finished round to the folded
+// device metrics.
+func addRollups(reg *obs.Registry, rep *Report) error {
+	reg.Add("fleet_devices", int64(rep.Devices))
+	reg.Add("fleet_total_cycles", rep.TotalCycles)
+	reg.Add("fleet_sends_unique", rep.UniqueSends)
+	reg.Add("fleet_gateway_delivered", rep.Gateway.Delivered)
+	reg.Add("fleet_gateway_duplicates", rep.Gateway.Duplicates)
+	reg.Add("fleet_gateway_expired", rep.Gateway.Expired)
+	reg.Add("fleet_packets_lost", rep.Lost)
+	// The gateway's latency histogram lands in the rollup under the
+	// same bounds it was observed with, so a Prometheus
+	// histogram_quantile over the exported buckets agrees with
+	// Report.LatencyP50/P99 (both are obs.Histogram.Quantile). A
+	// remote-attached fleet has no local histogram — its latency
+	// surface is the service's own /metrics.
+	if rep.gw != nil {
+		if err := reg.RegisterHistogram("fleet_gateway_latency_ms", LatencyBounds).
+			Merge(rep.gw.LatencyHistogram()); err != nil {
+			return fmt.Errorf("fleet: latency rollup: %w", err)
+		}
+	}
+	for kind, c := range anomalyCounts(rep.Anomalies) {
+		reg.Add("fleet_anomaly_"+kind, c)
+	}
+	reg.Add("fleet_anomalies", int64(len(rep.Anomalies)))
+	return nil
+}
+
 // runDevice executes device dev as the single-device run
 // cfg.DeviceSpec(dev) describes — replay.Spec.Machine gives it its own
-// seeded power source, sensor bank, clock and (when collecting) its own
-// recorder. The machine itself may be a pooled one handed in from a
-// previous device — it is reset to a fresh fork of the shared image
-// before running, which is indistinguishable from a new machine. The
-// (possibly newly created) machine is returned for the pool. Nothing
-// here may touch state shared with another in-flight device — the -race
+// seeded power source, sensor bank and clock. The slot's machine, if it
+// has one, is reset to a fresh fork of the shared image before running,
+// which is indistinguishable from a new machine; the slot's recorder is
+// rearmed, so the device records exactly what a fresh recorder would and
+// adds it to what the slot's earlier devices left there. Nothing here
+// may touch state shared with another in-flight device — the -race
 // fleet test enforces it.
-func runDevice(img *tics.Image, cfg Config, dev int, m *vm.Machine, registries []*obs.Registry, profiles []obs.Profile) (DeviceOutcome, *vm.Machine) {
+func runDevice(img *tics.Image, cfg Config, dev int, s *slot) DeviceOutcome {
 	spec := cfg.DeviceSpec(dev)
 	out := DeviceOutcome{ID: dev, Seed: spec.Seed}
-	var rec *obs.Recorder
-	if registries != nil {
-		// A small ring: fleet aggregation wants the metrics (and, with
-		// Profile, the folded stacks), not the event history (export a
-		// device to replay for that). Recorders are not pooled: the
-		// per-device registries outlive the run in Report.DeviceRegistry.
-		rec = obs.NewRecorder(obs.Options{RingCap: 64, Profile: profiles != nil})
-		registries[dev] = rec.Metrics()
+	if cfg.Collect || cfg.Profile {
+		if s.rec == nil {
+			s.rec = newDeviceRecorder(cfg)
+		} else {
+			s.rec.Rearm()
+		}
 	}
-	m, err := spec.Machine(img, m, nil, rec)
-	if err != nil {
+	if cfg.DisablePool {
+		s.m = nil
+	}
+	var err error
+	if s.m, err = spec.Machine(img, s.m, nil, s.rec); err != nil {
 		out.Err = err
-		return out, nil
+		return out
 	}
 	// A program fault is a device outcome, not a fleet error; it is
 	// already folded into Res.Fault. Only setup errors abort the fleet.
-	out.Res, _ = m.Run()
-	if profiles != nil {
-		// Run's trailing CommitObservables flushed pending attribution,
-		// so the snapshot partitions the device's cycles exactly. Each
-		// device writes only its own slot — pool convention.
-		profiles[dev] = rec.Profile()
-	}
-	return out, m
+	// Run's trailing CommitObservables flushes pending attribution, so
+	// the slot's profile partitions its devices' cycles exactly.
+	out.Res, _ = s.m.Run()
+	return out
 }
 
 // ExportDevice records device dev of the fleet as a replay manifest —

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -82,14 +83,20 @@ func fleetCfg(workers int) Config {
 
 // TestFleetDeterminismAcrossWorkers is the acceptance gate for the whole
 // design: a fleet's externally visible result — gateway log digest,
-// gateway/link counters, per-device outcomes, merged metrics — must be
-// byte-identical no matter how many workers simulated it.
+// gateway/link counters, per-device outcomes, merged metrics, merged
+// profile — must be byte-identical no matter how many workers simulated
+// it.
 func TestFleetDeterminismAcrossWorkers(t *testing.T) {
-	serial, err := Run(fleetCfg(1))
+	profiled := func(workers int) Config {
+		cfg := fleetCfg(workers)
+		cfg.Profile = true
+		return cfg
+	}
+	serial, err := Run(profiled(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Run(fleetCfg(4))
+	parallel, err := Run(profiled(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +132,14 @@ func TestFleetDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if sb.Len() == 0 {
 		t.Fatal("merged metrics are empty; Collect plumbed nowhere")
+	}
+	sp, _ := json.Marshal(serial.Profile)
+	pp, _ := json.Marshal(parallel.Profile)
+	if string(sp) != string(pp) {
+		t.Fatalf("merged profiles diverge:\n workers=1: %s\n workers=4: %s", sp, pp)
+	}
+	if len(serial.Profile.Folded) == 0 {
+		t.Fatal("merged profile has no folded stacks; Profile plumbed nowhere")
 	}
 }
 

@@ -3,8 +3,8 @@ package fleet
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"slices"
+	"strconv"
 
 	"repro/internal/obs"
 )
@@ -207,12 +207,35 @@ func (g *Gateway) DeviceLog(dev int) []Delivery {
 // the same manifest.
 func (g *Gateway) Digest() string {
 	h := sha256.New()
+	var buf []byte
 	for _, i := range g.ordered() {
 		if r := &g.min[i]; !r.expired() {
-			fmt.Fprintf(h, "%d %d %d %.6f %.6f\n", r.Dev, r.Seq, r.Value, r.SentMs, r.ArriveMs)
+			buf = appendDigestLine(buf, &r.Arrival)
+			if len(buf) >= 4096 {
+				h.Write(buf)
+				buf = buf[:0]
+			}
 		}
 	}
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// appendDigestLine appends one delivery's canonical line, "dev seq value
+// sent arrive\n" with both times to six decimals — the bytes
+// fmt's "%d %d %d %.6f %.6f\n" renders, for every float including ±0,
+// ±Inf and NaN (pinned by TestDigestLineMatchesFmt).
+func appendDigestLine(b []byte, a *Arrival) []byte {
+	b = strconv.AppendInt(b, int64(a.Dev), 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, a.Seq, 10)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(a.Value), 10)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, a.SentMs, 'f', 6, 64)
+	b = append(b, ' ')
+	b = strconv.AppendFloat(b, a.ArriveMs, 'f', 6, 64)
+	return append(b, '\n')
 }
 
 // LatencyHistogram builds the end-to-end delivery latency histogram

@@ -1,6 +1,11 @@
 package fleet
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -220,5 +225,52 @@ func TestLatencyQuantileUnified(t *testing.T) {
 	}
 	if st := gw.Stats(); st.Delivered != 100 || st.Duplicates != 0 || st.Expired != 0 {
 		t.Fatalf("stats %+v, want 100 delivered", st)
+	}
+}
+
+// fmtDigest is the reference rendering Gateway.Digest must reproduce:
+// one fmt.Fprintf per delivery, in log order.
+func fmtDigest(g *Gateway) string {
+	h := sha256.New()
+	for _, d := range g.Log() {
+		fmt.Fprintf(h, "%d %d %d %.6f %.6f\n", d.Dev, d.Seq, d.Value, d.SentMs, d.ArriveMs)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestDigestLineMatchesFmt: the strconv digest renders the same bytes as
+// fmt's "%d %d %d %.6f %.6f" for random deliveries and for the floats
+// where the two formatters could part ways (±0, ±Inf, NaN, huge
+// magnitudes, rounding at the sixth decimal).
+func TestDigestLineMatchesFmt(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		1e300, -1e300, 0.0000005, 0.0000015, -0.0000005, 2.5e-7, 123456.7890125, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, x := range special {
+		for _, y := range special {
+			a := Arrival{Dev: -3, Seq: math.MaxInt64, Value: math.MinInt32, SentMs: x, ArriveMs: y}
+			want := fmt.Sprintf("%d %d %d %.6f %.6f\n", a.Dev, a.Seq, a.Value, a.SentMs, a.ArriveMs)
+			if got := string(appendDigestLine(nil, &a)); got != want {
+				t.Fatalf("line for %v, %v:\n got %q\nwant %q", x, y, got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for _, fresh := range []float64{0, 5} {
+		g := NewGateway(fresh)
+		for i := 0; i < 3000; i++ {
+			sent := rng.Float64() * math.Pow(10, float64(rng.Intn(12)-3))
+			a := Arrival{
+				Dev: rng.Intn(40), Seq: int64(rng.Intn(200)), Value: int32(rng.Uint32()),
+				SentMs: sent, ArriveMs: sent + rng.ExpFloat64()*4,
+			}
+			if rng.Intn(50) == 0 {
+				a.SentMs = special[rng.Intn(len(special))]
+			}
+			g.Accept(a)
+		}
+		if got, want := g.Digest(), fmtDigest(g); got != want {
+			t.Fatalf("fresh %g: digest %s, fmt reference %s", fresh, got, want)
+		}
 	}
 }

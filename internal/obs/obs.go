@@ -154,8 +154,9 @@ type Sink interface {
 }
 
 // Recorder is one machine run's flight recorder. It is not safe for
-// concurrent use; attach a fresh recorder per machine, or Reset one
-// between runs of a pooled machine.
+// concurrent use; attach a fresh recorder per machine, Reset one between
+// runs of a pooled machine, or Rearm one to fold many runs into a single
+// registry and profile.
 type Recorder struct {
 	ring    []Event
 	head    int // next write position
@@ -202,6 +203,7 @@ type Recorder struct {
 	cpLatHist   *Histogram
 	cpSizeHist  *Histogram
 	failGapHist *Histogram
+	ringCap     *Gauge
 }
 
 // NewRecorder builds an enabled recorder.
@@ -240,6 +242,7 @@ func NewRecorder(opts Options) *Recorder {
 	// Registered at zero so the series is always scrapable: an absent
 	// drop counter is indistinguishable from a missing export.
 	r.dropCtr = r.reg.CounterRef("trace_events_dropped")
+	r.ringCap = r.reg.GaugeRef("trace_ring_cap")
 	r.Reset()
 	return r
 }
@@ -250,26 +253,43 @@ func NewRecorder(opts Options) *Recorder {
 // Sinks and the function-name table are dropped; the next owner
 // re-subscribes, and the machine reinstalls the names on attach. A
 // pooled machine keeps its recorder across runs this way instead of
-// building and re-registering a fresh one per run. NewRecorder ends with
-// a Reset, so the two states cannot drift apart.
+// building and re-registering a fresh one per run. Reset is Rearm plus
+// zeroing what Rearm keeps, and NewRecorder ends with a Reset, so the
+// three states cannot drift apart.
 func (r *Recorder) Reset() {
-	r.head, r.n, r.dropped, r.seq = 0, 0, 0, 0
-	clear(r.sinks)
-	r.sinks = r.sinks[:0]
+	r.dropped = 0
 	r.reg.Reset()
-	r.reg.SetGauge("trace_ring_cap", float64(len(r.ring)))
 	r.funcs = nil
-	r.catStack = append(r.catStack[:0], CatApp)
-	r.pending, r.byCat = [catCount]int64{}, [catCount]int64{}
+	r.byCat = [catCount]int64{}
 	r.foldNodes = append(r.foldNodes[:0], foldNode{parent: -1, fn: -1, firstKid: -1, nextSib: -1}) // node 0: the "(device)" root
 	r.foldCount = append(r.foldCount[:0], 0)
+	r.Rearm()
+}
+
+// Rearm readies the recorder for another run while keeping what earlier
+// runs accumulated: registry cells, committed category totals, the
+// folded-stack trie with its counts, and the function-name table the
+// trie's nodes refer to. Everything one run's attribution depends on —
+// the ring, seq, sinks, category stack, pending attribution, call-stack
+// position, checkpoint pairing and the last power-failure cycle — starts
+// over, so k runs through one rearmed recorder fold into the same
+// metrics and profile as k fresh recorders merged. Each armed run adds
+// its ring capacity to the trace_ring_cap gauge, as merging k fresh
+// registries would.
+func (r *Recorder) Rearm() {
+	r.head, r.n, r.seq = 0, 0, 0
+	clear(r.sinks)
+	r.sinks = r.sinks[:0]
+	r.ringCap.Add(float64(len(r.ring)))
+	r.catStack = append(r.catStack[:0], CatApp)
+	r.pending = [catCount]int64{}
 	r.curNode = 0
 	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = 0, 0, false, 0
 }
 
 // SetFunctions installs the image's function-name table (index-aligned
 // with the function indices the machine reports). The machine does this
-// when the recorder is attached.
+// when the recorder is attached; the table is shared, never modified.
 func (r *Recorder) SetFunctions(names []string) { r.funcs = names }
 
 // AddSink subscribes a streaming observer; see Sink. Sinks are invoked in
@@ -283,9 +303,10 @@ func (r *Recorder) Seq() int64 { return r.seq }
 // Metrics returns the recorder's registry.
 func (r *Recorder) Metrics() *Registry { return r.reg }
 
-// Dropped returns how many events the ring overwrote. The same count is
-// exported live as the registry counter "trace_events_dropped" so trace
-// loss is visible wherever the metrics go (Prometheus, fleet merges).
+// Dropped returns how many events the ring overwrote since the last
+// Reset (Rearm keeps counting). The same count is exported live as the
+// registry counter "trace_events_dropped" so trace loss is visible
+// wherever the metrics go (Prometheus, fleet merges).
 func (r *Recorder) Dropped() int64 { return r.dropped }
 
 // RingCap returns the event ring's capacity — exported next to the drop

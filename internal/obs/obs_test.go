@@ -300,32 +300,40 @@ func TestMergeProfiles(t *testing.T) {
 	}
 }
 
+// driveRecorder emits one salted run into r: events of every metric
+// kind (the ring of 4 overflows), nested categories, a power failure that
+// kills pending cycles, and trailing work flushed by Finish.
+func driveRecorder(r *Recorder, salt int64) {
+	r.SetFunctions([]string{"main", "leaf"})
+	r.EnterFunc(0)
+	r.OnSpend(10 + salt)
+	r.Emit(Event{Kind: EvBoot, Cycles: salt, Arg0: 1})
+	r.Emit(Event{Kind: EvCheckpointBegin, Cycles: 20 + salt, Arg1: 64})
+	r.PushCategory(CatCheckpoint)
+	r.OnSpend(5)
+	r.PopCategory()
+	r.Emit(Event{Kind: EvCheckpointCommit, Cycles: 90 + salt})
+	r.OnCommit()
+	r.EnterFunc(1)
+	r.OnSpend(7 * salt)
+	r.Emit(Event{Kind: EvUndoAppend, Cycles: 95 + salt, Arg0: 0x200, Arg1: 4})
+	r.Emit(Event{Kind: EvPowerFail, Cycles: 100 + salt})
+	r.OnPowerFail()
+	r.Emit(Event{Kind: EvUndoRollback, Cycles: 120 + salt, Arg0: 3})
+	r.Metrics().Observe("undo_len_per_epoch", float64(salt))
+	r.Emit(Event{Kind: EvSend, Cycles: 130 + salt, Arg0: salt})
+	r.EnterFunc(0)
+	r.OnSpend(2 + salt)
+	r.Finish()
+}
+
 // TestResetEqualsFresh: a recorder reused through Reset is
 // indistinguishable from a fresh one after the same emissions — events,
 // drop count, Seq, every counter and histogram, the profile — however
 // dirty it was before, ring overflow and an open checkpoint included.
 func TestResetEqualsFresh(t *testing.T) {
 	opts := Options{RingCap: 4, Profile: true}
-	drive := func(r *Recorder, salt int64) {
-		r.SetFunctions([]string{"main", "leaf"})
-		r.EnterFunc(0)
-		r.OnSpend(10 + salt)
-		r.Emit(Event{Kind: EvBoot, Cycles: salt, Arg0: 1})
-		r.Emit(Event{Kind: EvCheckpointBegin, Cycles: 20 + salt, Arg1: 64})
-		r.PushCategory(CatCheckpoint)
-		r.OnSpend(5)
-		r.PopCategory()
-		r.Emit(Event{Kind: EvCheckpointCommit, Cycles: 90 + salt})
-		r.OnCommit()
-		r.EnterFunc(1)
-		r.OnSpend(7 * salt)
-		r.Emit(Event{Kind: EvUndoAppend, Cycles: 95 + salt, Arg0: 0x200, Arg1: 4})
-		r.Emit(Event{Kind: EvPowerFail, Cycles: 100 + salt})
-		r.OnPowerFail()
-		r.Emit(Event{Kind: EvUndoRollback, Cycles: 120 + salt, Arg0: 3})
-		r.Metrics().Observe("undo_len_per_epoch", float64(salt))
-		r.Emit(Event{Kind: EvSend, Cycles: 130 + salt, Arg0: salt})
-	}
+	drive := driveRecorder
 	var sinkSeqs []int64
 	sink := sinkFunc(func(seq int64, _ Event) { sinkSeqs = append(sinkSeqs, seq) })
 
@@ -374,3 +382,92 @@ func TestResetEqualsFresh(t *testing.T) {
 type sinkFunc func(seq int64, ev Event)
 
 func (f sinkFunc) OnEvent(seq int64, ev Event) { f(seq, ev) }
+
+// TestRearmFoldsLikeMerge: runs folded through one recorder, rearmed
+// between them, record exactly what one fresh recorder per run merged
+// would — metrics (Dump and Prometheus, trace_ring_cap included), drop
+// count and profile — while seq, events and sinks start over per run.
+func TestRearmFoldsLikeMerge(t *testing.T) {
+	opts := Options{RingCap: 4, Profile: true}
+	var sinkSeqs []int64
+	sink := sinkFunc(func(seq int64, _ Event) { sinkSeqs = append(sinkSeqs, seq) })
+
+	folded := NewRecorder(opts)
+	folded.AddSink(sink)
+	driveRecorder(folded, 3)
+	folded.Emit(Event{Kind: EvCheckpointBegin, Cycles: 500}) // left open across the rearm
+	folded.Rearm()
+	sinkSeqs = nil
+	driveRecorder(folded, 1)
+	if len(sinkSeqs) != 0 {
+		t.Fatalf("Rearm kept the previous run's sink: it saw %d events", len(sinkSeqs))
+	}
+
+	first, second := NewRecorder(opts), NewRecorder(opts)
+	driveRecorder(first, 3)
+	first.Emit(Event{Kind: EvCheckpointBegin, Cycles: 500})
+	driveRecorder(second, 1)
+	merged := NewRegistry()
+	for _, r := range []*Recorder{first, second} {
+		if err := merged.Merge(r.Metrics()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if folded.Seq() != second.Seq() {
+		t.Fatalf("seq %d, want the second run's %d", folded.Seq(), second.Seq())
+	}
+	if got, want := folded.Dropped(), first.Dropped()+second.Dropped(); got != want {
+		t.Fatalf("dropped %d, want %d", got, want)
+	}
+	evF, _ := json.Marshal(folded.Events())
+	evS, _ := json.Marshal(second.Events())
+	if string(evF) != string(evS) {
+		t.Fatalf("events differ:\nfolded %s\nsecond %s", evF, evS)
+	}
+	var dumpF, dumpM, promF, promM bytes.Buffer
+	folded.Metrics().Dump(&dumpF)
+	merged.Dump(&dumpM)
+	if dumpF.String() != dumpM.String() {
+		t.Fatalf("metrics differ:\nfolded\n%s\nmerged\n%s", dumpF.String(), dumpM.String())
+	}
+	if err := folded.Metrics().WritePrometheus(&promF); err != nil {
+		t.Fatal(err)
+	}
+	if err := merged.WritePrometheus(&promM); err != nil {
+		t.Fatal(err)
+	}
+	if promF.String() != promM.String() {
+		t.Fatalf("Prometheus text differs:\nfolded\n%s\nmerged\n%s", promF.String(), promM.String())
+	}
+	if got := folded.Metrics().Gauge("trace_ring_cap"); got != 8 {
+		t.Fatalf("trace_ring_cap %g after two armed runs of a 4-slot ring, want 8", got)
+	}
+	pF, _ := json.Marshal(folded.Profile())
+	pM, _ := json.Marshal(MergeProfiles(first.Profile(), second.Profile()))
+	if string(pF) != string(pM) {
+		t.Fatalf("profile differs:\nfolded %s\nmerged %s", pF, pM)
+	}
+
+	// Reset is Rearm plus zeroing: the ring gauge is back to one ring.
+	folded.Reset()
+	if got := folded.Metrics().Gauge("trace_ring_cap"); got != 4 {
+		t.Fatalf("trace_ring_cap %g after Reset, want 4", got)
+	}
+}
+
+// TestLazyCounterRegistersOnFirstInc: a LazyCounter's name stays out of
+// the registry until its first increment, then counts through one cell.
+func TestLazyCounterRegistersOnFirstInc(t *testing.T) {
+	reg := NewRegistry()
+	c := reg.Lazy("stores")
+	if _, ok := reg.CounterSnapshot()["stores"]; ok {
+		t.Fatal("counter registered before its first increment")
+	}
+	c.Inc()
+	c.Inc()
+	reg.Inc("stores")
+	if got := reg.CounterSnapshot()["stores"]; got != 3 {
+		t.Fatalf("stores = %d, want 3", got)
+	}
+}

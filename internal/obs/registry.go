@@ -68,6 +68,27 @@ func (g *Registry) CounterRef(name string) *int64 {
 	return c
 }
 
+// LazyCounter is a counter cell resolved on its first increment. A hot
+// path (one increment per store instruction) skips the per-increment
+// name lookup, yet the name stays out of the registry — and out of
+// CounterSnapshot — until the counter is first bumped.
+type LazyCounter struct {
+	reg  *Registry
+	name string
+	cell *int64
+}
+
+// Lazy returns a LazyCounter for the named counter.
+func (g *Registry) Lazy(name string) LazyCounter { return LazyCounter{reg: g, name: name} }
+
+// Inc adds 1, registering the counter on first use.
+func (c *LazyCounter) Inc() {
+	if c.cell == nil {
+		c.cell = c.reg.CounterRef(c.name)
+	}
+	*c.cell++
+}
+
 // Inc adds 1 to a counter, creating it at zero first.
 func (g *Registry) Inc(name string) { *g.CounterRef(name)++ }
 
@@ -136,9 +157,9 @@ func (g *Registry) Histogram(name string) *Histogram { return g.hists[name] }
 // Merge folds every metric of other into g: counters add, gauges add,
 // and histograms merge bucket-wise. A histogram g does not have yet is
 // deep-copied in; merging histograms with different bucket bounds is an
-// error (the fleet gives every device identically-registered recorders,
+// error (the fleet gives every worker identically-registered recorders,
 // so in practice bounds always line up). other is not modified. This is
-// how per-device registries fold into fleet totals.
+// how the fleet's worker registries fold into fleet totals.
 func (g *Registry) Merge(other *Registry) error {
 	for k, v := range other.counters {
 		*g.CounterRef(k) += *v

@@ -156,6 +156,8 @@ type Runtime struct {
 
 	cur int
 	reg *obs.Registry
+	// storesVersioned counts per store; resolved on first increment.
+	storesVersioned obs.LazyCounter
 }
 
 var (
@@ -185,6 +187,7 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 		img:     img,
 		reg:     obs.NewRegistry(),
 	}
+	r.storesVersioned = r.reg.Lazy("stores-versioned")
 	for _, name := range cfg.Tasks {
 		found := false
 		for _, f := range img.Funcs {
@@ -329,7 +332,7 @@ func (r *Runtime) PreStore(m *vm.Machine) {
 func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	r.log.Append(m, addr, size, r.profile.privatizeCycles)
 	m.RawStore(addr, size, value)
-	r.reg.Inc("stores-versioned")
+	r.storesVersioned.Inc()
 }
 
 // Checkpoint implements vm.Runtime: task systems have no checkpoints; the

@@ -247,6 +247,10 @@ type Machine struct {
 	// prepared is the shared image this machine forked from (nil when the
 	// machine owns a privately loaded flat memory). Reset requires it.
 	prepared *Prepared
+	// funcNames is the image's function-name table, index-aligned with
+	// decodedInstr.fn; shared like decoded, and handed to every attached
+	// recorder.
+	funcNames []string
 
 	// rec is the attached flight recorder (nil when observability is off).
 	rec *obs.Recorder
@@ -273,9 +277,10 @@ type outEntry struct {
 // number of machines concurrently — fleets fork thousands of devices from
 // a single one instead of re-loading and re-decoding the image per device.
 type Prepared struct {
-	Img     *link.Image
-	decoded []decodedInstr
-	base    *mem.Base
+	Img       *link.Image
+	decoded   []decodedInstr
+	funcNames []string
+	base      *mem.Base
 }
 
 // Prepare loads img into a scratch memory, freezes the result as the
@@ -292,7 +297,16 @@ func Prepare(img *link.Image) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Img: img, decoded: decoded, base: scratch.Freeze()}, nil
+	return &Prepared{Img: img, decoded: decoded, funcNames: funcNames(img), base: scratch.Freeze()}, nil
+}
+
+// funcNames lists the image's function names by function index.
+func funcNames(img *link.Image) []string {
+	names := make([]string, len(img.Funcs))
+	for i, f := range img.Funcs {
+		names[i] = f.Name
+	}
+	return names
 }
 
 // normalize resolves the Prepared/Image pair and fills config defaults.
@@ -394,6 +408,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Prepared != nil {
 		m.Mem = mem.Fork(cfg.Prepared.base)
 		m.decoded = cfg.Prepared.decoded
+		m.funcNames = cfg.Prepared.funcNames
 		m.prepared = cfg.Prepared
 	} else {
 		m.Mem = mem.New()
@@ -403,6 +418,7 @@ func New(cfg Config) (*Machine, error) {
 		if m.decoded, err = decodeImage(cfg.Image); err != nil {
 			return nil, err
 		}
+		m.funcNames = funcNames(cfg.Image)
 	}
 	if err := m.apply(cfg); err != nil {
 		return nil, err
@@ -501,17 +517,13 @@ func (m *Machine) Runtime() Runtime { return m.rt }
 
 // AttachRecorder wires a flight recorder to the machine (nil detaches).
 // Call before Run; the machine installs the image's function-name table
+// (built once per image and shared, so the recorder must not modify it)
 // so the recorder's profiler can resolve symbols.
 func (m *Machine) AttachRecorder(rec *obs.Recorder) {
 	m.rec = rec
-	if rec == nil {
-		return
+	if rec != nil {
+		rec.SetFunctions(m.funcNames)
 	}
-	names := make([]string, len(m.Img.Funcs))
-	for i, f := range m.Img.Funcs {
-		names[i] = f.Name
-	}
-	rec.SetFunctions(names)
 }
 
 // Recorder returns the attached flight recorder (nil when disabled).
