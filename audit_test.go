@@ -15,6 +15,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/sensors"
+	"repro/internal/trace"
 )
 
 func TestAuditCleanOnTICSAppsAcrossPowerModels(t *testing.T) {
@@ -178,6 +179,47 @@ func TestAuditDetectsInjectedUndoSkip(t *testing.T) {
 	}
 	if v.EventSeq < 0 {
 		t.Fatalf("violation lacks an event index: %+v", v)
+	}
+}
+
+// TestAuditSurvivesTraceDetector attaches the Table 2 detector after the
+// auditor on the same machine: both observe stores, so the detector must
+// chain its store observer rather than replace the auditor's, and the
+// dropped undo-log append must still be reported.
+func TestAuditSurvivesTraceDetector(t *testing.T) {
+	img, err := tics.Build(apps.AR().Source, tics.BuildOptions{Runtime: tics.RTTICS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := tics.NewMachine(img, tics.RunOptions{
+		Power:          &power.FailEvery{Cycles: 9973, OffMs: 7},
+		Sensors:        sensors.NewBank(1),
+		AutoCpPeriodMs: 2,
+		Recorder:       obs.NewRecorder(obs.Options{}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Runtime().(*core.TICS).InjectUndoSkip(5)
+	a, err := audit.Attach(m, audit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, err := trace.Attach(m, img.Image, trace.Config{
+		Pairs: []trace.Pair{{DataName: "accel"}}, ConsumeMark: 3, FreshnessMs: 200, AlignMs: 50,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	det.Finish()
+	if a.Total() == 0 || a.Violations()[0].Check != audit.CheckUndoLog {
+		t.Fatalf("auditor beside the trace detector missed the dropped undo-log append: %v", a.Violations())
+	}
+	if det.Misalign.Potential == 0 {
+		t.Fatal("trace detector observed no consumes")
 	}
 }
 

@@ -44,8 +44,6 @@ func widen(prog *cc.Program, v aval) aval {
 
 func addVals(prog *cc.Program, a, b aval) aval {
 	switch {
-	case a.kind == avConst && b.kind == avConst:
-		return constVal(a.c + b.c)
 	case a.kind == avGlobal && b.kind == avConst:
 		return aval{kind: avGlobal, lo: a.lo + uint32(b.c), hi: a.hi + uint32(b.c), wide: a.wide}
 	case b.kind == avGlobal && a.kind == avConst:
@@ -62,8 +60,6 @@ func addVals(prog *cc.Program, a, b aval) aval {
 
 func subVals(prog *cc.Program, a, b aval) aval {
 	switch {
-	case a.kind == avConst && b.kind == avConst:
-		return constVal(a.c - b.c)
 	case a.kind == avGlobal && b.kind == avConst:
 		return aval{kind: avGlobal, lo: a.lo - uint32(b.c), hi: a.hi - uint32(b.c), wide: a.wide}
 	case a.kind == avGlobal:
@@ -231,45 +227,31 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 					emit(memEvent{kind: evWrite, instr: i, wide: a.wide,
 						loc: Loc{a.lo, a.hi + size}})
 				}
-			case isa.Add:
-				b2 := pop()
-				a2 := pop()
-				push(addVals(prog, a2, b2))
-			case isa.Sub:
-				b2 := pop()
-				a2 := pop()
-				push(subVals(prog, a2, b2))
-			case isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor, isa.Shl, isa.Shr,
-				isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt, isa.CmpGe,
-				isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
+			case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
+				isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
+				isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
 				b2 := pop()
 				a2 := pop()
 				if a2.kind == avConst && b2.kind == avConst {
-					if v, ok := foldALU(op, a2.c, b2.c); ok {
-						push(constVal(v))
+					if v, ok := isa.Eval(op, uint32(a2.c), uint32(b2.c)); ok {
+						push(constVal(int32(v)))
 						continue
 					}
 				}
-				if a2.kind == avStack || b2.kind == avStack {
+				switch {
+				case op == isa.Add:
+					push(addVals(prog, a2, b2))
+				case op == isa.Sub:
+					push(subVals(prog, a2, b2))
+				case a2.kind == avStack || b2.kind == avStack:
 					push(aval{kind: avStack})
-				} else {
+				default:
 					push(unknown())
 				}
 			case isa.Neg, isa.Not, isa.LNot:
-				v := pop()
-				if v.kind == avConst {
-					switch op {
-					case isa.Neg:
-						push(constVal(-v.c))
-					case isa.Not:
-						push(constVal(^v.c))
-					default:
-						if v.c == 0 {
-							push(constVal(1))
-						} else {
-							push(constVal(0))
-						}
-					}
+				if v := pop(); v.kind == avConst {
+					r, _ := isa.Eval(op, uint32(v.c), 0)
+					push(constVal(int32(r)))
 				} else {
 					push(unknown())
 				}
@@ -315,59 +297,4 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 		}
 	}
 	return fe
-}
-
-// foldALU evaluates a binary ALU opcode over constants, mirroring the VM.
-func foldALU(op isa.Op, a, b int32) (int32, bool) {
-	bool2i := func(v bool) int32 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	switch op {
-	case isa.Mul:
-		return a * b, true
-	case isa.Div:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case isa.Mod:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	case isa.And:
-		return a & b, true
-	case isa.Or:
-		return a | b, true
-	case isa.Xor:
-		return a ^ b, true
-	case isa.Shl:
-		return a << (uint32(b) & 31), true
-	case isa.Shr:
-		return int32(uint32(a) >> (uint32(b) & 31)), true
-	case isa.CmpEq:
-		return bool2i(a == b), true
-	case isa.CmpNe:
-		return bool2i(a != b), true
-	case isa.CmpLt:
-		return bool2i(a < b), true
-	case isa.CmpLe:
-		return bool2i(a <= b), true
-	case isa.CmpGt:
-		return bool2i(a > b), true
-	case isa.CmpGe:
-		return bool2i(a >= b), true
-	case isa.CmpLtU:
-		return bool2i(uint32(a) < uint32(b)), true
-	case isa.CmpLeU:
-		return bool2i(uint32(a) <= uint32(b)), true
-	case isa.CmpGtU:
-		return bool2i(uint32(a) > uint32(b)), true
-	case isa.CmpGeU:
-		return bool2i(uint32(a) >= uint32(b)), true
-	}
-	return 0, false
 }

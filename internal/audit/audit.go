@@ -46,12 +46,11 @@ import (
 type Check string
 
 const (
-	CheckRollback   Check = "rollback-exactness"
-	CheckUndoLog    Check = "undo-completeness"
-	CheckAtomicity  Check = "checkpoint-atomicity"
-	CheckTime       Check = "time-consistency"
-	CheckRegisters  Check = "register-exactness"
-	CheckEventOrder Check = "event-grammar"
+	CheckRollback  Check = "rollback-exactness"
+	CheckUndoLog   Check = "undo-completeness"
+	CheckAtomicity Check = "checkpoint-atomicity"
+	CheckTime      Check = "time-consistency"
+	CheckRegisters Check = "register-exactness"
 )
 
 // Violation is one detected invariant breach, anchored to the event
@@ -109,8 +108,6 @@ type writeRec struct {
 	val   byte
 }
 
-type regFile struct{ pc, sp, fp, rv uint32 }
-
 // Auditor watches one machine's run. Attach it before Run; afterwards,
 // Violations/Err/Summary report what it saw.
 type Auditor struct {
@@ -121,7 +118,7 @@ type Auditor struct {
 
 	shadow     []byte // data region at the last commit
 	cur        []byte // scratch for the comparison
-	shadowRegs regFile
+	shadowRegs vm.Registers
 	haveShadow bool
 	// regsValid: the last commit captured registers (a checkpoint). Task
 	// commits recover control by re-entering the task, not by a register
@@ -140,8 +137,8 @@ type Auditor struct {
 
 	cpOpen      bool
 	cpBeginSeq  int64
-	cpBeginRegs regFile
-	torn        *regFile // begin-state of a checkpoint a failure tore
+	cpBeginRegs vm.Registers
+	torn        *vm.Registers // begin-state of a checkpoint a failure tore
 	tornSeq     int64
 
 	expiryPending  bool
@@ -278,7 +275,7 @@ func (a *Auditor) OnEvent(seq int64, ev obs.Event) {
 	case obs.EvCheckpointBegin:
 		a.cpOpen = true
 		a.cpBeginSeq = seq
-		a.cpBeginRegs = a.regs()
+		a.cpBeginRegs = a.m.Regs
 	case obs.EvCheckpointCommit:
 		a.snapshot(seq, true)
 		a.cpOpen = false
@@ -335,7 +332,7 @@ func (a *Auditor) OnEvent(seq int64, ev obs.Event) {
 // task commits pass false.
 func (a *Auditor) snapshot(seq int64, regsKnown bool) {
 	a.m.Mem.Peek(a.base, a.shadow)
-	a.shadowRegs = a.regs()
+	a.shadowRegs = a.m.Regs
 	a.haveShadow = true
 	a.regsValid = regsKnown
 	a.commitSeq = seq
@@ -357,25 +354,25 @@ func (a *Auditor) checkRestore(seq int64) {
 	if !a.haveShadow {
 		return
 	}
-	if got := a.regs(); a.regsValid && got != a.shadowRegs {
+	if got := a.m.Regs; a.regsValid && got != a.shadowRegs {
 		if a.torn != nil && got == *a.torn {
 			a.report(Violation{
 				Check:    CheckAtomicity,
 				EventSeq: seq,
 				Cycles:   a.m.Cycles(),
 				Detail: fmt.Sprintf("restore resumed from the torn checkpoint begun at event %d (pc=%#x) instead of the commit at event %d (pc=%#x)",
-					a.tornSeq, a.torn.pc, a.commitSeq, a.shadowRegs.pc),
+					a.tornSeq, a.torn.PC, a.commitSeq, a.shadowRegs.PC),
 			})
 		} else {
 			a.report(Violation{
 				Check:    CheckRegisters,
 				EventSeq: seq,
 				Cycles:   a.m.Cycles(),
-				Want:     a.shadowRegs.pc,
-				Got:      got.pc,
+				Want:     a.shadowRegs.PC,
+				Got:      got.PC,
 				Detail: fmt.Sprintf("registers after restore {pc:%#x sp:%#x fp:%#x rv:%#x} != committed {pc:%#x sp:%#x fp:%#x rv:%#x} (commit at event %d)",
-					got.pc, got.sp, got.fp, got.rv,
-					a.shadowRegs.pc, a.shadowRegs.sp, a.shadowRegs.fp, a.shadowRegs.rv, a.commitSeq),
+					got.PC, got.SP, got.FP, got.RV,
+					a.shadowRegs.PC, a.shadowRegs.SP, a.shadowRegs.FP, a.shadowRegs.RV, a.commitSeq),
 			})
 		}
 	}
@@ -425,12 +422,7 @@ func (a *Auditor) checkRestore(seq int64) {
 	}
 }
 
-func (a *Auditor) regs() regFile {
-	r := a.m.Regs
-	return regFile{pc: r.PC, sp: r.SP, fp: r.FP, rv: r.RV}
-}
-
-// Violations returns the recorded violations (bounded by MaxViolations).
+// Violations returns the recorded violations (at most maxViolations).
 func (a *Auditor) Violations() []Violation {
 	out := make([]Violation, len(a.violations))
 	copy(out, a.violations)
@@ -464,7 +456,7 @@ func (a *Auditor) Summary() string {
 		counts[v.Check]++
 	}
 	fmt.Fprintf(&b, "audit: %d violation(s) in %d events\n", a.total, a.seq)
-	for _, c := range []Check{CheckRollback, CheckUndoLog, CheckAtomicity, CheckTime, CheckRegisters, CheckEventOrder} {
+	for _, c := range []Check{CheckRollback, CheckUndoLog, CheckAtomicity, CheckTime, CheckRegisters} {
 		if counts[c] > 0 {
 			fmt.Fprintf(&b, "  %-22s %d\n", c, counts[c])
 		}

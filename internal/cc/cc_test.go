@@ -2,6 +2,7 @@ package cc_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -199,6 +200,14 @@ int main() { out(0, xs[0] + xs[1] + xs[2] + xs[3]); out(1, y); out(2, cs[0] + cs
 int a[3];
 int main() { a[1] += 5; a[1] -= 2; out(0, a[1]); return 0; }`, []int32{3}},
 		{"modulo negative", `int main() { out(0, -7 % 3); out(1, 7 % -3); return 0; }`, []int32{-1, 1}},
+		// >> is logical for every type; / and % are signed even on uint
+		// (LANGUAGE.md, isa.Eval). u is a global so O2 cannot fold it.
+		{"logical shift right", `int main() { out(0, (0 - 8) >> 1); return 0; }`, []int32{2147483644}},
+		{"uint divide is signed", `
+uint u;
+int main() { u = 0 - 1; out(0, u / 2); out(1, u % 7); out(2, u >> 28); return 0; }`, []int32{0, -1, 15}},
+		// A literal is the 32-bit word it pushes, folded or not.
+		{"wide literal", `int main() { out(0, !4294967296); out(1, 4294967296 ? 5 : 6); return 0; }`, []int32{1, 6}},
 		{"postfix prefix", `
 int main() { int i = 5; out(0, i++); out(1, ++i); out(2, i--); out(3, --i); out(4, i); return 0; }`,
 			[]int32{5, 7, 7, 5, 5}},
@@ -246,13 +255,28 @@ int main() { u = 0 - 1; out(0, u > 100); out(1, -1 > 100); return 0; }`, 2)
 }
 
 // exprGen builds random integer expressions together with a Go reference
-// evaluation, avoiding division by values that could be zero.
+// evaluation, avoiding division by values that could be zero. Leaves
+// include MaxInt32 and MinInt32, so wraparound and MinInt32 / -1 are
+// exercised; shift counts run past 31 (the machine takes them mod 32).
 type exprGen struct {
 	rng *rand.Rand
 }
 
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func (g *exprGen) gen(depth int) (string, int32) {
 	if depth == 0 || g.rng.Intn(3) == 0 {
+		switch g.rng.Intn(12) {
+		case 0:
+			return "2147483647", math.MaxInt32
+		case 1:
+			return "(0 - 2147483647 - 1)", math.MinInt32
+		}
 		v := int32(g.rng.Intn(2001) - 1000)
 		if v < 0 {
 			return fmt.Sprintf("(0 - %d)", -v), v
@@ -261,7 +285,7 @@ func (g *exprGen) gen(depth int) (string, int32) {
 	}
 	ls, lv := g.gen(depth - 1)
 	rs, rv := g.gen(depth - 1)
-	switch g.rng.Intn(9) {
+	switch g.rng.Intn(16) {
 	case 0:
 		return fmt.Sprintf("(%s + %s)", ls, rs), lv + rv
 	case 1:
@@ -284,9 +308,25 @@ func (g *exprGen) gen(depth int) (string, int32) {
 		return fmt.Sprintf("(%s | %s)", ls, rs), lv | rv
 	case 7:
 		return fmt.Sprintf("(%s ^ %s)", ls, rs), lv ^ rv
-	default:
-		sh := uint32(g.rng.Intn(8))
+	case 8:
+		sh := uint32(g.rng.Intn(40))
 		return fmt.Sprintf("(%s << %d)", ls, sh), lv << (sh & 31)
+	case 9:
+		// >> is a logical shift on every type.
+		sh := uint32(g.rng.Intn(40))
+		return fmt.Sprintf("(%s >> %d)", ls, sh), int32(uint32(lv) >> (sh & 31))
+	case 10:
+		return fmt.Sprintf("(%s == %s)", ls, rs), b2i(lv == rv)
+	case 11:
+		return fmt.Sprintf("(%s != %s)", ls, rs), b2i(lv != rv)
+	case 12:
+		return fmt.Sprintf("(%s < %s)", ls, rs), b2i(lv < rv)
+	case 13:
+		return fmt.Sprintf("(%s <= %s)", ls, rs), b2i(lv <= rv)
+	case 14:
+		return fmt.Sprintf("(%s > %s)", ls, rs), b2i(lv > rv)
+	default:
+		return fmt.Sprintf("(%s >= %s)", ls, rs), b2i(lv >= rv)
 	}
 }
 
@@ -297,7 +337,7 @@ func (g *exprGen) gen(depth int) (string, int32) {
 func TestExpressionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := &exprGen{rng: rng}
-	for i := 0; i < 120; i++ {
+	for i := 0; i < 300; i++ {
 		expr, want := g.gen(4)
 		src := fmt.Sprintf("int main() { out(0, %s); return 0; }", expr)
 		for _, opt := range []int{0, 2} {

@@ -750,8 +750,7 @@ func (cg *codegen) exprValue(e Expr) error {
 			if err := cg.expr(x.X, true); err != nil {
 				return err
 			}
-			op := map[Kind]isa.Op{Minus: isa.Neg, Tilde: isa.Not, Bang: isa.LNot}[x.Op]
-			cg.emit(op, 0)
+			cg.emit(unaryOps[x.Op], 0)
 			return nil
 		case Star:
 			if err := cg.expr(x.X, true); err != nil {
@@ -844,54 +843,8 @@ func (cg *codegen) binary(x *Binary) error {
 	if (x.Op == Plus || x.Op == Minus) && lt.Kind == TPtr && rt.IsInteger() {
 		cg.scale(lt.Elem.Size())
 	}
-	unsigned := lt.IsUnsigned() || rt.IsUnsigned()
-	var op isa.Op
-	switch x.Op {
-	case Plus:
-		op = isa.Add
-	case Minus:
-		op = isa.Sub
-	case Star:
-		op = isa.Mul
-	case Slash:
-		op = isa.Div
-	case Percent:
-		op = isa.Mod
-	case Amp:
-		op = isa.And
-	case Pipe:
-		op = isa.Or
-	case Caret:
-		op = isa.Xor
-	case Shl:
-		op = isa.Shl
-	case Shr:
-		op = isa.Shr
-	case EqEq:
-		op = isa.CmpEq
-	case NotEq:
-		op = isa.CmpNe
-	case Lt:
-		op = isa.CmpLt
-		if unsigned {
-			op = isa.CmpLtU
-		}
-	case Le:
-		op = isa.CmpLe
-		if unsigned {
-			op = isa.CmpLeU
-		}
-	case Gt:
-		op = isa.CmpGt
-		if unsigned {
-			op = isa.CmpGtU
-		}
-	case Ge:
-		op = isa.CmpGe
-		if unsigned {
-			op = isa.CmpGeU
-		}
-	default:
+	op, ok := binaryOp(x)
+	if !ok {
 		return errf(x.Pos(), "unhandled binary operator %s", x.Op)
 	}
 	cg.emit(op, 0)
@@ -901,6 +854,33 @@ func (cg *codegen) binary(x *Binary) error {
 		cg.emit(isa.Div, 0)
 	}
 	return nil
+}
+
+// unaryOps maps each C unary operator that is one opcode to it.
+var unaryOps = map[Kind]isa.Op{Minus: isa.Neg, Tilde: isa.Not, Bang: isa.LNot}
+
+// binaryOps maps each C binary operator that is one opcode (all but &&
+// and ||) to that opcode for signed and for unsigned operands. Codegen
+// emits from it and the AST folder evaluates from it, so a folded
+// constant is what the emitted instruction computes (isa.Eval).
+var binaryOps = map[Kind][2]isa.Op{
+	Plus: {isa.Add, isa.Add}, Minus: {isa.Sub, isa.Sub}, Star: {isa.Mul, isa.Mul},
+	Slash: {isa.Div, isa.Div}, Percent: {isa.Mod, isa.Mod},
+	Amp: {isa.And, isa.And}, Pipe: {isa.Or, isa.Or}, Caret: {isa.Xor, isa.Xor},
+	Shl: {isa.Shl, isa.Shl}, Shr: {isa.Shr, isa.Shr},
+	EqEq: {isa.CmpEq, isa.CmpEq}, NotEq: {isa.CmpNe, isa.CmpNe},
+	Lt: {isa.CmpLt, isa.CmpLtU}, Le: {isa.CmpLe, isa.CmpLeU},
+	Gt: {isa.CmpGt, isa.CmpGtU}, Ge: {isa.CmpGe, isa.CmpGeU},
+}
+
+// binaryOp returns x's opcode: the unsigned form if either operand's
+// type is unsigned (uint, char or a pointer).
+func binaryOp(x *Binary) (isa.Op, bool) {
+	ops, ok := binaryOps[x.Op]
+	if x.L.Type().Decay().IsUnsigned() || x.R.Type().Decay().IsUnsigned() {
+		return ops[1], ok
+	}
+	return ops[0], ok
 }
 
 // scale multiplies the value on top of the stack by an element size.

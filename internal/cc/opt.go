@@ -77,7 +77,8 @@ func constOf(e Expr) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return n.Val, true
+	// The machine sees a literal as the 32-bit word codegen pushes.
+	return int64(int32(n.Val)), true
 }
 
 func lit(pos Pos, t *Type, v int64) *NumLit {
@@ -91,16 +92,8 @@ func foldExpr(e Expr) Expr {
 	case *Unary:
 		x.X = foldExpr(x.X)
 		if v, ok := constOf(x.X); ok {
-			switch x.Op {
-			case Minus:
-				return lit(x.Pos(), x.Type(), -v)
-			case Tilde:
-				return lit(x.Pos(), x.Type(), ^v)
-			case Bang:
-				if v == 0 {
-					return lit(x.Pos(), x.Type(), 1)
-				}
-				return lit(x.Pos(), x.Type(), 0)
+			if op, ok := unaryOps[x.Op]; ok {
+				return evalLit(x, op, v, 0)
 			}
 		}
 		return x
@@ -129,67 +122,16 @@ func foldExpr(e Expr) Expr {
 			}
 			return x
 		}
-		// Pointer arithmetic never has two constant operands that should
-		// fold with scaling; the types here are integers.
-		unsigned := x.Type() != nil && x.Type().IsUnsigned()
-		l32, r32 := int32(lv), int32(rv)
-		ul, ur := uint32(lv), uint32(rv)
-		var out int64
 		switch x.Op {
-		case Plus:
-			out = int64(l32 + r32)
-		case Minus:
-			out = int64(l32 - r32)
-		case Star:
-			out = int64(l32 * r32)
-		case Slash:
-			if r32 == 0 {
-				return x
-			}
-			if unsigned {
-				out = int64(ul / ur)
-			} else {
-				out = int64(l32 / r32)
-			}
-		case Percent:
-			if r32 == 0 {
-				return x
-			}
-			if unsigned {
-				out = int64(ul % ur)
-			} else {
-				out = int64(l32 % r32)
-			}
-		case Amp:
-			out = int64(l32 & r32)
-		case Pipe:
-			out = int64(l32 | r32)
-		case Caret:
-			out = int64(l32 ^ r32)
-		case Shl:
-			out = int64(l32 << (ur & 31))
-		case Shr:
-			out = int64(ul >> (ur & 31))
-		case EqEq:
-			out = b2i(l32 == r32)
-		case NotEq:
-			out = b2i(l32 != r32)
-		case Lt:
-			out = cmpFold(unsigned, ul, ur, l32, r32, "lt")
-		case Le:
-			out = cmpFold(unsigned, ul, ur, l32, r32, "le")
-		case Gt:
-			out = cmpFold(unsigned, ul, ur, l32, r32, "gt")
-		case Ge:
-			out = cmpFold(unsigned, ul, ur, l32, r32, "ge")
 		case AndAnd:
-			out = b2i(l32 != 0 && r32 != 0)
+			return lit(x.Pos(), x.Type(), b2i(lv != 0 && rv != 0))
 		case OrOr:
-			out = b2i(l32 != 0 || r32 != 0)
-		default:
-			return x
+			return lit(x.Pos(), x.Type(), b2i(lv != 0 || rv != 0))
 		}
-		return lit(x.Pos(), x.Type(), out)
+		if op, ok := binaryOp(x); ok {
+			return evalLit(x, op, lv, rv)
+		}
+		return x
 	case *Index:
 		x.Idx = foldExpr(x.Idx)
 		return x
@@ -226,32 +168,15 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func cmpFold(unsigned bool, ul, ur uint32, l, r int32, op string) int64 {
-	var b bool
-	if unsigned {
-		switch op {
-		case "lt":
-			b = ul < ur
-		case "le":
-			b = ul <= ur
-		case "gt":
-			b = ul > ur
-		case "ge":
-			b = ul >= ur
-		}
-	} else {
-		switch op {
-		case "lt":
-			b = l < r
-		case "le":
-			b = l <= r
-		case "gt":
-			b = l > r
-		case "ge":
-			b = l >= r
-		}
+// evalLit folds e, whose operands are the constants l and r, to the
+// literal the emitted opcode would compute, or returns e unchanged where
+// the opcode would fault (a zero divisor).
+func evalLit(e Expr, op isa.Op, l, r int64) Expr {
+	v, ok := isa.Eval(op, uint32(l), uint32(r))
+	if !ok {
+		return e
 	}
-	return b2i(b)
+	return lit(e.Pos(), e.Type(), int64(v))
 }
 
 // ---- Bytecode peephole (O2) ----
@@ -298,10 +223,11 @@ func (cg *codegen) peephole() {
 				continue
 			}
 			// pushi a; pushi b; binop → pushi folded.
+			// Only arithmetic (add through shr) folds; comparisons stay.
 			if i+2 < len(cg.out) && a.Op == isa.PushI && b.Op == isa.PushI &&
-				!relocated[i+2] && !cg.boundAt[i+2] {
-				if v, ok := foldBin(cg.out[i+2].Op, a.Imm, b.Imm); ok {
-					cg.out[i] = isa.Instr{Op: isa.PushI, Imm: v}
+				!relocated[i+2] && !cg.boundAt[i+2] && isa.Add <= cg.out[i+2].Op && cg.out[i+2].Op <= isa.Shr {
+				if v, ok := isa.Eval(cg.out[i+2].Op, uint32(a.Imm), uint32(b.Imm)); ok {
+					cg.out[i] = isa.Instr{Op: isa.PushI, Imm: int32(v)}
 					keep[i+1], keep[i+2] = false, false
 					changed = true
 					continue
@@ -341,39 +267,6 @@ func (cg *codegen) peephole() {
 		}
 		cg.compact(keep, relocated)
 	}
-}
-
-// foldBin folds a binary ALU op over constants.
-func foldBin(op isa.Op, a, b int32) (int32, bool) {
-	switch op {
-	case isa.Add:
-		return a + b, true
-	case isa.Sub:
-		return a - b, true
-	case isa.Mul:
-		return a * b, true
-	case isa.And:
-		return a & b, true
-	case isa.Or:
-		return a | b, true
-	case isa.Xor:
-		return a ^ b, true
-	case isa.Shl:
-		return a << (uint32(b) & 31), true
-	case isa.Shr:
-		return int32(uint32(a) >> (uint32(b) & 31)), true
-	case isa.Div:
-		if b == 0 {
-			return 0, false
-		}
-		return a / b, true
-	case isa.Mod:
-		if b == 0 {
-			return 0, false
-		}
-		return a % b, true
-	}
-	return 0, false
 }
 
 // compact removes dropped instructions and remaps labels, reloc indices and

@@ -101,11 +101,6 @@ func NewCapacitor(capacity float64) *Capacitor {
 // Level returns the current stored energy.
 func (c *Capacitor) Level() float64 { return c.level }
 
-// Reset empties the capacitor while preserving its configured capacity
-// and boot/brown-out thresholds, so a re-run starts from the identical
-// initial state.
-func (c *Capacitor) Reset() { c.level = 0 }
-
 // Usable returns how many cycles can run before brown-out.
 func (c *Capacitor) Usable() int64 {
 	u := c.level - c.OffLevel

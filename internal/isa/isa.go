@@ -327,3 +327,81 @@ func Unlogged(op Op) Op {
 	}
 	return op
 }
+
+// Eval is the one definition of what an ALU opcode computes; the VM, both
+// constant folders in the compiler and the static analyzer's abstract
+// stack all call it. Binary ops take lhs l and rhs r; the unary Neg, Not
+// and LNot read l and ignore r. Words wrap at 32 bits. Div, Mod and the
+// Cmp* ops are signed (two's complement; MinInt32 / -1 is MinInt32,
+// MinInt32 % -1 is 0), Cmp*U are unsigned, Shr is a logical shift, and
+// shift counts are taken mod 32. Comparisons and LNot yield 0 or 1.
+// The C compiler emits the signed Div and Mod for every integer type and
+// Shr for every >>; only comparisons have unsigned forms.
+//
+// ok is false for a non-ALU op and for Div or Mod by zero, which the VM
+// turns into a fault and the folders leave unfolded.
+func Eval(op Op, l, r uint32) (v uint32, ok bool) {
+	li, ri := int32(l), int32(r)
+	switch op {
+	case Add:
+		return l + r, true
+	case Sub:
+		return l - r, true
+	case Mul:
+		return l * r, true
+	case Div:
+		if r == 0 {
+			return 0, false
+		}
+		return uint32(li / ri), true
+	case Mod:
+		if r == 0 {
+			return 0, false
+		}
+		return uint32(li % ri), true
+	case And:
+		return l & r, true
+	case Or:
+		return l | r, true
+	case Xor:
+		return l ^ r, true
+	case Shl:
+		return l << (r & 31), true
+	case Shr:
+		return l >> (r & 31), true
+	case Neg:
+		return -l, true
+	case Not:
+		return ^l, true
+	case LNot:
+		return b2u(l == 0), true
+	case CmpEq:
+		return b2u(l == r), true
+	case CmpNe:
+		return b2u(l != r), true
+	case CmpLt:
+		return b2u(li < ri), true
+	case CmpLe:
+		return b2u(li <= ri), true
+	case CmpGt:
+		return b2u(li > ri), true
+	case CmpGe:
+		return b2u(li >= ri), true
+	case CmpLtU:
+		return b2u(l < r), true
+	case CmpLeU:
+		return b2u(l <= r), true
+	case CmpGtU:
+		return b2u(l > r), true
+	case CmpGeU:
+		return b2u(l >= r), true
+	}
+	return 0, false
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}

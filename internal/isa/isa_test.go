@@ -90,3 +90,79 @@ func TestDisassembleLabels(t *testing.T) {
 		t.Fatalf("disassembly:\n%s", out)
 	}
 }
+
+// TestEvalTable checks isa.Eval against hand-computed results at the
+// edges of the 32-bit word: wraparound, signed versus unsigned order,
+// MinInt32 / -1, shift counts at and past 32, and zero divisors.
+func TestEvalTable(t *testing.T) {
+	const (
+		maxI = 0x7fffffff // MaxInt32
+		minI = 0x80000000 // MinInt32
+		m1   = 0xffffffff // -1
+	)
+	cases := []struct {
+		op   isa.Op
+		l, r uint32
+		want uint32
+		ok   bool
+	}{
+		{isa.Add, maxI, 1, minI, true},
+		{isa.Add, m1, 1, 0, true},
+		{isa.Sub, minI, 1, maxI, true},
+		{isa.Sub, 0, 1, m1, true},
+		{isa.Mul, maxI, 2, 0xfffffffe, true},
+		{isa.Mul, minI, m1, minI, true},
+		{isa.Div, 7, 2, 3, true},
+		{isa.Div, 0xfffffff9, 2, 0xfffffffd, true}, // -7 / 2 = -3 (truncates)
+		{isa.Div, m1, 2, 0, true},                  // signed: -1 / 2 = 0
+		{isa.Div, minI, m1, minI, true},
+		{isa.Div, 1, 0, 0, false},
+		{isa.Div, 0, 0, 0, false},
+		{isa.Mod, 0xfffffff9, 3, m1, true}, // -7 % 3 = -1
+		{isa.Mod, 7, 0xfffffffd, 1, true},  // 7 % -3 = 1
+		{isa.Mod, m1, 7, m1, true},         // signed: -1 % 7 = -1
+		{isa.Mod, minI, m1, 0, true},
+		{isa.Mod, 5, 0, 0, false},
+		{isa.And, 0xf0f0, 0xff00, 0xf000, true},
+		{isa.Or, 0xf0f0, 0x0f00, 0xfff0, true},
+		{isa.Xor, m1, maxI, minI, true},
+		{isa.Shl, 1, 31, minI, true},
+		{isa.Shl, 1, 32, 1, true},
+		{isa.Shl, 1, 33, 2, true},
+		{isa.Shr, minI, 31, 1, true}, // logical, not arithmetic
+		{isa.Shr, 0xfffffff8, 1, 0x7ffffffc, true},
+		{isa.Shr, minI, 32, minI, true},
+		{isa.Shr, minI, 33, 0x40000000, true},
+		{isa.Neg, 1, 0, m1, true},
+		{isa.Neg, minI, 0, minI, true},
+		{isa.Not, 0, 0, m1, true},
+		{isa.LNot, 0, 0, 1, true},
+		{isa.LNot, minI, 0, 0, true},
+		{isa.CmpEq, m1, m1, 1, true},
+		{isa.CmpNe, m1, m1, 0, true},
+		{isa.CmpLt, m1, 0, 1, true},
+		{isa.CmpLt, minI, maxI, 1, true},
+		{isa.CmpLe, maxI, maxI, 1, true},
+		{isa.CmpGt, 0, m1, 1, true},
+		{isa.CmpGe, minI, maxI, 0, true},
+		{isa.CmpLtU, m1, 0, 0, true},
+		{isa.CmpLtU, maxI, minI, 1, true},
+		{isa.CmpLeU, 0, 0, 1, true},
+		{isa.CmpGtU, m1, 0, 1, true},
+		{isa.CmpGeU, 0, m1, 0, true},
+		{isa.PushI, 1, 2, 0, false},
+		{isa.Jmp, 1, 2, 0, false},
+	}
+	for _, c := range cases {
+		got, ok := isa.Eval(c.op, c.l, c.r)
+		if got != c.want || ok != c.ok {
+			t.Errorf("Eval(%s, %#x, %#x) = %#x, %v; want %#x, %v", c.op, c.l, c.r, got, ok, c.want, c.ok)
+		}
+	}
+	// Every opcode Eval accepts is an ALU-class opcode.
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		if _, ok := isa.Eval(op, 1, 1); ok && isa.Lookup(op).Class != isa.ClassALU {
+			t.Errorf("Eval accepts non-ALU opcode %s", op)
+		}
+	}
+}

@@ -17,7 +17,6 @@ import (
 type runOutcome struct {
 	digest     replay.ResultDigest
 	violations []audit.Violation
-	auditTotal int64
 	stale      []StaleSend
 	sendSeqs   []int64
 	sendVals   []int32
@@ -107,7 +106,6 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 	out := runOutcome{
 		digest:     replay.DigestOf(res),
 		violations: aud.Violations(),
-		auditTotal: aud.Total(),
 		stale:      tracker.stale,
 		outs:       res.OutLog,
 		marks:      res.MarkCounts,

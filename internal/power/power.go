@@ -27,8 +27,6 @@ type Source interface {
 	// interval and the off-time in milliseconds that follows the failure
 	// ending it. A window of math.MaxInt64 means effectively continuous.
 	NextWindow() (cycles int64, offMs float64)
-	// Reset rewinds the source to its initial state so a run can be repeated.
-	Reset()
 }
 
 // Continuous is bench power: one infinite window.
@@ -36,7 +34,6 @@ type Continuous struct{}
 
 func (Continuous) Name() string                 { return "continuous" }
 func (Continuous) NextWindow() (int64, float64) { return math.MaxInt64, 0 }
-func (Continuous) Reset()                       {}
 func (Continuous) String() string               { return "continuous" }
 
 var _ Source = Continuous{}
@@ -53,7 +50,6 @@ func (f *FailEvery) Name() string { return fmt.Sprintf("fail-every-%d", f.Cycles
 func (f *FailEvery) NextWindow() (int64, float64) {
 	return f.Cycles, f.OffMs
 }
-func (f *FailEvery) Reset() {}
 
 // DutyCycle models the pre-programmed reset patterns of Table 1. Rate is
 // the fraction of wall-clock time the device is powered (1.0 = continuous);
@@ -77,7 +73,6 @@ func (d *DutyCycle) NextWindow() (int64, float64) {
 	off := on * (1 - d.Rate) / d.Rate
 	return int64(on * energy.CyclesPerMs), off
 }
-func (d *DutyCycle) Reset() {}
 
 // Window is one explicit powered interval of a trace.
 type Window struct {
@@ -105,12 +100,12 @@ func (t *Trace) NextWindow() (int64, float64) {
 	t.pos++
 	return int64(w.OnMs * energy.CyclesPerMs), w.OffMs
 }
-func (t *Trace) Reset() { t.pos = 0 }
 
-// SchedWindow is one powered window of a Schedule, cycle-exact.
+// SchedWindow is one powered window of a Schedule, cycle-exact. Its JSON
+// form is a replay manifest's recorded window.
 type SchedWindow struct {
-	Cycles int64
-	OffMs  float64
+	Cycles int64   `json:"cycles"`
+	OffMs  float64 `json:"off_ms"`
 }
 
 // Schedule grants an explicit sequence of cycle-exact windows and then
@@ -146,8 +141,6 @@ func (s *Schedule) NextWindow() (int64, float64) {
 	s.pos++
 	return w.Cycles, w.OffMs
 }
-
-func (s *Schedule) Reset() { s.pos = 0 }
 
 // ParseSchedule parses the "sched:C@OFF,..." syntax Name emits. An empty
 // window list ("sched:") is continuous power.
@@ -190,14 +183,13 @@ type Harvester struct {
 	Cap       *energy.Capacitor
 	RatePerMs float64 // income in cycle-equivalents per millisecond
 	Jitter    float64 // fractional income variation in [0,1)
-	Seed      uint64
 	rng       uint64
 }
 
 // NewHarvester builds a harvester source. capacity is in cycle-equivalents
 // (one unit powers one cycle); ratePerMs is the charging income.
 func NewHarvester(capacity, ratePerMs float64, jitter float64, seed uint64) *Harvester {
-	return &Harvester{Cap: energy.NewCapacitor(capacity), RatePerMs: ratePerMs, Jitter: jitter, Seed: seed, rng: seed | 1}
+	return &Harvester{Cap: energy.NewCapacitor(capacity), RatePerMs: ratePerMs, Jitter: jitter, rng: seed | 1}
 }
 
 func (h *Harvester) Name() string { return "harvester" }
@@ -224,13 +216,4 @@ func (h *Harvester) NextWindow() (int64, float64) {
 		cycles = 1
 	}
 	return cycles, off
-}
-
-// Reset restores the harvester's full initial state — capacitor level
-// (keeping any custom boot/brown-out thresholds) and the complete RNG
-// state — so a repeated run draws the identical window sequence. This is
-// what makes harvester-powered runs recordable and replayable.
-func (h *Harvester) Reset() {
-	h.Cap.Reset()
-	h.rng = h.Seed | 1
 }

@@ -40,17 +40,13 @@ func TestDutyCycleMath(t *testing.T) {
 	}
 }
 
-func TestTraceLoopAndReset(t *testing.T) {
+func TestTraceLoop(t *testing.T) {
 	tr := &power.Trace{Windows: []power.Window{{OnMs: 1, OffMs: 2}, {OnMs: 3, OffMs: 4}}, Loop: true}
 	w1, o1 := tr.NextWindow()
 	w2, o2 := tr.NextWindow()
 	w3, _ := tr.NextWindow() // loops back
 	if w1 != 1000 || o1 != 2 || w2 != 3000 || o2 != 4 || w3 != 1000 {
 		t.Fatalf("trace: %d %f %d %f %d", w1, o1, w2, o2, w3)
-	}
-	tr.Reset()
-	if w, _ := tr.NextWindow(); w != 1000 {
-		t.Fatal("reset did not rewind")
 	}
 	oneShot := &power.Trace{Windows: []power.Window{{OnMs: 1}}}
 	oneShot.NextWindow()
@@ -80,45 +76,41 @@ func TestHarvesterDeterministicAndPlausible(t *testing.T) {
 	if total == 0 {
 		t.Fatal("harvester yielded no energy")
 	}
-	a.Reset()
-	w, _ := a.NextWindow()
-	wb, _ := power.NewHarvester(10_000, 100, 0.5, 9).NextWindow()
-	if w != wb {
-		t.Fatal("reset did not reproduce the first window")
-	}
 }
 
-// TestHarvesterResetRestoresFullState is the replay-prerequisite
-// regression test: Reset must restore the complete RNG and capacitor
-// state — including non-default boot/brown-out thresholds — so that a
-// second run draws the byte-identical window sequence.
-func TestHarvesterResetRestoresFullState(t *testing.T) {
-	h := power.NewHarvester(25_000, 300, 0.7, 1234)
-	// Custom thresholds: Reset must not clobber these back to defaults.
-	h.Cap.OnLevel = 0.8 * h.Cap.Capacity
-	h.Cap.OffLevel = 0.1 * h.Cap.Capacity
+// TestHarvesterSeedFixesFullState is the replay-prerequisite regression
+// test: construction from a seed must fix the complete RNG and capacitor
+// state, so a second harvester built the same way — including the same
+// non-default boot/brown-out thresholds — draws the byte-identical window
+// sequence.
+func TestHarvesterSeedFixesFullState(t *testing.T) {
+	build := func() *power.Harvester {
+		h := power.NewHarvester(25_000, 300, 0.7, 1234)
+		h.Cap.OnLevel = 0.8 * h.Cap.Capacity
+		h.Cap.OffLevel = 0.1 * h.Cap.Capacity
+		return h
+	}
 
 	type win struct {
 		c   int64
 		off float64
 	}
-	draw := func(n int) []win {
+	draw := func(h *power.Harvester, n int) []win {
 		out := make([]win, n)
 		for i := range out {
 			out[i].c, out[i].off = h.NextWindow()
 		}
 		return out
 	}
-	first := draw(80)
-	h.Reset()
-	second := draw(80)
+	first := draw(build(), 80)
+	second := draw(build(), 80)
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("window %d diverged after Reset: %+v vs %+v", i, first[i], second[i])
+			t.Fatalf("window %d diverged between same-seed harvesters: %+v vs %+v", i, first[i], second[i])
 		}
 	}
-	// The custom thresholds shape the windows; if Reset had reverted them
-	// the drained window size would differ from a default-threshold twin.
+	// The custom thresholds shape the windows, so a twin that dropped
+	// them would draw a different first window.
 	d := power.NewHarvester(25_000, 300, 0.7, 1234)
 	wd, _ := d.NextWindow()
 	if first[0].c == wd {

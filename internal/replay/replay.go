@@ -280,7 +280,7 @@ func Replay(man *Manifest, attach AttachFunc) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	return execute(man.Spec, img, &PlaybackSource{Windows: man.Windows}, attach)
+	return execute(man.Spec, img, &power.Schedule{Windows: man.Windows}, attach)
 }
 
 // VerifyReplay checks a replayed run against the manifest's recorded

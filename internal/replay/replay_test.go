@@ -1,6 +1,7 @@
 package replay_test
 
 import (
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -24,30 +25,29 @@ func TestRecordingSourceLogsEveryWindow(t *testing.T) {
 			t.Fatalf("window %+v, want {100 3}", w)
 		}
 	}
-	rs.Reset()
-	if len(rs.Windows) != 0 {
-		t.Fatal("Reset did not clear the log")
-	}
 }
 
-func TestPlaybackSourceReplaysVerbatimThenDegrades(t *testing.T) {
-	ws := []replay.WindowRec{{Cycles: 7, OffMs: 1.5}, {Cycles: 9, OffMs: 0}}
-	ps := &replay.PlaybackSource{Windows: ws}
+// TestManifestWindowsReplayVerbatimThenDegrade pins the manifest's window
+// JSON and its playback: a replay feeds the recorded windows back as a
+// power.Schedule, verbatim, then continuous power.
+func TestManifestWindowsReplayVerbatimThenDegrade(t *testing.T) {
+	const wire = `[{"cycles":7,"off_ms":1.5},{"cycles":9,"off_ms":0}]`
+	var ws []replay.WindowRec
+	if err := json.Unmarshal([]byte(wire), &ws); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := json.Marshal(ws); err != nil || string(b) != wire {
+		t.Fatalf("manifest windows re-encode as %s (%v), want %s", b, err, wire)
+	}
+	ps := &power.Schedule{Windows: ws}
 	for i, want := range ws {
 		c, off := ps.NextWindow()
 		if c != want.Cycles || off != want.OffMs {
 			t.Fatalf("window %d: got (%d,%v) want %+v", i, c, off, want)
 		}
 	}
-	if !ps.Exhausted() {
-		t.Fatal("not exhausted after draining")
-	}
 	if c, _ := ps.NextWindow(); c != math.MaxInt64 {
 		t.Fatalf("post-exhaustion window = %d, want effectively-continuous", c)
-	}
-	ps.Reset()
-	if c, _ := ps.NextWindow(); c != 7 {
-		t.Fatalf("Reset did not rewind: first window %d", c)
 	}
 }
 

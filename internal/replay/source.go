@@ -1,19 +1,15 @@
 package replay
 
-import (
-	"math"
-
-	"repro/internal/power"
-)
+import "repro/internal/power"
 
 // WindowRec is one powered window as actually drawn from a power source:
 // the cycles granted and the off-time that followed. A recorded window
 // sequence replaces the source's own randomness on replay, which is what
-// makes harvester-powered runs bit-reproducible across revisions.
-type WindowRec struct {
-	Cycles int64   `json:"cycles"`
-	OffMs  float64 `json:"off_ms"`
-}
+// makes harvester-powered runs bit-reproducible across revisions. Replay
+// feeds it back as a power.Schedule: the recorded windows verbatim, then
+// continuous power if a replay outlives the recording (it should not, for
+// a faithful re-execution of the same program).
+type WindowRec = power.SchedWindow
 
 // RecordingSource wraps a power source and logs every window it grants.
 type RecordingSource struct {
@@ -28,33 +24,3 @@ func (r *RecordingSource) NextWindow() (int64, float64) {
 	r.Windows = append(r.Windows, WindowRec{Cycles: c, OffMs: off})
 	return c, off
 }
-
-func (r *RecordingSource) Reset() {
-	r.Inner.Reset()
-	r.Windows = nil
-}
-
-// PlaybackSource replays a recorded window sequence verbatim. If a replay
-// outlives the recording (it should not, for a faithful re-execution of
-// the same program), it degrades to continuous power rather than
-// inventing windows the recorded run never saw.
-type PlaybackSource struct {
-	Windows []WindowRec
-	pos     int
-}
-
-func (p *PlaybackSource) Name() string { return "replay" }
-
-func (p *PlaybackSource) NextWindow() (int64, float64) {
-	if p.pos >= len(p.Windows) {
-		return math.MaxInt64, 0
-	}
-	w := p.Windows[p.pos]
-	p.pos++
-	return w.Cycles, w.OffMs
-}
-
-func (p *PlaybackSource) Reset() { p.pos = 0 }
-
-// Exhausted reports whether the replay consumed the full recording.
-func (p *PlaybackSource) Exhausted() bool { return p.pos >= len(p.Windows) }

@@ -108,6 +108,3 @@ func (s *Scripted) Sense(id int32, trueMs float64) int32 {
 	s.idx[id] = i + 1
 	return seq[i]
 }
-
-// Reset rewinds a scripted bank for a fresh run.
-func (s *Scripted) Reset() { s.idx = map[int32]int{} }

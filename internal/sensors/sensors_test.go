@@ -78,8 +78,4 @@ func TestScripted(t *testing.T) {
 	if s.Sense(9, 0) != 0 {
 		t.Fatal("empty channel should read zero")
 	}
-	s.Reset()
-	if s.Sense(3, 0) != 10 {
-		t.Fatal("reset")
-	}
 }

@@ -21,8 +21,6 @@ type Keeper interface {
 	// AdvanceOff accounts for a power outage of truly ms milliseconds; the
 	// keeper may estimate it with error.
 	AdvanceOff(ms float64)
-	// Reset rewinds the keeper to time zero.
-	Reset()
 }
 
 // Perfect is an ideal persistent clock (an external RTC with unlimited
@@ -35,7 +33,6 @@ func (p *Perfect) AdvanceOn(ms float64) { p.est += ms }
 func (p *Perfect) AdvanceOff(ms float64) {
 	p.est += ms
 }
-func (p *Perfect) Reset() { p.est = 0 }
 
 // RTC is a capacitor-backed real-time clock with a coarse tick: off-times
 // are measured but quantized to ResolutionMs (e.g. a 1/32768 Hz prescaler
@@ -56,7 +53,6 @@ func (r *RTC) AdvanceOff(ms float64) {
 	ticks := float64(int64(ms / res))
 	r.est += ticks * res
 }
-func (r *RTC) Reset() { r.est = 0 }
 
 // Remanence models a TARDIS/CusTARD-style remanence-decay timer: the
 // off-time estimate carries a bounded multiplicative error that varies
@@ -66,7 +62,6 @@ func (r *RTC) Reset() { r.est = 0 }
 type Remanence struct {
 	ErrFrac  float64 // maximum fractional error per outage, e.g. 0.1
 	MaxOffMs float64 // decay horizon; longer outages saturate
-	Seed     uint64
 	est      float64
 	rng      uint64
 }
@@ -74,7 +69,7 @@ type Remanence struct {
 // NewRemanence builds a remanence keeper with the given error fraction and
 // decay horizon.
 func NewRemanence(errFrac, maxOffMs float64, seed uint64) *Remanence {
-	return &Remanence{ErrFrac: errFrac, MaxOffMs: maxOffMs, Seed: seed, rng: seed | 1}
+	return &Remanence{ErrFrac: errFrac, MaxOffMs: maxOffMs, rng: seed | 1}
 }
 
 func (t *Remanence) Name() string         { return "remanence" }
@@ -95,9 +90,4 @@ func (t *Remanence) AdvanceOff(ms float64) {
 		obs = 0
 	}
 	t.est += obs
-}
-
-func (t *Remanence) Reset() {
-	t.est = 0
-	t.rng = t.Seed | 1
 }

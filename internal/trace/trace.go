@@ -115,7 +115,7 @@ func Attach(m *vm.Machine, img *link.Image, cfg Config) (*Detector, error) {
 		}
 		d.ranges = append(d.ranges, r)
 	}
-	m.OnStore = d.onStore
+	m.ObserveStores(d.onStore)
 	m.OnMark = d.onMark
 	rec.AddSink(d)
 	return d, nil

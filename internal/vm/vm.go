@@ -937,18 +937,14 @@ func (m *Machine) step() {
 		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
 		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
 		r := m.Pop()
-		l := m.Pop()
-		m.Push(m.alu(in.Op, l, r))
-	case isa.Neg:
-		m.Push(uint32(-int32(m.Pop())))
-	case isa.Not:
-		m.Push(^m.Pop())
-	case isa.LNot:
-		if m.Pop() == 0 {
-			m.Push(1)
-		} else {
-			m.Push(0)
+		v, ok := isa.Eval(in.Op, m.Pop(), r)
+		if !ok {
+			m.zeroDivisor(in.Op)
 		}
+		m.Push(v)
+	case isa.Neg, isa.Not, isa.LNot:
+		v, _ := isa.Eval(in.Op, m.Pop(), 0)
+		m.Push(v)
 	case isa.Jmp:
 		next = uint32(in.Imm)
 	case isa.Jz:
@@ -1126,64 +1122,14 @@ func (m *Machine) step() {
 	}
 }
 
-func (m *Machine) alu(op isa.Op, l, r uint32) uint32 {
-	li, ri := int32(l), int32(r)
-	b := func(v bool) uint32 {
-		if v {
-			return 1
-		}
-		return 0
+// zeroDivisor faults the Div or Mod that isa.Eval refused: a zero
+// divisor is the only way a binary ALU op fails. It stays out of line so
+// the ALU case in step remains small.
+func (m *Machine) zeroDivisor(op isa.Op) {
+	if op == isa.Mod {
+		m.Fault("modulo by zero")
 	}
-	switch op {
-	case isa.Add:
-		return l + r
-	case isa.Sub:
-		return l - r
-	case isa.Mul:
-		return l * r
-	case isa.Div:
-		if r == 0 {
-			m.Fault("division by zero")
-		}
-		return uint32(li / ri)
-	case isa.Mod:
-		if r == 0 {
-			m.Fault("modulo by zero")
-		}
-		return uint32(li % ri)
-	case isa.And:
-		return l & r
-	case isa.Or:
-		return l | r
-	case isa.Xor:
-		return l ^ r
-	case isa.Shl:
-		return l << (r & 31)
-	case isa.Shr:
-		return l >> (r & 31)
-	case isa.CmpEq:
-		return b(l == r)
-	case isa.CmpNe:
-		return b(l != r)
-	case isa.CmpLt:
-		return b(li < ri)
-	case isa.CmpLe:
-		return b(li <= ri)
-	case isa.CmpGt:
-		return b(li > ri)
-	case isa.CmpGe:
-		return b(li >= ri)
-	case isa.CmpLtU:
-		return b(l < r)
-	case isa.CmpLeU:
-		return b(l <= r)
-	case isa.CmpGtU:
-		return b(l > r)
-	case isa.CmpGeU:
-		return b(l >= r)
-	}
-	m.Fault("not an ALU op: %s", op)
-	return 0
+	m.Fault("division by zero")
 }
 
 func (m *Machine) result(completed, starved bool, fault error) Result {
