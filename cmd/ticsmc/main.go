@@ -11,6 +11,7 @@
 //	ticsmc -depth 2 -off 100 program.c    # reboot pairs, 100 ms outages
 //	ticsmc -out ce.json program.c         # write the counterexample manifest
 //	ticsmc -crosscheck testdata/vet/seeded  # correlate with ticsvet
+//	ticsmc -cpuprofile cpu.out -app bc    # host CPU profile for go tool pprof
 //
 // In -crosscheck mode ticsmc walks the seeded diagnostic corpus: every
 // program ticsvet flags must yield a concrete failing schedule whose
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
@@ -36,28 +38,48 @@ import (
 	"repro/internal/replay"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// run is the command with its exit status returned rather than taken, so
+// deferred work (stopping the CPU profile) runs on every path.
+func run(args []string) int {
+	fs := flag.NewFlagSet("ticsmc", flag.ExitOnError)
 	var (
-		depth      = flag.Int("depth", 1, "max reboots per schedule (2 = every pair of reset points)")
-		offMs      = flag.Float64("off", 20, "off-time per injected reboot, ms")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "sweep pool size (results are independent of it)")
-		maxScheds  = flag.Int("max-schedules", 0, "bound schedules per depth level, 0 = exhaustive")
-		jsonOut    = flag.Bool("json", false, "emit the full report as JSON")
-		appName    = flag.String("app", "", "check a built-in benchmark instead of a file")
-		runtimeK   = flag.String("runtime", "tics", "runtime kind (plain|tics|tics-st|mementos|chinchilla|alpaca|ink|mayfly)")
-		timerMs    = flag.Float64("timer", 2, "automatic checkpoint period, ms (0 = explicit checkpoints only)")
-		seed       = flag.Uint64("seed", 0, "sensor bank seed")
-		wallMs     = flag.Float64("wall", 0, "wall-clock budget per run, ms (0 = cycle watchdog only; required for non-terminating programs)")
-		assumeMs   = flag.Int64("assume-budget", 0, "freshness budget imposed on sends of unannotated globals, ms (0 = off)")
-		effectLoss = flag.Bool("effect-loss", false, "flag schedules that complete but commit fewer sends/outs than the oracle")
-		outPath    = flag.String("out", "", "write the minimized counterexample manifest to this file")
-		crosscheck = flag.String("crosscheck", "", "correlate checker verdicts with ticsvet findings over the seeded corpus in DIR")
-		verbose    = flag.Bool("v", false, "log one progress line per depth to stderr (candidates, kept, elapsed, rates)")
+		depth      = fs.Int("depth", 1, "max reboots per schedule (2 = every pair of reset points)")
+		offMs      = fs.Float64("off", 20, "off-time per injected reboot, ms")
+		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "sweep pool size (results are independent of it)")
+		maxScheds  = fs.Int("max-schedules", 0, "bound schedules per depth level, 0 = exhaustive")
+		jsonOut    = fs.Bool("json", false, "emit the full report as JSON")
+		appName    = fs.String("app", "", "check a built-in benchmark instead of a file")
+		runtimeK   = fs.String("runtime", "tics", "runtime kind (plain|tics|tics-st|mementos|chinchilla|alpaca|ink|mayfly)")
+		timerMs    = fs.Float64("timer", 2, "automatic checkpoint period, ms (0 = explicit checkpoints only)")
+		seed       = fs.Uint64("seed", 0, "sensor bank seed")
+		wallMs     = fs.Float64("wall", 0, "wall-clock budget per run, ms (0 = cycle watchdog only; required for non-terminating programs)")
+		assumeMs   = fs.Int64("assume-budget", 0, "freshness budget imposed on sends of unannotated globals, ms (0 = off)")
+		effectLoss = fs.Bool("effect-loss", false, "flag schedules that complete but commit fewer sends/outs than the oracle")
+		outPath    = fs.String("out", "", "write the minimized counterexample manifest to this file")
+		crosscheck = fs.String("crosscheck", "", "correlate checker verdicts with ticsvet findings over the seeded corpus in DIR")
+		verbose    = fs.Bool("v", false, "log one progress line per depth to stderr (candidates, kept, elapsed, rates)")
+		cpuProfile = fs.String("cpuprofile", "", "write a host CPU profile of the whole command to FILE (go tool pprof)")
 	)
-	flag.Parse()
+	fs.Parse(args)
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ticsmc: %v\n", err)
+			return 2
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(os.Stderr, "ticsmc: %v\n", err)
+			return 2
+		}
+		defer pprof.StopCPUProfile()
+	}
 
 	if *crosscheck != "" {
-		os.Exit(runCrossCheck(*crosscheck, *workers, *jsonOut))
+		return runCrossCheck(*crosscheck, *workers, *jsonOut)
 	}
 
 	spec := replay.Spec{
@@ -72,21 +94,21 @@ func main() {
 	case *appName != "":
 		if _, ok := apps.ByName(*appName); !ok {
 			fmt.Fprintf(os.Stderr, "ticsmc: unknown app %q\n", *appName)
-			os.Exit(2)
+			return 2
 		}
 		spec.App = *appName
 		label = *appName
-	case flag.NArg() == 1:
-		b, err := os.ReadFile(flag.Arg(0))
+	case fs.NArg() == 1:
+		b, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ticsmc: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		spec.Source = string(b)
-		label = flag.Arg(0)
+		label = fs.Arg(0)
 	default:
 		fmt.Fprintln(os.Stderr, "usage: ticsmc [flags] program.c (or -app NAME, or -crosscheck DIR)")
-		os.Exit(2)
+		return 2
 	}
 
 	cfg := mc.Config{
@@ -107,7 +129,7 @@ func main() {
 	rep, err := mc.Sweep(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, analysis.FormatError(label, err))
-		os.Exit(2)
+		return 2
 	}
 
 	if *jsonOut {
@@ -115,7 +137,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			fmt.Fprintf(os.Stderr, "ticsmc: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	} else {
 		fmt.Printf("%s: %d boundaries, %d schedules (depth %d, off %.0f ms), %d cycles explored\n",
@@ -135,7 +157,7 @@ func main() {
 		if !*jsonOut {
 			fmt.Printf("%s: verified: every schedule preserved the intermittence invariants\n", label)
 		}
-		os.Exit(0)
+		return 0
 	}
 
 	if *outPath != "" {
@@ -143,17 +165,17 @@ func main() {
 		man, _, err := mc.Counterexample(spec, *f)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ticsmc: recording counterexample: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if err := replay.WriteManifest(*outPath, man); err != nil {
 			fmt.Fprintf(os.Stderr, "ticsmc: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 		if !*jsonOut {
 			fmt.Printf("%s: counterexample manifest written to %s (replay with ticsreplay)\n", label, *outPath)
 		}
 	}
-	os.Exit(1)
+	return 1
 }
 
 // runCrossCheck correlates the checker with ticsvet over the seeded

@@ -207,6 +207,25 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	return nil
 }
 
+// CopyFrom gives a the audit state of src — shadow, per-byte coverage and
+// last writers, epoch, checkpoint and expiry tracking, seq and the
+// violations so far — keeping a's own machine. Both audit the same image
+// with the same options. Machine snapshots copy a run's auditor this way,
+// into a spare and back; a is then subscribed wherever it already was.
+func (a *Auditor) CopyFrom(src *Auditor) {
+	m, shadow, cur, covered, lastWriter, violations := a.m, a.shadow, a.cur, a.covered, a.lastWriter, a.violations
+	*a = *src
+	a.m, a.cur = m, cur // cur is comparison scratch
+	a.shadow = append(shadow[:0], src.shadow...)
+	a.covered = append(covered[:0], src.covered...)
+	a.lastWriter = append(lastWriter[:0], src.lastWriter...)
+	a.violations = append(violations[:0], src.violations...)
+	if src.torn != nil {
+		torn := *src.torn
+		a.torn = &torn
+	}
+}
+
 // closeEpoch retires every covered and lastWriter entry at once.
 func (a *Auditor) closeEpoch() {
 	a.epoch++

@@ -136,6 +136,15 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 // Name implements vm.Runtime.
 func (c *Chinchilla) Name() string { return "chinchilla" }
 
+// Clone implements vm.Runtime.
+func (c *Chinchilla) Clone() vm.Runtime {
+	d := *c
+	d.reg = c.reg.Clone()
+	d.log = c.log.WithRegistry(d.reg)
+	d.storesLogged = c.storesLogged.In(d.reg)
+	return &d
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (c *Chinchilla) Stats() map[string]int64 { return c.reg.CounterSnapshot() }
@@ -194,7 +203,7 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	}
 	captured := slotMetaLen + int(c.img.StackBase+c.img.StackLen-m.Regs.SP)
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(captured))
-	m.ObserveMetric("undo_len_per_epoch", float64(c.log.Len()))
+	c.log.ObserveLen(m)
 	m.PushCat(obs.CatCheckpoint)
 	m.Spend(m.Cost.CheckpointBase)
 	target := 1 - c.active

@@ -115,6 +115,13 @@ func New(img *link.Image, cfg Config) (*Mementos, error) {
 // Name implements vm.Runtime.
 func (b *Mementos) Name() string { return "mementos" }
 
+// Clone implements vm.Runtime.
+func (b *Mementos) Clone() vm.Runtime {
+	c := *b
+	c.reg = b.reg.Clone()
+	return &c
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (b *Mementos) Stats() map[string]int64 { return b.reg.CounterSnapshot() }

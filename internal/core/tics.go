@@ -23,6 +23,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/link"
 	"repro/internal/obs"
@@ -130,10 +131,14 @@ type TICS struct {
 	working int
 	active  int
 	epoch   uint32
-	// loggedBlocks dedups block-granularity log entries within one
-	// checkpoint epoch. Volatile: a failure empties the log (rollback), a
-	// checkpoint clears it, and Boot starts it fresh — all in sync.
-	loggedBlocks map[uint32]bool
+	// loggedAt dedups block-granularity log entries within one
+	// checkpoint epoch: block i of the program-writable region, counted
+	// from blockBase, is logged iff loggedAt[i] == logGen. Volatile: a
+	// failure empties the log (rollback), a checkpoint clears it, and Boot
+	// starts it fresh — all in sync, each one increment of logGen.
+	loggedAt  []uint32
+	logGen    uint32
+	blockBase uint32
 
 	// skipUndoAt, when positive, is a countdown to an injected fault: the
 	// N-th upcoming undo append is silently skipped (the program's store
@@ -178,13 +183,18 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 		return nil, fmt.Errorf("core: undo block size %d B must be a power of two in [4,64]", cfg.UndoBlockBytes)
 	}
 	t := &TICS{
-		cfg:          cfg,
-		img:          img,
-		segBytes:     cfg.SegmentBytes,
-		numSegs:      int(img.StackLen) / cfg.SegmentBytes,
-		blockBytes:   cfg.UndoBlockBytes,
-		loggedBlocks: map[uint32]bool{},
-		reg:          obs.NewRegistry(),
+		cfg:        cfg,
+		img:        img,
+		segBytes:   cfg.SegmentBytes,
+		numSegs:    int(img.StackLen) / cfg.SegmentBytes,
+		blockBytes: cfg.UndoBlockBytes,
+		logGen:     1,
+		reg:        obs.NewRegistry(),
+	}
+	if t.blockBytes > 4 {
+		t.blockBase = img.GlobalsBase &^ uint32(t.blockBytes-1)
+		end := img.StackBase + img.StackLen
+		t.loggedAt = make([]uint32, (end-t.blockBase+uint32(t.blockBytes)-1)/uint32(t.blockBytes))
 	}
 	t.storesDirect = t.reg.Lazy("stores-direct")
 	t.storesBlockHit = t.reg.Lazy("stores-block-hit")
@@ -221,6 +231,18 @@ func (t *TICS) NumSegments() int { return t.numSegs }
 
 // Name implements vm.Runtime.
 func (t *TICS) Name() string { return "tics" }
+
+// Clone implements vm.Runtime.
+func (t *TICS) Clone() vm.Runtime {
+	c := *t
+	c.reg = t.reg.Clone()
+	c.log = t.log.WithRegistry(c.reg)
+	c.storesDirect = t.storesDirect.In(c.reg)
+	c.storesBlockHit = t.storesBlockHit.In(c.reg)
+	c.storesLogged = t.storesLogged.In(c.reg)
+	c.loggedAt = slices.Clone(t.loggedAt)
+	return &c
+}
 
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
@@ -306,9 +328,19 @@ func (t *TICS) restore(m *vm.Machine) {
 // resetLogged clears the volatile block-dedup set (in lockstep with the
 // undo log itself).
 func (t *TICS) resetLogged() {
-	if len(t.loggedBlocks) > 0 {
-		t.loggedBlocks = map[uint32]bool{}
+	if t.logGen++; t.logGen == 0 { // wrapped: clear so no stamp aliases the new generation
+		clear(t.loggedAt)
+		t.logGen = 1
 	}
+}
+
+// loggedBlock returns the dedup slot of the block at addr, or nil for an
+// address outside the program-writable region (whose store faults).
+func (t *TICS) loggedBlock(addr uint32) *uint32 {
+	if i := uint(addr-t.blockBase) / uint(t.blockBytes); i < uint(len(t.loggedAt)) {
+		return &t.loggedAt[i]
+	}
+	return nil
 }
 
 // ---- Checkpoint ----
@@ -335,7 +367,7 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 		}
 	}
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(slotMetaLen+used))
-	m.ObserveMetric("undo_len_per_epoch", float64(t.log.Len()))
+	t.log.ObserveLen(m)
 	m.PushCat(obs.CatCheckpoint)
 	m.Spend(m.Cost.CheckpointBase)
 	target := 1 - t.active
@@ -402,11 +434,12 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		return
 	}
 	logAddr, logSize := addr, size
+	var logged *uint32
 	if t.blockBytes > 4 {
 		// Block granularity: log the containing block once per epoch;
 		// later writes to the same block skip straight to the store.
 		logAddr, logSize = addr&^uint32(t.blockBytes-1), t.blockBytes
-		if t.loggedBlocks[logAddr] {
+		if logged = t.loggedBlock(logAddr); logged != nil && *logged == t.logGen {
 			m.RawStore(addr, size, value)
 			t.storesBlockHit.Inc()
 			return
@@ -419,8 +452,8 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		}
 	}
 	t.log.Append(m, logAddr, logSize, m.Cost.UndoLogEntry)
-	if t.blockBytes > 4 {
-		t.loggedBlocks[logAddr] = true
+	if logged != nil {
+		*logged = t.logGen
 	}
 	m.RawStore(addr, size, value)
 	t.storesLogged.Inc()

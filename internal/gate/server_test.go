@@ -53,6 +53,12 @@ func TestServerIngestContract(t *testing.T) {
 		t.Fatalf("gap: %d, want 409", w.Code)
 	}
 
+	// A frame the WAL cannot store faithfully is 400.
+	wide := []Frame{{Dev: 1<<32 + 1, Seq: 1, ArriveMs: 5}}
+	if w = postIngest(t, h, IngestRequest{Source: "s", Batch: 2, Frames: wide}); w.Code != http.StatusBadRequest {
+		t.Fatalf("wide dev: %d, want 400", w.Code)
+	}
+
 	// Garbage is 400.
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader("{nope")))

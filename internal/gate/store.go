@@ -293,13 +293,22 @@ func (s *Store) apply(source string, batch uint64, frames []Frame) {
 // and a gap returns ErrBatchGap. The record is appended and fsynced
 // BEFORE it is applied or acknowledged: a kill after the fsync
 // re-applies it on recovery, a kill before it leaves no trace, and
-// either way the client's retry resolves to exactly one application.
+// either way the client's retry resolves to exactly one application. A
+// frame whose Dev or Attempt does not fit the WAL's 32-bit fields is
+// refused before anything is written.
 func (s *Store) Ingest(source string, batch uint64, frames []Frame) (applied bool, err error) {
 	if source == "" || len(source) > 0xFFFF {
 		return false, fmt.Errorf("gate: bad source %q", source)
 	}
 	if batch == 0 {
 		return false, fmt.Errorf("gate: batch numbering starts at 1")
+	}
+	for i, f := range frames {
+		// The WAL stores Dev and Attempt as 32-bit words; a wider value
+		// would be applied now and replay as a different frame.
+		if f.Dev != int(int32(f.Dev)) || f.Attempt != int(int32(f.Attempt)) {
+			return false, fmt.Errorf("gate: frame %d: dev %d, attempt %d: outside the 32-bit range the WAL stores", i, f.Dev, f.Attempt)
+		}
 	}
 	hwm := s.sources[source]
 	if batch <= hwm {

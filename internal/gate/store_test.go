@@ -189,6 +189,37 @@ func TestIngestIdempotenceAndGap(t *testing.T) {
 	}
 }
 
+// TestIngestRefusesWideFrames pins the WAL round trip for frame fields
+// the log stores in 32 bits: a batch with a Dev or Attempt outside int32
+// is refused before the append (it would otherwise be applied under one
+// id and replay under another), and the digest survives Close/Open.
+func TestIngestRefusesWideFrames(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{})
+	mustIngest(t, st, "src", 1, []Frame{{Dev: 1, Seq: 1, ArriveMs: 5}})
+	want := st.Digest()
+	for _, f := range []Frame{
+		{Dev: 1<<32 + 1, Seq: 2, ArriveMs: 6},
+		{Dev: -1<<31 - 1, Seq: 2, ArriveMs: 6},
+		{Dev: 2, Seq: 2, ArriveMs: 6, Attempt: 1 << 31},
+	} {
+		if _, err := st.Ingest("src", 2, []Frame{{Dev: 3, Seq: 1}, f}); err == nil {
+			t.Fatalf("frame %+v accepted", f)
+		}
+	}
+	if st.Digest() != want || st.SourceHWM("src") != 1 {
+		t.Fatal("a refused batch changed the store")
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir, Options{})
+	defer st.Close()
+	if got := st.Digest(); got != want {
+		t.Fatalf("digest after reopen %s, want %s", got, want)
+	}
+}
+
 // TestKillAndReplayTorture kills the store (abandons it without Close —
 // the in-memory state dies, the fsynced bytes survive) after every
 // single batch, reopens from disk, replays the "unacknowledged" batch

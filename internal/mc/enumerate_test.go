@@ -64,7 +64,7 @@ func runLevel(t *testing.T, r *runner, schedules [][]power.SchedWindow) []runOut
 	outs := make([]runOutcome, len(schedules))
 	for i, s := range schedules {
 		var err error
-		if outs[i], err = r.run(s, false, true); err != nil {
+		if outs[i], err = r.run(s, false, true, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -72,7 +72,8 @@ func runLevel(t *testing.T, r *runner, schedules [][]power.SchedWindow) []runOut
 }
 
 // oracleRunner builds a runner for spec and runs its oracle, applying the
-// starvation bound Sweep applies before the first level.
+// starvation bound Sweep applies before the first level, and takes the
+// oracle's snapshots.
 func oracleRunner(t *testing.T, spec replay.Spec) (*runner, runOutcome) {
 	t.Helper()
 	spec.Power = "continuous"
@@ -80,12 +81,17 @@ func oracleRunner(t *testing.T, spec replay.Spec) (*runner, runOutcome) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := r.run(nil, false, true)
+	oracle, err := r.run(nil, false, true, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oracle.digest.Completed {
 		r.spec.MaxCycles = oracle.cycles*4 + 1_000_000
+	}
+	// Schedules resume from snapshots and so collect no stamp before
+	// them; enumeration must not need those.
+	if err := r.snapshotOracle(oracle); err != nil {
+		t.Fatal(err)
 	}
 	return r, oracle
 }

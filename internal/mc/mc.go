@@ -142,7 +142,16 @@ func Counterexample(spec replay.Spec, f Finding) (*replay.Manifest, *replay.Run,
 }
 
 // Sweep runs the exhaustive reset-point exploration.
-func Sweep(cfg Config) (*Report, error) {
+func Sweep(cfg Config) (*Report, error) { return sweep(cfg, false, nil) }
+
+// sweep is Sweep. cold starts every schedule from cold boot instead of
+// from an oracle snapshot, and observe, when set, sees every depth
+// level's schedules and outcomes; the differential tests use both.
+//
+// Before running a level, the sweep re-runs the oracle to take snapshots
+// once the level's schedules share enough of its prefix to repay them
+// (worthSnapshots); every later level uses the same snapshots.
+func sweep(cfg Config, cold bool, observe func(schedules [][]power.SchedWindow, outcomes []runOutcome)) (*Report, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 1
 	}
@@ -169,7 +178,7 @@ func Sweep(cfg Config) (*Report, error) {
 	}
 
 	// Phase 1: the oracle.
-	oracle, err := r.run(nil, true, true)
+	oracle, err := r.run(nil, true, true, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -197,6 +206,7 @@ func Sweep(cfg Config) (*Report, error) {
 	// Phase 2..Depth+1: breadth-first over reboot counts.
 	level := [][]power.SchedWindow{nil} // parents (nil = the oracle)
 	parents := []runOutcome{oracle}
+	snapshotted := false
 	for depth := 1; depth <= cfg.Depth; depth++ {
 		start := time.Now()
 		schedules, candidates := enumerate(level, parents, cfg.OffMs, cfg.MaxSchedules)
@@ -208,21 +218,34 @@ func Sweep(cfg Config) (*Report, error) {
 		}
 		rep.Dropped += candidates - len(schedules)
 
+		if !cold && !snapshotted && worthSnapshots(schedules, oracle.cycles) {
+			if err := r.snapshotOracle(oracle); err != nil {
+				return nil, err
+			}
+			snapshotted = true
+		}
 		outcomes := make([]runOutcome, len(schedules))
 		errs := make([]error, len(schedules))
 		collectStamps := depth < cfg.Depth
 		fleet.ParallelFor(len(schedules), cfg.Workers, func(i int) {
-			outcomes[i], errs[i] = r.run(schedules[i], insensitive, collectStamps)
+			outcomes[i], errs[i] = r.run(schedules[i], insensitive, collectStamps, 0)
 		})
 		for _, e := range errs {
 			if e != nil {
 				return nil, e
 			}
 		}
+		if observe != nil {
+			observe(schedules, outcomes)
+		}
 		var cycles int64
+		resumed := 0
 		for i, out := range outcomes {
 			rep.Schedules++
 			cycles += out.cycles
+			if out.resumedAt > 0 {
+				resumed++
+			}
 			powerSpec := (&power.Schedule{Windows: schedules[i]}).Name()
 			var schedule []int64
 			for _, w := range schedules[i] {
@@ -232,8 +255,8 @@ func Sweep(cfg Config) (*Report, error) {
 		}
 		rep.CyclesExplored += cycles
 		secs := time.Since(start).Seconds()
-		logf("depth %d: %d candidates, %d kept, %.0f ms, %.0f schedules/s, %.3g simulated cycles/s",
-			depth, candidates, len(schedules), secs*1e3, float64(len(schedules))/secs, float64(cycles)/secs)
+		logf("depth %d: %d candidates, %d kept, %.0f ms, %.0f schedules/s, %.3g simulated cycles/s, %d resumed from oracle snapshots",
+			depth, candidates, len(schedules), secs*1e3, float64(len(schedules))/secs, float64(cycles)/secs, resumed)
 		level = schedules
 		parents = outcomes
 	}

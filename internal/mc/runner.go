@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"sort"
 
 	tics "repro"
 	"repro/internal/audit"
@@ -25,6 +26,7 @@ type runOutcome struct {
 	marks      []int64
 	stamps     []int64 // cycle stamps of events+stores (depth>=2 only)
 	cycles     int64
+	resumedAt  int64 // cycle of the oracle snapshot the run started from (0: cold boot)
 }
 
 // runner executes schedules against one shared image using a pool of
@@ -37,14 +39,100 @@ type runOutcome struct {
 // fresh build (pinned by the pooled-reuse, Reset and Reattach tests) —
 // so a 10k-schedule sweep does not pay 10k image loads, recorder
 // registrations or auditor allocations. After the oracle, spec.MaxCycles
-// holds the starvation bound for interrupted runs.
+// holds the starvation bound for interrupted runs; once snapshotOracle
+// ran, snaps holds the oracle snapshots schedules start from.
 type runner struct {
 	img      *tics.Image
 	spec     replay.Spec
 	prov     *provenance
 	budgetMs int64
 	pool     chan *slot
+	snaps    []*snapshot // in cycle order
 }
+
+// snapshot is the oracle run's whole state at one instruction boundary:
+// the machine with its runtime, and the recorder, auditor and freshness
+// tracker observing it. Everything a schedule executes before its first
+// reboot is the oracle's run, cycle for cycle, so a schedule whose first
+// reboot comes at or after a snapshot starts from it — restored into its
+// slot — instead of from cold boot. vm.Machine.SetBoundaryHook stops
+// snapshots once the oracle reads Remaining(), the one input that
+// differs between the oracle's window and a schedule's.
+type snapshot struct {
+	m       *vm.Snapshot
+	rec     obs.RecorderState
+	aud     audit.Auditor
+	tracker *freshTracker
+}
+
+// Snapshot spacing: one at the first instruction boundary past every
+// multiple of oracle.cycles/maxSnapshots, so a resumed schedule
+// re-executes at most that much of the prefix it shares with the oracle.
+// Snapshots come no closer than minSnapshotGap cycles: restoring one
+// costs about as much host time as interpreting 1,000–2,500 cycles
+// (2.5–5 µs for swap and bc on a 2-vCPU host), so a resume must skip
+// well over that to pay.
+const (
+	maxSnapshots   = 64
+	minSnapshotGap = 4096
+)
+
+// snapshotInterval is the snapshot spacing for an oracle of the given
+// length.
+func snapshotInterval(oracleCycles int64) int64 {
+	return max(oracleCycles/maxSnapshots, minSnapshotGap)
+}
+
+// worthSnapshots reports whether starting schedules from oracle
+// snapshots saves more than taking them costs. Taking them re-runs the
+// oracle with a snapshot per interval, which costs about as much host
+// time as three or four plain oracle runs (3.1–3.3× on bc, ghm and ar),
+// and a schedule resumes at the last interval multiple at or before its
+// first reboot, skipping that many cycles.
+func worthSnapshots(schedules [][]power.SchedWindow, oracleCycles int64) bool {
+	interval := snapshotInterval(oracleCycles)
+	var skipped int64
+	for _, s := range schedules {
+		skipped += s[0].Cycles / interval * interval
+	}
+	return skipped > 4*oracleCycles
+}
+
+// snapshotOracle re-runs the oracle — deterministically the same run —
+// taking its snapshots into r.snaps.
+func (r *runner) snapshotOracle(oracle runOutcome) error {
+	out, err := r.run(nil, false, false, snapshotInterval(oracle.cycles))
+	if err == nil && out.digest != oracle.digest {
+		err = fmt.Errorf("mc: oracle re-run diverged: %+v, first run %+v", out.digest, oracle.digest)
+	}
+	return err
+}
+
+// snapshotHook returns the boundary hook that takes r.snaps, one past
+// every multiple of interval.
+func (r *runner) snapshotHook(interval int64, rec *obs.Recorder, aud *audit.Auditor, tracker *freshTracker) func(*vm.Machine) int64 {
+	return func(m *vm.Machine) int64 {
+		s := &snapshot{m: m.Snapshot(), tracker: newFreshTracker(r.prov, r.budgetMs)}
+		rec.Save(&s.rec)
+		s.aud.CopyFrom(aud)
+		s.tracker.copyFrom(tracker)
+		r.snaps = append(r.snaps, s)
+		return (m.Cycles()/interval + 1) * interval
+	}
+}
+
+// latest returns the last snapshot at or before cycle c (nil: none, start
+// cold).
+func (r *runner) latest(c int64) *snapshot {
+	i := sort.Search(len(r.snaps), func(i int) bool { return r.snaps[i].m.Cycles() > c })
+	if i == 0 {
+		return nil
+	}
+	return r.snaps[i-1]
+}
+
+// ringCap is the event-ring capacity of every recorder a sweep builds.
+const ringCap = 64
 
 // newRunner builds spec's image and provenance index and a pool of
 // workers empty slots.
@@ -75,11 +163,16 @@ type slot struct {
 // run executes one schedule (nil = uninterrupted) and gathers the
 // outcome. collectGlobals snapshots the committed global data bytes;
 // collectStamps gathers event+store cycle stamps for deeper enumeration.
-func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool) (runOutcome, error) {
+// A schedule starts from the latest oracle snapshot at or before its
+// first reboot; the stamps it then does not collect all lie at or before
+// that reboot, where enumeration drops them anyway (boundariesFrom).
+// snapshotEvery > 0 makes the run take r.snaps at that spacing (the
+// oracle).
+func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool, snapshotEvery int64) (runOutcome, error) {
 	s := <-r.pool
 	defer func() { r.pool <- s }()
 	if s.rec == nil {
-		s.rec, s.aud, s.tracker = obs.NewRecorder(obs.Options{RingCap: 64}), &audit.Auditor{}, newFreshTracker(r.prov, r.budgetMs)
+		s.rec, s.aud, s.tracker = obs.NewRecorder(obs.Options{RingCap: ringCap}), &audit.Auditor{}, newFreshTracker(r.prov, r.budgetMs)
 	}
 	s.rec.Reset()
 	s.tracker.reset()
@@ -101,7 +194,33 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 		})
 	}
 
-	res, _ := m.Run() // a fault is itself a verdict, not an executor error
+	var from *snapshot
+	if len(windows) > 0 {
+		from = r.latest(windows[0].Cycles)
+	}
+	var res vm.Result
+	var resumedAt int64
+	switch {
+	case from != nil:
+		if err := m.Restore(from.m); err != nil {
+			return runOutcome{}, err
+		}
+		rec.Load(&from.rec)
+		aud.CopyFrom(&from.aud)
+		tracker.copyFrom(from.tracker)
+		res, err = m.Resume()
+		resumedAt = from.m.Cycles()
+	case snapshotEvery > 0:
+		m.SetBoundaryHook(snapshotEvery, r.snapshotHook(snapshotEvery, rec, aud, tracker))
+		fallthrough
+	default:
+		res, err = m.Run()
+	}
+	// A fault is itself a verdict, not an executor error; only Resume
+	// refusing the snapshot is one.
+	if err != nil && res.Fault == nil {
+		return runOutcome{}, err
+	}
 
 	out := runOutcome{
 		digest:     replay.DigestOf(res),
@@ -111,6 +230,7 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 		marks:      res.MarkCounts,
 		stamps:     stamps,
 		cycles:     res.Cycles,
+		resumedAt:  resumedAt,
 	}
 	for _, s := range res.SendLog {
 		out.sendSeqs = append(out.sendSeqs, s.Seq)

@@ -1,6 +1,7 @@
 package mc
 
 import (
+	"slices"
 	"sort"
 
 	tics "repro"
@@ -241,6 +242,14 @@ func (t *freshTracker) reset() {
 	clear(t.prod)
 	clear(t.committed)
 	t.stale = nil
+}
+
+// copyFrom gives t src's production and commit tables and stale list (in
+// fresh storage: the previous run's outcome keeps its own).
+func (t *freshTracker) copyFrom(src *freshTracker) {
+	copy(t.prod, src.prod)
+	copy(t.committed, src.committed)
+	t.stale = slices.Clone(src.stale)
 }
 
 // attach hooks the tracker onto a machine and its recorder. It chains

@@ -25,8 +25,10 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -188,6 +190,49 @@ func (m *Memory) ResetToBase(b *Base) {
 	}
 	m.regions = append(m.regions[:0], b.regions...)
 	m.stats = Stats{}
+}
+
+// Pages is a memory's contents relative to the base it forks from — its
+// private pages, in page order — plus its access statistics: what a
+// machine snapshot holds instead of a 64 KB copy. A flat memory has no
+// base and every page private.
+type Pages struct {
+	base  *Base
+	dirty uint64
+	data  []byte
+	stats Stats
+}
+
+// SavePages copies the memory's private pages and statistics into p,
+// reusing p's storage.
+func (m *Memory) SavePages(p *Pages) {
+	p.base, p.dirty, p.stats = m.base, m.dirty, m.stats
+	p.data = slices.Grow(p.data[:0], bits.OnesCount64(m.dirty)*PageSize)
+	for d := m.dirty; d != 0; d &= d - 1 {
+		p.data = append(p.data, m.pages[bits.TrailingZeros64(d)]...)
+	}
+}
+
+// RestorePages gives the memory the contents and statistics p was saved
+// with. The memory must fork from the same base. A page private here but
+// shared in p is refilled from the base and stays private, as in
+// ResetToBase.
+func (m *Memory) RestorePages(p *Pages) error {
+	if m.base != p.base {
+		return errors.New("mem: restoring pages saved over a different base")
+	}
+	k := 0
+	for i := range m.pages {
+		switch bit := uint64(1) << i; {
+		case p.dirty&bit != 0:
+			copy(m.wpage(uint32(i)), p.data[k*PageSize:(k+1)*PageSize])
+			k++
+		case m.dirty&bit != 0:
+			copy(m.pages[i], m.base.page(i))
+		}
+	}
+	m.stats = p.stats
+	return nil
 }
 
 // PrivatePages returns how many pages the memory owns rather than shares

@@ -203,6 +203,7 @@ type Recorder struct {
 	cpLatHist   *Histogram
 	cpSizeHist  *Histogram
 	failGapHist *Histogram
+	undoLenHist *Histogram
 	ringCap     *Gauge
 }
 
@@ -223,7 +224,7 @@ func NewRecorder(opts Options) *Recorder {
 	r.cpLatHist = r.reg.RegisterHistogram("checkpoint_latency_cycles", []float64{64, 128, 256, 512, 1024, 2048, 4096, 8192})
 	r.cpSizeHist = r.reg.RegisterHistogram("checkpoint_size_bytes", []float64{16, 32, 64, 128, 256, 512, 1024, 2048})
 	r.failGapHist = r.reg.RegisterHistogram("cycles_between_failures", []float64{1e2, 1e3, 1e4, 1e5, 1e6, 1e7})
-	r.reg.RegisterHistogram("undo_len_per_epoch", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
+	r.undoLenHist = r.reg.RegisterHistogram("undo_len_per_epoch", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
 	kindCounters := [evKindCount]string{
 		EvBoot: "boots", EvPowerFail: "power_failures",
 		EvCheckpointCommit: "checkpoint_commits", EvRestore: "restores",
@@ -285,6 +286,58 @@ func (r *Recorder) Rearm() {
 	r.pending = [catCount]int64{}
 	r.curNode = 0
 	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = 0, 0, false, 0
+}
+
+// RecorderState is a recorder's run state held outside it: the event
+// ring, seq and drop count, the category stack and attribution, the
+// profiler's call-stack trie and position, checkpoint pairing, the last
+// power-failure cycle, and the registry's values. Sinks and the
+// function-name table are not in it: they belong to whoever owns the
+// recorder, and a sink's state is its owner's to save. Machine snapshots
+// keep one per snapshot.
+type RecorderState struct {
+	ring           []Event
+	head, n        int
+	dropped, seq   int64
+	catStack       []Category
+	pending, byCat [catCount]int64
+	foldNodes      []foldNode
+	foldCount      []int64
+	curNode        int32
+	cpBeginCycles  int64
+	cpBeginMs      float64
+	cpOpen         bool
+	lastFailAt     int64
+	metrics        Values
+}
+
+// Save copies the recorder's run state into st, reusing st's storage.
+func (r *Recorder) Save(st *RecorderState) {
+	st.ring = append(st.ring[:0], r.ring...)
+	st.head, st.n, st.dropped, st.seq = r.head, r.n, r.dropped, r.seq
+	st.catStack = append(st.catStack[:0], r.catStack...)
+	st.pending, st.byCat = r.pending, r.byCat
+	st.foldNodes = append(st.foldNodes[:0], r.foldNodes...)
+	st.foldCount = append(st.foldCount[:0], r.foldCount...)
+	st.curNode = r.curNode
+	st.cpBeginCycles, st.cpBeginMs, st.cpOpen, st.lastFailAt = r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt
+	r.reg.SaveValues(&st.metrics)
+}
+
+// Load gives the recorder the run state Save put in st, in place: its
+// sinks and function names stay, and every cached counter and histogram
+// ref stays valid. st must come from a recorder built with the same
+// Options.
+func (r *Recorder) Load(st *RecorderState) {
+	r.ring = append(r.ring[:0], st.ring...)
+	r.head, r.n, r.dropped, r.seq = st.head, st.n, st.dropped, st.seq
+	r.catStack = append(r.catStack[:0], st.catStack...)
+	r.pending, r.byCat = st.pending, st.byCat
+	r.foldNodes = append(r.foldNodes[:0], st.foldNodes...)
+	r.foldCount = append(r.foldCount[:0], st.foldCount...)
+	r.curNode = st.curNode
+	r.cpBeginCycles, r.cpBeginMs, r.cpOpen, r.lastFailAt = st.cpBeginCycles, st.cpBeginMs, st.cpOpen, st.lastFailAt
+	r.reg.LoadValues(&st.metrics)
 }
 
 // SetFunctions installs the image's function-name table (index-aligned
@@ -389,6 +442,10 @@ func (r *Recorder) Emit(ev Event) {
 	r.ring[r.head] = ev
 	r.head = (r.head + 1) % len(r.ring)
 }
+
+// ObserveUndoLen records the undo-log length a commit point closes (the
+// undo_len_per_epoch histogram).
+func (r *Recorder) ObserveUndoLen(n int) { r.undoLenHist.Observe(float64(n)) }
 
 // ---- Cycle attribution ----
 

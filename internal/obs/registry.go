@@ -18,6 +18,17 @@ type Registry struct {
 	counters map[string]*int64
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	// order lists every metric in registration order, which is what
+	// SaveValues and LoadValues walk instead of the maps.
+	order []metricRef
+}
+
+// metricRef is one registered metric: exactly one of c, g, h is set.
+type metricRef struct {
+	name string
+	c    *int64
+	g    *Gauge
+	h    *Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -51,6 +62,7 @@ func (g *Registry) GaugeRef(name string) *Gauge {
 	if !ok {
 		ga = &Gauge{}
 		g.gauges[name] = ga
+		g.order = append(g.order, metricRef{name: name, g: ga})
 	}
 	return ga
 }
@@ -64,6 +76,7 @@ func (g *Registry) CounterRef(name string) *int64 {
 	if !ok {
 		c = new(int64)
 		g.counters[name] = c
+		g.order = append(g.order, metricRef{name: name, c: c})
 	}
 	return c
 }
@@ -80,6 +93,10 @@ type LazyCounter struct {
 
 // Lazy returns a LazyCounter for the named counter.
 func (g *Registry) Lazy(name string) LazyCounter { return LazyCounter{reg: g, name: name} }
+
+// In returns the same counter in another registry: a runtime clone
+// rebinds its counters to its cloned registry.
+func (c LazyCounter) In(reg *Registry) LazyCounter { return reg.Lazy(c.name) }
 
 // Inc adds 1, registering the counter on first use.
 func (c *LazyCounter) Inc() {
@@ -118,14 +135,105 @@ func (g *Registry) Gauge(name string) float64 {
 // histograms are empty, but every name stays registered and every ref
 // handed out by CounterRef, GaugeRef or RegisterHistogram stays valid.
 func (g *Registry) Reset() {
-	for _, c := range g.counters {
-		*c = 0
+	for _, m := range g.order {
+		m.reset()
 	}
-	for _, ga := range g.gauges {
-		ga.v = 0
+}
+
+// Clone returns an independent copy of the registry, with the same
+// registration order. Runtime clones (machine snapshots) use it, so it
+// allocates every counter cell in one slab.
+func (g *Registry) Clone() *Registry {
+	c := &Registry{
+		counters: make(map[string]*int64, len(g.counters)),
+		gauges:   make(map[string]*Gauge, len(g.gauges)),
+		hists:    make(map[string]*Histogram, len(g.hists)),
+		order:    make([]metricRef, len(g.order)),
 	}
-	for _, h := range g.hists {
-		h.Reset()
+	cells := make([]int64, len(g.counters))
+	for i, m := range g.order {
+		switch {
+		case m.c != nil:
+			cells[0] = *m.c
+			m.c, cells = &cells[0], cells[1:]
+			c.counters[m.name] = m.c
+		case m.g != nil:
+			m.g = &Gauge{v: m.g.v}
+			c.gauges[m.name] = m.g
+		default:
+			m.h = m.h.Clone()
+			c.hists[m.name] = m.h
+		}
+		c.order[i] = m
+	}
+	return c
+}
+
+// Values is a registry's metric values held outside it, in registration
+// order: what a recorder snapshot keeps of its registry.
+type Values struct {
+	names  []string
+	ints   []int64   // counters; each histogram's Count then Counts
+	floats []float64 // gauges; each histogram's Sum, Min, Max
+}
+
+// SaveValues copies every metric's value into v, reusing v's storage.
+func (g *Registry) SaveValues(v *Values) {
+	v.names, v.ints, v.floats = v.names[:0], v.ints[:0], v.floats[:0]
+	for _, m := range g.order {
+		v.names = append(v.names, m.name)
+		switch {
+		case m.c != nil:
+			v.ints = append(v.ints, *m.c)
+		case m.g != nil:
+			v.floats = append(v.floats, m.g.v)
+		default:
+			v.ints = append(append(v.ints, m.h.Count), m.h.Counts...)
+			v.floats = append(v.floats, m.h.Sum, m.h.Min, m.h.Max)
+		}
+	}
+}
+
+// LoadValues gives the registry's metrics the values SaveValues put in
+// v, in place (every ref stays valid); metrics registered after those
+// read zero. The registry must have registered v's metrics first, in
+// the same order and shapes — two recorders built alike do — and
+// LoadValues panics if it has not.
+func (g *Registry) LoadValues(v *Values) {
+	if len(v.names) > len(g.order) {
+		panic("obs: LoadValues into a registry with fewer metrics")
+	}
+	ints, floats := v.ints, v.floats
+	for i, m := range g.order {
+		if i >= len(v.names) {
+			m.reset()
+			continue
+		}
+		if m.name != v.names[i] {
+			panic(fmt.Sprintf("obs: LoadValues: metric %d is %q here, %q in the values", i, m.name, v.names[i]))
+		}
+		switch {
+		case m.c != nil:
+			*m.c, ints = ints[0], ints[1:]
+		case m.g != nil:
+			m.g.v, floats = floats[0], floats[1:]
+		default:
+			m.h.Count = ints[0]
+			ints = ints[1+copy(m.h.Counts, ints[1:len(m.h.Counts)+1]):]
+			m.h.Sum, m.h.Min, m.h.Max, floats = floats[0], floats[1], floats[2], floats[3:]
+		}
+	}
+}
+
+// reset zeroes the metric.
+func (m metricRef) reset() {
+	switch {
+	case m.c != nil:
+		*m.c = 0
+	case m.g != nil:
+		m.g.v = 0
+	default:
+		m.h.Reset()
 	}
 }
 
@@ -138,6 +246,7 @@ func (g *Registry) RegisterHistogram(name string, bounds []float64) *Histogram {
 	}
 	h := NewHistogram(bounds)
 	g.hists[name] = h
+	g.order = append(g.order, metricRef{name: name, h: h})
 	return h
 }
 
@@ -272,15 +381,16 @@ func (h *Histogram) Reset() {
 
 // Clone returns a deep copy of the histogram.
 func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{
-		Bounds: append([]float64(nil), h.Bounds...),
-		Counts: append([]int64(nil), h.Counts...),
-		Count:  h.Count,
-		Sum:    h.Sum,
-		Min:    h.Min,
-		Max:    h.Max,
-	}
+	c := &Histogram{}
+	c.copyFrom(h)
 	return c
+}
+
+// copyFrom makes h a copy of o in place.
+func (h *Histogram) copyFrom(o *Histogram) {
+	h.Bounds = append(h.Bounds[:0], o.Bounds...)
+	h.Counts = append(h.Counts[:0], o.Counts...)
+	h.Count, h.Sum, h.Min, h.Max = o.Count, o.Sum, o.Min, o.Max
 }
 
 // Merge adds o's observations into h. The bucket bounds must match

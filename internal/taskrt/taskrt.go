@@ -219,6 +219,15 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 // Name implements vm.Runtime.
 func (r *Runtime) Name() string { return r.cfg.Kind.String() }
 
+// Clone implements vm.Runtime.
+func (r *Runtime) Clone() vm.Runtime {
+	c := *r
+	c.reg = r.reg.Clone()
+	c.log = r.log.WithRegistry(c.reg)
+	c.storesVersioned = r.storesVersioned.In(c.reg)
+	return &c
+}
+
 // Stats implements vm.Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (r *Runtime) Stats() map[string]int64 { return r.reg.CounterSnapshot() }
@@ -306,7 +315,7 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 			}
 		}
 	}
-	m.ObserveMetric("undo_len_per_epoch", float64(r.log.Len()))
+	r.log.ObserveLen(m)
 	r.cur = int(task)
 	m.Spend(m.Cost.NVWritePerWord)
 	r.log.Reset(m, uint32(r.cur)) // atomic commit

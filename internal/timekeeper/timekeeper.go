@@ -21,6 +21,9 @@ type Keeper interface {
 	// AdvanceOff accounts for a power outage of truly ms milliseconds; the
 	// keeper may estimate it with error.
 	AdvanceOff(ms float64)
+	// Clone returns an independent copy of the keeper in its current
+	// state (machine snapshots carry one).
+	Clone() Keeper
 }
 
 // Perfect is an ideal persistent clock (an external RTC with unlimited
@@ -28,6 +31,7 @@ type Keeper interface {
 type Perfect struct{ est float64 }
 
 func (p *Perfect) Name() string         { return "perfect" }
+func (p *Perfect) Clone() Keeper        { c := *p; return &c }
 func (p *Perfect) Now() int64           { return int64(p.est) }
 func (p *Perfect) AdvanceOn(ms float64) { p.est += ms }
 func (p *Perfect) AdvanceOff(ms float64) {
@@ -43,6 +47,7 @@ type RTC struct {
 }
 
 func (r *RTC) Name() string         { return "rtc" }
+func (r *RTC) Clone() Keeper        { c := *r; return &c }
 func (r *RTC) Now() int64           { return int64(r.est) }
 func (r *RTC) AdvanceOn(ms float64) { r.est += ms }
 func (r *RTC) AdvanceOff(ms float64) {
@@ -73,6 +78,7 @@ func NewRemanence(errFrac, maxOffMs float64, seed uint64) *Remanence {
 }
 
 func (t *Remanence) Name() string         { return "remanence" }
+func (t *Remanence) Clone() Keeper        { c := *t; return &c }
 func (t *Remanence) Now() int64           { return int64(t.est) }
 func (t *Remanence) AdvanceOn(ms float64) { t.est += ms }
 

@@ -42,6 +42,9 @@ func (p *Plain) LoggedStore(m *Machine, addr uint32, size int, value uint32) {
 // Checkpoint implements Runtime as a no-op: plain code has no checkpoints.
 func (p *Plain) Checkpoint(m *Machine, kind CpKind) {}
 
+// Clone implements Runtime.
+func (p *Plain) Clone() Runtime { return &Plain{reg: p.reg.Clone()} }
+
 // Stats implements Runtime. The returned map is a defensive snapshot:
 // mutating it cannot corrupt the live counters.
 func (p *Plain) Stats() map[string]int64 { return p.reg.CounterSnapshot() }

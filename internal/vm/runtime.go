@@ -24,6 +24,11 @@ type Runtime interface {
 	// returned map must be a defensive copy: callers may mutate it without
 	// corrupting the runtime's live counters.
 	Stats() map[string]int64
+	// Clone returns an independent copy of the runtime: its volatile
+	// mirrors, undo-log position and registry counters, sharing nothing
+	// mutable with the original. A machine Snapshot holds one clone and
+	// every Restore installs another.
+	Clone() Runtime
 }
 
 // Framer replaces the conventional function prologue and epilogue (TICS:

@@ -44,6 +44,13 @@ func NewUndoLog(hdr, base uint32, capBytes, payload int, reg *obs.Registry) Undo
 	return UndoLog{hdr: hdr, base: base, entry: uint32(entry), cap: capBytes / entry, reg: reg}
 }
 
+// WithRegistry returns the log counting its rollbacks into reg instead: a
+// runtime clone rebinds its log to its cloned registry.
+func (l UndoLog) WithRegistry(reg *obs.Registry) UndoLog {
+	l.reg = reg
+	return l
+}
+
 // Len returns the number of committed entries.
 func (l *UndoLog) Len() int { return l.n }
 
@@ -56,6 +63,15 @@ func (l *UndoLog) Full() bool { return l.n >= l.cap }
 // End returns the address one past the log's last entry slot, where the
 // runtime area's next structure begins.
 func (l *UndoLog) End() uint32 { return l.base + uint32(l.cap)*l.entry }
+
+// ObserveLen records the log's length in the recorder's
+// undo_len_per_epoch histogram (no-op without a recorder). Runtimes call
+// it at each commit point, before the commit clears the log.
+func (l *UndoLog) ObserveLen(m *Machine) {
+	if m.rec != nil {
+		m.rec.ObserveUndoLen(l.n)
+	}
+}
 
 // Header reads the header word (one NV read) and returns its tag and
 // entry count. A runtime calls it once per boot, then decides from the

@@ -10,6 +10,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/energy"
 	"repro/internal/isa"
@@ -157,16 +158,10 @@ type Machine struct {
 	Img  *link.Image
 	Cost energy.CostModel
 
-	Regs Registers
-	// CpDisable is the nesting depth of atomic time-annotation regions
-	// (@=, @expires, @timely); automatic checkpoints are suppressed while
-	// it is positive. It is volatile but checkpointed by the runtimes.
-	CpDisable int
-
-	// Volatile expiry arm (re-armed by re-executing ExpCatch after boot).
-	ExpiryArmed    bool
-	ExpiryDeadline int64
-	ExpiryCatchPC  uint32
+	// runState holds everything a run changes (Reset clears it, Snapshot
+	// copies it), including the exported Regs, CpDisable, Expiry*,
+	// SendLog and OutLog fields.
+	runState
 
 	rt Runtime
 	// Optional runtime hooks, resolved by apply; nil selects the default.
@@ -180,19 +175,16 @@ type Machine struct {
 	clock    timekeeper.Keeper
 	sensors  SensorBank
 
-	remaining    int64 // cycles left in the current window
-	pendingOffMs float64
-	cycles       int64
-	sinceCp      int64
 	autoCpCycles int64
-	onMs         float64
-	offMs        float64
-	failures     int
 	maxCycles    int64
 	maxFailures  int
 	maxWallMs    float64
-	halted       bool
-	timedOut     bool
+	// onBoundary is the SetBoundaryHook hook. cycleLimit is the lesser of
+	// maxCycles and the hook's next cycle: the one bound runWindow
+	// compares the cycle counter against after each instruction, so the
+	// hook costs no per-instruction work.
+	onBoundary func(*Machine) int64
+	cycleLimit int64
 
 	// OnStore observes every program-order store (after the runtime's
 	// consistency discipline) with the device clock reading; OnMark
@@ -207,35 +199,11 @@ type Machine struct {
 	// by then). Rolled-back virtualized sends are never reported.
 	OnSend func(rec SendRec)
 
-	// Interrupt controller state (volatile).
+	// Interrupt controller configuration.
 	irqPeriodMs float64
 	irqEntry    uint32
-	nextIrqMs   float64
-	inISR       bool
-	isrRetPC    uint32
-	isrRetSP    uint32
 
-	cpCounts [cpKindCount]int64
-	restores int64
-	irqCount int64
-
-	SendLog         []SendRec
 	virtualizeSends bool
-	sendPending     []SendRec
-	// sendSeq numbers Send executions; sendSeqCommitted is its NV shadow,
-	// advanced only at commit points. A power failure or rollback rewinds
-	// sendSeq to the committed value, so re-executed sends reuse their
-	// sequence numbers (the dedup identity fleet gateways key on).
-	sendSeq          int64
-	sendSeqCommitted int64
-	// OutLog is the committed verification channel: Out-opcode values stay
-	// pending until a commit point (checkpoint, task transition, or end of
-	// run) and are dropped when a restore rolls their execution back, so
-	// the log reflects exactly the committed execution. SendLog, by
-	// contrast, is the raw radio: replayed sends appear twice, the real
-	// phenomenon the paper defers to I/O virtualization future work.
-	OutLog     map[int32][]int32
-	outPending []outEntry
 
 	// decoded is the dense PC-indexed instruction table (shared with every
 	// machine forked from the same Prepared); slot i describes address
@@ -254,6 +222,60 @@ type Machine struct {
 
 	// rec is the attached flight recorder (nil when observability is off).
 	rec *obs.Recorder
+}
+
+// runState is the part of a machine a run changes: registers, counters,
+// time, interrupt and expiry state, and the send and out logs.
+type runState struct {
+	Regs Registers
+	// CpDisable is the nesting depth of atomic time-annotation regions
+	// (@=, @expires, @timely); automatic checkpoints are suppressed while
+	// it is positive. It is volatile but checkpointed by the runtimes.
+	CpDisable int
+
+	// Volatile expiry arm (re-armed by re-executing ExpCatch after boot).
+	ExpiryArmed    bool
+	ExpiryDeadline int64
+	ExpiryCatchPC  uint32
+
+	remaining     int64 // cycles left in the current window
+	pendingOffMs  float64
+	winStart      int64 // cycle count when the current window began
+	cycles        int64
+	sinceCp       int64
+	onMs          float64
+	offMs         float64
+	failures      int
+	halted        bool
+	timedOut      bool
+	remainingRead bool // something read Remaining() during this run
+
+	// Interrupt controller state (volatile).
+	nextIrqMs float64
+	inISR     bool
+	isrRetPC  uint32
+	isrRetSP  uint32
+
+	cpCounts [cpKindCount]int64
+	restores int64
+	irqCount int64
+
+	SendLog     []SendRec
+	sendPending []SendRec
+	// sendSeq numbers Send executions; sendSeqCommitted is its NV shadow,
+	// advanced only at commit points. A power failure or rollback rewinds
+	// sendSeq to the committed value, so re-executed sends reuse their
+	// sequence numbers (the dedup identity fleet gateways key on).
+	sendSeq          int64
+	sendSeqCommitted int64
+	// OutLog is the committed verification channel: Out-opcode values stay
+	// pending until a commit point (checkpoint, task transition, or end of
+	// run) and are dropped when a restore rolls their execution back, so
+	// the log reflects exactly the committed execution. SendLog, by
+	// contrast, is the raw radio: replayed sends appear twice, the real
+	// phenomenon the paper defers to I/O virtualization future work.
+	OutLog     map[int32][]int32
+	outPending []outEntry
 }
 
 // decodedInstr is one slot of the decoded table. The slots of an
@@ -353,22 +375,18 @@ func (m *Machine) apply(cfg Config) error {
 		isa.ClassCtl:  cfg.Cost.InstrCtl,
 		isa.ClassTrap: cfg.Cost.TrapBase,
 	}
-	m.rt = cfg.Runtime
-	m.framer, _ = cfg.Runtime.(Framer)
-	m.preStorer, _ = cfg.Runtime.(PreStorer)
-	m.expirer, _ = cfg.Runtime.(Expirer)
-	m.trans, _ = cfg.Runtime.(Transitioner)
-	m.irq, _ = cfg.Runtime.(Interrupter)
+	m.setRuntime(cfg.Runtime)
 	m.powerSrc = cfg.Power
 	m.clock = cfg.Clock
 	m.sensors = cfg.Sensors
 	m.maxCycles = cfg.MaxCycles
+	m.SetBoundaryHook(math.MaxInt64, nil)
 	m.maxFailures = cfg.MaxFailures
 	m.maxWallMs = cfg.MaxWallMs
 	m.virtualizeSends = cfg.VirtualizeSends
 	m.OutLog = map[int32][]int32{}
 	m.autoCpCycles = int64(cfg.AutoCpPeriodMs * energy.CyclesPerMs)
-	m.irqPeriodMs, m.irqEntry, m.nextIrqMs = 0, 0, 0
+	m.irqPeriodMs, m.irqEntry = 0, 0
 	if cfg.InterruptPeriodMs > 0 {
 		name := cfg.ISRName
 		if name == "" {
@@ -393,6 +411,16 @@ func (m *Machine) apply(cfg Config) error {
 	}
 	m.AttachRecorder(cfg.Recorder)
 	return nil
+}
+
+// setRuntime installs rt and resolves its optional hooks.
+func (m *Machine) setRuntime(rt Runtime) {
+	m.rt = rt
+	m.framer, _ = rt.(Framer)
+	m.preStorer, _ = rt.(PreStorer)
+	m.expirer, _ = rt.(Expirer)
+	m.trans, _ = rt.(Transitioner)
+	m.irq, _ = rt.(Interrupter)
 }
 
 // New builds a machine and leaves it ready to Run. With cfg.Prepared it
@@ -441,22 +469,8 @@ func (m *Machine) Reset(cfg Config) error {
 		return errors.New("vm: Reset needs the machine's own prepared image")
 	}
 	m.Mem.ResetToBase(cfg.Prepared.base)
-	m.Regs = Registers{}
-	m.CpDisable = 0
-	m.ExpiryArmed, m.ExpiryDeadline, m.ExpiryCatchPC = false, 0, 0
-	m.remaining, m.pendingOffMs = 0, 0
-	m.cycles, m.sinceCp = 0, 0
-	m.onMs, m.offMs = 0, 0
-	m.failures = 0
-	m.halted, m.timedOut = false, false
+	m.runState = runState{sendPending: m.sendPending[:0], outPending: m.outPending[:0]}
 	m.OnStore, m.OnMark, m.OnSend = nil, nil, nil
-	m.inISR, m.isrRetPC, m.isrRetSP = false, 0, 0
-	m.cpCounts = [cpKindCount]int64{}
-	m.restores, m.irqCount = 0, 0
-	m.SendLog = nil
-	m.sendPending = m.sendPending[:0]
-	m.sendSeq, m.sendSeqCommitted = 0, 0
-	m.outPending = m.outPending[:0]
 	return m.apply(cfg)
 }
 
@@ -576,14 +590,6 @@ func (m *Machine) PopCat() {
 	}
 }
 
-// ObserveMetric records a histogram observation in the recorder's metrics
-// registry (no-op without a recorder).
-func (m *Machine) ObserveMetric(name string, v float64) {
-	if m.rec != nil {
-		m.rec.Metrics().Observe(name, v)
-	}
-}
-
 // resetRecStack re-roots the profiler's shadow call stack at the current
 // PC after a control-flow discontinuity (boot, restore, task switch).
 // When PC sits exactly on an Enter instruction the frame is about to be
@@ -613,8 +619,13 @@ func (m *Machine) TrueNowMs() float64 { return m.onMs + m.offMs }
 func (m *Machine) Cycles() int64 { return m.cycles }
 
 // Remaining returns the cycles left in the current powered window — the
-// "voltage check" proxy used by Mementos-style trigger checkpoints.
-func (m *Machine) Remaining() int64 { return m.remaining }
+// "voltage check" proxy used by Mementos-style trigger checkpoints. A run
+// that has read it depends on its window, so from then on it calls no
+// boundary hook (see SetBoundaryHook).
+func (m *Machine) Remaining() int64 {
+	m.remainingRead = true
+	return m.remaining
+}
 
 // SinceCheckpoint returns cycles executed since the last checkpoint.
 func (m *Machine) SinceCheckpoint() int64 { return m.sinceCp }
@@ -786,8 +797,32 @@ type Result struct {
 func (r Result) WallMs() float64 { return r.OnMs + r.OffMs }
 
 // Run executes the image to completion (Halt), starvation, or fault.
-func (m *Machine) Run() (Result, error) {
-	cold := true
+func (m *Machine) Run() (Result, error) { return m.run(false) }
+
+// Resume continues a machine that Restore put into a snapshot's state,
+// from the instruction boundary the snapshot was taken at. The power
+// source's next window stands in for the window the snapshot was taken
+// in, with the cycles the snapshot had spent in it already gone: a
+// snapshot S cycles into a continuous run, resumed under a schedule whose
+// first window is C ≥ S cycles, continues with C-S cycles left, exactly
+// where a cold run of that schedule stands at cycle S — provided nothing
+// before S read Remaining(), which SetBoundaryHook guarantees.
+func (m *Machine) Resume() (Result, error) {
+	used := m.cycles - m.winStart
+	w, off := m.powerSrc.NextWindow()
+	if w < used {
+		return Result{}, fmt.Errorf("vm: resume: the power window of %d cycles ends before the snapshot, %d cycles into it", w, used)
+	}
+	if m.cycles > m.maxCycles {
+		return Result{}, fmt.Errorf("vm: resume: snapshot at cycle %d is past the %d-cycle watchdog", m.cycles, m.maxCycles)
+	}
+	m.remaining, m.pendingOffMs = w-used, off
+	return m.run(true)
+}
+
+// run is Run's loop; resume enters it inside a window Resume has drawn.
+func (m *Machine) run(resume bool) (Result, error) {
+	cold := !resume
 	for !m.halted {
 		if m.timedOut {
 			return m.result(false, false, nil), nil
@@ -795,8 +830,8 @@ func (m *Machine) Run() (Result, error) {
 		if m.failures > m.maxFailures || m.cycles > m.maxCycles {
 			return m.result(false, true, nil), nil
 		}
-		failed, fault := m.runWindow(cold)
-		cold = false
+		failed, fault := m.runWindow(cold, resume)
+		cold, resume = false, false
 		if fault != nil {
 			return m.result(false, false, fault), fault
 		}
@@ -826,9 +861,13 @@ func (m *Machine) Run() (Result, error) {
 }
 
 // runWindow powers the device for one window and executes until Halt,
-// fault, or power failure.
-func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
-	m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
+// fault, or power failure. resume continues a restored machine in the
+// window Resume drew, without a boot.
+func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
+	if !resume {
+		m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
+		m.winStart = m.cycles
+	}
 	defer func() {
 		r := recover()
 		switch r := r.(type) {
@@ -846,18 +885,20 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 			panic(r)
 		}
 	}()
-	if cold {
-		m.EmitEvent(obs.EvBoot, 1, 0)
-	} else {
-		m.EmitEvent(obs.EvBoot, 0, 0)
+	if !resume {
+		if cold {
+			m.EmitEvent(obs.EvBoot, 1, 0)
+		} else {
+			m.EmitEvent(obs.EvBoot, 0, 0)
+		}
+		m.PushCat(obs.CatRestore)
+		m.rt.Boot(m, cold)
+		m.PopCat()
+		m.resetRecStack()
 	}
-	m.PushCat(obs.CatRestore)
-	m.rt.Boot(m, cold)
-	m.PopCat()
-	m.resetRecStack()
 	for !m.halted {
 		m.step()
-		if m.cycles > m.maxCycles {
+		if m.cycles > m.cycleLimit && m.pastLimit() {
 			return // watchdog; Run turns this into starvation
 		}
 		if m.maxWallMs > 0 && m.TrueNowMs() >= m.maxWallMs {
@@ -866,6 +907,38 @@ func (m *Machine) runWindow(cold bool) (failed bool, fault error) {
 		}
 	}
 	return
+}
+
+// SetBoundaryHook arranges for fn to run at the first instruction
+// boundary at which the cycle counter exceeds at, and then at the first
+// boundary past each cycle count fn returns (math.MaxInt64: never
+// again). Between instructions is where Snapshot takes a state Resume can
+// continue from. fn is not called on a halted machine, once the wall
+// budget has run out, or — for the rest of the run — once anything has
+// read Remaining(): a continuous run's window is not the window a resumed
+// schedule gets, so state that depended on it cannot be shared. The hook
+// adds no per-instruction work: its trigger is folded into the
+// watchdog's cycle compare. Reset removes it.
+func (m *Machine) SetBoundaryHook(at int64, fn func(*Machine) int64) {
+	if fn == nil {
+		at = math.MaxInt64
+	}
+	m.onBoundary, m.cycleLimit = fn, min(m.maxCycles, at)
+}
+
+// pastLimit runs after an instruction that took the cycle counter past
+// cycleLimit: it reports the watchdog firing, or calls the boundary hook
+// and arms the next one.
+func (m *Machine) pastLimit() bool {
+	if m.cycles > m.maxCycles {
+		return true
+	}
+	next := int64(math.MaxInt64)
+	if !m.remainingRead && !m.halted && !(m.maxWallMs > 0 && m.TrueNowMs() >= m.maxWallMs) {
+		next = m.onBoundary(m)
+	}
+	m.SetBoundaryHook(next, m.onBoundary)
+	return false
 }
 
 func (m *Machine) step() {
