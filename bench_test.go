@@ -624,9 +624,12 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // BenchmarkResetPointSweep measures the exhaustive checker's throughput:
 // interrupted schedules verified per wall second and simulated machine
 // states (cycles) explored per second, at depth 1 (every single reboot
-// point) and depth 2 (every reboot pair, stride-capped). The numbers are
-// merged into BENCH_fleet.json's mc table so `-compare` can gate checker
-// regressions like any other ledger row.
+// point) and depth 2 (every reboot pair, stride-capped). The program is
+// bc: its oracle runs long enough to take snapshots, so the rows measure
+// schedules resumed from them (a program whose oracle is under the
+// snapshot floor, such as swap, re-runs every prefix from cold boot).
+// The numbers are merged into BENCH_fleet.json's mc table so `-compare`
+// can gate checker regressions like any other ledger row.
 func BenchmarkResetPointSweep(b *testing.B) {
 	for _, depth := range []int{1, 2} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
@@ -634,7 +637,7 @@ func BenchmarkResetPointSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				var err error
 				rep, err = mc.Sweep(mc.Config{
-					Spec:         replay.Spec{App: "swap", Runtime: "tics", TimerMs: 2, Virtualize: true},
+					Spec:         replay.Spec{App: "bc", Runtime: "tics", TimerMs: 2, Virtualize: true},
 					Depth:        depth,
 					Workers:      goruntime.GOMAXPROCS(0),
 					MaxSchedules: 400,
@@ -643,7 +646,7 @@ func BenchmarkResetPointSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 				if !rep.Clean() {
-					b.Fatalf("swap sweep found a counterexample: %s", rep.Counterexample())
+					b.Fatalf("bc sweep found a counterexample: %s", rep.Counterexample())
 				}
 			}
 			sec := b.Elapsed().Seconds()
@@ -652,7 +655,7 @@ func BenchmarkResetPointSweep(b *testing.B) {
 			b.ReportMetric(schedPerSec, "schedules/s")
 			b.ReportMetric(statesPerSec, "states/s")
 			entry := &bench.MCEntry{
-				Program:         "swap",
+				Program:         "bc",
 				Depth:           depth,
 				Schedules:       rep.Schedules,
 				CyclesExplored:  rep.CyclesExplored,

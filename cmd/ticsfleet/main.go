@@ -271,24 +271,16 @@ func printReport(cfg fleet.Config, rep *fleet.Report) {
 	}
 }
 
-// writeProm renders the merged registry — and optionally every device's
-// own registry under a {shard="devN"} label — in Prometheus text format.
+// writeProm renders the round's telemetry — and optionally every
+// device's own registry under a {shard="devN"} label — in Prometheus
+// text format.
 func writeProm(rep *fleet.Report, path string, shards bool) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := rep.Metrics.WritePrometheus(f); err != nil {
-		return err
-	}
-	if err := fleet.WriteAnomaliesProm(f, rep.Anomalies); err != nil {
-		return err
-	}
-	if err := fleet.WritePhasesProm(f, rep.Phases); err != nil {
-		return err
-	}
-	if err := rep.Resources.WriteProm(f, "fleet_resource_"); err != nil {
+	if err := rep.WritePrometheus(f); err != nil {
 		return err
 	}
 	if shards {

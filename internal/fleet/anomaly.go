@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 )
 
 // Anomaly detection: a deterministic outlier pass over per-device
@@ -174,26 +172,6 @@ func DetectAnomalies(rep *Report, k float64) []Anomaly {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-// WriteAnomaliesProm renders every anomaly as a labeled Prometheus gauge
-// sample, `fleet_anomaly_device{device="N",kind="..."} value`, next to
-// the merged registry's fleet_anomaly_* totals — so an alert can fire on
-// the count and the dashboard can name the device.
-func WriteAnomaliesProm(w io.Writer, as []Anomaly) error {
-	if len(as) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE fleet_anomaly_device gauge\n"); err != nil {
-		return err
-	}
-	for _, a := range as {
-		if _, err := fmt.Fprintf(w, "fleet_anomaly_device{device=%q,kind=%q} %s\n",
-			strconv.Itoa(a.Dev), a.Kind, strconv.FormatFloat(a.Value, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // anomalyCounts tallies anomalies by kind (for the metrics rollup).

@@ -169,29 +169,34 @@ func TestDetectAnomaliesDeterministic(t *testing.T) {
 	}
 }
 
+// TestWriteAnomaliesProm: Report.WritePrometheus writes the anomalies
+// as one labeled family, fleet_anomaly_device{device,kind}.
 func TestWriteAnomaliesProm(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteAnomaliesProm(&buf, nil); err != nil || buf.Len() != 0 {
+	if err := (&Report{}).WritePrometheus(&buf); err != nil || strings.Contains(buf.String(), "fleet_anomaly_device") {
 		t.Fatalf("empty anomaly list wrote %q, err %v", buf.String(), err)
 	}
+	// Devices keep their numeric order: a string sort would put "10"
+	// ahead of "9".
 	as := []Anomaly{
 		{Dev: 3, Kind: AnomalyLivelock, Value: 900},
-		{Dev: 7, Kind: AnomalyStragglerWall, Value: 123.5},
+		{Dev: 9, Kind: AnomalyStragglerWall, Value: 123.5},
+		{Dev: 10, Kind: AnomalyStragglerCycles, Value: 7},
+		{Dev: 10, Kind: AnomalyStragglerWall, Value: 8},
 	}
-	if err := WriteAnomaliesProm(&buf, as); err != nil {
+	buf.Reset()
+	if err := (&Report{Anomalies: as}).WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# TYPE fleet_anomaly_device gauge",
-		`fleet_anomaly_device{device="3",kind="livelock"} 900`,
-		`fleet_anomaly_device{device="7",kind="straggler-wall"} 123.5`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom output missing %q:\n%s", want, out)
-		}
+	want := "# TYPE fleet_anomaly_device gauge\n" +
+		`fleet_anomaly_device{device="3",kind="livelock"} 900` + "\n" +
+		`fleet_anomaly_device{device="9",kind="straggler-wall"} 123.5` + "\n" +
+		`fleet_anomaly_device{device="10",kind="straggler-cycles"} 7` + "\n" +
+		`fleet_anomaly_device{device="10",kind="straggler-wall"} 8` + "\n"
+	if !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("got:\n%s\nwant it to start with:\n%s", buf.String(), want)
 	}
-	if got := anomalyCounts(as); got[AnomalyLivelock] != 1 || got[AnomalyStragglerWall] != 1 {
+	if got := anomalyCounts(as); got[AnomalyLivelock] != 1 || got[AnomalyStragglerWall] != 2 {
 		t.Fatalf("anomalyCounts = %v", got)
 	}
 }

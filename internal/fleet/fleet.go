@@ -20,7 +20,9 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"strconv"
 	"time"
 
 	tics "repro"
@@ -249,6 +251,30 @@ func (r *Report) DeviceRegistry(dev int) *obs.Registry {
 	}
 	m.Run()
 	return rec.Metrics()
+}
+
+// WritePrometheus writes the round in Prometheus text format: the
+// folded device registry (when the round collected one), then one
+// registry holding the flagged devices as
+// fleet_anomaly_device{device,kind}, the phase partition as
+// fleet_phase_seconds{phase} and the host sample as fleet_resource_*.
+// An alert can fire on the fleet_anomaly_* totals and a dashboard can
+// name the device.
+func (r *Report) WritePrometheus(w io.Writer) error {
+	if r.Metrics != nil {
+		if err := r.Metrics.WritePrometheus(w); err != nil {
+			return err
+		}
+	}
+	reg := obs.NewRegistry()
+	for _, a := range r.Anomalies {
+		reg.LabeledGauge("fleet_anomaly_device", "device", strconv.Itoa(a.Dev), "kind", a.Kind).Set(a.Value)
+	}
+	for _, p := range r.Phases {
+		reg.LabeledGauge("fleet_phase_seconds", "phase", p.Phase).Set(p.Seconds)
+	}
+	r.Resources.SetGauges(reg, "fleet_resource_")
+	return reg.WritePrometheus(w)
 }
 
 // newDeviceRecorder builds the recorder a fleet device runs under. A

@@ -1,11 +1,6 @@
 package fleet
 
-import (
-	"fmt"
-	"io"
-	"strconv"
-	"time"
-)
+import "time"
 
 // The phases of one fleet round, in execution order. Every Report
 // carries exactly these phases in exactly this order regardless of
@@ -105,24 +100,4 @@ func PhaseMap(phases []PhaseTime) map[string]float64 {
 		m[p.Phase] = p.Seconds
 	}
 	return m
-}
-
-// WritePhasesProm renders the round's phase partition as the labeled
-// gauge series `fleet_phase_seconds{phase="..."}` — the per-phase
-// sibling of WriteAnomaliesProm, emitted next to the merged registry on
-// /metrics and -prom exports.
-func WritePhasesProm(w io.Writer, phases []PhaseTime) error {
-	if len(phases) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE fleet_phase_seconds gauge\n"); err != nil {
-		return err
-	}
-	for _, p := range phases {
-		if _, err := fmt.Fprintf(w, "fleet_phase_seconds{phase=%q} %s\n",
-			p.Phase, strconv.FormatFloat(p.Seconds, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

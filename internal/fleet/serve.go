@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Server wraps a fleet behind an HTTP interface — the embryo of the
@@ -22,8 +24,8 @@ import (
 //	GET /healthz     liveness: "ok"
 //	GET /fleet       JSON progress: devices done, deliveries, latency
 //	                 quantiles, digest, anomalies
-//	GET /metrics     Prometheus text format: merged fleet registry plus
-//	                 per-anomaly labeled gauges and server counters
+//	GET /metrics     Prometheus text format: the server's round counter,
+//	                 then Report.WritePrometheus
 //	GET /trace/{device}/{seq}  one message's span chain as JSON
 //	GET /events      SSE stream: one event per completed fleet round
 //
@@ -222,17 +224,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	runs := s.runs
 	s.mu.RUnlock()
-	fmt.Fprintf(w, "# TYPE fleet_serve_runs counter\nfleet_serve_runs %d\n", runs)
-	rep := s.Report()
-	if rep == nil {
-		return
+	reg := obs.NewRegistry()
+	reg.Add("fleet_serve_runs", runs)
+	reg.WritePrometheus(w)
+	if rep := s.Report(); rep != nil {
+		rep.WritePrometheus(w)
 	}
-	if rep.Metrics != nil {
-		rep.Metrics.WritePrometheus(w)
-	}
-	WriteAnomaliesProm(w, rep.Anomalies)
-	WritePhasesProm(w, rep.Phases)
-	rep.Resources.WriteProm(w, "fleet_resource_")
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -1,19 +1,21 @@
 package obs
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 )
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): one `# TYPE` line per metric, counters and
-// gauges as single samples, histograms as cumulative `_bucket{le="..."}`
-// series plus `_sum` and `_count`. Output is deterministic (sorted by
-// metric name within each metric class) so it can be golden-file tested
-// and diffed across runs.
+// format (version 0.0.4): one `# TYPE` line per metric family, counters
+// and gauges as single samples (a labeled gauge family as one sample per
+// label set), histograms as cumulative `_bucket{le="..."}` series plus
+// `_sum` and `_count`. Output is deterministic (see sorted) so it can be
+// golden-file tested and diffed across runs.
 func (g *Registry) WritePrometheus(w io.Writer) error {
 	return g.WritePrometheusLabeled(w, nil)
 }
@@ -21,78 +23,63 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 // WritePrometheusLabeled is WritePrometheus with a fixed label set
 // attached to every sample — the fleet exporter uses it to shard
 // per-device registries (e.g. {shard="dev42"}) next to the merged
-// totals. Labels are rendered in sorted key order; histogram buckets
-// keep `le` as the last label. A nil or empty map degrades to the
-// unlabeled format exactly.
+// totals. The fixed labels are rendered in sorted key order ahead of a
+// series' own labels; histogram buckets keep `le` as the last label. A
+// nil or empty map degrades to the unlabeled format exactly.
 func (g *Registry) WritePrometheusLabeled(w io.Writer, labels map[string]string) error {
-	base := promLabels(labels, "", "")
-	for _, k := range sortedKeys(g.counters) {
-		name := promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s%s %d\n", name, name, base, *g.counters[k]); err != nil {
-			return err
-		}
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
 	}
-	for _, k := range sortedKeys(g.gauges) {
-		name := promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", name, name, base, promFloat(g.gauges[k].Value())); err != nil {
-			return err
-		}
+	sort.Strings(keys)
+	fixed := make([]string, len(keys), len(keys)+1)
+	for i, k := range keys {
+		fixed[i] = labelPair(k, labels[k])
 	}
-	hk := make([]string, 0, len(g.hists))
-	for k := range g.hists {
-		hk = append(hk, k)
-	}
-	sort.Strings(hk)
-	for _, k := range hk {
-		h := g.hists[k]
-		name := promName(k)
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-			return err
+	bw := bufio.NewWriter(w)
+	ms := g.sorted()
+	for i, m := range ms {
+		family := g.family(m.name)
+		name := promName(family)
+		if i == 0 || m.kind() != ms[i-1].kind() || family != g.family(ms[i-1].name) {
+			fmt.Fprintf(bw, "# TYPE %s %s\n", name, promTypes[m.kind()])
 		}
-		var cum int64
-		for i, c := range h.Counts {
-			cum += c
-			le := "+Inf"
-			if i < len(h.Bounds) {
-				le = promFloat(h.Bounds[i])
+		base := labelSet(append(fixed, g.labels[m.name])...)
+		switch {
+		case m.c != nil:
+			fmt.Fprintf(bw, "%s%s %d\n", name, base, *m.c)
+		case m.g != nil:
+			fmt.Fprintf(bw, "%s%s %s\n", name, base, promFloat(m.g.v))
+		default:
+			var cum int64
+			for i, c := range m.h.Counts {
+				cum += c
+				le := "+Inf"
+				if i < len(m.h.Bounds) {
+					le = promFloat(m.h.Bounds[i])
+				}
+				fmt.Fprintf(bw, "%s_bucket%s %d\n", name, labelSet(append(fixed, labelPair("le", le))...), cum)
 			}
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", name, promLabels(labels, "le", le), cum); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n%s_count%s %d\n", name, base, promFloat(h.Sum), name, base, h.Count); err != nil {
-			return err
+			fmt.Fprintf(bw, "%s_sum%s %s\n%s_count%s %d\n", name, base, promFloat(m.h.Sum), name, base, m.h.Count)
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
-// promLabels renders a label set as `{k1="v1",k2="v2"}` with keys sorted,
-// appending the extra pair (the histogram `le`) last. Empty input renders
-// as the empty string so unlabeled output stays byte-identical to the
-// historical format.
-func promLabels(labels map[string]string, extraKey, extraVal string) string {
-	if len(labels) == 0 && extraKey == "" {
+// labelPair renders one label as `key="value"`.
+func labelPair(key, value string) string {
+	return fmt.Sprintf("%s=%q", promName(key), value)
+}
+
+// labelSet renders label pairs as `{p1,p2}`, skipping empty ones; no
+// pairs at all render as the empty string, so unlabeled samples keep
+// the historical format.
+func labelSet(pairs ...string) string {
+	pairs = slices.DeleteFunc(slices.Clone(pairs), func(p string) bool { return p == "" })
+	if len(pairs) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
-	first := true
-	for _, k := range sortedKeys(labels) {
-		if !first {
-			b.WriteByte(',')
-		}
-		first = false
-		fmt.Fprintf(&b, "%s=%q", promName(k), labels[k])
-	}
-	if extraKey != "" {
-		if !first {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", extraKey, extraVal)
-	}
-	b.WriteByte('}')
-	return b.String()
+	return "{" + strings.Join(pairs, ",") + "}"
 }
 
 // promName maps a registry key onto the Prometheus metric-name charset

@@ -105,6 +105,57 @@ func TestWritePrometheusLabeled(t *testing.T) {
 	}
 }
 
+// TestLabeledGauges: a labeled family is one `# TYPE` line followed by
+// its label sets in registration order, sorted among the other gauges
+// by family name, and the labels survive Merge, Clone and fixed shard
+// labels.
+func TestLabeledGauges(t *testing.T) {
+	g := NewRegistry()
+	g.SetGauge("zeta", 1)
+	for _, dev := range []string{"9", "10", "2"} {
+		g.LabeledGauge("dev_value", "device", dev, "kind", "k").Set(3)
+	}
+	g.LabeledGauge("dev_value", "device", "10", "kind", "k").Add(1) // same series
+	g.Inc("count")
+	want := "# TYPE count counter\ncount 1\n" +
+		"# TYPE dev_value gauge\n" +
+		"dev_value{device=\"9\",kind=\"k\"} 3\n" +
+		"dev_value{device=\"10\",kind=\"k\"} 4\n" +
+		"dev_value{device=\"2\",kind=\"k\"} 3\n" +
+		"# TYPE zeta gauge\nzeta 1\n"
+	for name, r := range map[string]*Registry{"registry": g, "clone": g.Clone()} {
+		var b bytes.Buffer
+		if err := r.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != want {
+			t.Fatalf("%s:\n%s\nwant:\n%s", name, b.String(), want)
+		}
+	}
+
+	merged := NewRegistry()
+	for i := 0; i < 2; i++ {
+		if err := merged.Merge(g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := merged.Gauge(`dev_value{device="10",kind="k"}`); got != 8 {
+		t.Fatalf("merged labeled gauge = %g, want 8", got)
+	}
+	var b bytes.Buffer
+	if err := merged.WritePrometheusLabeled(&b, map[string]string{"shard": "s"}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "# TYPE dev_value gauge\n"+`dev_value{shard="s",device="9",kind="k"} 6`+"\n") {
+		t.Fatalf("fixed labels do not lead a labeled series:\n%s", b.String())
+	}
+	b.Reset()
+	merged.Dump(&b)
+	if !strings.Contains(b.String(), "gauge   "+`dev_value{device="2",kind="k"}`) {
+		t.Fatalf("Dump lost the label set:\n%s", b.String())
+	}
+}
+
 func TestPromNameSanitization(t *testing.T) {
 	if got := promName("undo-log.len"); got != "undo_log_len" {
 		t.Fatalf("promName = %q", got)

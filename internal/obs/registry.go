@@ -1,10 +1,14 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Registry is a small, dependency-free metrics registry: named counters,
@@ -21,6 +25,9 @@ type Registry struct {
 	// order lists every metric in registration order, which is what
 	// SaveValues and LoadValues walk instead of the maps.
 	order []metricRef
+	// labels maps a labeled gauge's key, `family{pairs}`, to its label
+	// pairs `k="v",...`; nil until the first LabeledGauge.
+	labels map[string]string
 }
 
 // metricRef is one registered metric: exactly one of c, g, h is set.
@@ -30,6 +37,27 @@ type metricRef struct {
 	g    *Gauge
 	h    *Histogram
 }
+
+// family is the metric name the series keyed name is exported under.
+func (g *Registry) family(name string) string {
+	if l, ok := g.labels[name]; ok {
+		return name[:len(name)-len(l)-2]
+	}
+	return name
+}
+
+// kind indexes promTypes: counters, then gauges, then histograms.
+func (m metricRef) kind() int {
+	switch {
+	case m.c != nil:
+		return 0
+	case m.g != nil:
+		return 1
+	}
+	return 2
+}
+
+var promTypes = [...]string{"counter", "gauge", "histogram"}
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
@@ -57,12 +85,38 @@ func (g *Gauge) Value() float64 { return g.v }
 
 // GaugeRef returns a stable handle to a named gauge, creating it at zero
 // first — the gauge analogue of CounterRef.
-func (g *Registry) GaugeRef(name string) *Gauge {
-	ga, ok := g.gauges[name]
+func (g *Registry) GaugeRef(name string) *Gauge { return g.gauge(name, "") }
+
+// LabeledGauge returns the gauge of one label set of the family name,
+// creating it at zero first; labels alternate keys and values, as in
+// LabeledGauge("fleet_phase_seconds", "phase", "build"). The exporters
+// write a family once, its label sets in the order they were first
+// registered.
+func (g *Registry) LabeledGauge(name string, labels ...string) *Gauge {
+	if len(labels) == 0 || len(labels)%2 != 0 {
+		panic("obs: LabeledGauge wants key, value pairs")
+	}
+	pairs := make([]string, 0, len(labels)/2)
+	for i := 0; i < len(labels); i += 2 {
+		pairs = append(pairs, labelPair(labels[i], labels[i+1]))
+	}
+	ls := strings.Join(pairs, ",")
+	return g.gauge(name+"{"+ls+"}", ls)
+}
+
+// gauge returns the gauge keyed key, registering it with its label set.
+func (g *Registry) gauge(key, labels string) *Gauge {
+	ga, ok := g.gauges[key]
 	if !ok {
 		ga = &Gauge{}
-		g.gauges[name] = ga
-		g.order = append(g.order, metricRef{name: name, g: ga})
+		g.gauges[key] = ga
+		g.order = append(g.order, metricRef{name: key, g: ga})
+		if labels != "" {
+			if g.labels == nil {
+				g.labels = map[string]string{}
+			}
+			g.labels[key] = labels
+		}
 	}
 	return ga
 }
@@ -149,6 +203,7 @@ func (g *Registry) Clone() *Registry {
 		gauges:   make(map[string]*Gauge, len(g.gauges)),
 		hists:    make(map[string]*Histogram, len(g.hists)),
 		order:    make([]metricRef, len(g.order)),
+		labels:   maps.Clone(g.labels),
 	}
 	cells := make([]int64, len(g.counters))
 	for i, m := range g.order {
@@ -264,26 +319,23 @@ func (g *Registry) Observe(name string, v float64) {
 func (g *Registry) Histogram(name string) *Histogram { return g.hists[name] }
 
 // Merge folds every metric of other into g: counters add, gauges add,
-// and histograms merge bucket-wise. A histogram g does not have yet is
-// deep-copied in; merging histograms with different bucket bounds is an
-// error (the fleet gives every worker identically-registered recorders,
-// so in practice bounds always line up). other is not modified. This is
-// how the fleet's worker registries fold into fleet totals.
+// and histograms merge bucket-wise. A metric g does not have yet is
+// registered first, so a histogram is deep-copied in; merging
+// histograms with different bucket bounds is an error (the fleet gives
+// every worker identically-registered recorders, so in practice bounds
+// always line up). other is not modified. This is how the fleet's
+// worker registries fold into fleet totals.
 func (g *Registry) Merge(other *Registry) error {
-	for k, v := range other.counters {
-		*g.CounterRef(k) += *v
-	}
-	for k, v := range other.gauges {
-		g.GaugeRef(k).Add(v.Value())
-	}
-	for k, oh := range other.hists {
-		h, ok := g.hists[k]
-		if !ok {
-			g.hists[k] = oh.Clone()
-			continue
-		}
-		if err := h.Merge(oh); err != nil {
-			return fmt.Errorf("obs: merge histogram %q: %w", k, err)
+	for _, m := range other.order {
+		switch {
+		case m.c != nil:
+			*g.CounterRef(m.name) += *m.c
+		case m.g != nil:
+			g.gauge(m.name, other.labels[m.name]).Add(m.g.v)
+		default:
+			if err := g.RegisterHistogram(m.name, m.h.Bounds).Merge(m.h); err != nil {
+				return fmt.Errorf("obs: merge histogram %q: %w", m.name, err)
+			}
 		}
 	}
 	return nil
@@ -299,35 +351,31 @@ func (g *Registry) CounterSnapshot() map[string]int64 {
 	return out
 }
 
-// Dump writes every metric in deterministic sorted order.
+// Dump writes every metric in the exporters' deterministic order (see
+// sorted); empty histograms are left out.
 func (g *Registry) Dump(w io.Writer) {
-	for _, k := range sortedKeys(g.counters) {
-		fmt.Fprintf(w, "counter %-32s %d\n", k, *g.counters[k])
-	}
-	for _, k := range sortedKeys(g.gauges) {
-		fmt.Fprintf(w, "gauge   %-32s %g\n", k, g.gauges[k].Value())
-	}
-	hk := make([]string, 0, len(g.hists))
-	for k := range g.hists {
-		hk = append(hk, k)
-	}
-	sort.Strings(hk)
-	for _, k := range hk {
-		h := g.hists[k]
-		if h.Count == 0 {
-			continue
+	for _, m := range g.sorted() {
+		switch {
+		case m.c != nil:
+			fmt.Fprintf(w, "counter %-32s %d\n", m.name, *m.c)
+		case m.g != nil:
+			fmt.Fprintf(w, "gauge   %-32s %g\n", m.name, m.g.v)
+		case m.h.Count > 0:
+			fmt.Fprintf(w, "hist    %-32s %s\n", m.name, m.h.Summary())
 		}
-		fmt.Fprintf(w, "hist    %-32s %s\n", k, h.Summary())
 	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
+// sorted returns every series ordered by metric type (counters, gauges,
+// histograms) and then by family name; the label sets of one family
+// keep their registration order, so fleet_anomaly_device stays in
+// device order where a string sort would put device "10" before "9".
+func (g *Registry) sorted() []metricRef {
+	ms := slices.Clone(g.order)
+	slices.SortStableFunc(ms, func(a, b metricRef) int {
+		return cmp.Or(cmp.Compare(a.kind(), b.kind()), strings.Compare(g.family(a.name), g.family(b.name)))
+	})
+	return ms
 }
 
 func defaultBounds() []float64 {

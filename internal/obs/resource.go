@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
@@ -123,23 +121,4 @@ func (s ResourceSnapshot) SetGauges(reg *Registry, prefix string) {
 	if s.PeakRSSBytes >= 0 {
 		reg.SetGauge(prefix+"peak_rss_bytes", float64(s.PeakRSSBytes))
 	}
-}
-
-// WriteProm renders the snapshot directly as Prometheus gauge samples
-// with the given metric-name prefix — for exporters that publish a
-// snapshot next to a registry rather than inside one.
-func (s ResourceSnapshot) WriteProm(w io.Writer, prefix string) error {
-	reg := NewRegistry()
-	s.SetGauges(reg, prefix)
-	return reg.WritePrometheus(w)
-}
-
-// JSONL renders the snapshot as one JSON line — the same shape the
-// fleet report embeds, appendable to the structured-event streams.
-func (s ResourceSnapshot) JSONL() ([]byte, error) {
-	b, err := json.Marshal(s)
-	if err != nil {
-		return nil, fmt.Errorf("obs: resource snapshot: %w", err)
-	}
-	return append(b, '\n'), nil
 }

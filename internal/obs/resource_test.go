@@ -78,13 +78,13 @@ func TestResourceSnapshotExports(t *testing.T) {
 	}
 
 	var b strings.Builder
-	if err := s.WriteProm(&b, "fleet_resource_"); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"# TYPE fleet_resource_peak_rss_bytes gauge",
-		"fleet_resource_peak_rss_bytes 800",
-		"fleet_resource_heap_inuse_bytes 100",
+		"# TYPE res_peak_rss_bytes gauge",
+		"res_peak_rss_bytes 800",
+		"res_heap_inuse_bytes 100",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("prom output missing %q:\n%s", want, b.String())
@@ -103,13 +103,6 @@ func TestResourceSnapshotExports(t *testing.T) {
 		t.Fatalf("unknown RSS leaked into export:\n%s", b2.String())
 	}
 
-	line, err := s.JSONL()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(line), `"heap_inuse_bytes":100`) || line[len(line)-1] != '\n' {
-		t.Fatalf("JSONL line %q", line)
-	}
 }
 
 func TestGaugeRefSharing(t *testing.T) {
