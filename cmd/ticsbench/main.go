@@ -120,7 +120,7 @@ func main() {
 
 // runSweep measures the fleet at every requested size and merges the
 // entries into the ledger by key, preserving whatever else is there
-// (the legacy n=64 benchmark entry, the opcode table).
+// (the n=64 benchmark entry, the opcode table).
 func runSweep(nsSpec, out string, wallMs float64) {
 	var ns []int
 	for _, s := range strings.Split(nsSpec, ",") {

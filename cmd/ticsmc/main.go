@@ -1,10 +1,10 @@
 // Command ticsmc is the exhaustive reset-point model checker: it runs a
 // TICS-C program once uninterrupted, enumerates every instrumentation-
 // boundary reboot point (pairs of points at -depth 2), re-executes each
-// interrupted schedule with the trace auditor and freshness tracker
-// attached, and reports every schedule that breaks an intermittence
-// invariant — minimized to the earliest failing reboot point and
-// exportable as a replayable manifest.
+// interrupted schedule with the trace auditor (which also keeps the
+// data-freshness record) attached, and reports every schedule that
+// breaks an intermittence invariant — minimized to the earliest failing
+// reboot point and exportable as a replayable manifest.
 //
 //	ticsmc program.c                      # depth-1 sweep of a source file
 //	ticsmc -app bc                        # sweep a built-in benchmark

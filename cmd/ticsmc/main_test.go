@@ -87,3 +87,35 @@ func profileStrings(b []byte) ([]string, error) {
 	}
 	return strs, nil
 }
+
+// TestCrossCheckGolden: the -crosscheck report over the seeded corpus —
+// every static diagnostic next to the stale-send, effect-loss, fault or
+// rollback counterexample that grounds it — is byte-identical to
+// testdata/mc/crosscheck.golden.
+func TestCrossCheckGolden(t *testing.T) {
+	want, err := os.ReadFile("../../testdata/mc/crosscheck.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		got <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	code := run([]string{"-crosscheck", "../../testdata/vet/seeded", "-workers", "2"})
+	os.Stdout = stdout
+	w.Close()
+	out := <-got
+	if code != 0 {
+		t.Fatalf("exit status %d:\n%s", code, out)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatalf("crosscheck output differs from testdata/mc/crosscheck.golden:\n%s", out)
+	}
+}

@@ -26,6 +26,11 @@
 //     the handler — consuming expired data is the violation TICS's
 //     restore-to-block-entry exists to prevent.
 //
+// Under the same commit rule it keeps a freshness record (when each
+// global's value was produced from a fresh source) and reports the age
+// of every committed send's sources (SendAges) for a caller with a
+// budget (internal/mc) to judge.
+//
 // A correct runtime (TICS) passes every check under every power model; a
 // runtime with a weaker discipline (Mementos without versioned globals,
 // a runtime with an injected log-skip fault) is flagged with the
@@ -145,6 +150,13 @@ type Auditor struct {
 	expirySeq      int64
 	expiryDeadline int64
 
+	// Freshness record, indexed like prov.spans: when each global's
+	// current value was produced (a global never written reads 0, its
+	// boot-time initial value), and that table at the last commit.
+	prov                *provenance
+	prod, prodCommitted []int64
+	sendAges            []SendAge
+
 	seq        int64 // events seen so far (== seq of the next event)
 	total      int64 // violations detected (including unrecorded ones)
 	violations []Violation
@@ -174,6 +186,13 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	if rec.Seq() != 0 {
 		return errors.New("audit: recorder already carries events; attach the auditor before Run")
 	}
+	prov := a.prov
+	if a.m == nil || a.m.Img != m.Img {
+		var err error
+		if prov, err = buildProvenance(m.Img); err != nil {
+			return err
+		}
+	}
 	n := int(m.Img.StackBase - m.Img.GlobalsBase)
 	if len(a.shadow) != n {
 		a.shadow, a.cur = make([]byte, n), make([]byte, n)
@@ -181,17 +200,21 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 		a.epoch = 0
 	}
 	*a = Auditor{
-		m:          m,
-		opt:        opt,
-		base:       m.Img.GlobalsBase,
-		end:        m.Img.StackBase,
-		shadow:     a.shadow,
-		cur:        a.cur,
-		epoch:      a.epoch,
-		covered:    a.covered,
-		lastWriter: a.lastWriter,
-		commitSeq:  -1,
-		violations: a.violations[:0],
+		m:             m,
+		opt:           opt,
+		base:          m.Img.GlobalsBase,
+		end:           m.Img.StackBase,
+		shadow:        a.shadow,
+		cur:           a.cur,
+		epoch:         a.epoch,
+		covered:       a.covered,
+		lastWriter:    a.lastWriter,
+		commitSeq:     -1,
+		violations:    a.violations[:0],
+		prov:          prov,
+		prod:          append(a.prod[:0], make([]int64, len(prov.spans))...),
+		prodCommitted: append(a.prodCommitted[:0], make([]int64, len(prov.spans))...),
+		sendAges:      a.sendAges[:0],
 	}
 	a.closeEpoch()
 	a.timeCheck = opt.CheckTime == nil || *opt.CheckTime
@@ -204,22 +227,29 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	}
 	rec.AddSink(a)
 	m.ObserveStores(a.onStore)
+	m.OnSend = a.onSend
 	return nil
 }
 
 // CopyFrom gives a the audit state of src — shadow, per-byte coverage and
-// last writers, epoch, checkpoint and expiry tracking, seq and the
-// violations so far — keeping a's own machine. Both audit the same image
-// with the same options. Machine snapshots copy a run's auditor this way,
-// into a spare and back; a is then subscribed wherever it already was.
+// last writers, epoch, checkpoint and expiry tracking, freshness record
+// and send ages, seq and the violations so far — keeping a's own
+// machine. Both audit the same image with the same options, so they
+// share its provenance index. Machine snapshots copy a run's auditor
+// this way, into a spare and back; a is then subscribed wherever it
+// already was.
 func (a *Auditor) CopyFrom(src *Auditor) {
 	m, shadow, cur, covered, lastWriter, violations := a.m, a.shadow, a.cur, a.covered, a.lastWriter, a.violations
+	prod, prodCommitted, sendAges := a.prod, a.prodCommitted, a.sendAges
 	*a = *src
 	a.m, a.cur = m, cur // cur is comparison scratch
 	a.shadow = append(shadow[:0], src.shadow...)
 	a.covered = append(covered[:0], src.covered...)
 	a.lastWriter = append(lastWriter[:0], src.lastWriter...)
 	a.violations = append(violations[:0], src.violations...)
+	a.prod = append(prod[:0], src.prod...)
+	a.prodCommitted = append(prodCommitted[:0], src.prodCommitted...)
+	a.sendAges = append(sendAges[:0], src.sendAges...)
 	if src.torn != nil {
 		torn := *src.torn
 		a.torn = &torn
@@ -254,7 +284,7 @@ func (a *Auditor) report(v Violation) {
 }
 
 // onStore observes every program-order store (vm.Machine.OnStore).
-func (a *Auditor) onStore(addr uint32, size int, val uint32, _ int64) {
+func (a *Auditor) onStore(addr uint32, size int, val uint32, deviceMs int64) {
 	if a.tripped {
 		return
 	}
@@ -262,6 +292,7 @@ func (a *Auditor) onStore(addr uint32, size int, val uint32, _ int64) {
 	if n == 0 {
 		return
 	}
+	a.produce(addr, deviceMs)
 	off := o - a.base
 	if a.undoCheck {
 		for i := uint32(0); i < n; i++ {
@@ -283,6 +314,58 @@ func (a *Auditor) onStore(addr uint32, size int, val uint32, _ int64) {
 		a.lastWriter[off+i] = writeRec{seq: a.seq - 1, epoch: a.epoch, val: byte(val >> (8 * (o + i - addr)))}
 	}
 }
+
+// produce updates the freshness record for a store to addr at deviceMs.
+// The program counter still points at the store instruction while its
+// observer runs, which is what keys the provenance index.
+func (a *Auditor) produce(addr uint32, deviceMs int64) {
+	g := a.prov.globalAt(addr)
+	if g < 0 {
+		return
+	}
+	set := a.prov.at(a.prov.stores, a.m.Regs.PC)
+	if !set.known || len(set.globals) == 0 {
+		// Unknown provenance or a fresh expression: the store produces a
+		// new value now.
+		a.prod[g] = deviceMs
+		return
+	}
+	// The stored value is as old as its oldest global source.
+	prod := deviceMs
+	for _, src := range set.globals {
+		prod = min(prod, a.prod[src])
+	}
+	a.prod[g] = prod
+}
+
+// SendAge is one global source of one committed send's payload: the
+// global, its @expires_after budget (-1 when unannotated), and how long
+// before the send (EstMs) the global's value was produced.
+type SendAge struct {
+	vm.SendRec
+	Global    string
+	ExpiresMs int64
+	AgeMs     int64
+}
+
+// onSend records the age of every global source of a committed send's
+// payload (vm.Machine.OnSend). A send whose provenance is unknown
+// records nothing: no conclusion may be drawn from it.
+func (a *Auditor) onSend(rec vm.SendRec) {
+	set := a.prov.at(a.prov.sends, rec.PC)
+	if !set.known {
+		return
+	}
+	for _, src := range set.globals {
+		g := &a.prov.spans[src]
+		a.sendAges = append(a.sendAges, SendAge{rec, g.name, g.expiresMs, rec.EstMs - a.prod[src]})
+	}
+}
+
+// SendAges returns the sources of every committed send so far, in
+// commit order. The slice is the auditor's own, valid until its next
+// Reattach or CopyFrom.
+func (a *Auditor) SendAges() []SendAge { return a.sendAges }
 
 // OnEvent implements obs.Sink.
 func (a *Auditor) OnEvent(seq int64, ev obs.Event) {
@@ -351,6 +434,7 @@ func (a *Auditor) OnEvent(seq int64, ev obs.Event) {
 // task commits pass false.
 func (a *Auditor) snapshot(seq int64, regsKnown bool) {
 	a.m.Mem.Peek(a.base, a.shadow)
+	copy(a.prodCommitted, a.prod)
 	a.shadowRegs = a.m.Regs
 	a.haveShadow = true
 	a.regsValid = regsKnown
@@ -364,6 +448,7 @@ func (a *Auditor) snapshot(seq int64, regsKnown bool) {
 // checkpoint atomicity at an EvRestore (the runtime reports the restore
 // complete: registers and memory are rebuilt).
 func (a *Auditor) checkRestore(seq int64) {
+	copy(a.prod, a.prodCommitted) // the runtime just reverted the values
 	defer func() {
 		a.closeEpoch()
 		a.torn = nil

@@ -1,11 +1,13 @@
 package audit_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	tics "repro"
 	"repro/internal/audit"
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/vm"
@@ -16,12 +18,25 @@ int g0; int g1; int g2; int g3; int g4; int g5; int g6; int g7;
 int main() { g0 = 1; out(0, g0); return 0; }
 `
 
+// sendSrc is tinySrc transmitting g0, a send site whose payload
+// provenance is known.
+const sendSrc = `
+int g0; int g1; int g2; int g3; int g4; int g5; int g6; int g7;
+int main() { g0 = 1; send(g0); return 0; }
+`
+
 // rig builds a tiny TICS machine with a recorder and an attached auditor,
 // powered on so tests can drive events synthetically (emulating a buggy
 // runtime) without running the program.
 func rig(t *testing.T, opt audit.Options) (*vm.Machine, *audit.Auditor) {
 	t.Helper()
-	img, err := tics.Build(tinySrc, tics.BuildOptions{Runtime: tics.RTTICS})
+	return rigFor(t, tinySrc, opt)
+}
+
+// rigFor is rig for the program src.
+func rigFor(t *testing.T, src string, opt audit.Options) (*vm.Machine, *audit.Auditor) {
+	t.Helper()
+	img, err := tics.Build(src, tics.BuildOptions{Runtime: tics.RTTICS})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,29 +290,57 @@ func TestUndoCoverageEndsWithItsEpoch(t *testing.T) {
 	}
 }
 
+// sendPC returns the PC of the first send instruction in m's image.
+func sendPC(t *testing.T, m *vm.Machine) uint32 {
+	t.Helper()
+	for off := 0; off < len(m.Img.Text); {
+		in, next, err := isa.Decode(m.Img.Text, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if in.Op == isa.Send {
+			return m.Img.TextBase + uint32(off)
+		}
+		off = next
+	}
+	t.Fatal("image has no send instruction")
+	return 0
+}
+
 // TestReattachStartsClean: an auditor reused through Reattach on a
 // second machine carries nothing over from its previous run — no
-// violations, no undo coverage, no shadow — and reports a new run
-// exactly as a freshly attached auditor does.
+// violations, no undo coverage, no shadow, no production times or send
+// ages — and reports a new run exactly as a freshly attached auditor
+// does.
 func TestReattachStartsClean(t *testing.T) {
-	m, a := rig(t, audit.Options{})
+	m, a := rigFor(t, sendSrc, audit.Options{})
 	base, _ := a.Region()
+	g, _ := m.Img.Program.Global("g0")
+	g0 := base + g.Offset
 	m.EmitEvent(obs.EvCheckpointBegin, 0, 0)
 	m.EmitEvent(obs.EvCheckpointCommit, 0, 0)
 	m.EmitEvent(obs.EvUndoAppend, int64(base+8), 4)
 	m.OnStore(base+12, 4, 1, 0) // uncovered: one violation in the first run
+	m.EmitEvent(obs.EvUndoAppend, int64(g0), 4)
+	m.OnStore(g0, 4, 1, 500) // g0 produced at device ms 500 ...
+	m.EmitEvent(obs.EvCheckpointCommit, 0, 0)
+	m.OnSend(vm.SendRec{PC: sendPC(t, m), EstMs: 600}) // ... and sent at 600
 	if a.Total() != 1 {
 		t.Fatalf("first run: %v", a.Violations())
+	}
+	if ages := a.SendAges(); len(ages) != 1 || ages[0].Global != "g0" || ages[0].AgeMs != 100 {
+		t.Fatalf("first run send ages: %+v", ages)
 	}
 
 	drive := func(m *vm.Machine) {
 		m.OnStore(base+8, 4, 7, 0) // covered only in the previous run
 		m.EmitEvent(obs.EvRestore, 0, 0)
+		m.OnSend(vm.SendRec{PC: sendPC(t, m), EstMs: 700}) // g0 never written in this run
 	}
-	m2, fresh := rig(t, audit.Options{})
+	m2, fresh := rigFor(t, sendSrc, audit.Options{})
 	drive(m2)
 
-	m3, _ := rig(t, audit.Options{})
+	m3, _ := rigFor(t, sendSrc, audit.Options{})
 	// rig attached an auditor to m3's recorder already; give the reused
 	// one a machine whose recorder carries no sinks or events.
 	m3.Recorder().Reset()
@@ -311,6 +354,9 @@ func TestReattachStartsClean(t *testing.T) {
 	}
 	if a.Total() != 1 || a.Violations()[0].Check != audit.CheckUndoLog {
 		t.Fatalf("stale undo coverage leaked into the next run: %v", a.Violations())
+	}
+	if got, want := a.SendAges(), fresh.SendAges(); !reflect.DeepEqual(got, want) || len(got) != 1 || got[0].AgeMs != 700 {
+		t.Fatalf("the previous run's freshness record leaked into the next run: send ages %+v, fresh %+v", got, want)
 	}
 	if err := a.Reattach(m3, audit.Options{}); err == nil {
 		t.Fatal("Reattach onto a recorder that already carries events must fail")

@@ -4,14 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 )
 
-// Load reads a ledger from path. The unversioned legacy layout (the
-// flat n=64 object the old BenchmarkFleetThroughput wrote) is migrated
-// into schema version 1; future versions are rejected rather than
-// silently misread.
+// Load reads a ledger from path (see Parse).
 func Load(path string) (*File, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -30,7 +25,9 @@ func LoadOrNew(path string) (*File, error) {
 	return f, err
 }
 
-// Parse decodes ledger bytes, migrating the legacy layout if needed.
+// Parse decodes ledger bytes. A ledger without schema_version (the
+// flat pre-schema layout) or of another version is rejected rather than
+// silently misread.
 func Parse(b []byte) (*File, error) {
 	var probe struct {
 		SchemaVersion *int `json:"schema_version"`
@@ -39,7 +36,7 @@ func Parse(b []byte) (*File, error) {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
 	if probe.SchemaVersion == nil {
-		return migrateLegacy(b)
+		return nil, fmt.Errorf("bench: ledger has no schema_version field")
 	}
 	if *probe.SchemaVersion != SchemaVersion {
 		return nil, fmt.Errorf("bench: schema_version %d, this build understands %d", *probe.SchemaVersion, SchemaVersion)
@@ -52,67 +49,6 @@ func Parse(b []byte) (*File, error) {
 		f.Fleet = map[string]*FleetEntry{}
 	}
 	return &f, nil
-}
-
-// migrateLegacy lifts the old flat BENCH_fleet.json (app/cpus/n/
-// workers_N/telemetry/speedup_w4_over_w1) into one versioned fleet
-// entry so -compare can gate against pre-schema baselines.
-func migrateLegacy(b []byte) (*File, error) {
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(b, &raw); err != nil {
-		return nil, fmt.Errorf("bench: legacy: %w", err)
-	}
-	if _, ok := raw["n"]; !ok {
-		return nil, fmt.Errorf("bench: unrecognized layout (neither schema_version nor legacy n)")
-	}
-	e := &FleetEntry{Source: "benchmark", Workers: map[string]Point{}}
-	f := NewFile()
-
-	num := func(key string) float64 {
-		var v float64
-		if r, ok := raw[key]; ok {
-			json.Unmarshal(r, &v)
-		}
-		return v
-	}
-	e.Devices = int(num("n"))
-	if r, ok := raw["app"]; ok {
-		json.Unmarshal(r, &e.App)
-	}
-	if c := int(num("cpus")); c > 0 {
-		f.Host.CPUs = c
-	}
-	e.SpeedupBestOverW1 = num("speedup_w4_over_w1")
-
-	for key, r := range raw {
-		w, ok := strings.CutPrefix(key, "workers_")
-		if !ok {
-			continue
-		}
-		if _, err := strconv.Atoi(w); err != nil {
-			continue
-		}
-		var p Point
-		if err := json.Unmarshal(r, &p); err != nil {
-			return nil, fmt.Errorf("bench: legacy %s: %w", key, err)
-		}
-		e.Workers[w] = p
-		if p.DevicesPerSec > e.Best.DevicesPerSec {
-			e.Best = p
-		}
-	}
-	if r, ok := raw["telemetry"]; ok {
-		var tp TelemetryPair
-		if err := json.Unmarshal(r, &tp); err != nil {
-			return nil, fmt.Errorf("bench: legacy telemetry: %w", err)
-		}
-		e.Telemetry = &tp
-	}
-	if e.Devices <= 0 {
-		return nil, fmt.Errorf("bench: legacy n=%d", e.Devices)
-	}
-	f.SetFleet(FleetKey(e.Devices), e)
-	return f, nil
 }
 
 // Save writes the ledger with stable formatting (indented, sorted keys

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -9,52 +8,21 @@ import (
 	"repro/internal/fleet"
 )
 
-// legacyJSON is the exact shape the pre-schema BenchmarkFleetThroughput
-// wrote — migration must keep old baselines comparable.
+// legacyJSON is the flat shape the pre-schema BenchmarkFleetThroughput
+// wrote, with no schema_version.
 const legacyJSON = `{
   "app": "ghm",
   "cpus": 2,
   "n": 64,
-  "speedup_w4_over_w1": 1.31,
-  "telemetry": {
-    "off": {"device_cycles_per_sec": 1310467707.4, "devices_per_sec": 5715.2},
-    "on": {"device_cycles_per_sec": 1201181824.9, "devices_per_sec": 5106.4},
-    "overhead_pct": 10.65
-  },
-  "workers_1": {"device_cycles_per_sec": 847516909.0, "devices_per_sec": 3771.8},
-  "workers_2": {"device_cycles_per_sec": 972173955.1, "devices_per_sec": 4220.7},
   "workers_4": {"device_cycles_per_sec": 1150271322.7, "devices_per_sec": 4938.7}
 }`
 
-func TestMigrateLegacy(t *testing.T) {
-	f, err := Parse([]byte(legacyJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.SchemaVersion != SchemaVersion {
-		t.Fatalf("schema_version %d", f.SchemaVersion)
-	}
-	if f.Host.CPUs != 2 {
-		t.Fatalf("host.cpus %d, want legacy 2", f.Host.CPUs)
-	}
-	e := f.Fleet["n=64"]
-	if e == nil {
-		t.Fatalf("no n=64 entry: %v", f.FleetKeys())
-	}
-	if e.Devices != 64 || e.App != "ghm" || e.Source != "benchmark" {
-		t.Fatalf("entry %+v", e)
-	}
-	if e.Best.DevicesPerSec != 4938.7 {
-		t.Fatalf("best %.1f, want the workers_4 point", e.Best.DevicesPerSec)
-	}
-	if len(e.Workers) != 3 || e.Workers["2"].DeviceCyclesPerSec != 972173955.1 {
-		t.Fatalf("workers %+v", e.Workers)
-	}
-	if e.Telemetry == nil || e.Telemetry.OverheadPct != 10.65 {
-		t.Fatalf("telemetry %+v", e.Telemetry)
-	}
-	if e.SpeedupBestOverW1 != 1.31 {
-		t.Fatalf("speedup %g", e.SpeedupBestOverW1)
+// TestParseRequiresSchemaVersion: a ledger without schema_version is
+// refused, and the error names the missing field.
+func TestParseRequiresSchemaVersion(t *testing.T) {
+	_, err := Parse([]byte(legacyJSON))
+	if err == nil || !strings.Contains(err.Error(), "schema_version") {
+		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -84,13 +52,16 @@ func sampleEntry(n int) *FleetEntry {
 	}
 }
 
-// TestMergeByKey is satellite S2's contract: a sweep write and a legacy
-// n=64 benchmark write land in the same file without clobbering each
-// other.
+// TestMergeByKey: a sweep write and an n=64 benchmark write land in the
+// same file without clobbering each other.
 func TestMergeByKey(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_fleet.json")
-	// Seed the file with a migrated legacy baseline.
-	if err := os.WriteFile(path, []byte(legacyJSON), 0o644); err != nil {
+	// Seed the file with an n=64 benchmark baseline.
+	seed := NewFile()
+	bench := sampleEntry(64)
+	bench.Source, bench.Best.DevicesPerSec = "benchmark", 4938.7
+	seed.SetFleet(FleetKey(64), bench)
+	if err := Save(path, seed); err != nil {
 		t.Fatal(err)
 	}
 	// A sweep merges its sizes in...
@@ -121,7 +92,7 @@ func TestMergeByKey(t *testing.T) {
 		t.Fatalf("keys %v, want %v", got, want)
 	}
 	if f.Fleet["n=64"].Best.DevicesPerSec != 4938.7 {
-		t.Fatalf("legacy entry clobbered: %+v", f.Fleet["n=64"])
+		t.Fatalf("n=64 entry clobbered: %+v", f.Fleet["n=64"])
 	}
 	if f.Opcodes["Add"].NsPerInstr != 12.5 {
 		t.Fatalf("opcodes %+v", f.Opcodes)

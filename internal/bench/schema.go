@@ -1,6 +1,6 @@
 // Package bench owns the repo's performance ledger: the versioned
 // BENCH_fleet.json schema, merge-by-key persistence (so the fleet
-// sweep, the legacy n=64 benchmark and the opcode microbench can each
+// sweep, the n=64 benchmark and the opcode microbench can each
 // update their slice of the file without clobbering the others), a
 // schema validator, and the regression gate `ticsbench -compare` runs
 // in CI. This is the measurement harness ROADMAP item 1 gates on:
@@ -14,8 +14,8 @@ import (
 )
 
 // SchemaVersion identifies the BENCH_fleet.json layout. Bump it on any
-// incompatible reshaping; Load migrates the unversioned legacy layout
-// (the flat n=64 file) into version 1 automatically.
+// incompatible reshaping; Parse refuses a ledger of any other version
+// and one without the field.
 const SchemaVersion = 1
 
 // File is the whole ledger.
@@ -141,7 +141,7 @@ func NewFile() *File {
 func FleetKey(devices int) string { return fmt.Sprintf("n=%d", devices) }
 
 // SetFleet merges one fleet entry by key, leaving every other key
-// untouched — how the sweep and the legacy benchmark coexist.
+// untouched — how the sweep and the n=64 benchmark coexist.
 func (f *File) SetFleet(key string, e *FleetEntry) {
 	if f.Fleet == nil {
 		f.Fleet = map[string]*FleetEntry{}

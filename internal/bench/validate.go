@@ -79,7 +79,7 @@ func Validate(f *File) []error {
 		}
 		// Sweep entries must carry the per-device footprint: it is a gated
 		// column (-compare) and the scaling sweep always measures it. The
-		// legacy benchmark entries predate the column, so only finiteness
+		// n=64 benchmark entries predate the column, so only finiteness
 		// is required of them.
 		finite(key, "bytes_per_device", e.BytesPerDevice, e.Source == "sweep")
 		for name, sec := range e.PhaseSeconds {

@@ -76,8 +76,7 @@ func runLevel(t *testing.T, r *runner, schedules [][]power.SchedWindow) []runOut
 // oracle's snapshots.
 func oracleRunner(t *testing.T, spec replay.Spec) (*runner, runOutcome) {
 	t.Helper()
-	spec.Power = "continuous"
-	r, err := newRunner(spec, 0, runtime.GOMAXPROCS(0))
+	r, err := newRunner(Config{Spec: spec, Workers: runtime.GOMAXPROCS(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +85,7 @@ func oracleRunner(t *testing.T, spec replay.Spec) (*runner, runOutcome) {
 		t.Fatal(err)
 	}
 	if oracle.digest.Completed {
-		r.spec.MaxCycles = oracle.cycles*4 + 1_000_000
+		r.cfg.Spec.MaxCycles = oracle.cycles*4 + 1_000_000
 	}
 	// Schedules resume from snapshots and so collect no stamp before
 	// them; enumeration must not need those.

@@ -13,15 +13,19 @@
 //     S-1 and S, so a power failure lands both on the stamped operation
 //     and on the instruction boundary before it.
 //  3. Re-execute each schedule (one window per reboot, then continuous
-//     power) on pooled COW-forked machines, with the trace auditor and a
-//     data-freshness tracker attached. Depth > 1 recurses: stamps of the
-//     interrupted run seed second reboots after the first.
+//     power) on pooled COW-forked machines, with the trace auditor
+//     attached as the run's one observer: it checks the committed-state
+//     invariants and keeps the freshness record (when each global's value
+//     was produced, committed and rolled back with the shadow state, and
+//     the age of every committed send's sources). Depth > 1 recurses:
+//     stamps of the interrupted run seed second reboots after the first.
 //  4. Per schedule, assert: every auditor invariant (rollback exactness,
 //     undo completeness, checkpoint atomicity, register exactness, time
 //     consistency), forward progress, send exactly-once (virtualized
 //     sends must commit strictly consecutive sequence numbers), committed
 //     NVM equality against the oracle (time-insensitive programs only),
-//     payload freshness (no value older than its @expires_after budget is
+//     payload freshness (no send source older than its @expires_after
+//     budget, or Config.AssumeBudgetMs for an unannotated global, is
 //     committed to the radio), and — scenario-gated — committed-effect
 //     loss.
 //
@@ -165,10 +169,7 @@ func sweep(cfg Config, cold bool, observe func(schedules [][]power.SchedWindow, 
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	spec := cfg.Spec
-	spec.Power = "continuous"
-
-	r, err := newRunner(spec, cfg.AssumeBudgetMs, cfg.Workers)
+	r, err := newRunner(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +201,7 @@ func sweep(cfg Config, cold bool, observe func(schedules [][]power.SchedWindow, 
 		// Starvation bound for interrupted runs: one reboot redoes at
 		// most one checkpoint epoch, so 4x oracle plus slack means "no
 		// forward progress", not "slow".
-		r.spec.MaxCycles = oracle.cycles*4 + 1_000_000
+		r.cfg.Spec.MaxCycles = oracle.cycles*4 + 1_000_000
 	}
 
 	// Phase 2..Depth+1: breadth-first over reboot counts.

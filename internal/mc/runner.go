@@ -31,38 +31,37 @@ type runOutcome struct {
 
 // runner executes schedules against one shared image using a pool of
 // slots, one per worker. A slot carries everything a schedule run needs
-// besides its power schedule: a COW-forked machine, its recorder, its
-// auditor and its freshness tracker. An empty slot materializes them on
-// first claim (the machine from the image's vm.Prepared snapshot); later
-// runs reset each in place — Machine.Reset, Recorder.Reset,
-// Auditor.Reattach, freshTracker.reset, each indistinguishable from a
-// fresh build (pinned by the pooled-reuse, Reset and Reattach tests) —
-// so a 10k-schedule sweep does not pay 10k image loads, recorder
-// registrations or auditor allocations. After the oracle, spec.MaxCycles
-// holds the starvation bound for interrupted runs; once snapshotOracle
-// ran, snaps holds the oracle snapshots schedules start from.
+// besides its power schedule: a COW-forked machine, its recorder and its
+// auditor, which also keeps the run's freshness record. An empty slot
+// materializes them on first claim (the machine from the image's
+// vm.Prepared snapshot); later runs reset each in place — Machine.Reset,
+// Recorder.Reset, Auditor.Reattach, each indistinguishable from a fresh
+// build (pinned by the pooled-reuse, Reset and Reattach tests) — so a
+// 10k-schedule sweep does not pay 10k image loads, recorder
+// registrations, auditor allocations or provenance indexes. cfg is the
+// sweep's configuration with the run spec in cfg.Spec: continuous power,
+// and after the oracle MaxCycles holds the starvation bound for
+// interrupted runs. Once snapshotOracle ran, snaps holds the oracle
+// snapshots schedules start from.
 type runner struct {
-	img      *tics.Image
-	spec     replay.Spec
-	prov     *provenance
-	budgetMs int64
-	pool     chan *slot
-	snaps    []*snapshot // in cycle order
+	img   *tics.Image
+	cfg   Config
+	pool  chan *slot
+	snaps []*snapshot // in cycle order
 }
 
 // snapshot is the oracle run's whole state at one instruction boundary:
-// the machine with its runtime, and the recorder, auditor and freshness
-// tracker observing it. Everything a schedule executes before its first
-// reboot is the oracle's run, cycle for cycle, so a schedule whose first
-// reboot comes at or after a snapshot starts from it — restored into its
-// slot — instead of from cold boot. vm.Machine.SetBoundaryHook stops
+// the machine with its runtime, and the recorder and auditor observing
+// it. Everything a schedule executes before its first reboot is the
+// oracle's run, cycle for cycle, so a schedule whose first reboot comes
+// at or after a snapshot starts from it — restored into its slot —
+// instead of from cold boot. vm.Machine.SetBoundaryHook stops
 // snapshots once the oracle reads Remaining(), the one input that
 // differs between the oracle's window and a schedule's.
 type snapshot struct {
-	m       *vm.Snapshot
-	rec     obs.RecorderState
-	aud     audit.Auditor
-	tracker *freshTracker
+	m   *vm.Snapshot
+	rec obs.RecorderState
+	aud audit.Auditor
 }
 
 // Snapshot spacing: one at the first instruction boundary past every
@@ -110,12 +109,11 @@ func (r *runner) snapshotOracle(oracle runOutcome) error {
 
 // snapshotHook returns the boundary hook that takes r.snaps, one past
 // every multiple of interval.
-func (r *runner) snapshotHook(interval int64, rec *obs.Recorder, aud *audit.Auditor, tracker *freshTracker) func(*vm.Machine) int64 {
+func (r *runner) snapshotHook(interval int64, rec *obs.Recorder, aud *audit.Auditor) func(*vm.Machine) int64 {
 	return func(m *vm.Machine) int64 {
-		s := &snapshot{m: m.Snapshot(), tracker: newFreshTracker(r.prov, r.budgetMs)}
+		s := &snapshot{m: m.Snapshot()}
 		rec.Save(&s.rec)
 		s.aud.CopyFrom(aud)
-		s.tracker.copyFrom(tracker)
 		r.snaps = append(r.snaps, s)
 		return (m.Cycles()/interval + 1) * interval
 	}
@@ -134,19 +132,17 @@ func (r *runner) latest(c int64) *snapshot {
 // ringCap is the event-ring capacity of every recorder a sweep builds.
 const ringCap = 64
 
-// newRunner builds spec's image and provenance index and a pool of
-// workers empty slots.
-func newRunner(spec replay.Spec, budgetMs int64, workers int) (*runner, error) {
-	img, _, err := replay.BuildImage(spec)
+// newRunner builds cfg.Spec's image and a pool of cfg.Workers empty
+// slots. The runner's spec runs under continuous power: every schedule
+// brings its own.
+func newRunner(cfg Config) (*runner, error) {
+	cfg.Spec.Power = "continuous"
+	img, _, err := replay.BuildImage(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
-	prov, err := buildProvenance(img)
-	if err != nil {
-		return nil, err
-	}
-	r := &runner{img: img, spec: spec, prov: prov, budgetMs: budgetMs, pool: make(chan *slot, workers)}
-	for i := 0; i < workers; i++ {
+	r := &runner{img: img, cfg: cfg, pool: make(chan *slot, cfg.Workers)}
+	for i := 0; i < cfg.Workers; i++ {
 		r.pool <- &slot{}
 	}
 	return r, nil
@@ -154,10 +150,9 @@ func newRunner(spec replay.Spec, budgetMs int64, workers int) (*runner, error) {
 
 // slot is one worker's reusable run state.
 type slot struct {
-	m       *vm.Machine
-	rec     *obs.Recorder
-	aud     *audit.Auditor
-	tracker *freshTracker
+	m   *vm.Machine
+	rec *obs.Recorder
+	aud *audit.Auditor
 }
 
 // run executes one schedule (nil = uninterrupted) and gathers the
@@ -172,19 +167,17 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 	s := <-r.pool
 	defer func() { r.pool <- s }()
 	if s.rec == nil {
-		s.rec, s.aud, s.tracker = obs.NewRecorder(obs.Options{RingCap: ringCap}), &audit.Auditor{}, newFreshTracker(r.prov, r.budgetMs)
+		s.rec, s.aud = obs.NewRecorder(obs.Options{RingCap: ringCap}), &audit.Auditor{}
 	}
 	s.rec.Reset()
-	s.tracker.reset()
 	var err error
-	if s.m, err = r.spec.Machine(r.img, s.m, &power.Schedule{Windows: windows}, s.rec); err != nil {
+	if s.m, err = r.cfg.Spec.Machine(r.img, s.m, &power.Schedule{Windows: windows}, s.rec); err != nil {
 		return runOutcome{}, err
 	}
-	m, rec, aud, tracker := s.m, s.rec, s.aud, s.tracker
+	m, rec, aud := s.m, s.rec, s.aud
 	if err := aud.Reattach(m, audit.Options{}); err != nil {
 		return runOutcome{}, err
 	}
-	tracker.attach(m, rec)
 
 	var stamps []int64
 	if collectStamps {
@@ -207,11 +200,10 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 		}
 		rec.Load(&from.rec)
 		aud.CopyFrom(&from.aud)
-		tracker.copyFrom(from.tracker)
 		res, err = m.Resume()
 		resumedAt = from.m.Cycles()
 	case snapshotEvery > 0:
-		m.SetBoundaryHook(snapshotEvery, r.snapshotHook(snapshotEvery, rec, aud, tracker))
+		m.SetBoundaryHook(snapshotEvery, r.snapshotHook(snapshotEvery, rec, aud))
 		fallthrough
 	default:
 		res, err = m.Run()
@@ -225,7 +217,7 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 	out := runOutcome{
 		digest:     replay.DigestOf(res),
 		violations: aud.Violations(),
-		stale:      tracker.stale,
+		stale:      staleSends(aud.SendAges(), r.cfg.AssumeBudgetMs),
 		outs:       res.OutLog,
 		marks:      res.MarkCounts,
 		stamps:     stamps,
@@ -248,8 +240,8 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 // comparison only judges state the program owns).
 func (r *runner) committedGlobals(m *vm.Machine) []byte {
 	var out []byte
-	for _, s := range r.prov.spans {
-		out = append(out, m.Mem.ReadBytes(s.base, s.size)...)
+	for _, g := range r.img.Program.Globals {
+		out = append(out, m.Mem.ReadBytes(r.img.GlobalsBase+g.Offset, g.Size)...)
 	}
 	return out
 }

@@ -59,8 +59,8 @@ type Detector struct {
 
 	lastStore map[uint32]int64 // data element address → device ms of last store
 
-	// Committed tallies. Events observed between checkpoints are pending:
-	// a checkpoint commits them, a restore discards them (the runtime
+	// Committed tallies. Events observed between commit points are
+	// pending: a commit commits them, a restore discards them (the runtime
 	// rolled the corresponding execution back), so replayed code does not
 	// double-count and aborted consumes do not count at all.
 	Misalign Counts
@@ -121,11 +121,12 @@ func Attach(m *vm.Machine, img *link.Image, cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// OnEvent implements obs.Sink: a checkpoint commit commits the pending
+// OnEvent implements obs.Sink: a commit point (a checkpoint commit, or a
+// task transition under a task-based runtime) commits the pending
 // tallies and a restore discards them.
 func (d *Detector) OnEvent(_ int64, ev obs.Event) {
 	switch ev.Kind {
-	case obs.EvCheckpointCommit:
+	case obs.EvCheckpointCommit, obs.EvTaskCommit:
 		d.commit()
 	case obs.EvRestore:
 		d.discard()

@@ -1,11 +1,13 @@
 package trace_test
 
 import (
+	"fmt"
 	"testing"
 
 	tics "repro"
 	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/replay"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -197,5 +199,92 @@ int main() {
 	}
 	if c.Potential != 2 || c.Observed != 1 {
 		t.Fatalf("dual branches: %+v", c)
+	}
+}
+
+// taskSrc is a two-task program with a hand-written data/timestamp pair
+// whose timestamp is a second stale, so its one consume tallies as both
+// misaligned and expired; a third task then runs long enough for a
+// reboot to land after the consume's task committed.
+const taskSrc = `
+int data;
+int ts;
+int sink;
+
+void t_sample() {
+    ts = now() - 1000;
+    data = sense(4);
+    transition_to(1);
+}
+
+void t_consume() {
+    sink = data;
+    mark(0);
+    transition_to(2);
+}
+
+void t_idle() {
+    int i;
+    for (i = 0; i < 200; i++) {
+        sink = sink + i;
+    }
+    transition_to(99);
+}
+
+int main() { return 0; }
+`
+
+// TestTaskCommitKeepsTallies: under a task-based runtime every commit is
+// a task transition (EvTaskCommit), and a consume tallied in a task that
+// committed must survive a reboot in a later task.
+func TestTaskCommitKeepsTallies(t *testing.T) {
+	img, err := tics.Build(taskSrc, tics.BuildOptions{Runtime: tics.RTAlpaca, Tasks: []string{"t_sample", "t_consume", "t_idle"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := trace.Config{Pairs: []trace.Pair{{DataName: "data", TSName: "ts"}}, ConsumeMark: 0, FreshnessMs: 100, AlignMs: 20}
+	run := func(p power.Source) (*trace.Detector, vm.Result, []obs.Event) {
+		t.Helper()
+		rec := obs.NewRecorder(obs.Options{RingCap: 256}) // holds every event of the run
+		m, err := tics.NewMachine(img, tics.RunOptions{Power: p, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		det, err := trace.Attach(m, img.Image, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Run()
+		if err != nil || !res.Completed {
+			t.Fatalf("run: %v %+v", err, res)
+		}
+		det.Finish()
+		return det, res, rec.Events()
+	}
+
+	// The uninterrupted run places the reboot: midway between the commit
+	// that leaves t_consume and the end of the run.
+	_, res, events := run(power.Continuous{})
+	var consumed int64 = -1
+	for _, ev := range events {
+		if ev.Kind == obs.EvTaskCommit && ev.Arg0 == 2 {
+			consumed = ev.Cycles
+		}
+	}
+	if consumed < 0 {
+		t.Fatal("no commit into t_idle")
+	}
+	spec := fmt.Sprintf("sched:%d@20", (consumed+res.Cycles)/2)
+	p, err := replay.ParsePower(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det, res, _ := run(p)
+	if res.Restores != 1 {
+		t.Fatalf("%s: %d restores, want 1", spec, res.Restores)
+	}
+	want := trace.Counts{Potential: 1, Observed: 1}
+	if det.Misalign != want || det.Expired != want {
+		t.Fatalf("%s: misalign %+v, expired %+v; want %+v each: the restore discarded committed tallies", spec, det.Misalign, det.Expired, want)
 	}
 }
