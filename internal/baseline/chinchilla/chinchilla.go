@@ -91,9 +91,6 @@ type Chinchilla struct {
 
 	active int
 	epoch  uint32
-	reg    *obs.Registry
-	// storesLogged counts per store; resolved on first increment.
-	storesLogged obs.LazyCounter
 }
 
 var (
@@ -112,9 +109,7 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 		cfg:      cfg,
 		img:      img,
 		stackLen: int(img.StackLen),
-		reg:      obs.NewRegistry(),
 	}
-	c.storesLogged = c.reg.Lazy("stores-logged")
 	a := img.RuntimeBase
 	c.addrMagic = a
 	c.addrActive = a + 4
@@ -124,7 +119,7 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 	a += uint32(slotMetaLen + c.stackLen)
 	c.addrSlot[1] = a
 	a += uint32(slotMetaLen + c.stackLen)
-	c.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, 4, c.reg)
+	c.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, 4)
 	a = c.log.End()
 	if a > img.RuntimeBase+img.RuntimeLen {
 		return nil, fmt.Errorf("chinchilla: runtime area too small: need %d B, have %d B",
@@ -139,15 +134,8 @@ func (c *Chinchilla) Name() string { return "chinchilla" }
 // Clone implements vm.Runtime.
 func (c *Chinchilla) Clone() vm.Runtime {
 	d := *c
-	d.reg = c.reg.Clone()
-	d.log = c.log.WithRegistry(d.reg)
-	d.storesLogged = c.storesLogged.In(d.reg)
 	return &d
 }
-
-// Stats implements vm.Runtime. The returned map is a defensive snapshot:
-// mutating it cannot corrupt the live counters.
-func (c *Chinchilla) Stats() map[string]int64 { return c.reg.CounterSnapshot() }
 
 // Boot implements vm.Runtime.
 func (c *Chinchilla) Boot(m *vm.Machine, cold bool) {
@@ -191,14 +179,14 @@ func (c *Chinchilla) restore(m *vm.Machine) {
 	}
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
-	c.reg.Inc("restores")
+	m.Count(vm.CtrRestores)
 }
 
 // Checkpoint implements vm.Runtime: registers plus the (small) used stack,
 // double-buffered; trigger checkpoints respect the skip heuristic.
 func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	if kind == vm.CpManual && m.SinceCheckpoint() < c.cfg.MinGapCycles {
-		c.reg.Inc("skipped-triggers")
+		m.Count(vm.CtrSkippedTriggers)
 		return
 	}
 	captured := slotMetaLen + int(c.img.StackBase+c.img.StackLen-m.Regs.SP)
@@ -227,7 +215,6 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	c.epoch = newEpoch
 	m.PopCat()
 	m.NoteCheckpoint(kind)
-	c.reg.Inc("checkpoints")
 }
 
 // PreStore implements vm.PreStorer: force a checkpoint before the store
@@ -236,7 +223,7 @@ func (c *Chinchilla) PreStore(m *vm.Machine) {
 	if !c.log.Full() {
 		return
 	}
-	c.reg.Inc("forced-checkpoints")
+	m.Count(vm.CtrForcedCheckpoints)
 	c.Checkpoint(m, vm.CpTimer) // bypass the gap gate
 }
 
@@ -246,5 +233,5 @@ func (c *Chinchilla) PreStore(m *vm.Machine) {
 func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	c.log.Append(m, addr, size, m.Cost.UndoLogEntry)
 	m.RawStore(addr, size, value)
-	c.storesLogged.Inc()
+	m.Count(vm.CtrStoresLogged)
 }

@@ -81,7 +81,6 @@ type Mementos struct {
 	addrSlot   [2]uint32
 
 	active int
-	reg    *obs.Registry
 }
 
 var _ vm.Runtime = (*Mementos)(nil)
@@ -94,7 +93,6 @@ func New(img *link.Image, cfg Config) (*Mementos, error) {
 		globalsBase: img.GlobalsBase,
 		globalsLen:  int(img.StackBase - img.GlobalsBase),
 		stackLen:    int(img.StackLen),
-		reg:         obs.NewRegistry(),
 	}
 	per := uint32(slotMetaLen + m.stackLen)
 	if cfg.VersionGlobals {
@@ -118,13 +116,8 @@ func (b *Mementos) Name() string { return "mementos" }
 // Clone implements vm.Runtime.
 func (b *Mementos) Clone() vm.Runtime {
 	c := *b
-	c.reg = b.reg.Clone()
 	return &c
 }
-
-// Stats implements vm.Runtime. The returned map is a defensive snapshot:
-// mutating it cannot corrupt the live counters.
-func (b *Mementos) Stats() map[string]int64 { return b.reg.CounterSnapshot() }
 
 // Boot implements vm.Runtime.
 func (b *Mementos) Boot(m *vm.Machine, cold bool) {
@@ -163,7 +156,7 @@ func (b *Mementos) restore(m *vm.Machine) {
 	}
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
-	b.reg.Inc("restores")
+	m.Count(vm.CtrRestores)
 }
 
 // Checkpoint implements vm.Runtime: the full-state double-buffered commit.
@@ -177,7 +170,7 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 		// has not meaningfully dropped since).
 		if m.Remaining() > b.cfg.VoltageThresholdCycles ||
 			m.SinceCheckpoint() < b.cfg.VoltageThresholdCycles {
-			b.reg.Inc("skipped-triggers")
+			m.Count(vm.CtrSkippedTriggers)
 			return
 		}
 	}
@@ -208,7 +201,6 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	b.active = target
 	m.PopCat()
 	m.NoteCheckpoint(kind)
-	b.reg.Inc("checkpoints")
 }
 
 // LoggedStore implements vm.Runtime: raw stores — consistency comes from

@@ -122,7 +122,7 @@ func TestISRKilledByFailureNeverHappened(t *testing.T) {
 	if got := res.OutLog[0][0]; got != 5242 { // sum of i&7 over 1500 iterations
 		t.Fatalf("foreground work: %d", got)
 	}
-	stats := rt.Stats()
+	stats := res.RuntimeStats
 	if stats["interrupts"] <= stats["isr-checkpoints"] {
 		// With failures injected mid-ISR, some deliveries must vanish.
 		t.Logf("note: every ISR completed (interrupts=%d, commits=%d)", stats["interrupts"], stats["isr-checkpoints"])

@@ -145,10 +145,6 @@ type TICS struct {
 	// still executes, but unlogged and without an undo-append event). Only
 	// set by InjectUndoSkip in tests; see audit fault-detection coverage.
 	skipUndoAt int
-
-	reg *obs.Registry
-	// Per-store counters, resolved on first increment.
-	storesDirect, storesBlockHit, storesLogged obs.LazyCounter
 }
 
 var (
@@ -189,16 +185,12 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 		numSegs:    int(img.StackLen) / cfg.SegmentBytes,
 		blockBytes: cfg.UndoBlockBytes,
 		logGen:     1,
-		reg:        obs.NewRegistry(),
 	}
 	if t.blockBytes > 4 {
 		t.blockBase = img.GlobalsBase &^ uint32(t.blockBytes-1)
 		end := img.StackBase + img.StackLen
 		t.loggedAt = make([]uint32, (end-t.blockBase+uint32(t.blockBytes)-1)/uint32(t.blockBytes))
 	}
-	t.storesDirect = t.reg.Lazy("stores-direct")
-	t.storesBlockHit = t.reg.Lazy("stores-block-hit")
-	t.storesLogged = t.reg.Lazy("stores-logged")
 	if t.numSegs < 1 {
 		return nil, fmt.Errorf("core: stack region of %d B holds no %d B segment", img.StackLen, cfg.SegmentBytes)
 	}
@@ -212,7 +204,7 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 	a += uint32(slotMetaLen + t.segBytes)
 	t.addrSlot[1] = a
 	a += uint32(slotMetaLen + t.segBytes)
-	t.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, cfg.UndoBlockBytes, t.reg)
+	t.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, cfg.UndoBlockBytes)
 	a = t.log.End()
 	t.addrSegCtl = a
 	a += uint32(segCtlLen * t.numSegs)
@@ -235,18 +227,9 @@ func (t *TICS) Name() string { return "tics" }
 // Clone implements vm.Runtime.
 func (t *TICS) Clone() vm.Runtime {
 	c := *t
-	c.reg = t.reg.Clone()
-	c.log = t.log.WithRegistry(c.reg)
-	c.storesDirect = t.storesDirect.In(c.reg)
-	c.storesBlockHit = t.storesBlockHit.In(c.reg)
-	c.storesLogged = t.storesLogged.In(c.reg)
 	c.loggedAt = slices.Clone(t.loggedAt)
 	return &c
 }
-
-// Stats implements vm.Runtime. The returned map is a defensive snapshot:
-// mutating it cannot corrupt the live counters.
-func (t *TICS) Stats() map[string]int64 { return t.reg.CounterSnapshot() }
 
 // segTop returns one past the highest address of segment i (the stack
 // grows downward through the segment).
@@ -322,7 +305,7 @@ func (t *TICS) restore(m *vm.Machine) {
 	}
 	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
 	m.NoteRestore()
-	t.reg.Inc("restores")
+	m.Count(vm.CtrRestores)
 }
 
 // resetLogged clears the volatile block-dedup set (in lockstep with the
@@ -402,7 +385,6 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 	t.resetLogged()
 	m.PopCat()
 	m.NoteCheckpoint(kind)
-	t.reg.Inc("checkpoints")
 }
 
 // ---- Memory consistency management ----
@@ -419,7 +401,7 @@ func (t *TICS) PreStore(m *vm.Machine) {
 	if m.CpDisabled() {
 		m.Fault("undo log exhausted inside an atomic time-annotation block")
 	}
-	t.reg.Inc("forced-checkpoints")
+	m.Count(vm.CtrForcedCheckpoints)
 	t.Checkpoint(m, vm.CpManual)
 }
 
@@ -430,7 +412,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	m.Spend(m.Cost.PtrCheck)
 	if t.inWorking(addr, size) {
 		m.RawStore(addr, size, value)
-		t.storesDirect.Inc()
+		m.Count(vm.CtrStoresDirect)
 		return
 	}
 	logAddr, logSize := addr, size
@@ -441,7 +423,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		logAddr, logSize = addr&^uint32(t.blockBytes-1), t.blockBytes
 		if logged = t.loggedBlock(logAddr); logged != nil && *logged == t.logGen {
 			m.RawStore(addr, size, value)
-			t.storesBlockHit.Inc()
+			m.Count(vm.CtrStoresBlockHit)
 			return
 		}
 	}
@@ -456,7 +438,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 		*logged = t.logGen
 	}
 	m.RawStore(addr, size, value)
-	t.storesLogged.Inc()
+	m.Count(vm.CtrStoresLogged)
 }
 
 // ---- Stack segmentation ----
@@ -488,14 +470,14 @@ func (t *TICS) Enter(m *vm.Machine, fn int) {
 		m.Regs.FP = m.Regs.SP
 		m.Regs.SP -= uint32(meta.LocalBytes)
 		m.PopCat()
-		t.reg.Inc("stack-grows")
+		m.Count(vm.CtrStackGrows)
 		// Inside an atomic time-annotation block the restore point must
 		// stay at the block entry (paper §3.2.3: "computation starts from
 		// the if statement after each power failure"), so the stack-change
 		// checkpoint is suppressed; the block-entry checkpoint's segment
 		// copy plus the undo log still cover every write for rollback.
 		if m.CpDisabled() {
-			t.reg.Inc("suppressed-grow-cps")
+			m.Count(vm.CtrSuppressedGrowCps)
 			return
 		}
 		t.Checkpoint(m, vm.CpStackGrow)
@@ -527,9 +509,9 @@ func (t *TICS) Leave(m *vm.Machine) {
 		m.Regs.SP = callerSP + 4 // the caller's stack with the return PC popped
 		m.Regs.PC = ret
 		m.PopCat()
-		t.reg.Inc("stack-shrinks")
+		m.Count(vm.CtrStackShrinks)
 		if m.CpDisabled() {
-			t.reg.Inc("suppressed-shrink-cps")
+			m.Count(vm.CtrSuppressedShrinkCps)
 			return
 		}
 		t.Checkpoint(m, vm.CpStackShrink)
@@ -545,7 +527,7 @@ func (t *TICS) Leave(m *vm.Machine) {
 // + registers); re-executing the ExpCatch check then branches into the
 // catch handler because the data is now stale (paper §3.2.3).
 func (t *TICS) OnExpiry(m *vm.Machine) {
-	t.reg.Inc("expiry-restores")
+	m.Count(vm.CtrExpiryRestores)
 	t.restore(m)
 }
 
@@ -557,7 +539,7 @@ func (t *TICS) OnInterrupt(m *vm.Machine, isrEntry uint32) {
 	m.CpDisable++
 	m.Push(m.Regs.PC)
 	m.Regs.PC = isrEntry
-	t.reg.Inc("interrupts")
+	m.Count(vm.CtrInterrupts)
 }
 
 // OnInterruptReturn implements vm.Interrupter (paper §4): "places an implicit
@@ -567,6 +549,6 @@ func (t *TICS) OnInterruptReturn(m *vm.Machine) {
 	if m.CpDisable > 0 {
 		m.CpDisable--
 	}
-	t.reg.Inc("isr-checkpoints")
+	m.Count(vm.CtrISRCheckpoints)
 	t.Checkpoint(m, vm.CpManual)
 }

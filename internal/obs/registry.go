@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"io"
-	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -12,12 +11,12 @@ import (
 )
 
 // Registry is a small, dependency-free metrics registry: named counters,
-// gauges, and fixed-bucket histograms. It replaces the ad-hoc
-// map[string]int64 stats plumbing: runtimes keep a Registry and expose
-// the old map through CounterSnapshot, which is a defensive copy — a
-// caller mutating the returned map can no longer corrupt live counters.
+// gauges, and fixed-bucket histograms. Recorders, fleet reports and the
+// gateway service keep one; it is the only writer of Prometheus text.
+// Runtime counters are not here: they are machine run state
+// (vm.Machine.Count).
 //
-// Not safe for concurrent use; every machine/runtime owns its own.
+// Not safe for concurrent use; every recorder or report owns its own.
 type Registry struct {
 	counters map[string]*int64
 	gauges   map[string]*Gauge
@@ -135,31 +134,6 @@ func (g *Registry) CounterRef(name string) *int64 {
 	return c
 }
 
-// LazyCounter is a counter cell resolved on its first increment. A hot
-// path (one increment per store instruction) skips the per-increment
-// name lookup, yet the name stays out of the registry — and out of
-// CounterSnapshot — until the counter is first bumped.
-type LazyCounter struct {
-	reg  *Registry
-	name string
-	cell *int64
-}
-
-// Lazy returns a LazyCounter for the named counter.
-func (g *Registry) Lazy(name string) LazyCounter { return LazyCounter{reg: g, name: name} }
-
-// In returns the same counter in another registry: a runtime clone
-// rebinds its counters to its cloned registry.
-func (c LazyCounter) In(reg *Registry) LazyCounter { return reg.Lazy(c.name) }
-
-// Inc adds 1, registering the counter on first use.
-func (c *LazyCounter) Inc() {
-	if c.cell == nil {
-		c.cell = c.reg.CounterRef(c.name)
-	}
-	*c.cell++
-}
-
 // Inc adds 1 to a counter, creating it at zero first.
 func (g *Registry) Inc(name string) { *g.CounterRef(name)++ }
 
@@ -192,36 +166,6 @@ func (g *Registry) Reset() {
 	for _, m := range g.order {
 		m.reset()
 	}
-}
-
-// Clone returns an independent copy of the registry, with the same
-// registration order. Runtime clones (machine snapshots) use it, so it
-// allocates every counter cell in one slab.
-func (g *Registry) Clone() *Registry {
-	c := &Registry{
-		counters: make(map[string]*int64, len(g.counters)),
-		gauges:   make(map[string]*Gauge, len(g.gauges)),
-		hists:    make(map[string]*Histogram, len(g.hists)),
-		order:    make([]metricRef, len(g.order)),
-		labels:   maps.Clone(g.labels),
-	}
-	cells := make([]int64, len(g.counters))
-	for i, m := range g.order {
-		switch {
-		case m.c != nil:
-			cells[0] = *m.c
-			m.c, cells = &cells[0], cells[1:]
-			c.counters[m.name] = m.c
-		case m.g != nil:
-			m.g = &Gauge{v: m.g.v}
-			c.gauges[m.name] = m.g
-		default:
-			m.h = m.h.Clone()
-			c.hists[m.name] = m.h
-		}
-		c.order[i] = m
-	}
-	return c
 }
 
 // Values is a registry's metric values held outside it, in registration
@@ -341,16 +285,6 @@ func (g *Registry) Merge(other *Registry) error {
 	return nil
 }
 
-// CounterSnapshot returns a fresh copy of all counters — the
-// vm.Runtime.Stats compatibility shim.
-func (g *Registry) CounterSnapshot() map[string]int64 {
-	out := make(map[string]int64, len(g.counters))
-	for k, v := range g.counters {
-		out[k] = *v
-	}
-	return out
-}
-
 // Dump writes every metric in the exporters' deterministic order (see
 // sorted); empty histograms are left out.
 func (g *Registry) Dump(w io.Writer) {
@@ -425,20 +359,6 @@ func (h *Histogram) Reset() {
 	clear(h.Counts)
 	h.Count, h.Sum = 0, 0
 	h.Min, h.Max = math.Inf(1), math.Inf(-1)
-}
-
-// Clone returns a deep copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	c := &Histogram{}
-	c.copyFrom(h)
-	return c
-}
-
-// copyFrom makes h a copy of o in place.
-func (h *Histogram) copyFrom(o *Histogram) {
-	h.Bounds = append(h.Bounds[:0], o.Bounds...)
-	h.Counts = append(h.Counts[:0], o.Counts...)
-	h.Count, h.Sum, h.Min, h.Max = o.Count, o.Sum, o.Min, o.Max
 }
 
 // Merge adds o's observations into h. The bucket bounds must match

@@ -22,7 +22,6 @@ import (
 	"fmt"
 
 	"repro/internal/link"
-	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -155,9 +154,6 @@ type Runtime struct {
 	log vm.UndoLog
 
 	cur int
-	reg *obs.Registry
-	// storesVersioned counts per store; resolved on first increment.
-	storesVersioned obs.LazyCounter
 }
 
 var (
@@ -185,9 +181,7 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		profile: profiles[cfg.Kind],
 		img:     img,
-		reg:     obs.NewRegistry(),
 	}
-	r.storesVersioned = r.reg.Lazy("stores-versioned")
 	for _, name := range cfg.Tasks {
 		found := false
 		for _, f := range img.Funcs {
@@ -206,7 +200,7 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 	}
 	a := img.RuntimeBase
 	r.addrMagic = a
-	r.log = vm.NewUndoLog(a+4, a+24, cfg.UndoCapBytes, 4, r.reg)
+	r.log = vm.NewUndoLog(a+4, a+24, cfg.UndoCapBytes, 4)
 	a = r.log.End()
 	r.addrToken = a
 	a += uint32(4 * len(cfg.Edges))
@@ -222,15 +216,8 @@ func (r *Runtime) Name() string { return r.cfg.Kind.String() }
 // Clone implements vm.Runtime.
 func (r *Runtime) Clone() vm.Runtime {
 	c := *r
-	c.reg = r.reg.Clone()
-	c.log = r.log.WithRegistry(c.reg)
-	c.storesVersioned = r.storesVersioned.In(c.reg)
 	return &c
 }
-
-// Stats implements vm.Runtime. The returned map is a defensive snapshot:
-// mutating it cannot corrupt the live counters.
-func (r *Runtime) Stats() map[string]int64 { return r.reg.CounterSnapshot() }
 
 // haltPC is the Halt instruction in the boot stub — the dummy return
 // address for task frames, so a task that returns without transitioning
@@ -265,7 +252,7 @@ func (r *Runtime) Boot(m *vm.Machine, cold bool) {
 	r.log.Rollback(m, n)
 	m.Spend(m.Cost.NVWritePerWord)
 	r.log.Reset(m, cur)
-	r.reg.Inc("task-restarts")
+	m.Count(vm.CtrTaskRestarts)
 	m.NoteRestore()
 	if r.cfg.Kind == MayFly {
 		r.checkTokens(m)
@@ -284,7 +271,7 @@ func (r *Runtime) checkTokens(m *vm.Machine) {
 		m.Spend(m.Cost.TimeRead)
 		ts := int64(m.Mem.ReadInt(r.addrToken + uint32(4*i)))
 		if now-ts > e.ExpireMs {
-			r.reg.Inc("expired-tokens")
+			m.Count(vm.CtrExpiredTokens)
 			r.cur = e.OnExpired
 			m.Spend(m.Cost.NVWritePerWord)
 			r.log.Reset(m, uint32(r.cur))
@@ -320,7 +307,7 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 	m.Spend(m.Cost.NVWritePerWord)
 	r.log.Reset(m, uint32(r.cur)) // atomic commit
 	m.CommitObservables()
-	r.reg.Inc("transitions")
+	m.Count(vm.CtrTransitions)
 	if r.cfg.Kind == MayFly {
 		r.checkTokens(m)
 	}
@@ -341,7 +328,7 @@ func (r *Runtime) PreStore(m *vm.Machine) {
 func (r *Runtime) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	r.log.Append(m, addr, size, r.profile.privatizeCycles)
 	m.RawStore(addr, size, value)
-	r.storesVersioned.Inc()
+	m.Count(vm.CtrStoresVersioned)
 }
 
 // Checkpoint implements vm.Runtime: task systems have no checkpoints; the

@@ -1,7 +1,5 @@
 package vm
 
-import "repro/internal/obs"
-
 // Plain is the unprotected runtime: a conventional C runtime with no
 // intermittency support. Under continuous power it is the correctness
 // oracle every protected runtime is compared against. Under intermittent
@@ -9,14 +7,12 @@ import "repro/internal/obs"
 // globals keep their last (possibly half-updated) values — the legacy-code
 // failure mode that motivates the paper. It keeps every optional hook at
 // the machine's default.
-type Plain struct {
-	reg *obs.Registry
-}
+type Plain struct{}
 
 var _ Runtime = (*Plain)(nil)
 
 // NewPlain returns a fresh plain runtime.
-func NewPlain() *Plain { return &Plain{reg: obs.NewRegistry()} }
+func NewPlain() *Plain { return &Plain{} }
 
 // Name implements Runtime.
 func (p *Plain) Name() string { return "plain" }
@@ -25,7 +21,7 @@ func (p *Plain) Name() string { return "plain" }
 // entry stub with an empty stack.
 func (p *Plain) Boot(m *Machine, cold bool) {
 	if !cold {
-		p.reg.Inc("restarts")
+		m.Count(CtrRestarts)
 	}
 	m.Regs = Registers{
 		PC: m.Img.EntryPC,
@@ -42,9 +38,6 @@ func (p *Plain) LoggedStore(m *Machine, addr uint32, size int, value uint32) {
 // Checkpoint implements Runtime as a no-op: plain code has no checkpoints.
 func (p *Plain) Checkpoint(m *Machine, kind CpKind) {}
 
-// Clone implements Runtime.
-func (p *Plain) Clone() Runtime { return &Plain{reg: p.reg.Clone()} }
-
-// Stats implements Runtime. The returned map is a defensive snapshot:
-// mutating it cannot corrupt the live counters.
-func (p *Plain) Stats() map[string]int64 { return p.reg.CounterSnapshot() }
+// Clone implements Runtime: a plain runtime holds no state, so it is its
+// own copy.
+func (p *Plain) Clone() Runtime { return p }

@@ -6,7 +6,8 @@ import "repro/internal/link"
 // machine: the operations every runtime defines for itself. internal/core
 // implements TICS; internal/baseline and internal/taskrt implement the
 // systems TICS is compared against. Behaviour most runtimes share lives
-// in the optional hooks below, with defaults in the machine.
+// in the optional hooks below, with defaults in the machine. A runtime
+// keeps its counters in the machine (Machine.Count), not in itself.
 type Runtime interface {
 	Name() string
 	// Boot runs at every power-up. cold is true only for the first boot of
@@ -20,14 +21,10 @@ type Runtime interface {
 	// Checkpoint handles a checkpoint request. Runtimes without
 	// checkpoints treat it as a no-op.
 	Checkpoint(m *Machine, kind CpKind)
-	// Stats returns runtime-specific counters for experiment reports. The
-	// returned map must be a defensive copy: callers may mutate it without
-	// corrupting the runtime's live counters.
-	Stats() map[string]int64
 	// Clone returns an independent copy of the runtime: its volatile
-	// mirrors, undo-log position and registry counters, sharing nothing
-	// mutable with the original. A machine Snapshot holds one clone and
-	// every Restore installs another.
+	// mirrors and undo-log position, sharing nothing mutable with the
+	// original. A machine Snapshot holds one clone and every Restore
+	// installs another.
 	Clone() Runtime
 }
 

@@ -32,23 +32,15 @@ type UndoLog struct {
 	cap   int    // entries
 	n     int    // committed entries (the header's len)
 	tag   uint32 // the header's tag
-	reg   *obs.Registry
 }
 
 // NewUndoLog lays out a log whose header word is at hdr and whose entries
 // start at base, sized to capBytes of entries with payload bytes of old
 // data each (4 for byte and word stores, the block size for block
-// entries). Rollbacks count "undo-rollbacks" in reg.
-func NewUndoLog(hdr, base uint32, capBytes, payload int, reg *obs.Registry) UndoLog {
+// entries).
+func NewUndoLog(hdr, base uint32, capBytes, payload int) UndoLog {
 	entry := 8 + payload
-	return UndoLog{hdr: hdr, base: base, entry: uint32(entry), cap: capBytes / entry, reg: reg}
-}
-
-// WithRegistry returns the log counting its rollbacks into reg instead: a
-// runtime clone rebinds its log to its cloned registry.
-func (l UndoLog) WithRegistry(reg *obs.Registry) UndoLog {
-	l.reg = reg
-	return l
+	return UndoLog{hdr: hdr, base: base, entry: uint32(entry), cap: capBytes / entry}
 }
 
 // Len returns the number of committed entries.
@@ -120,7 +112,7 @@ func (l *UndoLog) Append(m *Machine, addr uint32, size int, cost int64) {
 }
 
 // Rollback restores the old bytes of the log's first n entries,
-// newest-first. It leaves the header alone, so a failure mid-rollback
+// newest-first, counting each in CtrUndoRollbacks. It leaves the header alone, so a failure mid-rollback
 // re-runs it from the same header on the next boot; the caller then
 // clears the log with Reset.
 func (l *UndoLog) Rollback(m *Machine, n int) {
@@ -143,7 +135,7 @@ func (l *UndoLog) Rollback(m *Machine, n int) {
 			m.Mem.WriteWord(addr, old)
 			m.CopyCharged(addr+4, e+12, size-4, 1)
 		}
-		l.reg.Inc("undo-rollbacks")
+		m.Count(CtrUndoRollbacks)
 	}
 	m.PopCat()
 }

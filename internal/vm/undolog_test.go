@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	tics "repro"
-	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -44,8 +43,7 @@ int main() { a = 1; b = 2; c = 3; return 0; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	rt := &logOnly{Plain: vm.NewPlain(), log: vm.NewUndoLog(img.RuntimeBase, img.RuntimeBase+4, 2*12, 4, reg)}
+	rt := &logOnly{Plain: vm.NewPlain(), log: vm.NewUndoLog(img.RuntimeBase, img.RuntimeBase+4, 2*12, 4)}
 	if rt.log.Cap() != 2 {
 		t.Fatalf("Cap = %d, want 2", rt.log.Cap())
 	}
@@ -107,7 +105,7 @@ int main() { c = 1; w = 2; blk[0] = 3; return 0; }
 	pre := m.Mem.ReadBytes(lo, int(hi-lo))
 
 	const big = 1 << 40
-	log := vm.NewUndoLog(img.RuntimeBase, img.RuntimeBase+4, 3*(8+16), 16, obs.NewRegistry())
+	log := vm.NewUndoLog(img.RuntimeBase, img.RuntimeBase+4, 3*(8+16), 16)
 	if m.Powered(big, func() {
 		log.Reset(m, 7)
 		log.Append(m, cAddr, 1, m.Cost.UndoLogEntry)

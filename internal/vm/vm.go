@@ -54,6 +54,56 @@ func (k CpKind) String() string {
 	return "?"
 }
 
+// RuntimeCounter names one of the tallies runtimes keep in the machine's
+// run state with Machine.Count; Result.RuntimeStats reports the nonzero
+// ones under these names.
+type RuntimeCounter uint8
+
+const (
+	CtrRestarts RuntimeCounter = iota
+	CtrRestores
+	CtrForcedCheckpoints
+	CtrSkippedTriggers
+	CtrStackGrows
+	CtrStackShrinks
+	CtrSuppressedGrowCps
+	CtrSuppressedShrinkCps
+	CtrExpiryRestores
+	CtrInterrupts
+	CtrISRCheckpoints
+	CtrStoresDirect
+	CtrStoresBlockHit
+	CtrStoresLogged
+	CtrStoresVersioned
+	CtrUndoRollbacks
+	CtrTaskRestarts
+	CtrExpiredTokens
+	CtrTransitions
+	runtimeCounterCount
+)
+
+var runtimeCounterNames = [runtimeCounterCount]string{
+	CtrRestarts:            "restarts",
+	CtrRestores:            "restores",
+	CtrForcedCheckpoints:   "forced-checkpoints",
+	CtrSkippedTriggers:     "skipped-triggers",
+	CtrStackGrows:          "stack-grows",
+	CtrStackShrinks:        "stack-shrinks",
+	CtrSuppressedGrowCps:   "suppressed-grow-cps",
+	CtrSuppressedShrinkCps: "suppressed-shrink-cps",
+	CtrExpiryRestores:      "expiry-restores",
+	CtrInterrupts:          "interrupts",
+	CtrISRCheckpoints:      "isr-checkpoints",
+	CtrStoresDirect:        "stores-direct",
+	CtrStoresBlockHit:      "stores-block-hit",
+	CtrStoresLogged:        "stores-logged",
+	CtrStoresVersioned:     "stores-versioned",
+	CtrUndoRollbacks:       "undo-rollbacks",
+	CtrTaskRestarts:        "task-restarts",
+	CtrExpiredTokens:       "expired-tokens",
+	CtrTransitions:         "transitions",
+}
+
 // powerFailure is the panic sentinel unwinding the current window.
 type powerFailure struct{}
 
@@ -224,8 +274,9 @@ type Machine struct {
 	rec *obs.Recorder
 }
 
-// runState is the part of a machine a run changes: registers, counters,
-// time, interrupt and expiry state, and the send and out logs.
+// runState is the part of a machine a run changes: registers, counters
+// (the runtime's included), time, interrupt and expiry state, and the
+// send and out logs.
 type runState struct {
 	Regs Registers
 	// CpDisable is the nesting depth of atomic time-annotation regions
@@ -259,6 +310,7 @@ type runState struct {
 	cpCounts [cpKindCount]int64
 	restores int64
 	irqCount int64
+	counts   [runtimeCounterCount]int64 // by RuntimeCounter (Count)
 
 	SendLog     []SendRec
 	sendPending []SendRec
@@ -665,6 +717,9 @@ func (m *Machine) CommitObservables() {
 	m.sendSeqCommitted = m.sendSeq
 }
 
+// Count adds 1 to one of the runtime's counters.
+func (m *Machine) Count(c RuntimeCounter) { m.counts[c]++ }
+
 // NoteRestore records a completed post-failure restore.
 func (m *Machine) NoteRestore() {
 	m.restores++
@@ -784,7 +839,10 @@ type Result struct {
 	Checkpoints      map[string]int64
 	TotalCheckpoints int64
 	Interrupts       int64
-	RuntimeStats     map[string]int64
+	// RuntimeStats holds the runtime's nonzero counters (see
+	// RuntimeCounter) by name, plus TotalCheckpoints as "checkpoints"
+	// once there is one. Every Result gets a map of its own.
+	RuntimeStats map[string]int64
 
 	SendLog    []SendRec
 	OutLog     map[int32][]int32
@@ -1219,7 +1277,7 @@ func (m *Machine) result(completed, starved bool, fault error) Result {
 		Restores:     m.restores,
 		Interrupts:   m.irqCount,
 		Checkpoints:  map[string]int64{},
-		RuntimeStats: m.rt.Stats(),
+		RuntimeStats: map[string]int64{},
 		SendLog:      m.SendLog,
 		OutLog:       m.OutLog,
 		MemStats:     m.Mem.Stats(),
@@ -1229,6 +1287,14 @@ func (m *Machine) result(completed, starved bool, fault error) Result {
 			res.Checkpoints[k.String()] = m.cpCounts[k]
 		}
 		res.TotalCheckpoints += m.cpCounts[k]
+	}
+	if res.TotalCheckpoints > 0 {
+		res.RuntimeStats["checkpoints"] = res.TotalCheckpoints
+	}
+	for c, n := range m.counts {
+		if n > 0 {
+			res.RuntimeStats[runtimeCounterNames[c]] = n
+		}
 	}
 	for i := 0; i < m.Img.MarkCount; i++ {
 		res.MarkCounts = append(res.MarkCounts, int64(m.Mem.ReadInt(m.Img.MarkBase+uint32(4*i))))

@@ -6,6 +6,7 @@ package tics_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"testing"
 
 	tics "repro"
@@ -108,39 +109,58 @@ func TestRecorderDoesNotPerturbTheRun(t *testing.T) {
 	}
 }
 
-// TestStatsAreDefensiveCopies is the regression test for the live-map
-// escape: Runtime.Stats() used to hand out the runtime's internal counter
-// map, so callers could corrupt (or race on) live state.
+// TestStatsAreDefensiveCopies: every Result owns its RuntimeStats map,
+// so mutating one run's map cannot reach the next run's on the same
+// pooled machine, and the map lists only counters that moved.
 func TestStatsAreDefensiveCopies(t *testing.T) {
 	const src = `
-int g;
-int main() { g = 1; out(0, g); return 0; }
+int g[8];
+int bump(int x) { return x + 1; }
+int main() {
+	int i;
+	for (i = 0; i < 40; i++) { g[i & 7] = bump(g[i & 7]); }
+	out(0, g[0]);
+	return 0;
+}
 `
+	// One reboot mid-run, then continuous power.
+	opts := func() tics.RunOptions {
+		return tics.RunOptions{Power: &power.Schedule{Windows: []power.SchedWindow{{Cycles: 1500, OffMs: 5}}}}
+	}
 	for _, kind := range []tics.RuntimeKind{tics.RTPlain, tics.RTTICS, tics.RTMementos, tics.RTChinchilla} {
 		img, err := tics.Build(src, tics.BuildOptions{Runtime: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := tics.NewMachine(img, tics.RunOptions{Power: &power.FailEvery{Cycles: 300, OffMs: 5}})
+		m, err := tics.NewMachine(img, opts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Run(); err != nil {
+		first, err := m.Run()
+		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
-		rt := m.Runtime()
-		before := rt.Stats()
-		for k := range before {
-			before[k] = -777
+		want := maps.Clone(first.RuntimeStats)
+		if len(want) == 0 {
+			t.Fatalf("%s: no counter moved across the reboot", kind)
 		}
-		before["poison"] = 1
-		after := rt.Stats()
-		if after["poison"] != 0 {
-			t.Fatalf("%s: Stats() returned a live map (injected key visible)", kind)
+		for k := range first.RuntimeStats {
+			first.RuntimeStats[k] = -777
 		}
-		for k, v := range after {
-			if v == -777 {
-				t.Fatalf("%s: mutation of the returned map reached counter %q", kind, k)
+		first.RuntimeStats["poison"] = 1
+		if err := tics.ResetMachine(m, img, opts()); err != nil {
+			t.Fatal(err)
+		}
+		second, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if !maps.Equal(second.RuntimeStats, want) {
+			t.Fatalf("%s: pooled rerun stats %v, want %v", kind, second.RuntimeStats, want)
+		}
+		for k, v := range second.RuntimeStats {
+			if v == 0 {
+				t.Fatalf("%s: counter %q listed at zero", kind, k)
 			}
 		}
 	}

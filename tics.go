@@ -104,7 +104,8 @@ func (b BuildOptions) optLevel() int {
 }
 
 // Image bundles a linked firmware image with a factory for its runtime
-// (runtimes are stateful, so every machine gets a fresh instance).
+// (runtimes hold volatile mirrors of their non-volatile state, so every
+// machine gets a fresh instance; their counters live in the machine).
 //
 // The image lazily caches a vm.Prepared — one decoded program plus one
 // immutable post-link memory snapshot — that every machine built from it
