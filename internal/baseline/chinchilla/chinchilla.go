@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/link"
-	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -55,7 +54,8 @@ const (
 
 const (
 	initMagic   = 0x4348494E // "CHIN"
-	slotMetaLen = 6 * 4
+	metaEpoch   = vm.CheckpointMeta
+	slotMetaLen = metaEpoch + 4
 )
 
 // Spec returns the linker spec. The modeled .data footprint carries the
@@ -67,7 +67,7 @@ func Spec(cfg Config, prog *cc.Program) link.RuntimeSpec {
 	cfg = cfg.withDefaults()
 	return link.RuntimeSpec{
 		Name:           "chinchilla",
-		RuntimeBytes:   16 + 2*(slotMetaLen+cfg.StackBytes) + cfg.UndoCapBytes,
+		RuntimeBytes:   vm.CheckpointAreaBytes(slotMetaLen+cfg.StackBytes) + cfg.UndoCapBytes,
 		StackBytes:     cfg.StackBytes,
 		ExtraTextBytes: runtimeTextBytes,
 		ExtraDataBytes: runtimeDataBytes + 7*int(prog.GlobalsBytes())/2,
@@ -83,14 +83,13 @@ type Chinchilla struct {
 
 	stackLen int
 
-	addrMagic  uint32
-	addrActive uint32
-	addrSlot   [2]uint32
+	// cp is the restore point: each slot holds the meta, then the used
+	// stack.
+	cp vm.CheckpointSlots
 	// log is the write log, tagged with the checkpoint epoch.
 	log vm.UndoLog
 
-	active int
-	epoch  uint32
+	epoch uint32
 }
 
 var (
@@ -110,18 +109,9 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 		img:      img,
 		stackLen: int(img.StackLen),
 	}
-	a := img.RuntimeBase
-	c.addrMagic = a
-	c.addrActive = a + 4
-	undoHdr := a + 8
-	a += 16
-	c.addrSlot[0] = a
-	a += uint32(slotMetaLen + c.stackLen)
-	c.addrSlot[1] = a
-	a += uint32(slotMetaLen + c.stackLen)
-	c.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, 4)
-	a = c.log.End()
-	if a > img.RuntimeBase+img.RuntimeLen {
+	c.cp = vm.NewCheckpointSlots(img.RuntimeBase, initMagic, slotMetaLen+c.stackLen)
+	c.log = vm.NewUndoLog(c.cp.Aux(), c.cp.End(), cfg.UndoCapBytes, 4)
+	if a := c.log.End(); a > img.RuntimeBase+img.RuntimeLen {
 		return nil, fmt.Errorf("chinchilla: runtime area too small: need %d B, have %d B",
 			a-img.RuntimeBase, img.RuntimeLen)
 	}
@@ -139,47 +129,19 @@ func (c *Chinchilla) Clone() vm.Runtime {
 
 // Boot implements vm.Runtime.
 func (c *Chinchilla) Boot(m *vm.Machine, cold bool) {
-	if cold || m.Mem.ReadWord(c.addrMagic) != initMagic {
-		m.Spend(m.Cost.RestoreBase)
-		m.Mem.WriteWord(c.addrActive, 0)
+	if !c.cp.Boot(m, cold) {
+		c.cp.Reset(m)
 		c.log.Reset(m, 0)
-		c.active, c.epoch = 0, 0
-		m.Regs = vm.Registers{
-			PC: c.img.EntryPC,
-			SP: c.img.StackBase + c.img.StackLen,
-			FP: c.img.StackBase + c.img.StackLen,
-		}
+		c.epoch = 0
 		c.Checkpoint(m, vm.CpTimer) // bypass the gap gate
-		m.Spend(m.Cost.NVWritePerWord)
-		m.Mem.WriteWord(c.addrMagic, initMagic)
 		return
 	}
-	c.restore(m)
-}
-
-func (c *Chinchilla) restore(m *vm.Machine) {
-	m.Spend(m.Cost.RestoreBase)
-	c.active = int(m.Mem.ReadWord(c.addrActive) & 1)
-	slot := c.addrSlot[c.active]
-	slotEpoch := m.Mem.ReadWord(slot + 20)
-	if logEpoch, n := c.log.Header(m); logEpoch == slotEpoch&0xFFFF {
-		c.log.Rollback(m, n)
-	}
-	m.Spend(m.Cost.NVWritePerWord)
-	c.log.Reset(m, slotEpoch)
-	c.epoch = slotEpoch
-
-	sp := m.Mem.ReadWord(slot + 4)
+	slot := c.cp.Restore(m)
+	c.epoch = m.Mem.ReadWord(slot + metaEpoch)
+	c.log.Recover(m, c.epoch)
+	sp := c.cp.SavedSP(m)
 	m.CopyCharged(sp, slot+slotMetaLen, int(c.img.StackBase+c.img.StackLen-sp), 1)
-	m.Regs = vm.Registers{
-		PC: m.Mem.ReadWord(slot + 0),
-		SP: sp,
-		FP: m.Mem.ReadWord(slot + 8),
-		RV: m.Mem.ReadWord(slot + 12),
-	}
-	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
-	m.NoteRestore()
-	m.Count(vm.CtrRestores)
+	c.cp.Restored(m, sp)
 }
 
 // Checkpoint implements vm.Runtime: registers plus the (small) used stack,
@@ -189,32 +151,16 @@ func (c *Chinchilla) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 		m.Count(vm.CtrSkippedTriggers)
 		return
 	}
-	captured := slotMetaLen + int(c.img.StackBase+c.img.StackLen-m.Regs.SP)
-	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(captured))
+	used := int(c.img.StackBase + c.img.StackLen - m.Regs.SP)
 	c.log.ObserveLen(m)
-	m.PushCat(obs.CatCheckpoint)
-	m.Spend(m.Cost.CheckpointBase)
-	target := 1 - c.active
-	slot := c.addrSlot[target]
+	slot := c.cp.Begin(m, kind, slotMetaLen+used, 6)
 	newEpoch := c.epoch + 1
-	m.Spend(6 * m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(slot+0, m.Regs.PC)
-	m.Mem.WriteWord(slot+4, m.Regs.SP)
-	m.Mem.WriteWord(slot+8, m.Regs.FP)
-	m.Mem.WriteWord(slot+12, m.Regs.RV)
-	m.Mem.WriteWord(slot+16, uint32(m.CpDisable))
-	m.Mem.WriteWord(slot+20, newEpoch)
-	m.CopyCharged(slot+slotMetaLen, m.Regs.SP, int(c.img.StackBase+c.img.StackLen-m.Regs.SP), 2)
-	// Pre-charge the flag flip and undo-header reset so no failure point
-	// sits between the durable commit and its bookkeeping (same atomic
-	// tail as the TICS checkpoint; see core.TICS.Checkpoint).
-	m.Spend(2 * m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(c.addrActive, uint32(target))
-	c.active = target
+	m.Mem.WriteWord(slot+metaEpoch, newEpoch)
+	m.CopyCharged(slot+slotMetaLen, m.Regs.SP, used, 2)
+	c.cp.Commit(m, 2) // the flip and the undo-log clear
 	c.log.Reset(m, newEpoch)
 	c.epoch = newEpoch
-	m.PopCat()
-	m.NoteCheckpoint(kind)
+	c.cp.Done(m, kind)
 }
 
 // PreStore implements vm.PreStorer: force a checkpoint before the store

@@ -16,8 +16,6 @@ package mementos
 import (
 	"fmt"
 
-	"repro/internal/obs"
-
 	"repro/internal/link"
 	"repro/internal/vm"
 )
@@ -53,7 +51,7 @@ func Spec(cfg Config, globalsBytes, stackBytes int) link.RuntimeSpec {
 	}
 	return link.RuntimeSpec{
 		Name:           "mementos",
-		RuntimeBytes:   16 + 2*per,
+		RuntimeBytes:   vm.CheckpointAreaBytes(per),
 		StackBytes:     stackBytes,
 		ExtraTextBytes: runtimeTextBytes,
 		ExtraDataBytes: runtimeDataBytes + 2*per,
@@ -61,8 +59,8 @@ func Spec(cfg Config, globalsBytes, stackBytes int) link.RuntimeSpec {
 }
 
 const (
-	initMagic   = 0x4D454D4F // "MEMO"
-	slotMetaLen = 6 * 4      // pc, sp, fp, rv, cpDisabled, pad
+	initMagic   = 0x4D454D4F            // "MEMO"
+	slotMetaLen = vm.CheckpointMeta + 4 // and a pad word
 )
 
 // Mementos is the runtime. It keeps every optional vm hook at its default:
@@ -76,11 +74,9 @@ type Mementos struct {
 	globalsLen  int
 	stackLen    int
 
-	addrMagic  uint32
-	addrActive uint32
-	addrSlot   [2]uint32
-
-	active int
+	// cp is the restore point: each slot holds the meta, then the
+	// globals (if versioned) and the used stack.
+	cp vm.CheckpointSlots
 }
 
 var _ vm.Runtime = (*Mementos)(nil)
@@ -98,12 +94,8 @@ func New(img *link.Image, cfg Config) (*Mementos, error) {
 	if cfg.VersionGlobals {
 		per += uint32(m.globalsLen)
 	}
-	a := img.RuntimeBase
-	m.addrMagic = a
-	m.addrActive = a + 4
-	m.addrSlot[0] = a + 16
-	m.addrSlot[1] = a + 16 + per
-	if need := 16 + 2*per; need > img.RuntimeLen {
+	m.cp = vm.NewCheckpointSlots(img.RuntimeBase, initMagic, int(per))
+	if need := m.cp.End() - img.RuntimeBase; need > img.RuntimeLen {
 		return nil, fmt.Errorf("mementos: runtime area too small: need %d B, have %d B (link with mementos.Spec)",
 			need, img.RuntimeLen)
 	}
@@ -121,42 +113,18 @@ func (b *Mementos) Clone() vm.Runtime {
 
 // Boot implements vm.Runtime.
 func (b *Mementos) Boot(m *vm.Machine, cold bool) {
-	if cold || m.Mem.ReadWord(b.addrMagic) != initMagic {
-		m.Spend(m.Cost.RestoreBase)
-		m.Regs = vm.Registers{
-			PC: b.img.EntryPC,
-			SP: b.img.StackBase + b.img.StackLen,
-			FP: b.img.StackBase + b.img.StackLen,
-		}
-		b.Checkpoint(m, vm.CpManual)
-		m.Spend(m.Cost.NVWritePerWord)
-		m.Mem.WriteWord(b.addrMagic, initMagic)
+	if !b.cp.Boot(m, cold) {
+		b.checkpoint(m, vm.CpManual) // bypass the voltage gate
 		return
 	}
-	b.restore(m)
-}
-
-func (b *Mementos) restore(m *vm.Machine) {
-	m.Spend(m.Cost.RestoreBase)
-	b.active = int(m.Mem.ReadWord(b.addrActive) & 1)
-	slot := b.addrSlot[b.active]
-	sp := m.Mem.ReadWord(slot + 4)
-	cur := slot + slotMetaLen
+	cur := b.cp.Restore(m) + slotMetaLen
+	sp := b.cp.SavedSP(m)
 	if b.cfg.VersionGlobals {
 		m.CopyCharged(b.globalsBase, cur, b.globalsLen, 1)
 		cur += uint32(b.globalsLen)
 	}
-	used := int(b.img.StackBase + b.img.StackLen - sp)
-	m.CopyCharged(sp, cur, used, 1)
-	m.Regs = vm.Registers{
-		PC: m.Mem.ReadWord(slot + 0),
-		SP: sp,
-		FP: m.Mem.ReadWord(slot + 8),
-		RV: m.Mem.ReadWord(slot + 12),
-	}
-	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
-	m.NoteRestore()
-	m.Count(vm.CtrRestores)
+	m.CopyCharged(sp, cur, int(b.img.StackBase+b.img.StackLen-sp), 1)
+	b.cp.Restored(m, sp)
 }
 
 // Checkpoint implements vm.Runtime: the full-state double-buffered commit.
@@ -174,33 +142,25 @@ func (b *Mementos) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 			return
 		}
 	}
-	captured := slotMetaLen + int(b.img.StackBase+b.img.StackLen-m.Regs.SP)
+	b.checkpoint(m, kind)
+}
+
+// checkpoint takes the checkpoint the gate let through.
+func (b *Mementos) checkpoint(m *vm.Machine, kind vm.CpKind) {
+	used := int(b.img.StackBase + b.img.StackLen - m.Regs.SP)
+	captured := slotMetaLen + used
 	if b.cfg.VersionGlobals {
 		captured += b.globalsLen
 	}
-	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(captured))
-	m.PushCat(obs.CatCheckpoint)
-	m.Spend(m.Cost.CheckpointBase)
-	target := 1 - b.active
-	slot := b.addrSlot[target]
-	m.Spend(6 * m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(slot+0, m.Regs.PC)
-	m.Mem.WriteWord(slot+4, m.Regs.SP)
-	m.Mem.WriteWord(slot+8, m.Regs.FP)
-	m.Mem.WriteWord(slot+12, m.Regs.RV)
-	m.Mem.WriteWord(slot+16, uint32(m.CpDisable))
-	cur := slot + slotMetaLen
+	// 6 word charges for 5 meta words: every digest pins the quirk.
+	cur := b.cp.Begin(m, kind, captured, 6) + slotMetaLen
 	if b.cfg.VersionGlobals {
 		m.CopyCharged(cur, b.globalsBase, b.globalsLen, 2)
 		cur += uint32(b.globalsLen)
 	}
-	used := int(b.img.StackBase + b.img.StackLen - m.Regs.SP)
 	m.CopyCharged(cur, m.Regs.SP, used, 2)
-	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(b.addrActive, uint32(target))
-	b.active = target
-	m.PopCat()
-	m.NoteCheckpoint(kind)
+	b.cp.Commit(m, 1)
+	b.cp.Done(m, kind)
 }
 
 // LoggedStore implements vm.Runtime: raw stores — consistency comes from

@@ -4,11 +4,15 @@ import (
 	"reflect"
 	"testing"
 
+	tics "repro"
+	"repro/internal/apps"
 	"repro/internal/baseline/mementos"
 	"repro/internal/cc"
 	"repro/internal/instrument"
 	"repro/internal/link"
 	"repro/internal/power"
+	"repro/internal/replay"
+	"repro/internal/sensors"
 	"repro/internal/vm"
 )
 
@@ -122,5 +126,46 @@ func TestVoltageGateSkipsTriggers(t *testing.T) {
 	res2, _ := runMementos(t, img2, cfg2, power.Continuous{})
 	if res2.TotalCheckpoints < 40 {
 		t.Fatalf("ungated run took only %d checkpoints", res2.TotalCheckpoints)
+	}
+}
+
+// TestVoltageGatedColdBootCommitsFirstCheckpoint: with the voltage gate on
+// the cold boot's checkpoint must still commit, or the boot magic would
+// mark an empty slot as the restore point. One reboot 2000 cycles in
+// (before any gated trigger fires) must restore to the program entry and
+// finish with the continuous run's output.
+func TestVoltageGatedColdBootCommitsFirstCheckpoint(t *testing.T) {
+	for _, name := range []string{"bc", "ar"} {
+		app, ok := apps.ByName(name)
+		if !ok {
+			t.Fatalf("no app %s", name)
+		}
+		img, err := tics.Build(app.Source, tics.BuildOptions{Runtime: tics.RTMementos, VoltageThresholdCycles: 3000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(pw string) vm.Result {
+			src, err := replay.ParsePower(pw, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := tics.NewMachine(img, tics.RunOptions{Power: src, Sensors: sensors.NewBank(1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s under %s: %v", name, pw, err)
+			}
+			return res
+		}
+		want := run("continuous")
+		got := run("sched:2000@20")
+		if !got.Completed || got.Restores != 1 {
+			t.Fatalf("%s: completed=%v restores=%d, want a completed run with one restore", name, got.Completed, got.Restores)
+		}
+		if !reflect.DeepEqual(got.OutLog, want.OutLog) {
+			t.Fatalf("%s: out log %v, want the continuous run's %v", name, got.OutLog, want.OutLog)
+		}
 	}
 }

@@ -11,7 +11,8 @@
 //     checkpoint and rolled back on reboot (paper §3.1.2).
 //   - Double-buffered checkpoints with an atomic commit: registers plus
 //     the working segment are written to the inactive slot, then a single
-//     word flip makes it the restore point (paper §4).
+//     word flip makes it the restore point (paper §4; vm.CheckpointSlots,
+//     the format the checkpointing baselines share).
 //   - The time-annotation runtime: shadow timestamps, atomic @= blocks,
 //     and the restore-to-block-entry machinery behind @expires/catch
 //     (paper §3.2).
@@ -78,9 +79,13 @@ const (
 )
 
 const (
-	initMagic   = 0x54494353 // "TICS"
-	slotMetaLen = 8 * 4      // pc, sp, fp, rv, cpDisabled, workingSeg, epoch, usedBytes
-	segCtlLen   = 8          // growFrameFP, returnSP
+	initMagic = 0x54494353 // "TICS"
+	// TICS's meta words after the register meta.
+	metaWorking = vm.CheckpointMeta
+	metaEpoch   = metaWorking + 4
+	metaUsed    = metaEpoch + 4 // bytes of the segment the checkpoint captured
+	slotMetaLen = metaUsed + 4
+	segCtlLen   = 8 // growFrameFP, returnSP
 )
 
 // Spec returns the linker spec for a TICS build: the runtime-private area
@@ -97,7 +102,7 @@ func Spec(cfg Config, minSegment int) link.RuntimeSpec {
 	if nseg < 1 {
 		nseg = 1
 	}
-	rtBytes := 16 + 2*(slotMetaLen+seg) + cfg.UndoCapBytes + segCtlLen*nseg
+	rtBytes := vm.CheckpointAreaBytes(slotMetaLen+seg) + cfg.UndoCapBytes + segCtlLen*nseg
 	return link.RuntimeSpec{
 		Name:           "tics",
 		RuntimeBytes:   rtBytes,
@@ -117,19 +122,18 @@ type TICS struct {
 	segBytes int
 	numSegs  int
 
-	// Non-volatile layout (absolute addresses).
-	addrMagic  uint32
-	addrActive uint32
-	addrSlot   [2]uint32 // meta, followed by the segment copy
+	// cp is the restore point: each slot holds the meta, then the working
+	// segment copy.
+	cp         vm.CheckpointSlots
 	addrSegCtl uint32
 
 	// log is the undo log, tagged with the checkpoint epoch.
 	log        vm.UndoLog
 	blockBytes int
 
-	// Volatile mirrors (re-read by Boot).
+	// Volatile mirrors of the active slot's meta (re-read by Boot; cp
+	// mirrors which slot is active).
 	working int
-	active  int
 	epoch   uint32
 	// loggedAt dedups block-granularity log entries within one
 	// checkpoint epoch: block i of the program-writable region, counted
@@ -195,20 +199,10 @@ func New(img *link.Image, cfg Config) (*TICS, error) {
 		return nil, fmt.Errorf("core: stack region of %d B holds no %d B segment", img.StackLen, cfg.SegmentBytes)
 	}
 	// Lay out the runtime area.
-	a := img.RuntimeBase
-	t.addrMagic = a
-	t.addrActive = a + 4
-	undoHdr := a + 8
-	a += 16
-	t.addrSlot[0] = a
-	a += uint32(slotMetaLen + t.segBytes)
-	t.addrSlot[1] = a
-	a += uint32(slotMetaLen + t.segBytes)
-	t.log = vm.NewUndoLog(undoHdr, a, cfg.UndoCapBytes, cfg.UndoBlockBytes)
-	a = t.log.End()
-	t.addrSegCtl = a
-	a += uint32(segCtlLen * t.numSegs)
-	if a > img.RuntimeBase+img.RuntimeLen {
+	t.cp = vm.NewCheckpointSlots(img.RuntimeBase, initMagic, slotMetaLen+t.segBytes)
+	t.log = vm.NewUndoLog(t.cp.Aux(), t.cp.End(), cfg.UndoCapBytes, cfg.UndoBlockBytes)
+	t.addrSegCtl = t.log.End()
+	if a := t.addrSegCtl + uint32(segCtlLen*t.numSegs); a > img.RuntimeBase+img.RuntimeLen {
 		return nil, fmt.Errorf("core: runtime area too small: need %d B, have %d B (link with core.Spec)",
 			a-img.RuntimeBase, img.RuntimeLen)
 	}
@@ -251,61 +245,32 @@ func (t *TICS) inWorking(addr uint32, size int) bool {
 // initial checkpoint; otherwise it rolls back the undo log, restores the
 // checkpointed working segment and reloads the registers.
 func (t *TICS) Boot(m *vm.Machine, cold bool) {
-	if cold || m.Mem.ReadWord(t.addrMagic) != initMagic {
-		t.coldBoot(m)
+	if !t.cp.Boot(m, cold) {
+		t.cp.Reset(m)
+		t.log.Reset(m, 0)
+		t.epoch, t.working = 0, 0
+		t.Checkpoint(m, vm.CpManual)
 		return
 	}
 	t.restore(m)
 }
 
-func (t *TICS) coldBoot(m *vm.Machine) {
-	m.Spend(m.Cost.RestoreBase)
-	m.Mem.WriteWord(t.addrActive, 0)
-	t.log.Reset(m, 0)
-	t.active = 0
-	t.epoch = 0
-	t.working = 0
-	m.Regs = vm.Registers{PC: t.img.EntryPC, SP: t.segTop(0), FP: t.segTop(0)}
-	m.CpDisable = 0
-	t.Checkpoint(m, vm.CpManual)
-	m.Spend(m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(t.addrMagic, initMagic)
-}
-
 func (t *TICS) restore(m *vm.Machine) {
-	m.Spend(m.Cost.RestoreBase)
-	t.active = int(m.Mem.ReadWord(t.addrActive) & 1)
-	slot := t.addrSlot[t.active]
-	slotEpoch := m.Mem.ReadWord(slot + 24)
-	if logEpoch, n := t.log.Header(m); logEpoch == slotEpoch&0xFFFF {
-		// Entries were appended after the active checkpoint: roll back.
-		t.log.Rollback(m, n)
-	}
-	// Either way the log is now logically empty for the slot's epoch.
-	m.Spend(m.Cost.NVWritePerWord)
-	t.log.Reset(m, slotEpoch)
-	t.epoch = slotEpoch
-
+	slot := t.cp.Restore(m)
+	t.epoch = m.Mem.ReadWord(slot + metaEpoch)
+	t.log.Recover(m, t.epoch)
 	// Restore the checkpointed working segment (only the part the
 	// checkpoint captured; a differential checkpoint saved just the used
 	// tail, and nothing below the saved SP is live).
-	t.working = int(m.Mem.ReadWord(slot + 20))
-	used := int(m.Mem.ReadWord(slot + 28))
+	t.working = int(m.Mem.ReadWord(slot + metaWorking))
+	used := int(m.Mem.ReadWord(slot + metaUsed))
 	if used <= 0 || used > t.segBytes {
 		used = t.segBytes
 	}
 	off := uint32(t.segBytes-used) &^ 3
 	m.CopyCharged(t.segBase(t.working)+off, slot+slotMetaLen+off, t.segBytes-int(off), 1)
 	t.resetLogged()
-	m.Regs = vm.Registers{
-		PC: m.Mem.ReadWord(slot + 0),
-		SP: m.Mem.ReadWord(slot + 4),
-		FP: m.Mem.ReadWord(slot + 8),
-		RV: m.Mem.ReadWord(slot + 12),
-	}
-	m.CpDisable = int(m.Mem.ReadWord(slot + 16))
-	m.NoteRestore()
-	m.Count(vm.CtrRestores)
+	t.cp.Restored(m, t.cp.SavedSP(m))
 }
 
 // resetLogged clears the volatile block-dedup set (in lockstep with the
@@ -349,42 +314,21 @@ func (t *TICS) Checkpoint(m *vm.Machine, kind vm.CpKind) {
 			used = 4
 		}
 	}
-	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(slotMetaLen+used))
 	t.log.ObserveLen(m)
-	m.PushCat(obs.CatCheckpoint)
-	m.Spend(m.Cost.CheckpointBase)
-	target := 1 - t.active
-	slot := t.addrSlot[target]
+	// 7 word charges for 8 meta words: every digest pins the quirk.
+	slot := t.cp.Begin(m, kind, slotMetaLen+used, 7)
 	newEpoch := t.epoch + 1
-	m.Spend(7 * m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(slot+0, m.Regs.PC)
-	m.Mem.WriteWord(slot+4, m.Regs.SP)
-	m.Mem.WriteWord(slot+8, m.Regs.FP)
-	m.Mem.WriteWord(slot+12, m.Regs.RV)
-	m.Mem.WriteWord(slot+16, uint32(m.CpDisable))
-	m.Mem.WriteWord(slot+20, uint32(t.working))
-	m.Mem.WriteWord(slot+24, newEpoch)
-	m.Mem.WriteWord(slot+28, uint32(used))
+	m.Mem.WriteWord(slot+metaWorking, uint32(t.working))
+	m.Mem.WriteWord(slot+metaEpoch, newEpoch)
+	m.Mem.WriteWord(slot+metaUsed, uint32(used))
 	// Copy the captured part (charged as the two-phase copy).
 	off := uint32(t.segBytes-used) &^ 3
 	m.CopyCharged(slot+slotMetaLen+off, t.segBase(t.working)+off, t.segBytes-int(off), 2)
-	// Atomic commit. Pre-charge the flag flip and the undo-header reset:
-	// Spend can die with the window (power failure), and a failure after
-	// the flip but before the commit bookkeeping would leave a durably
-	// committed checkpoint whose observables were never flushed and whose
-	// commit event was never emitted (found by the trace auditor under
-	// fuzzed failure timing). Charging first keeps every failure point
-	// strictly before the flip, so a torn checkpoint is always restored
-	// from the *old* slot.
-	m.Spend(2 * m.Cost.NVWritePerWord)
-	m.Mem.WriteWord(t.addrActive, uint32(target))
-	t.active = target
-	// Reset the undo log under the new epoch (single-word write).
+	t.cp.Commit(m, 2) // the flip and the undo-log clear
 	t.log.Reset(m, newEpoch)
 	t.epoch = newEpoch
 	t.resetLogged()
-	m.PopCat()
-	m.NoteCheckpoint(kind)
+	t.cp.Done(m, kind)
 }
 
 // ---- Memory consistency management ----

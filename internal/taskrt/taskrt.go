@@ -227,11 +227,8 @@ func (r *Runtime) haltPC() uint32 { return r.img.EntryPC + 5 }
 // setupTask points the machine at the start of the current task with a
 // fresh stack.
 func (r *Runtime) setupTask(m *vm.Machine) {
-	m.Regs = vm.Registers{
-		PC: r.entries[r.cur],
-		SP: r.img.StackBase + r.img.StackLen,
-		FP: r.img.StackBase + r.img.StackLen,
-	}
+	m.Regs = vm.EntryRegisters(r.img)
+	m.Regs.PC = r.entries[r.cur]
 	m.Push(r.haltPC())
 }
 

@@ -23,11 +23,7 @@ func (p *Plain) Boot(m *Machine, cold bool) {
 	if !cold {
 		m.Count(CtrRestarts)
 	}
-	m.Regs = Registers{
-		PC: m.Img.EntryPC,
-		SP: m.Img.StackBase + m.Img.StackLen,
-		FP: m.Img.StackBase + m.Img.StackLen,
-	}
+	m.Regs = EntryRegisters(m.Img)
 }
 
 // LoggedStore implements Runtime: no consistency discipline, just a store.

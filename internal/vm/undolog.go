@@ -81,6 +81,17 @@ func (l *UndoLog) Reset(m *Machine, tag uint32) {
 	m.Mem.WriteWord(l.hdr, l.tag<<16)
 }
 
+// Recover brings the log in line with a restored checkpoint whose commit
+// identity is tag: entries appended under tag (after that checkpoint) are
+// rolled back, then the log is cleared under tag, charging its one word.
+func (l *UndoLog) Recover(m *Machine, tag uint32) {
+	if t, n := l.Header(m); t == tag&0xFFFF {
+		l.Rollback(m, n)
+	}
+	m.Spend(m.Cost.NVWritePerWord)
+	l.Reset(m, tag)
+}
+
 // Append logs the size old bytes at addr, charging cost for the entry plus
 // one read and write per extra block word, then commits the entry by
 // bumping the header's count. The caller performs the store itself. An

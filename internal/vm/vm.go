@@ -29,6 +29,13 @@ type Registers struct {
 	RV uint32
 }
 
+// EntryRegisters returns the register file a program starts with: PC at
+// the image's entry stub and an empty stack.
+func EntryRegisters(img *link.Image) Registers {
+	top := img.StackBase + img.StackLen
+	return Registers{PC: img.EntryPC, SP: top, FP: top}
+}
+
 // CpKind classifies why a checkpoint was taken.
 type CpKind int
 

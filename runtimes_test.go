@@ -30,8 +30,9 @@ var updateRuntimes = flag.Bool("update-runtimes", false, "rewrite testdata/runti
 const runtimesMaxCycles = 2_000_000
 
 // runtimeRow is one golden run. A non-nil build bypasses the spec's
-// build knobs and links the app with these options directly (TICS
-// ablation knobs that replay.Spec does not carry).
+// build knobs and links the app with these options directly (knobs
+// replay.Spec does not carry: the TICS ablations, the Mementos voltage
+// gate).
 type runtimeRow struct {
 	label string
 	spec  replay.Spec
@@ -67,6 +68,15 @@ func runtimeRows() []runtimeRow {
 				opts.Runtime = tics.RTTICS
 				rows = append(rows, runtimeRow{label: v.label, spec: s, build: &opts})
 			}
+		}
+	}
+	// Mementos with its voltage gate on (Table 2's configuration), whose
+	// cold boot must commit a checkpoint the gate would skip.
+	for _, app := range []string{"bc", "cf", "ar", "ghm"} {
+		for _, pw := range []string{"harvest:40000,800", "fail:3000", "fail:700"} {
+			s := replay.Spec{App: app, Power: pw, Seed: 1, MaxCycles: runtimesMaxCycles, Runtime: string(tics.RTMementos)}
+			opts := tics.BuildOptions{Runtime: tics.RTMementos, VoltageThresholdCycles: 3000}
+			rows = append(rows, runtimeRow{label: "mementos/voltage3000", spec: s, build: &opts})
 		}
 	}
 	return rows
@@ -140,8 +150,9 @@ func runRow(r runtimeRow) (string, map[string]int64, error) {
 }
 
 // TestRuntimesGolden pins every runtime (plus Mementos without global
-// versioning and the TICS block-log, differential-checkpoint and tiny-log
-// builds) on four apps under three power regimes. Regenerate with
+// versioning or with its voltage gate, and the TICS block-log,
+// differential-checkpoint and tiny-log builds) on four apps under three
+// power regimes. Regenerate with
 // go test -run TestRuntimesGolden -update-runtimes.
 func TestRuntimesGolden(t *testing.T) {
 	var sb strings.Builder
