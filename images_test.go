@@ -37,7 +37,7 @@ func imagePrograms(t *testing.T) []imageProgram {
 			progs = append(progs, imageProgram{label, src, tasks, edges})
 		}
 	}
-	for _, a := range append(apps.All(), apps.Swap(), apps.Bubble(), apps.Timekeeping(), apps.BCNoRecursion()) {
+	for _, a := range apps.Every() {
 		add(a.Name, a.Source, nil, nil)
 		add(a.Name+"/manual", a.ManualSource, nil, nil)
 		add(a.Name+"/task", a.TaskSource, a.Tasks, a.Edges)

@@ -1,12 +1,15 @@
 package analysis
 
 import (
+	"slices"
+
 	"repro/internal/cc"
 	"repro/internal/isa"
 )
 
 // This file recovers memory events (non-volatile reads and writes with
-// their target intervals) from compiled bytecode by abstract
+// their target intervals) and data provenance (which globals each sent or
+// stored value was computed from) from compiled bytecode by abstract
 // interpretation of the operand stack. It runs on pre-link code, where a
 // global address is a PushI carrying a RelocGlobal relocation.
 
@@ -35,10 +38,11 @@ func constVal(c int32) aval { return aval{kind: avConst, c: c} }
 // widen expands a global pointer to the full extent of the variable
 // containing it; a pointer outside every variable degrades to unknown.
 func widen(prog *cc.Program, v aval) aval {
-	g, ok := prog.GlobalAt(v.lo)
-	if !ok {
+	i := prog.GlobalAt(v.lo)
+	if i < 0 {
 		return unknown()
 	}
+	g := prog.Globals[i]
 	return aval{kind: avGlobal, lo: g.Offset, hi: g.Offset + uint32(g.Size) - 1, wide: true}
 }
 
@@ -84,13 +88,77 @@ func joinVals(prog *cc.Program, a, b aval) aval {
 		if b.hi > hi {
 			hi = b.hi
 		}
-		ga, oka := prog.GlobalAt(lo)
-		gb, okb := prog.GlobalAt(hi)
-		if oka && okb && ga.Name == gb.Name {
+		if g := prog.GlobalAt(lo); g >= 0 && g == prog.GlobalAt(hi) {
 			return aval{kind: avGlobal, lo: lo, hi: hi, wide: true}
 		}
 	}
 	return unknown()
+}
+
+// src is the data provenance of an operand-stack value: the globals it
+// was computed from (indices into prog.Globals, first appearance first)
+// by the expression in instructions [start, end]. A leaf (constant,
+// local, sensor, clock, return value, global load) starts an expression;
+// unary and binary ALU ops and Dup extend one only when their operands
+// are contiguous: each operand ends just before the instruction that
+// consumes it or the operand that follows it. Any other value (an
+// indirect load, a pop past the block's empty entry stack) is
+// unresolved. Since a jump target starts a block, a jump can never
+// splice a foreign operand into a resolved expression.
+type src struct {
+	ok         bool
+	start, end int
+	globals    []int
+}
+
+// leaf is the provenance of a value instruction i produces from nothing
+// on the stack; g is its global's index, or -1 for a fresh value.
+func leaf(i, g int) src {
+	s := src{ok: true, start: i, end: i}
+	if g >= 0 {
+		s.globals = []int{g}
+	}
+	return s
+}
+
+// extend is the provenance of the value instruction i computes from its
+// operands (one, or lhs then rhs); it is resolved only if they are.
+func extend(i int, ops ...src) src {
+	out := src{ok: true, start: i, end: i}
+	for k := len(ops) - 1; k >= 0; k-- {
+		if !ops[k].ok || ops[k].end != out.start-1 {
+			return src{}
+		}
+		out.start = ops[k].start
+	}
+	for _, op := range ops {
+		for _, g := range op.globals {
+			if !slices.Contains(out.globals, g) {
+				out.globals = append(out.globals, g)
+			}
+		}
+	}
+	return out
+}
+
+// DataSite is a Send or a direct store into a global, with the provenance
+// of the value it sends or stores.
+type DataSite struct {
+	Func     int    // index into prog.Funcs
+	Off      uint32 // byte offset of the instruction in the function's code
+	Send     bool   // a Send; otherwise a direct global store
+	Resolved bool   // the value is one contiguous expression of known leaves
+	Sources  []int  // indices into prog.Globals, first appearance first
+}
+
+// DataProvenance interprets every function of prog and returns its Send
+// and direct global-store sites in code order. prog may be instrumented.
+func DataProvenance(prog *cc.Program) []DataSite {
+	var sites []DataSite
+	for _, fn := range prog.Funcs {
+		sites = append(sites, extractEvents(prog, fn, BuildCFG(fn), nil, nil).sites...)
+	}
+	return sites
 }
 
 type evKind uint8
@@ -111,18 +179,26 @@ type memEvent struct {
 	callee int  // for evCall
 }
 
-// funcEvents holds the per-block event streams of one function.
+// funcEvents holds the per-block event streams of one function, and its
+// data sites.
 type funcEvents struct {
 	cfg    *CFG
 	blocks [][]memEvent
+	sites  []DataSite
+}
+
+// slot is one abstract operand-stack entry.
+type slot struct {
+	v aval
+	p src
 }
 
 // extractEvents abstractly interprets every block of fn (operand stack
 // only, starting empty at each block boundary — pops beyond that yield
-// unknown) and emits the block's memory events. paramVals, when non-nil,
-// supplies abstract values for fn's parameters (monomorphic call-site
-// propagation). argsAt, when non-nil, receives the abstract argument
-// values observed at each Call instruction.
+// unknown) and emits the block's memory events and data sites. paramVals,
+// when non-nil, supplies abstract values for fn's parameters (monomorphic
+// call-site propagation). argsAt, when non-nil, receives the abstract
+// argument values observed at each Call instruction.
 func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 	paramVals []aval, argsAt func(instr, callee int, args []aval)) *funcEvents {
 
@@ -138,34 +214,43 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 	}
 
 	fe := &funcEvents{cfg: cfg, blocks: make([][]memEvent, len(cfg.Blocks))}
+	var off uint32 // blocks tile the code in order
 	for _, b := range cfg.Blocks {
-		var stack []aval
-		pop := func() aval {
+		var stack []slot
+		pop := func() slot {
 			if len(stack) == 0 {
-				return unknown()
+				return slot{v: unknown()}
 			}
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			return v
 		}
-		push := func(v aval) { stack = append(stack, v) }
+		push := func(v aval, p src) { stack = append(stack, slot{v, p}) }
 		emit := func(e memEvent) { fe.blocks[b.ID] = append(fe.blocks[b.ID], e) }
 
 		for i := b.Start; i < b.End; i++ {
 			in := fn.Code[i]
+			at := off
+			off += uint32(in.Size())
+			site := func(send bool, p src) {
+				p = extend(i, p)
+				fe.sites = append(fe.sites, DataSite{Func: fn.Index, Off: at, Send: send,
+					Resolved: p.ok, Sources: p.globals})
+			}
 			op := isa.Unlogged(in.Op) // accept instrumented code too
 			switch op {
 			case isa.PushI:
+				v := constVal(in.Imm)
 				if globalReloc[i] {
-					push(aval{kind: avGlobal, lo: uint32(in.Imm), hi: uint32(in.Imm)})
-				} else {
-					push(constVal(in.Imm))
+					v = aval{kind: avGlobal, lo: uint32(in.Imm), hi: uint32(in.Imm)}
 				}
+				push(v, leaf(i, -1))
 			case isa.Dup:
 				if len(stack) > 0 {
-					push(stack[len(stack)-1])
+					top := stack[len(stack)-1]
+					push(top.v, extend(i, top.p))
 				} else {
-					push(unknown())
+					push(unknown(), src{})
 				}
 			case isa.Drop:
 				pop()
@@ -178,20 +263,25 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 				if op == isa.LoadGB {
 					size = 1
 				}
+				g := -1
 				if globalReloc[i] {
 					emit(memEvent{kind: evRead, instr: i,
 						loc: Loc{uint32(in.Imm), uint32(in.Imm) + size}})
+					g = prog.GlobalAt(uint32(in.Imm))
 				}
-				push(unknown())
+				push(unknown(), leaf(i, g))
 			case isa.StoreG, isa.StoreGB:
 				size := uint32(4)
 				if op == isa.StoreGB {
 					size = 1
 				}
-				pop()
+				v := pop()
 				if globalReloc[i] {
 					emit(memEvent{kind: evWrite, instr: i,
 						loc: Loc{uint32(in.Imm), uint32(in.Imm) + size}})
+					if prog.GlobalAt(uint32(in.Imm)) >= 0 {
+						site(false, v.p)
+					}
 				}
 			case isa.LoadL:
 				v := unknown()
@@ -200,29 +290,29 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 						v = paramVals[j]
 					}
 				}
-				push(v)
+				push(v, leaf(i, -1))
 			case isa.StoreL:
 				pop()
 			case isa.AddrL:
-				push(aval{kind: avStack})
+				push(aval{kind: avStack}, leaf(i, -1))
 			case isa.LoadI, isa.LoadIB:
 				size := uint32(4)
 				if op == isa.LoadIB {
 					size = 1
 				}
-				a := pop()
+				a := pop().v
 				if a.kind == avGlobal {
 					emit(memEvent{kind: evRead, instr: i, wide: a.wide,
 						loc: Loc{a.lo, a.hi + size}})
 				}
-				push(unknown())
+				push(unknown(), src{})
 			case isa.StoreI, isa.StoreIB:
 				size := uint32(4)
 				if op == isa.StoreIB {
 					size = 1
 				}
 				pop() // value
-				a := pop()
+				a := pop().v
 				if a.kind == avGlobal {
 					emit(memEvent{kind: evWrite, instr: i, wide: a.wide,
 						loc: Loc{a.lo, a.hi + size}})
@@ -230,40 +320,26 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 			case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
 				isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
 				isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
-				b2 := pop()
-				a2 := pop()
-				if a2.kind == avConst && b2.kind == avConst {
-					if v, ok := isa.Eval(op, uint32(a2.c), uint32(b2.c)); ok {
-						push(constVal(int32(v)))
-						continue
-					}
-				}
-				switch {
-				case op == isa.Add:
-					push(addVals(prog, a2, b2))
-				case op == isa.Sub:
-					push(subVals(prog, a2, b2))
-				case a2.kind == avStack || b2.kind == avStack:
-					push(aval{kind: avStack})
-				default:
-					push(unknown())
-				}
+				rhs := pop()
+				lhs := pop()
+				push(binaryVal(prog, op, lhs.v, rhs.v), extend(i, lhs.p, rhs.p))
 			case isa.Neg, isa.Not, isa.LNot:
-				if v := pop(); v.kind == avConst {
-					r, _ := isa.Eval(op, uint32(v.c), 0)
-					push(constVal(int32(r)))
-				} else {
-					push(unknown())
+				x := pop()
+				v := unknown()
+				if x.v.kind == avConst {
+					r, _ := isa.Eval(op, uint32(x.v.c), 0)
+					v = constVal(int32(r))
 				}
-			case isa.Jz, isa.Jnz, isa.Timely, isa.SetRV, isa.Send, isa.SetTS:
-				pop()
-			case isa.Out:
+				push(v, extend(i, x.p))
+			case isa.Send:
+				site(true, pop().p)
+			case isa.Jz, isa.Jnz, isa.Timely, isa.SetRV, isa.SetTS, isa.Out:
 				pop()
 			case isa.ExpBegin, isa.ExpCatch:
 				pop()
 				pop()
 			case isa.GetRV, isa.Sense, isa.Now:
-				push(unknown())
+				push(unknown(), leaf(i, -1))
 			case isa.AddSP:
 				for n := in.Imm / 4; n > 0; n-- {
 					pop()
@@ -279,7 +355,7 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 								// Arguments are pushed right-to-left: arg j is
 								// j slots below the top.
 								if idx := len(stack) - 1 - j; idx >= 0 {
-									args[j] = stack[idx]
+									args[j] = stack[idx].v
 								} else {
 									args[j] = unknown()
 								}
@@ -297,4 +373,23 @@ func extractEvents(prog *cc.Program, fn *cc.Func, cfg *CFG,
 		}
 	}
 	return fe
+}
+
+// binaryVal is the abstract address value of binary ALU op applied to
+// lhs a and rhs b.
+func binaryVal(prog *cc.Program, op isa.Op, a, b aval) aval {
+	if a.kind == avConst && b.kind == avConst {
+		if v, ok := isa.Eval(op, uint32(a.c), uint32(b.c)); ok {
+			return constVal(int32(v))
+		}
+	}
+	switch {
+	case op == isa.Add:
+		return addVals(prog, a, b)
+	case op == isa.Sub:
+		return subVals(prog, a, b)
+	case a.kind == avStack || b.kind == avStack:
+		return aval{kind: avStack}
+	}
+	return unknown()
 }

@@ -58,9 +58,13 @@ func (a App) ForMayfly() (source string, tasks []string, edges []taskrt.Edge) {
 // All returns the benchmark registry in the paper's order.
 func All() []App { return []App{BC(), CF(), AR(), GHMPlain(), GHMTinyOS()} }
 
+// Every returns every app ByName knows: All plus the small programs and
+// Chinchilla's recursion-free BC.
+func Every() []App { return append(All(), Swap(), Bubble(), Timekeeping(), BCNoRecursion()) }
+
 // ByName looks an app up.
 func ByName(name string) (App, bool) {
-	for _, a := range append(All(), Swap(), Bubble(), Timekeeping(), BCNoRecursion()) {
+	for _, a := range Every() {
 		if a.Name == name {
 			return a, true
 		}

@@ -43,6 +43,9 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/analysis"
+	"repro/internal/cc"
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/vm"
 )
@@ -150,7 +153,7 @@ type Auditor struct {
 	expirySeq      int64
 	expiryDeadline int64
 
-	// Freshness record, indexed like prov.spans: when each global's
+	// Freshness record, indexed like prov.globals: when each global's
 	// current value was produced (a global never written reads 0, its
 	// boot-time initial value), and that table at the last commit.
 	prov                *provenance
@@ -188,10 +191,7 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 	}
 	prov := a.prov
 	if a.m == nil || a.m.Img != m.Img {
-		var err error
-		if prov, err = buildProvenance(m.Img); err != nil {
-			return err
-		}
+		prov = newProvenance(m.Img)
 	}
 	n := int(m.Img.StackBase - m.Img.GlobalsBase)
 	if len(a.shadow) != n {
@@ -212,8 +212,8 @@ func (a *Auditor) Reattach(m *vm.Machine, opt Options) error {
 		commitSeq:     -1,
 		violations:    a.violations[:0],
 		prov:          prov,
-		prod:          append(a.prod[:0], make([]int64, len(prov.spans))...),
-		prodCommitted: append(a.prodCommitted[:0], make([]int64, len(prov.spans))...),
+		prod:          append(a.prod[:0], make([]int64, len(prov.globals))...),
+		prodCommitted: append(a.prodCommitted[:0], make([]int64, len(prov.globals))...),
 		sendAges:      a.sendAges[:0],
 	}
 	a.closeEpoch()
@@ -315,6 +315,73 @@ func (a *Auditor) onStore(addr uint32, size int, val uint32, deviceMs int64) {
 	}
 }
 
+// srcSet is the provenance of one stored or sent value: the globals it
+// was computed from, as indices into provenance.globals. known=false means
+// the checker must not draw conclusions from this site; the zero srcSet,
+// which every PC without a resolved site holds, is such a site.
+type srcSet struct {
+	known   bool
+	globals []int
+}
+
+// provenance lays analysis.DataProvenance out for the per-store and
+// per-send hooks, so they do no map or string work: owner maps each byte
+// of the globals space to 1 + its global's index (0: no global), and
+// sends and stores are dense tables indexed by pc - textBase, like the
+// interpreter's decode table.
+type provenance struct {
+	globals  []cc.GlobalInfo
+	dataBase uint32
+	owner    []int32
+	textBase uint32
+	sends    []srcSet // Send PC -> payload sources
+	stores   []srcSet // direct global-store PC -> value sources
+}
+
+func newProvenance(img *link.Image) *provenance {
+	prog := img.Program
+	p := &provenance{
+		globals:  prog.Globals,
+		dataBase: img.GlobalsBase,
+		owner:    make([]int32, prog.GlobalsBytes()),
+		textBase: img.TextBase,
+		sends:    make([]srcSet, len(img.Text)),
+		stores:   make([]srcSet, len(img.Text)),
+	}
+	for i, g := range prog.Globals {
+		for b := g.Offset; b < g.Offset+uint32(g.Size); b++ {
+			p.owner[b] = int32(i + 1)
+		}
+	}
+	for _, s := range analysis.DataProvenance(prog) {
+		table := p.stores
+		if s.Send {
+			table = p.sends
+		}
+		table[img.Funcs[s.Func].Entry+s.Off-p.textBase] = srcSet{known: s.Resolved, globals: s.Sources}
+	}
+	return p
+}
+
+// globalAt resolves an absolute address to the index of the global whose
+// data range covers it (-1 for runtime state, shadow timestamp slots,
+// the stack).
+func (p *provenance) globalAt(addr uint32) int {
+	if off := addr - p.dataBase; off < uint32(len(p.owner)) {
+		return int(p.owner[off]) - 1
+	}
+	return -1
+}
+
+// at returns the table's record for pc; a pc outside the text reads as
+// an unknown site.
+func (p *provenance) at(table []srcSet, pc uint32) srcSet {
+	if off := pc - p.textBase; off < uint32(len(table)) {
+		return table[off]
+	}
+	return srcSet{}
+}
+
 // produce updates the freshness record for a store to addr at deviceMs.
 // The program counter still points at the store instruction while its
 // observer runs, which is what keys the provenance index.
@@ -357,8 +424,8 @@ func (a *Auditor) onSend(rec vm.SendRec) {
 		return
 	}
 	for _, src := range set.globals {
-		g := &a.prov.spans[src]
-		a.sendAges = append(a.sendAges, SendAge{rec, g.name, g.expiresMs, rec.EstMs - a.prod[src]})
+		g := &a.prov.globals[src]
+		a.sendAges = append(a.sendAges, SendAge{rec, g.Name, g.ExpiresAfterMs, rec.EstMs - a.prod[src]})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	tics "repro"
+	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
@@ -39,10 +41,7 @@ int main() {
 		t.Fatal(err)
 	}
 	prov := a.prov
-	addr := map[string]uint32{}
-	for _, s := range prov.spans {
-		addr[s.name] = s.base
-	}
+	addr := img.Symbols
 	sample := prov.globalAt(addr["sample"])
 	copyID := prov.globalAt(addr["copy"])
 	var copyPC, sendPC uint32
@@ -94,5 +93,38 @@ int main() {
 	}
 	if a.prod[sample] != 0 || a.prodCommitted[sample] != 0 || len(a.SendAges()) != 0 {
 		t.Fatalf("Reattach left state behind: prod %v committed %v send ages %v", a.prod, a.prodCommitted, a.SendAges())
+	}
+}
+
+// TestShippedSitesResolve pins the freshness record's coverage: every
+// Send and every direct global store of every shipped app built for TICS
+// has a resolved provenance site in the auditor's table. An unresolved
+// site would silently drop that send's ages or make that store look
+// fresh.
+func TestShippedSitesResolve(t *testing.T) {
+	sends, stores := 0, 0
+	for _, a := range apps.Every() {
+		img, err := tics.Build(a.Source, tics.BuildOptions{Runtime: tics.RTTICS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prov := newProvenance(img.Image)
+		for _, s := range analysis.DataProvenance(img.Program) {
+			pc := img.Funcs[s.Func].Entry + s.Off
+			table := prov.stores
+			if s.Send {
+				table, sends = prov.sends, sends+1
+			} else {
+				stores++
+			}
+			if !s.Resolved || !prov.at(table, pc).known {
+				t.Errorf("%s: site %+v at %#x does not resolve", a.Name, s, pc)
+			}
+		}
+	}
+	// The shipped apps' site counts; a change here is a change in what
+	// the freshness record covers.
+	if sends != 8 || stores != 20 {
+		t.Fatalf("%d sends and %d direct global stores, want 8 and 20", sends, stores)
 	}
 }

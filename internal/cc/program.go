@@ -120,16 +120,16 @@ func (p *Program) Global(name string) (GlobalInfo, bool) {
 	return GlobalInfo{}, false
 }
 
-// GlobalAt maps an offset in the globals space to the variable (or its
-// shadow-timestamp slot array) that contains it. The second result is
-// false for offsets outside every variable (mark counters, padding).
-func (p *Program) GlobalAt(off uint32) (GlobalInfo, bool) {
-	for _, g := range p.Globals {
+// GlobalAt maps an offset in the globals space to the index in Globals
+// of the variable that contains it, or -1 for offsets outside every
+// variable (shadow-timestamp slots, mark counters, padding).
+func (p *Program) GlobalAt(off uint32) int {
+	for i, g := range p.Globals {
 		if off >= g.Offset && off < g.Offset+uint32(g.Size) {
-			return g, true
+			return i
 		}
 	}
-	return GlobalInfo{}, false
+	return -1
 }
 
 // TextBytes returns the total encoded code size including the entry stub.

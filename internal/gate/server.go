@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -153,7 +154,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.reg.SetGauge("gate_expired", float64(st.Expired))
 	s.reg.SetGauge("gate_arrivals", float64(st.Arrivals))
 	s.reg.SetGauge("gate_recovery_ms", s.st.Recovery().DurationMs)
+	// Render under the lock (an ingest may be adding a counter) and write
+	// after it, so a slow scraper does not hold up ingest.
+	var buf bytes.Buffer
+	s.reg.WritePrometheus(&buf)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w)
+	w.Write(buf.Bytes())
 }

@@ -3,6 +3,7 @@ package gate
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -144,5 +145,48 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	bad.batch = 7 // pretend 7 batches were sent on a different connection
 	if err := bad.IngestWave(nil); err == nil {
 		t.Fatal("batch gap did not surface")
+	}
+}
+
+// TestMetricsScrapeDuringIngest scrapes /metrics while other goroutines
+// ingest. The registry is not itself concurrency-safe, so the scrape must
+// render it under the server's lock; run with -race to check that it does.
+func TestMetricsScrapeDuringIngest(t *testing.T) {
+	st := openStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	h := NewServer(st).Handler()
+	const sources, batches = 2, 8
+	done := make(chan struct{})
+	for s := 0; s < sources; s++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			src := fmt.Sprintf("s%d", s)
+			for b := uint64(1); b <= batches; b++ {
+				frames := []Frame{{Dev: s, Seq: int64(b), ArriveMs: float64(b)}}
+				if w := postIngest(t, h, IngestRequest{Source: src, Batch: b, Frames: frames}); w.Code != http.StatusOK {
+					t.Errorf("ingest %s/%d: %d %s", src, b, w.Code, w.Body)
+				}
+				// A replay and a bad body touch the other first-use counters.
+				postIngest(t, h, IngestRequest{Source: src, Batch: b, Frames: frames})
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader("{")))
+			}
+		}()
+	}
+	for running := sources; running > 0; {
+		select {
+		case <-done:
+			running--
+		default:
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("/metrics: %d", w.Code)
+		}
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if want := fmt.Sprintf("gate_ingest_frames %d\n", sources*batches); !strings.Contains(w.Body.String(), want) {
+		t.Fatalf("/metrics after the ingests lacks %q:\n%s", want, w.Body)
 	}
 }

@@ -6,16 +6,19 @@ package mc
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	tics "repro"
+	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/taskrt"
 	"repro/internal/vm"
 )
 
@@ -201,6 +204,122 @@ func union(a, b []int) []int {
 		}
 	}
 	return out
+}
+
+// TestDataProvenanceMatchesReference holds the abstract interpreter's
+// data sites to the backward walk above: for every variant of every
+// shipped app (plain, manual, task ports), every seeded program and
+// rolledBackStoreSrc, built for every runtime that accepts it at -O0 and
+// -O2, each Send and each direct global store has exactly one site,
+// resolved exactly when the walk resolves it, naming the same globals in
+// the same order.
+func TestDataProvenanceMatchesReference(t *testing.T) {
+	type program struct {
+		label, src string
+		tasks      []string
+		edges      []taskrt.Edge
+	}
+	var progs []program
+	for _, a := range apps.Every() {
+		progs = append(progs,
+			program{a.Name, a.Source, nil, nil},
+			program{a.Name + "/manual", a.ManualSource, nil, nil},
+			program{a.Name + "/task", a.TaskSource, a.Tasks, a.Edges},
+			program{a.Name + "/mayfly", a.MayflyTaskSource, a.MayflyTasks, a.MayflyEdges})
+	}
+	seeded, err := filepath.Glob(filepath.Join(seededDir, "*.c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range seeded {
+		progs = append(progs, program{label: filepath.Base(path), src: readSeeded(t, filepath.Base(path))})
+	}
+	progs = append(progs, program{label: "rolled-back-store", src: rolledBackStoreSrc})
+
+	images, sites, resolved := 0, 0, 0
+	for _, p := range progs {
+		if p.src == "" {
+			continue
+		}
+		for _, rt := range tics.Runtimes() {
+			for _, o0 := range []bool{true, false} {
+				opts := tics.BuildOptions{Runtime: rt, Tasks: p.tasks, Edges: p.edges}
+				if o0 {
+					opts = opts.WithO0()
+				}
+				img, err := tics.Build(p.src, opts)
+				if err != nil {
+					continue // a runtime the program cannot build for
+				}
+				n, r := compareProvenance(t, fmt.Sprintf("%s/%s/O0=%v", p.label, rt, o0), img)
+				images, sites, resolved = images+1, sites+n, resolved+r
+			}
+		}
+	}
+	t.Logf("%d images: %d sites, %d resolved", images, sites, resolved)
+	if resolved == 0 || resolved == sites {
+		t.Fatalf("%d of %d sites resolved: the comparison is vacuous on one side", resolved, sites)
+	}
+}
+
+// compareProvenance compares img's analysis sites with the reference
+// walk's at every Send and direct global store, and returns how many
+// sites there were and how many resolved.
+func compareProvenance(t *testing.T, label string, img *tics.Image) (sites, resolved int) {
+	t.Helper()
+	ref, err := buildProvenance(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[uint32]analysis.DataSite{}
+	for _, s := range analysis.DataProvenance(img.Program) {
+		got[img.Funcs[s.Func].Entry+s.Off] = s
+	}
+	names := func(globals []int, name func(int) string) []string {
+		var out []string
+		for _, g := range globals {
+			out = append(out, name(g))
+		}
+		return out
+	}
+	for off := 0; off < len(img.Text); {
+		in, next, err := isa.Decode(img.Text, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := img.TextBase + uint32(off)
+		off = next
+		var want srcSet
+		switch in.Op {
+		case isa.Send:
+			want = ref.at(ref.sends, pc)
+		case isa.StoreG, isa.StoreGL, isa.StoreGB, isa.StoreGBL:
+			if ref.globalAt(uint32(in.Imm)) < 0 {
+				continue
+			}
+			want = ref.at(ref.stores, pc)
+		default:
+			continue
+		}
+		sites++
+		s, ok := got[pc]
+		if !ok || s.Send != (in.Op == isa.Send) {
+			t.Fatalf("%s: %v at %#x: no matching analysis site (got %+v)", label, in.Op, pc, s)
+		}
+		wantNames := names(want.globals, func(g int) string { return ref.spans[g].name })
+		gotNames := names(s.Sources, func(g int) string { return img.Program.Globals[g].Name })
+		if s.Resolved != want.known || !reflect.DeepEqual(gotNames, wantNames) {
+			t.Errorf("%s: %v at %#x: resolved %v %v, reference %v %v",
+				label, in.Op, pc, s.Resolved, gotNames, want.known, wantNames)
+		}
+		if s.Resolved {
+			resolved++
+		}
+	}
+	if sites != len(got) {
+		t.Errorf("%s: %d analysis sites, %d Send and direct global-store instructions", label, len(got), sites)
+	}
+	return sites, resolved
 }
 
 // freshTracker is the dynamic half of the time-consistency check. It

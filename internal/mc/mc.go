@@ -173,10 +173,7 @@ func sweep(cfg Config, cold bool, observe func(schedules [][]power.SchedWindow, 
 	if err != nil {
 		return nil, err
 	}
-	insensitive, err := timeInsensitive(r.img)
-	if err != nil {
-		return nil, err
-	}
+	insensitive := timeInsensitive(r.img)
 
 	// Phase 1: the oracle.
 	oracle, err := r.run(nil, true, true, 0)

@@ -40,17 +40,16 @@ func staleSends(ages []audit.SendAge, assumeBudgetMs int64) []StaleSend {
 // at all: a program with no sensor reads, clock reads, or time-annotation
 // opcodes produces the same committed NVM no matter where reboots land,
 // so the checker may assert committed-state equality against the oracle.
-func timeInsensitive(img *tics.Image) (bool, error) {
-	for off := 0; off < len(img.Text); {
-		in, next, err := isa.Decode(img.Text, off)
-		if err != nil {
-			return false, err
+// It reads the per-function code the image links; the linked text adds
+// only the boot stub.
+func timeInsensitive(img *tics.Image) bool {
+	for _, f := range img.Program.Funcs {
+		for _, in := range f.Code {
+			switch in.Op {
+			case isa.Sense, isa.Now, isa.SetTS, isa.ExpBegin, isa.ExpCatch, isa.ExpEnd, isa.Timely:
+				return false
+			}
 		}
-		switch in.Op {
-		case isa.Sense, isa.Now, isa.SetTS, isa.ExpBegin, isa.ExpCatch, isa.ExpEnd, isa.Timely:
-			return false, nil
-		}
-		off = next
 	}
-	return true, nil
+	return true
 }
