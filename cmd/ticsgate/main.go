@@ -16,6 +16,13 @@
 // -crash-after N is fault injection for tests and CI: the process
 // SIGKILLs itself right after the Nth applied batch becomes durable,
 // before the response is written.
+//
+// -pprof mounts net/http/pprof under /debug/pprof/ (off by default), so
+// the cost of an ingest or a digest read can be read from a profile:
+//
+//	go tool pprof 'http://127.0.0.1:9190/debug/pprof/profile?seconds=10'
+//
+// A CPU profile must stay shorter than the 15 s write timeout.
 package main
 
 import (
@@ -24,6 +31,7 @@ import (
 	"flag"
 	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -38,6 +46,7 @@ func main() {
 		dir        = flag.String("dir", "ticsgate-data", "durable state directory (WAL + snapshot)")
 		walLimit   = flag.Int64("wal-limit", gate.DefaultCompactLimit, "compact the WAL into a snapshot past this many bytes (-1 = never)")
 		crashAfter = flag.Int64("crash-after", 0, "fault injection: SIGKILL self after the Nth applied batch is durable, before its response (0 = off)")
+		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (host-process profiling)")
 	)
 	flag.Parse()
 
@@ -51,7 +60,7 @@ func main() {
 
 	srv := gate.NewServer(st)
 	srv.CrashAfter = *crashAfter
-	hs := newHTTPServer(*addr, srv.Handler(), serverTimeouts)
+	hs := newHTTPServer(*addr, handler(srv, *pprofOn), serverTimeouts)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -76,6 +85,24 @@ func main() {
 	if err := st.Close(); err != nil {
 		fatal(err)
 	}
+}
+
+// handler is the ticsgate mux, with net/http/pprof mounted under
+// /debug/pprof/ when pprofOn is set. Off by default: the profiling
+// endpoints expose host internals. Without the flag the prefix 404s
+// like any unknown path.
+func handler(srv *gate.Server, pprofOn bool) http.Handler {
+	if !pprofOn {
+		return srv.Handler()
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", srv.Handler())
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // timeouts bound how long one connection may hold the server.

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bufio"
+	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -74,5 +76,43 @@ func TestSlowBodyIsCutOff(t *testing.T) {
 	}
 	if st.Sources() != 0 {
 		t.Fatalf("a truncated body applied a batch: %d sources", st.Sources())
+	}
+}
+
+// TestPprofMountedOnlyWhenEnabled: /debug/pprof/ answers only with
+// -pprof, and the ticsgate endpoints answer either way.
+func TestPprofMountedOnlyWhenEnabled(t *testing.T) {
+	st, err := gate.Open(t.TempDir(), gate.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv := gate.NewServer(st)
+	for _, on := range []bool{false, true} {
+		ts := httptest.NewServer(handler(srv, on))
+		code := func(path string) int {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		want := http.StatusNotFound
+		if on {
+			want = http.StatusOK
+		}
+		for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+			if got := code(path); got != want {
+				t.Errorf("pprof=%v: GET %s = %d, want %d", on, path, got, want)
+			}
+		}
+		for _, path := range []string{"/healthz", "/v1/digest", "/metrics"} {
+			if got := code(path); got != http.StatusOK {
+				t.Errorf("pprof=%v: GET %s = %d, want 200", on, path, got)
+			}
+		}
+		ts.Close()
 	}
 }

@@ -1,13 +1,16 @@
 // BenchmarkGateIngest prices the ticsgate durable-ingest path: frames
 // per second through the fsync-on-batch WAL, WAL bytes per frame, and
-// how long a cold Open (recovery replay) of the produced log takes. The
-// results ride in BENCH_fleet.json under "gate" (merge-by-key, same
-// ledger as the fleet sweep) so `ticsbench -compare` and the validator
-// gate gateway-service regressions alongside fleet throughput.
+// how long a cold Open (recovery replay) of the produced log takes, plus
+// one digest read at a fixed store state. The results ride in
+// BENCH_fleet.json under "gate" (merge-by-key, same ledger as the fleet
+// sweep) so `ticsbench -compare` and the validator gate gateway-service
+// regressions alongside fleet throughput.
 package tics_test
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/fleet"
@@ -83,6 +86,7 @@ func BenchmarkGateIngest(b *testing.B) {
 	if len(results) != len(gateBatchSizes) {
 		return // sub-benchmark filter excluded some sizes; don't write a partial table
 	}
+	results[bench.GateKey(bench.DigestBatchFrames)].DigestMs = gateDigestMs(b)
 	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
 		for key, e := range results {
 			f.SetGate(key, e)
@@ -92,4 +96,57 @@ func BenchmarkGateIngest(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// digestFrames makes frames [lo, hi) of the digest-read state: one
+// (device, seq) each, arrival times scattered over 1000 s at full float
+// precision so the frames of one read interleave with those kept from
+// the last, and latencies of 0.25–19.25 ms so some miss the 15 ms
+// budget.
+func digestFrames(lo, hi int) []gate.Frame {
+	frames := make([]gate.Frame, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		arrive := float64(uint64(i)*0x9E3779B97F4A7C15>>11) / (1 << 53) * 1e6
+		frames = append(frames, gate.FrameFromArrival(fleet.Arrival{
+			Dev: i % 997, Seq: int64(i / 997), Value: int32(i),
+			SentMs: arrive - float64(i%20) - 0.25, ArriveMs: arrive,
+		}, 15))
+	}
+	return frames
+}
+
+// gateDigestMs times one Store.Summary over bench.DigestRetained
+// retained minima, bench.DigestFresh of them ingested after the
+// previous read: the best of three fresh stores, in ms.
+func gateDigestMs(b *testing.B) float64 {
+	const perBatch = 5000
+	best := math.Inf(1)
+	for rep := 0; rep < 3; rep++ {
+		st, err := gate.Open(b.TempDir(), gate.Options{CompactLimit: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var batch uint64
+		ingest := func(lo, hi int) {
+			for k := lo; k < hi; k += perBatch {
+				batch++
+				if _, err := st.Ingest("digest", batch, digestFrames(k, min(k+perBatch, hi))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		ingest(0, bench.DigestRetained-bench.DigestFresh)
+		st.Summary()
+		ingest(bench.DigestRetained-bench.DigestFresh, bench.DigestRetained)
+		start := time.Now()
+		sum := st.Summary()
+		best = min(best, float64(time.Since(start).Nanoseconds())/1e6)
+		if sum.Unique != bench.DigestRetained {
+			b.Fatalf("digest state holds %d minima, want %d", sum.Unique, bench.DigestRetained)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return best
 }

@@ -171,6 +171,30 @@ func TestCompareGatesBytesPerDevice(t *testing.T) {
 	}
 }
 
+// TestCompareGatesDigestRead: a slower digest read on a shared gate key
+// is a regression; a faster one, or one measured on one side only, is
+// not.
+func TestCompareGatesDigestRead(t *testing.T) {
+	old, new := twoLedgers()
+	key := GateKey(DigestBatchFrames)
+	old.SetGate(key, &GateEntry{BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53, RecoveryMs: 33, DigestMs: 40})
+	e := *old.Gate[key]
+	e.DigestMs = 80
+	new.SetGate(key, &e)
+	regs := Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Metric != "digest_ms" || regs[0].Key != "gate/"+key || regs[0].DeltaPct != 100 {
+		t.Fatalf("regs %v, want one digest_ms regression of +100%%", regs)
+	}
+	e.DigestMs = 10
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("faster digest flagged %v", regs)
+	}
+	delete(new.Gate, key)
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("baseline-only gate key flagged %v", regs)
+	}
+}
+
 func TestCompareSkipsMismatchedHosts(t *testing.T) {
 	old, new := twoLedgers()
 	new.Fleet["n=1000"].Best.DevicesPerSec = 1 // would be a huge regression
@@ -216,6 +240,9 @@ func TestValidate(t *testing.T) {
 	f.SetGate(GateKey(64), &GateEntry{
 		BatchFrames: 64, Batches: 200, FramesPerSec: 3e5, WALBytesFrame: 53.4, RecoveryMs: 3.7,
 	})
+	f.SetGate(GateKey(DigestBatchFrames), &GateEntry{
+		BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53.1, RecoveryMs: 33, DigestMs: 40,
+	})
 	if errs := Validate(f); len(errs) != 0 {
 		t.Fatalf("valid file rejected: %v", errs)
 	}
@@ -229,10 +256,11 @@ func TestValidate(t *testing.T) {
 	bad.SetOpcode("Sub", &OpcodeEntry{NsPerInstr: -1, Instrs: 0})
 	bad.SetMC("depth=2", &MCEntry{Depth: 1, Schedules: 0, CyclesExplored: 0, SchedulesPerSec: 0, StatesPerSec: 0})
 	bad.SetGate("batch=9", &GateEntry{BatchFrames: 1, Batches: 0, FramesPerSec: 0, WALBytesFrame: -1, RecoveryMs: 0})
+	bad.SetGate(GateKey(DigestBatchFrames), &GateEntry{BatchFrames: DigestBatchFrames, Batches: 1, FramesPerSec: 1, WALBytesFrame: 1, RecoveryMs: 1})
 	errs := Validate(bad)
 	for _, want := range []string{"does not match devices", "source", "unknown phase", "ns_per_instr", "instrs",
 		"program empty", "does not match depth", "schedules =", "cycles_explored", "schedules_per_sec", "states_per_sec",
-		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms"} {
+		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms", "digest_ms"} {
 		found := false
 		for _, err := range errs {
 			if strings.Contains(err.Error(), want) {

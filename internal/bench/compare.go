@@ -28,7 +28,8 @@ func (r Regression) String() string {
 
 // Compare gates new against old: for every fleet key both ledgers
 // carry, devices/sec must not drop and peak RSS must not rise by more
-// than tolerance; for every shared opcode, ns/instr must not rise.
+// than tolerance; for every shared opcode, ns/instr must not rise; for
+// every shared gate key, the digest read must not slow down.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -101,6 +102,25 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 				Key: "opcode/" + name, Metric: "ns_per_instr",
 				Old: oe.NsPerInstr, New: ne.NsPerInstr,
 				DeltaPct: 100 * (ne.NsPerInstr - oe.NsPerInstr) / oe.NsPerInstr,
+			})
+		}
+	}
+
+	gateKeys := make([]string, 0, len(old.Gate))
+	for key := range old.Gate {
+		gateKeys = append(gateKeys, key)
+	}
+	sort.Strings(gateKeys)
+	for _, key := range gateKeys {
+		oe, ne := old.Gate[key], new.Gate[key]
+		if oe == nil || ne == nil {
+			continue
+		}
+		if oe.DigestMs > 0 && ne.DigestMs > oe.DigestMs*(1+tolerance) {
+			regs = append(regs, Regression{
+				Key: "gate/" + key, Metric: "digest_ms",
+				Old: oe.DigestMs, New: ne.DigestMs,
+				DeltaPct: 100 * (ne.DigestMs - oe.DigestMs) / oe.DigestMs,
 			})
 		}
 	}

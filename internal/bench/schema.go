@@ -119,14 +119,26 @@ type MCEntry struct {
 
 // GateEntry is the ticsgate durable-ingest cost sheet at one batch
 // size: sustained fsync-on-batch ingest rate, WAL space per frame, and
-// how long reopening the store (snapshot load + WAL replay) takes.
+// how long reopening the store (snapshot load + WAL replay) takes. The
+// DigestBatchFrames entry also prices one digest read.
 type GateEntry struct {
 	BatchFrames   int     `json:"batch_frames"`    // frames per ingested batch
 	Batches       int     `json:"batches"`         // batches in the measured run
 	FramesPerSec  float64 `json:"frames_per_sec"`  // durable ingest throughput
 	WALBytesFrame float64 `json:"wal_bytes_frame"` // WAL bytes per ingested frame
 	RecoveryMs    float64 `json:"recovery_ms"`     // Open() over the produced WAL
+	// DigestMs is one Store.Summary over DigestRetained retained minima,
+	// DigestFresh of them new since the previous read.
+	DigestMs float64 `json:"digest_ms,omitempty"`
 }
+
+// The digest-read row: the batch size whose gate entry carries
+// digest_ms, and the store state that read is priced at.
+const (
+	DigestBatchFrames = 512
+	DigestRetained    = 100000
+	DigestFresh       = 25000
+)
 
 // NewFile returns an empty ledger for the current host.
 func NewFile() *File {

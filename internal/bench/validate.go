@@ -145,6 +145,9 @@ func Validate(f *File) []error {
 		finite("gate/"+key, "frames_per_sec", e.FramesPerSec, true)
 		finite("gate/"+key, "wal_bytes_frame", e.WALBytesFrame, true)
 		finite("gate/"+key, "recovery_ms", e.RecoveryMs, true)
+		if e.BatchFrames == DigestBatchFrames || e.DigestMs != 0 {
+			finite("gate/"+key, "digest_ms", e.DigestMs, true)
+		}
 	}
 	return errs
 }

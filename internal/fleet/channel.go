@@ -52,15 +52,17 @@ type LinkParams struct {
 	GEBadToGood float64
 }
 
-// Arrival is one frame reaching the gateway.
+// Arrival is one frame reaching the gateway. The two narrow fields
+// come last so an Arrival packs into 56 bytes and a gateway's retained
+// minimum into 64: a long-lived ticsgate holds one per (device, seq).
 type Arrival struct {
 	Dev      int     // source device index
 	Seq      int64   // device send-sequence number (vm.SendRec.Seq)
-	Value    int32   // payload
 	SentMs   float64 // true wall-clock time of the original send
 	DeviceMs int64   // the device's own clock at the send
 	ArriveMs float64 // true wall-clock arrival time at the gateway
 	Attempt  int     // 0 = first transmission, >0 = link-layer retransmit
+	Value    int32   // payload
 	Echo     bool    // true for a channel-duplicated copy
 }
 

@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 
@@ -25,6 +28,12 @@ import (
 // derived view (log, digest, stats, latency) is a pure function of the
 // arrival set. The durable ticsgate store (internal/gate) is this same
 // core plus a WAL.
+//
+// The derived views read a kept log: the retained minima in
+// ArrivalBefore order, with the digest line of each delivered one
+// rendered once. A read merges in only the minima appended or replaced
+// since the previous read, so a long-lived gateway pays for what
+// changed, not for everything it holds.
 type Gateway struct {
 	// FreshnessMs is the end-to-end deadline Accept judges arrivals
 	// against: a packet whose first arrival lands more than FreshnessMs
@@ -33,10 +42,47 @@ type Gateway struct {
 	// the network. Zero disables.
 	FreshnessMs float64
 
-	index    map[gwKey]int // position of each (device, seq) in min
-	min      []retained    // per (device, seq): the ArrivalBefore-minimal arrival so far
-	arrivals int64
-	order    []int // indices into min in ArrivalBefore order; nil once an Accept changes min
+	index              map[gwKey]int // position of each (device, seq) in min
+	min                []retained    // per (device, seq): the ArrivalBefore-minimal arrival so far
+	arrivals           int64
+	delivered, expired int64 // retained minima by verdict
+
+	// The kept log, as of the last read: every slot of min below merged
+	// in ArrivalBefore order, and the digest lines of the delivered ones
+	// back to back in that order. Slots below merged that Accept has
+	// replaced since are listed once in replaced and flagged in stale.
+	order    []logEntry
+	lines    []byte
+	merged   int
+	replaced []int32
+	stale    []uint64 // bit per slot
+}
+
+// logEntry is one retained minimum's place in the kept log: its slot,
+// its arrival time (the leading ArrivalBefore key), its latency for the
+// histogram and the length of its digest line in lines (0 when it is
+// expired; a line is under 700 bytes even for ±MaxFloat64 times).
+type logEntry struct {
+	at   float64
+	lat  float64
+	slot int32
+	n    uint16
+}
+
+// compare orders log entries as ArrivalBefore orders their arrivals.
+// Minima never share (device, seq), so Attempt and Echo never decide;
+// device and seq are read from the slot on a time tie, and stay valid
+// for a replaced slot's old entry because a replacement keeps both.
+// cmp.Compare keeps the order total even for a NaN arrival time.
+func (g *Gateway) compare(a, b *logEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	ra, rb := &g.min[a.slot], &g.min[b.slot]
+	if c := cmp.Compare(ra.Dev, rb.Dev); c != 0 {
+		return c
+	}
+	return cmp.Compare(ra.Seq, rb.Seq)
 }
 
 // retained is the gateway's state for one (device, seq): its first
@@ -91,16 +137,32 @@ func (g *Gateway) Accept(a Arrival) { g.AcceptWithin(a, g.FreshnessMs) }
 func (g *Gateway) AcceptWithin(a Arrival, freshMs float64) {
 	g.arrivals++
 	k := gwKey{a.Dev, a.Seq}
-	switch i, ok := g.index[k]; {
+	i, ok := g.index[k]
+	switch {
 	case !ok:
-		g.index[k] = len(g.min)
+		i = len(g.min)
+		g.index[k] = i
 		g.min = append(g.min, retained{a, freshMs})
 	case ArrivalBefore(a, g.min[i].Arrival):
+		g.count(&g.min[i], -1)
 		g.min[i] = retained{a, freshMs}
+		if w, bit := i/64, uint64(1)<<(i%64); i < g.merged && g.stale[w]&bit == 0 {
+			g.stale[w] |= bit
+			g.replaced = append(g.replaced, int32(i))
+		}
 	default:
 		return
 	}
-	g.order = nil
+	g.count(&g.min[i], 1)
+}
+
+// count adds d to the verdict counter of r.
+func (g *Gateway) count(r *retained, d int64) {
+	if r.expired() {
+		g.expired += d
+	} else {
+		g.delivered += d
+	}
 }
 
 // AddDuplicates counts n arrivals that lost to already-retained minima
@@ -108,48 +170,92 @@ func (g *Gateway) AcceptWithin(a Arrival, freshMs float64) {
 // and the arrival total, restores the duplicate count.
 func (g *Gateway) AddDuplicates(n int64) { g.arrivals += n }
 
-// ordered returns the indices of the retained minima in ArrivalBefore
-// order, sorting once per change. Keys are distinct, so the order is
-// total.
-func (g *Gateway) ordered() []int {
-	if g.order == nil && len(g.min) > 0 {
-		g.order = make([]int, len(g.min))
-		for i := range g.order {
-			g.order[i] = i
-		}
-		slices.SortFunc(g.order, func(i, j int) int {
-			switch {
-			case ArrivalBefore(g.min[i].Arrival, g.min[j].Arrival):
-				return -1
-			case ArrivalBefore(g.min[j].Arrival, g.min[i].Arrival):
-				return 1
-			}
-			return 0
-		})
+// sync brings the kept log up to date. Only the slots appended or
+// replaced since the last read are sorted and rendered; one linear pass
+// then merges them into the kept order and lines, dropping the entries
+// of replaced slots. The first read of a fresh gateway merges
+// everything into the empty log.
+func (g *Gateway) sync() {
+	if g.merged == len(g.min) && len(g.replaced) == 0 {
+		return
 	}
-	return g.order
+	fresh := make([]logEntry, 0, len(g.replaced)+len(g.min)-g.merged)
+	entry := func(i int32) logEntry {
+		r := &g.min[i]
+		return logEntry{at: r.ArriveMs, lat: r.ArriveMs - r.SentMs, slot: i}
+	}
+	for _, i := range g.replaced {
+		fresh = append(fresh, entry(i))
+	}
+	for i := g.merged; i < len(g.min); i++ {
+		fresh = append(fresh, entry(int32(i)))
+	}
+	slices.SortFunc(fresh, func(a, b logEntry) int { return g.compare(&a, &b) })
+	add := make([]byte, 0, len(fresh)*48)
+	for k := range fresh {
+		if r := &g.min[fresh[k].slot]; !r.expired() {
+			n := len(add)
+			add = appendDigestLine(add, &r.Arrival)
+			fresh[k].n = uint16(len(add) - n)
+		}
+	}
+
+	order := make([]logEntry, 0, len(g.order)-len(g.replaced)+len(fresh))
+	lines := make([]byte, 0, len(g.lines)+len(add))
+	run, off := 0, 0 // g.order[run:] and g.lines[off:] are not yet copied
+	flush := func(end, endOff int) {
+		order = append(order, g.order[run:end]...)
+		lines = append(lines, g.lines[off:endOff]...)
+		run, off = end, endOff
+	}
+	j, addOff, at := 0, 0, 0 // at: byte offset of g.order[k]'s line
+	for k := range g.order {
+		e := &g.order[k]
+		for ; j < len(fresh) && g.compare(&fresh[j], e) < 0; j++ {
+			flush(k, at)
+			n := int(fresh[j].n)
+			order = append(order, fresh[j])
+			lines = append(lines, add[addOff:addOff+n]...)
+			addOff += n
+		}
+		if len(g.replaced) > 0 && g.stale[e.slot/64]&(1<<(e.slot%64)) != 0 {
+			flush(k, at)
+			run, off = k+1, at+int(e.n) // drop the replaced slot's old entry
+		}
+		at += int(e.n)
+	}
+	flush(len(g.order), len(g.lines))
+	order = append(order, fresh[j:]...)
+	lines = append(lines, add[addOff:]...)
+
+	for _, i := range g.replaced {
+		g.stale[i/64] &^= 1 << (i % 64)
+	}
+	g.order, g.lines, g.replaced = order, lines, g.replaced[:0]
+	g.merged = len(g.min)
+	if words := (g.merged + 63) / 64; len(g.stale) < words {
+		g.stale = append(g.stale, make([]uint64, words-len(g.stale))...)
+	}
 }
 
 // Retained calls fn for every retained first arrival, in ArrivalBefore
 // order, with the freshness budget it is judged against.
 func (g *Gateway) Retained(fn func(a Arrival, freshMs float64)) {
-	for _, i := range g.ordered() {
-		r := &g.min[i]
+	g.sync()
+	for k := range g.order {
+		r := &g.min[g.order[k].slot]
 		fn(r.Arrival, r.freshMs)
 	}
 }
 
 // Stats returns the gateway counters.
 func (g *Gateway) Stats() GatewayStats {
-	st := GatewayStats{Arrivals: g.arrivals, Duplicates: g.arrivals - int64(len(g.min))}
-	for i := range g.min {
-		if g.min[i].expired() {
-			st.Expired++
-		} else {
-			st.Delivered++
-		}
+	return GatewayStats{
+		Arrivals:   g.arrivals,
+		Delivered:  g.delivered,
+		Duplicates: g.arrivals - int64(len(g.min)),
+		Expired:    g.expired,
 	}
-	return st
 }
 
 // deviceCounts returns the delivered and expired packet counts of
@@ -173,10 +279,11 @@ func (g *Gateway) deviceCounts(n int) (delivered, expired []int64) {
 // Log returns the accepted deliveries in observation (ArrivalBefore)
 // order.
 func (g *Gateway) Log() []Delivery {
+	g.sync()
 	var out []Delivery
-	for _, i := range g.ordered() {
-		r := &g.min[i]
-		if !r.expired() {
+	for k := range g.order {
+		if e := &g.order[k]; e.n > 0 {
+			r := &g.min[e.slot]
 			out = append(out, Delivery{Dev: r.Dev, Seq: r.Seq, Value: r.Value, SentMs: r.SentMs, ArriveMs: r.ArriveMs})
 		}
 	}
@@ -206,19 +313,9 @@ func (g *Gateway) DeviceLog(dev int) []Delivery {
 // HTTP-attached fleet's digest byte-comparable to an in-process run of
 // the same manifest.
 func (g *Gateway) Digest() string {
-	h := sha256.New()
-	var buf []byte
-	for _, i := range g.ordered() {
-		if r := &g.min[i]; !r.expired() {
-			buf = appendDigestLine(buf, &r.Arrival)
-			if len(buf) >= 4096 {
-				h.Write(buf)
-				buf = buf[:0]
-			}
-		}
-	}
-	h.Write(buf)
-	return hex.EncodeToString(h.Sum(nil))
+	g.sync()
+	sum := sha256.Sum256(g.lines)
+	return hex.EncodeToString(sum[:])
 }
 
 // appendDigestLine appends one delivery's canonical line, "dev seq value
@@ -232,10 +329,61 @@ func appendDigestLine(b []byte, a *Arrival) []byte {
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, int64(a.Value), 10)
 	b = append(b, ' ')
-	b = strconv.AppendFloat(b, a.SentMs, 'f', 6, 64)
+	b = appendMs(b, a.SentMs)
 	b = append(b, ' ')
-	b = strconv.AppendFloat(b, a.ArriveMs, 'f', 6, 64)
+	b = appendMs(b, a.ArriveMs)
 	return append(b, '\n')
+}
+
+// appendMs appends x to six decimals, the bytes strconv.AppendFloat(b,
+// x, 'f', 6, 64) renders. strconv takes its arbitrary-precision path
+// for every fixed-precision 'f'; below 2^43 in magnitude x·10⁶ rounds
+// to a uint64, so it is computed here from the exact 128-bit product of
+// the mantissa and 10⁶ with the same round-half-even rule. Larger,
+// infinite and NaN values go to strconv.
+func appendMs(b []byte, x float64) []byte {
+	if !(math.Abs(x) < 1<<43) {
+		return strconv.AppendFloat(b, x, 'f', 6, 64)
+	}
+	fb := math.Float64bits(x)
+	mant, exp := fb&(1<<52-1), int(fb>>52&0x7FF)
+	if exp == 0 {
+		exp = 1
+	} else {
+		mant |= 1 << 52
+	}
+	shift := uint(1075 - exp) // |x| = mant / 2^shift, and shift >= 10
+	hi, lo := bits.Mul64(mant, 1e6)
+	var q uint64 // |x|·10⁶ rounded down
+	var up bool  // ... and whether it rounds up instead
+	switch {
+	case shift >= 128: // the product is below 2^73, less than half a unit
+	case shift > 64:
+		s := shift - 64
+		q = hi >> s
+		rem, half := hi&(1<<s-1), uint64(1)<<(s-1)
+		up = rem > half || rem == half && (lo != 0 || q&1 == 1)
+	case shift == 64:
+		q = hi
+		up = lo > 1<<63 || lo == 1<<63 && q&1 == 1
+	default:
+		q = hi<<(64-shift) | lo>>shift
+		rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
+		up = rem > half || rem == half && q&1 == 1
+	}
+	if up {
+		q++
+	}
+	if fb>>63 != 0 {
+		b = append(b, '-')
+	}
+	b = strconv.AppendUint(b, q/1e6, 10)
+	var frac [7]byte
+	frac[0] = '.'
+	for i, f := 6, q%1e6; i > 0; i, f = i-1, f/10 {
+		frac[i] = byte('0' + f%10)
+	}
+	return append(b, frac[:]...)
 }
 
 // LatencyHistogram builds the end-to-end delivery latency histogram
@@ -243,11 +391,11 @@ func appendDigestLine(b []byte, a *Arrival) []byte {
 // function of the arrival set. The fleet rollup merges it into the
 // fleet-wide registry (bounds always match).
 func (g *Gateway) LatencyHistogram() *obs.Histogram {
+	g.sync()
 	h := obs.NewHistogram(LatencyBounds)
-	for _, i := range g.ordered() {
-		r := &g.min[i]
-		if !r.expired() {
-			h.Observe(r.ArriveMs - r.SentMs)
+	for k := range g.order {
+		if e := &g.order[k]; e.n > 0 {
+			h.Observe(e.lat)
 		}
 	}
 	return h

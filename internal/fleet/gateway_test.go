@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"repro/internal/obs"
@@ -272,5 +273,34 @@ func TestDigestLineMatchesFmt(t *testing.T) {
 		if got, want := g.Digest(), fmtDigest(g); got != want {
 			t.Fatalf("fresh %g: digest %s, fmt reference %s", fresh, got, want)
 		}
+	}
+}
+
+// TestAppendMsMatchesStrconv holds the integer six-decimal renderer to
+// strconv's 'f' rendering: random bit patterns at every exponent up to
+// past the 2^43 cut-over, exact ties at the sixth decimal (multiples of
+// 1/128 and other dyadic fractions), carries into the integer part,
+// subnormals and signed zeros.
+func TestAppendMsMatchesStrconv(t *testing.T) {
+	check := func(x float64) {
+		t.Helper()
+		if got, want := string(appendMs(nil, x)), strconv.FormatFloat(x, 'f', 6, 64); got != want {
+			t.Fatalf("appendMs(%v) [bits %#x] = %q, strconv %q", x, math.Float64bits(x), got, want)
+		}
+	}
+	for _, x := range []float64{0, math.Copysign(0, -1), 1 << 43, math.Nextafter(1<<43, 0), -(1 << 43),
+		0.0078125, 0.0234375, 0.9999995, 0.99999949999999, 9.9999995, 0.0000005, 0.0000015, -0.0000005,
+		1e-7, 5e-7, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-75, 0x1p-64, 0x1p-63} {
+		check(x)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 50000; i++ {
+		// Any sign and mantissa, biased exponent 0 (subnormal) to 1068 (2^45).
+		exp := uint64(rng.Intn(1069))
+		check(math.Float64frombits(uint64(rng.Intn(2))<<63 | exp<<52 | rng.Uint64()&(1<<52-1)))
+		// Dyadic fractions: every tie at the sixth decimal is one.
+		check(float64(rng.Int63n(1<<40)) / float64(uint64(1)<<rng.Intn(64)))
+		// Millisecond timestamps as the channel makes them.
+		check(float64(rng.Intn(1<<20)) + rng.Float64()*20)
 	}
 }

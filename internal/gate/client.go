@@ -67,18 +67,35 @@ func (c *Client) httpClient() *http.Client {
 	return &http.Client{Timeout: DefaultRequestTimeout}
 }
 
-// IngestWave ships one wave of arrivals as the next batch. Called from
-// the fleet's deterministic channel pass, in wave order.
+// IngestWave ships one wave of arrivals as the next batch, or, when its
+// body would exceed MaxIngestBody, as the next several batches, halving
+// until each part fits. Called from the fleet's deterministic channel
+// pass, in wave order.
 func (c *Client) IngestWave(arrivals []fleet.Arrival) error {
-	c.batch++
 	frames := make([]Frame, len(arrivals))
 	for i, a := range arrivals {
 		frames[i] = FrameFromArrival(a, c.FreshMs)
 	}
-	body, err := json.Marshal(IngestRequest{Source: c.source(), Batch: c.batch, Frames: frames})
+	return c.ingest(frames)
+}
+
+// ingest sends frames as the next batch, split as IngestWave describes.
+// A part is numbered only when it is sent, so the numbers stay
+// consecutive and the server's per-source high-water mark applies each
+// part exactly once.
+func (c *Client) ingest(frames []Frame) error {
+	body, err := json.Marshal(IngestRequest{Source: c.source(), Batch: c.batch + 1, Frames: frames})
 	if err != nil {
 		return err
 	}
+	if len(body) > MaxIngestBody && len(frames) > 1 {
+		half := len(frames) / 2
+		if err := c.ingest(frames[:half]); err != nil {
+			return err
+		}
+		return c.ingest(frames[half:])
+	}
+	c.batch++
 	var resp IngestResponse
 	return c.retry(func() error {
 		return c.once(http.MethodPost, "/v1/ingest", body, &resp)

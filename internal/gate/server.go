@@ -15,7 +15,8 @@ import (
 // Server fronts a Store with the ticsgate HTTP surface:
 //
 //	POST /v1/ingest   one batch of frames; 200 with {"applied":...}
-//	                  after the WAL fsync, 409 on a batch-sequence gap
+//	                  after the WAL fsync, 409 on a batch-sequence gap,
+//	                  413 on a body over MaxIngestBody
 //	GET  /v1/digest   durable accounting: digest, stats, quantiles
 //	GET  /healthz     liveness plus recovery info
 //	GET  /metrics     Prometheus text format (obs registry + gauges)
@@ -23,7 +24,10 @@ import (
 // The store is single-writer; one mutex serializes every handler. That
 // is deliberate: ingest durability is fsync-bound, not lock-bound, and
 // a total order over batch applications keeps the exactly-once
-// reasoning one-dimensional.
+// reasoning one-dimensional. A digest read holds the mutex too, but the
+// gateway core keeps its ordered, rendered delivery log between reads,
+// so a read costs what arrived since the previous one, not the whole
+// state.
 type Server struct {
 	// CrashAfter, when positive, SIGKILLs the process immediately after
 	// the Nth *applied* batch is made durable but before its HTTP
@@ -38,6 +42,13 @@ type Server struct {
 	reg     *obs.Registry
 	applied int64
 }
+
+// MaxIngestBody caps a POST /v1/ingest body: a larger one is refused
+// with 413 before anything is applied, so one request cannot make the
+// server buffer an unbounded frame list. It is about 25,000 frames, far
+// above a 512-frame wave's 80 KB; Client.IngestWave splits a wave that
+// would exceed it into consecutive batches.
+const MaxIngestBody = 4 << 20
 
 // NewServer wraps an opened store.
 func NewServer(st *Store) *Server {
@@ -72,9 +83,14 @@ func (s *Server) Handler() http.Handler {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxIngestBody)).Decode(&req); err != nil {
 		s.countError()
-		http.Error(w, "bad ingest body: "+err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad ingest body: "+err.Error(), code)
 		return
 	}
 	s.mu.Lock()

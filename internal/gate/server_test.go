@@ -190,3 +190,72 @@ func TestMetricsScrapeDuringIngest(t *testing.T) {
 		t.Fatalf("/metrics after the ingests lacks %q:\n%s", want, w.Body)
 	}
 }
+
+// oversizeWave returns arrivals whose single-batch ingest body exceeds
+// MaxIngestBody, and that body's size.
+func oversizeWave(t *testing.T, fresh float64) ([]fleet.Arrival, int) {
+	t.Helper()
+	arrivals := synthArrivals(5, 40000)
+	frames := make([]Frame, len(arrivals))
+	for i, a := range arrivals {
+		frames[i] = FrameFromArrival(a, fresh)
+	}
+	body, err := json.Marshal(IngestRequest{Source: "s", Batch: 1, Frames: frames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2*MaxIngestBody {
+		t.Fatalf("wave body %d bytes does not need splitting twice", len(body))
+	}
+	return arrivals, len(body)
+}
+
+// TestClientSplitsOversizeWave: a wave whose body would pass
+// MaxIngestBody lands as several consecutive batches, each under the
+// cap, and the store ends with the in-process gateway's accounting; the
+// next wave takes the next batch number.
+func TestClientSplitsOversizeWave(t *testing.T) {
+	const fresh = 100.0
+	arrivals, size := oversizeWave(t, fresh)
+	st := openStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	ts := httptest.NewServer(NewServer(st).Handler())
+	defer ts.Close()
+
+	c := NewClient(ts.URL, fresh)
+	if err := c.IngestWave(arrivals); err != nil {
+		t.Fatal(err)
+	}
+	parts := st.SourceHWM(c.Source)
+	if parts < 3 || int(parts) > 2*size/MaxIngestBody+1 {
+		t.Fatalf("a %d-byte wave landed as %d batches", size, parts)
+	}
+	last := fleet.Arrival{Dev: 99, Seq: 1, SentMs: 1, ArriveMs: 2}
+	if err := c.IngestWave([]fleet.Arrival{last}); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SourceHWM(c.Source); got != parts+1 {
+		t.Fatalf("next wave took batch %d, want %d", got, parts+1)
+	}
+	assertMatchesRef(t, st, refGateway(append(arrivals, last), fresh))
+}
+
+// TestOversizeIngestRefused: a raw POST over MaxIngestBody is answered
+// 413 and leaves no trace in the store.
+func TestOversizeIngestRefused(t *testing.T) {
+	arrivals, _ := oversizeWave(t, 100)
+	st := openStore(t, t.TempDir(), Options{})
+	defer st.Close()
+	h := NewServer(st).Handler()
+	frames := make([]Frame, len(arrivals))
+	for i, a := range arrivals {
+		frames[i] = FrameFromArrival(a, 100)
+	}
+	empty, wal := st.Digest(), st.WALBytes()
+	if w := postIngest(t, h, IngestRequest{Source: "s", Batch: 1, Frames: frames}); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize ingest: %d %s, want 413", w.Code, w.Body)
+	}
+	if st.Digest() != empty || st.WALBytes() != wal || st.Sources() != 0 || st.Stats() != (fleet.GatewayStats{}) {
+		t.Fatalf("refused body changed the store: %d sources, %d WAL bytes, %+v", st.Sources(), st.WALBytes(), st.Stats())
+	}
+}

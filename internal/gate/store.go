@@ -318,7 +318,9 @@ func (s *Store) Ingest(source string, batch uint64, frames []Frame) (applied boo
 		return false, fmt.Errorf("%w: source %q batch %d after high-water mark %d", ErrBatchGap, source, batch, hwm)
 	}
 
-	rec := frameRecord(recBatch, encodeBatch(source, batch, frames))
+	rec := appendRecord(make([]byte, 0, recOverhead+batchLen(source, len(frames))), recBatch, func(b []byte) []byte {
+		return appendBatch(b, source, batch, frames)
+	})
 	if _, err := s.wal.Write(rec); err != nil {
 		return false, fmt.Errorf("gate: wal append: %w", err)
 	}
@@ -344,18 +346,14 @@ func (s *Store) Ingest(source string, batch uint64, frames []Frame) (applied boo
 // snapshot plus the old WAL, whose every batch is at or below the
 // snapshot's high-water marks and therefore replays as a no-op.
 func (s *Store) Compact() error {
-	best := make([]Frame, 0, s.core.Unique())
-	s.core.Retained(func(a fleet.Arrival, freshMs float64) {
-		best = append(best, FrameFromArrival(a, freshMs))
-	})
-	payload := encodeSnapshot(s.core.Stats().Arrivals, s.sources, best)
+	rec := s.snapshotRecord()
 	tmp := s.snapPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	if _, err := f.Write(fileHeader()); err == nil {
-		_, err = f.Write(frameRecord(recSnapshot, payload))
+		_, err = f.Write(rec)
 		if err == nil {
 			err = f.Sync()
 		}
@@ -377,6 +375,21 @@ func (s *Store) Compact() error {
 	}
 	s.snapshots++
 	return nil
+}
+
+// snapshotRecord renders the whole store state as one snapshot record:
+// each retained frame, in ArrivalBefore order, goes straight into the
+// record buffer, sized up front.
+func (s *Store) snapshotRecord() []byte {
+	n := s.core.Unique()
+	b := make([]byte, 0, recOverhead+snapshotLen(s.sources, n))
+	return appendRecord(b, recSnapshot, func(b []byte) []byte {
+		b = appendSnapshotHead(b, s.core.Stats().Arrivals, s.sources, n)
+		s.core.Retained(func(a fleet.Arrival, freshMs float64) {
+			b = appendFrame(b, FrameFromArrival(a, freshMs))
+		})
+		return b
+	})
 }
 
 // Close fsyncs and closes the WAL. The store must not be used after.

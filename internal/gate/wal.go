@@ -68,14 +68,14 @@ func checkHeader(b []byte) error {
 	return nil
 }
 
-// frameRecord wraps a payload in the record framing.
-func frameRecord(typ byte, payload []byte) []byte {
-	rec := make([]byte, 0, recOverhead+len(payload))
-	rec = append(rec, typ)
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	crc := crc32.Checksum(rec[:5+len(payload)], crcTable)
-	return binary.LittleEndian.AppendUint32(rec, crc)
+// appendRecord appends one framed record to b: the type, the length of
+// the payload body appends, the payload itself and the CRC over all
+// three. The payload is written in place, so a record costs one buffer.
+func appendRecord(b []byte, typ byte, body func([]byte) []byte) []byte {
+	start := len(b)
+	b = body(append(b, typ, 0, 0, 0, 0))
+	binary.LittleEndian.PutUint32(b[start+1:], uint32(len(b)-start-5))
+	return appendU32(b, crc32.Checksum(b[start:], crcTable))
 }
 
 // record is one decoded WAL record.
@@ -223,8 +223,9 @@ func (r *binReader) frame() Frame {
 
 // Batch payload: [source str16][batch u64][count u32][count × frame].
 
-func encodeBatch(source string, batch uint64, frames []Frame) []byte {
-	b := make([]byte, 0, 2+len(source)+8+4+len(frames)*frameLen)
+func batchLen(source string, frames int) int { return 2 + len(source) + 8 + 4 + frames*frameLen }
+
+func appendBatch(b []byte, source string, batch uint64, frames []Frame) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(source)))
 	b = append(b, source...)
 	b = appendU64(b, batch)
@@ -257,8 +258,17 @@ func decodeBatch(payload []byte) (source string, batch uint64, frames []Frame, e
 // str16, hwm u64)][nbest u32][nbest × frame]. The (device, seq) key of
 // each retained frame rides inside the frame itself.
 
-func encodeSnapshot(arrivals int64, sources map[string]uint64, best []Frame) []byte {
-	b := make([]byte, 0, 8+4+len(sources)*16+4+len(best)*frameLen)
+func snapshotLen(sources map[string]uint64, best int) int {
+	n := 8 + 4 + 4 + best*frameLen
+	for src := range sources {
+		n += 2 + len(src) + 8
+	}
+	return n
+}
+
+// appendSnapshotHead appends everything of a snapshot payload before its
+// nbest frames, which the caller appends next.
+func appendSnapshotHead(b []byte, arrivals int64, sources map[string]uint64, nbest int) []byte {
 	b = appendU64(b, uint64(arrivals))
 	b = appendU32(b, uint32(len(sources)))
 	for _, src := range sortedSourceKeys(sources) {
@@ -266,11 +276,7 @@ func encodeSnapshot(arrivals int64, sources map[string]uint64, best []Frame) []b
 		b = append(b, src...)
 		b = appendU64(b, sources[src])
 	}
-	b = appendU32(b, uint32(len(best)))
-	for _, f := range best {
-		b = appendFrame(b, f)
-	}
-	return b
+	return appendU32(b, uint32(nbest))
 }
 
 func decodeSnapshot(payload []byte) (arrivals int64, sources map[string]uint64, best []Frame, err error) {

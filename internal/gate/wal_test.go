@@ -1,9 +1,14 @@
 package gate
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/fleet"
 )
 
 // walCorpus writes nBatches batches into a never-compacting store and
@@ -184,5 +189,93 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Trailing garbage must be rejected, not ignored.
 	if _, _, _, err := decodeSnapshot(append(encodeSnapshot(1, nil, nil), 0)); err == nil {
 		t.Fatal("trailing bytes accepted")
+	}
+}
+
+// The encoders the store used before it wrote records in place: each
+// payload built in its own buffer, then copied into a framed record.
+// TestRecordsMatchCopyingEncoders holds the in-place ones to their bytes.
+
+func frameRecord(typ byte, payload []byte) []byte {
+	rec := make([]byte, 0, recOverhead+len(payload))
+	rec = append(rec, typ)
+	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(payload)))
+	rec = append(rec, payload...)
+	crc := crc32.Checksum(rec[:5+len(payload)], crcTable)
+	return binary.LittleEndian.AppendUint32(rec, crc)
+}
+
+func encodeBatch(source string, batch uint64, frames []Frame) []byte {
+	b := make([]byte, 0, 2+len(source)+8+4+len(frames)*frameLen)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(source)))
+	b = append(b, source...)
+	b = appendU64(b, batch)
+	b = appendU32(b, uint32(len(frames)))
+	for _, f := range frames {
+		b = appendFrame(b, f)
+	}
+	return b
+}
+
+func encodeSnapshot(arrivals int64, sources map[string]uint64, best []Frame) []byte {
+	b := make([]byte, 0, 8+4+len(sources)*16+4+len(best)*frameLen)
+	b = appendU64(b, uint64(arrivals))
+	b = appendU32(b, uint32(len(sources)))
+	for _, src := range sortedSourceKeys(sources) {
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(src)))
+		b = append(b, src...)
+		b = appendU64(b, sources[src])
+	}
+	b = appendU32(b, uint32(len(best)))
+	for _, f := range best {
+		b = appendFrame(b, f)
+	}
+	return b
+}
+
+// TestRecordsMatchCopyingEncoders: for the same store, gate.wal and
+// gate.snap hold exactly the bytes the copying encoders produce. The
+// reference snapshot lists the first arrival of each (device, seq) of
+// the globally sorted stream, so it does not lean on the gateway core.
+func TestRecordsMatchCopyingEncoders(t *testing.T) {
+	const fresh = 100.0
+	arrivals := synthArrivals(41, 300)
+	batches := asBatches(arrivals, fresh, 37)
+	dir := t.TempDir()
+	st := openStore(t, dir, Options{CompactLimit: -1})
+	defer st.Close()
+	wantWAL := fileHeader()
+	for i, b := range batches {
+		src := []string{"alpha", "b"}[i%2]
+		mustIngest(t, st, src, uint64(i/2+1), b)
+		if i%3 == 0 {
+			st.Digest() // the snapshot then walks an order kept across reads
+		}
+		wantWAL = append(wantWAL, frameRecord(recBatch, encodeBatch(src, uint64(i/2+1), b))...)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "gate.wal")); err != nil || !bytes.Equal(got, wantWAL) {
+		t.Fatalf("gate.wal differs from the copying encoder's bytes (err %v)", err)
+	}
+
+	sorted := append([]fleet.Arrival(nil), arrivals...)
+	fleet.SortArrivals(sorted)
+	var best []Frame
+	seen := map[[2]int64]bool{}
+	for _, a := range sorted {
+		if k := [2]int64{int64(a.Dev), a.Seq}; !seen[k] {
+			seen[k] = true
+			best = append(best, FrameFromArrival(a, fresh))
+		}
+	}
+	sources := map[string]uint64{"alpha": uint64((len(batches) + 1) / 2), "b": uint64(len(batches) / 2)}
+	wantSnap := append(fileHeader(), frameRecord(recSnapshot, encodeSnapshot(int64(len(arrivals)), sources, best))...)
+	if rec := st.snapshotRecord(); len(rec) != cap(rec) {
+		t.Fatalf("snapshot record is %d bytes in a %d-byte buffer: the size estimate is off", len(rec), cap(rec))
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "gate.snap")); err != nil || !bytes.Equal(got, wantSnap) {
+		t.Fatalf("gate.snap (%d bytes) differs from the copying encoder's %d bytes (err %v)", len(got), len(wantSnap), err)
 	}
 }
