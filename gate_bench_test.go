@@ -1,13 +1,14 @@
 // BenchmarkGateIngest prices the ticsgate durable-ingest path: frames
 // per second through the fsync-on-batch WAL, WAL bytes per frame, and
 // how long a cold Open (recovery replay) of the produced log takes, plus
-// one digest read at a fixed store state. The results ride in
-// BENCH_fleet.json under "gate" (merge-by-key, same ledger as the fleet
-// sweep) so `ticsbench -compare` and the validator gate gateway-service
-// regressions alongside fleet throughput.
+// one digest read at a fixed store state and one ingest body decode.
+// The results ride in BENCH_fleet.json under "gate" (merge-by-key, same
+// ledger as the fleet sweep) so `ticsbench -compare` and the validator
+// gate gateway-service regressions alongside fleet throughput.
 package tics_test
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
@@ -87,6 +88,7 @@ func BenchmarkGateIngest(b *testing.B) {
 		return // sub-benchmark filter excluded some sizes; don't write a partial table
 	}
 	results[bench.GateKey(bench.DigestBatchFrames)].DigestMs = gateDigestMs(b)
+	results[bench.GateKey(bench.DigestBatchFrames)].DecodeUs = gateDecodeUs(b)
 	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
 		for key, e := range results {
 			f.SetGate(key, e)
@@ -146,6 +148,27 @@ func gateDigestMs(b *testing.B) float64 {
 		}
 		if err := st.Close(); err != nil {
 			b.Fatal(err)
+		}
+	}
+	return best
+}
+
+// gateDecodeUs times gate.DecodeIngest on one json.Marshal body of
+// bench.DigestBatchFrames frames whose times carry full float precision,
+// as a fleet's arrivals do: the best of 20 calls, in µs.
+func gateDecodeUs(b *testing.B) float64 {
+	frames := digestFrames(0, bench.DigestBatchFrames)
+	body, err := json.Marshal(gate.IngestRequest{Source: "fleet-0123456789abcdef", Batch: 1, Frames: frames})
+	if err != nil {
+		b.Fatal(err)
+	}
+	best := math.Inf(1)
+	for rep := 0; rep < 20; rep++ {
+		start := time.Now()
+		req, err := gate.DecodeIngest(body)
+		best = min(best, float64(time.Since(start).Nanoseconds())/1e3)
+		if err != nil || len(req.Frames) != len(frames) {
+			b.Fatalf("decoded %d frames, want %d (err %v)", len(req.Frames), len(frames), err)
 		}
 	}
 	return best

@@ -171,13 +171,13 @@ func TestCompareGatesBytesPerDevice(t *testing.T) {
 	}
 }
 
-// TestCompareGatesDigestRead: a slower digest read on a shared gate key
-// is a regression; a faster one, or one measured on one side only, is
-// not.
+// TestCompareGatesDigestRead: a slower digest read or ingest decode on a
+// shared gate key is a regression; a faster one, or one measured on one
+// side only, is not.
 func TestCompareGatesDigestRead(t *testing.T) {
 	old, new := twoLedgers()
 	key := GateKey(DigestBatchFrames)
-	old.SetGate(key, &GateEntry{BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53, RecoveryMs: 33, DigestMs: 40})
+	old.SetGate(key, &GateEntry{BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53, RecoveryMs: 33, DigestMs: 40, DecodeUs: 300})
 	e := *old.Gate[key]
 	e.DigestMs = 80
 	new.SetGate(key, &e)
@@ -185,9 +185,18 @@ func TestCompareGatesDigestRead(t *testing.T) {
 	if len(regs) != 1 || regs[0].Metric != "digest_ms" || regs[0].Key != "gate/"+key || regs[0].DeltaPct != 100 {
 		t.Fatalf("regs %v, want one digest_ms regression of +100%%", regs)
 	}
-	e.DigestMs = 10
+	e.DigestMs, e.DecodeUs = 40, 450
+	regs = Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Metric != "decode_us" || regs[0].Key != "gate/"+key || regs[0].DeltaPct != 50 {
+		t.Fatalf("regs %v, want one decode_us regression of +50%%", regs)
+	}
+	e.DigestMs, e.DecodeUs = 10, 100
 	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
-		t.Fatalf("faster digest flagged %v", regs)
+		t.Fatalf("faster digest and decode flagged %v", regs)
+	}
+	e.DecodeUs = 0
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("decode measured on the baseline only flagged %v", regs)
 	}
 	delete(new.Gate, key)
 	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
@@ -241,7 +250,7 @@ func TestValidate(t *testing.T) {
 		BatchFrames: 64, Batches: 200, FramesPerSec: 3e5, WALBytesFrame: 53.4, RecoveryMs: 3.7,
 	})
 	f.SetGate(GateKey(DigestBatchFrames), &GateEntry{
-		BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53.1, RecoveryMs: 33, DigestMs: 40,
+		BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53.1, RecoveryMs: 33, DigestMs: 40, DecodeUs: 300,
 	})
 	if errs := Validate(f); len(errs) != 0 {
 		t.Fatalf("valid file rejected: %v", errs)
@@ -260,7 +269,7 @@ func TestValidate(t *testing.T) {
 	errs := Validate(bad)
 	for _, want := range []string{"does not match devices", "source", "unknown phase", "ns_per_instr", "instrs",
 		"program empty", "does not match depth", "schedules =", "cycles_explored", "schedules_per_sec", "states_per_sec",
-		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms", "digest_ms"} {
+		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms", "digest_ms", "decode_us"} {
 		found := false
 		for _, err := range errs {
 			if strings.Contains(err.Error(), want) {

@@ -29,7 +29,8 @@ func (r Regression) String() string {
 // Compare gates new against old: for every fleet key both ledgers
 // carry, devices/sec must not drop and peak RSS must not rise by more
 // than tolerance; for every shared opcode, ns/instr must not rise; for
-// every shared gate key, the digest read must not slow down.
+// every shared gate key, the digest read and the ingest decode must not
+// slow down.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -116,12 +117,17 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 		if oe == nil || ne == nil {
 			continue
 		}
-		if oe.DigestMs > 0 && ne.DigestMs > oe.DigestMs*(1+tolerance) {
-			regs = append(regs, Regression{
-				Key: "gate/" + key, Metric: "digest_ms",
-				Old: oe.DigestMs, New: ne.DigestMs,
-				DeltaPct: 100 * (ne.DigestMs - oe.DigestMs) / oe.DigestMs,
-			})
+		for _, m := range []struct {
+			name     string
+			old, new float64
+		}{{"digest_ms", oe.DigestMs, ne.DigestMs}, {"decode_us", oe.DecodeUs, ne.DecodeUs}} {
+			if m.old > 0 && m.new > m.old*(1+tolerance) {
+				regs = append(regs, Regression{
+					Key: "gate/" + key, Metric: m.name,
+					Old: m.old, New: m.new,
+					DeltaPct: 100 * (m.new - m.old) / m.old,
+				})
+			}
 		}
 	}
 	return regs

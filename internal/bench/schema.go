@@ -120,7 +120,8 @@ type MCEntry struct {
 // GateEntry is the ticsgate durable-ingest cost sheet at one batch
 // size: sustained fsync-on-batch ingest rate, WAL space per frame, and
 // how long reopening the store (snapshot load + WAL replay) takes. The
-// DigestBatchFrames entry also prices one digest read.
+// DigestBatchFrames entry also prices one digest read and one ingest
+// body decode.
 type GateEntry struct {
 	BatchFrames   int     `json:"batch_frames"`    // frames per ingested batch
 	Batches       int     `json:"batches"`         // batches in the measured run
@@ -130,10 +131,13 @@ type GateEntry struct {
 	// DigestMs is one Store.Summary over DigestRetained retained minima,
 	// DigestFresh of them new since the previous read.
 	DigestMs float64 `json:"digest_ms,omitempty"`
+	// DecodeUs is one gate.DecodeIngest of a DigestBatchFrames-frame
+	// json.Marshal body, best of several calls, in µs.
+	DecodeUs float64 `json:"decode_us,omitempty"`
 }
 
 // The digest-read row: the batch size whose gate entry carries
-// digest_ms, and the store state that read is priced at.
+// digest_ms and decode_us, and the store state that read is priced at.
 const (
 	DigestBatchFrames = 512
 	DigestRetained    = 100000

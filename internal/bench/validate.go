@@ -148,6 +148,9 @@ func Validate(f *File) []error {
 		if e.BatchFrames == DigestBatchFrames || e.DigestMs != 0 {
 			finite("gate/"+key, "digest_ms", e.DigestMs, true)
 		}
+		if e.BatchFrames == DigestBatchFrames || e.DecodeUs != 0 {
+			finite("gate/"+key, "decode_us", e.DecodeUs, true)
+		}
 	}
 	return errs
 }

@@ -43,9 +43,10 @@ type Server struct {
 	applied int64
 }
 
-// MaxIngestBody caps a POST /v1/ingest body: a larger one is refused
-// with 413 before anything is applied, so one request cannot make the
-// server buffer an unbounded frame list. It is about 25,000 frames, far
+// MaxIngestBody caps a POST /v1/ingest body by its size in bytes: a
+// larger one, whitespace included, is refused with 413 before anything
+// is decoded or applied, so one request cannot make the server buffer
+// an unbounded frame list. It is about 25,000 frames, far
 // above a 512-frame wave's 80 KB; Client.IngestWave splits a wave that
 // would exceed it into consecutive batches.
 const MaxIngestBody = 4 << 20
@@ -81,9 +82,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// handleIngest reads the whole body, at most MaxIngestBody bytes, then
+// decodes it with DecodeIngest, so a body is refused by its size and by
+// everything in it, trailing bytes included, before the lock is taken.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+	body, err := readIngestBody(w, r)
 	var req IngestRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxIngestBody)).Decode(&req); err != nil {
+	if err == nil {
+		req, err = DecodeIngest(body)
+	}
+	if err != nil {
 		s.countError()
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
@@ -128,6 +136,17 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(IngestResponse{Applied: applied, HWM: hwm})
+}
+
+// readIngestBody reads r's whole body through http.MaxBytesReader,
+// into one buffer sized by the Content-Length when that is in bounds.
+func readIngestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 && n <= MaxIngestBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxIngestBody))
+	return buf.Bytes(), err
 }
 
 // countError bumps the error counter under the store mutex — the obs

@@ -60,11 +60,13 @@ func TestServerIngestContract(t *testing.T) {
 		t.Fatalf("wide dev: %d, want 400", w.Code)
 	}
 
-	// Garbage is 400.
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader("{nope")))
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("bad body: %d, want 400", w.Code)
+	// Garbage is 400, also after a valid body, and nothing is applied.
+	for _, body := range []string{"{nope", `{"source":"s","batch":2,"frames":null} x`} {
+		w = httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body)))
+		if w.Code != http.StatusBadRequest || st.SourceHWM("s") != 1 {
+			t.Fatalf("bad body %q: %d, hwm %d, want 400 and hwm 1", body, w.Code, st.SourceHWM("s"))
+		}
 	}
 }
 
@@ -241,7 +243,8 @@ func TestClientSplitsOversizeWave(t *testing.T) {
 }
 
 // TestOversizeIngestRefused: a raw POST over MaxIngestBody is answered
-// 413 and leaves no trace in the store.
+// 413 and leaves no trace in the store, also when the bytes past the
+// cap are whitespace after a valid body.
 func TestOversizeIngestRefused(t *testing.T) {
 	arrivals, _ := oversizeWave(t, 100)
 	st := openStore(t, t.TempDir(), Options{})
@@ -254,6 +257,12 @@ func TestOversizeIngestRefused(t *testing.T) {
 	empty, wal := st.Digest(), st.WALBytes()
 	if w := postIngest(t, h, IngestRequest{Source: "s", Batch: 1, Frames: frames}); w.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize ingest: %d %s, want 413", w.Code, w.Body)
+	}
+	padded := append([]byte(`{"source":"s","batch":1,"frames":[{"dev":1,"seq":1,"arrive_ms":5}]}`), bytes.Repeat([]byte(" "), MaxIngestBody)...)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(padded)))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte padded ingest: %d %s, want 413", len(padded), w.Code, w.Body)
 	}
 	if st.Digest() != empty || st.WALBytes() != wal || st.Sources() != 0 || st.Stats() != (fleet.GatewayStats{}) {
 		t.Fatalf("refused body changed the store: %d sources, %d WAL bytes, %+v", st.Sources(), st.WALBytes(), st.Stats())
