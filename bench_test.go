@@ -335,6 +335,48 @@ func BenchmarkCheckpoint(b *testing.B) {
 	}
 }
 
+// copyWords is the size of BenchmarkCopyCharged's copy: the mean words
+// per CopyCharged call of the device-mix ar/mementos fleet, whose
+// checkpoints copy the globals and the used stack.
+const copyWords = 73
+
+// BenchmarkCopyCharged prices a Mementos-sized checkpoint copy on the
+// host: copyWords words at two passes, charged and copied inside one
+// window, reported as ns per charged word. It is merged into
+// BENCH_fleet.json's units table as "copy_charged", where -compare gates
+// it.
+func BenchmarkCopyCharged(b *testing.B) {
+	img, _, err := replay.BuildImage(replay.Spec{App: "ar", Runtime: "mementos"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := tics.NewMachine(img, tics.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src, dst := m.Img.GlobalsBase, m.Img.RuntimeBase+16
+	if dst+4*copyWords > m.Img.RuntimeBase+m.Img.RuntimeLen {
+		b.Fatalf("runtime area of %d bytes holds no %d-word copy", m.Img.RuntimeLen, copyWords)
+	}
+	m.PowerOn(1 << 60)
+	b.ResetTimer()
+	for range b.N {
+		m.CopyCharged(dst, src, 4*copyWords, 2)
+	}
+	words := int64(b.N) * copyWords
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(words)
+	b.ReportMetric(ns, "ns/word")
+	err = bench.Update("BENCH_fleet.json", func(f *bench.File) error {
+		f.SetUnit("copy_charged", &bench.UnitEntry{
+			Unit: "word", Shape: fmt.Sprintf("%d words, 2 passes", copyWords), NsPerUnit: ns, Units: words,
+		})
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkLoggedStore(b *testing.B) {
 	b.Run("working-stack-hit", func(b *testing.B) {
 		m, rt := microRig(b, 128)

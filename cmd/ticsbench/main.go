@@ -198,5 +198,5 @@ func runValidate(path string) {
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("validate: %s ok (%d fleet entries, %d opcodes, %d mc rows, %d gate rows)\n", path, len(f.Fleet), len(f.Opcodes), len(f.MC), len(f.Gate))
+	fmt.Printf("validate: %s ok (%d fleet entries, %d opcodes, %d mc rows, %d gate rows, %d unit rows)\n", path, len(f.Fleet), len(f.Opcodes), len(f.MC), len(f.Gate), len(f.Units))
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	tics "repro"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/sensors"
@@ -36,8 +37,7 @@ func clampK(k int64) int64 {
 func TestCOWMachineMatchesFlat(t *testing.T) {
 	for _, tc := range cowCorpus {
 		k := clampK(tc.k)
-		var g progGen
-		src := g.program(tc.seed)
+		src := apps.Random(tc.seed)
 		img, err := tics.Build(src, tics.BuildOptions{Runtime: tics.RTTICS})
 		if err != nil {
 			t.Fatalf("seed %d: build: %v", tc.seed, err)

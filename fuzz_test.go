@@ -2,155 +2,17 @@ package tics_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
-	"strings"
 	"testing"
 
 	tics "repro"
 	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/audit"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
 )
-
-// progGen emits random TICS-C programs: nested loops, branches, helper
-// calls, global/array/local assignments — all deterministic (no division,
-// bounded loops), so a continuous-power run is an exact oracle for every
-// protected runtime under failure injection.
-type progGen struct {
-	rng   *rand.Rand
-	buf   strings.Builder
-	depth int
-	loops int
-}
-
-func (g *progGen) expr(depth int) string {
-	atoms := []string{
-		"g0", "g1", "g2", "g3", "a", "b", "c",
-		fmt.Sprintf("%d", g.rng.Intn(200)-100),
-		fmt.Sprintf("arr[%d]", g.rng.Intn(8)),
-	}
-	if depth <= 0 {
-		return atoms[g.rng.Intn(len(atoms))]
-	}
-	ops := []string{"+", "-", "*", "&", "|", "^"}
-	switch g.rng.Intn(8) {
-	case 0:
-		return fmt.Sprintf("(%s << %d)", g.expr(depth-1), g.rng.Intn(6))
-	case 1:
-		return fmt.Sprintf("(%s >> %d)", g.expr(depth-1), g.rng.Intn(6))
-	case 2:
-		return fmt.Sprintf("(%s %s %s ? %s : %s)",
-			g.expr(depth-1), []string{"<", ">", "==", "!="}[g.rng.Intn(4)], g.expr(depth-1),
-			g.expr(depth-1), g.expr(depth-1))
-	default:
-		return fmt.Sprintf("(%s %s %s)", g.expr(depth-1), ops[g.rng.Intn(len(ops))], g.expr(depth-1))
-	}
-}
-
-func (g *progGen) stmt(indent string) {
-	switch g.rng.Intn(11) {
-	case 0, 1, 2, 3:
-		lhs := []string{"g0", "g1", "g2", "g3", "a", "b", "c",
-			fmt.Sprintf("arr[%d]", g.rng.Intn(8))}[g.rng.Intn(8)]
-		op := []string{"=", "+=", "-="}[g.rng.Intn(3)]
-		fmt.Fprintf(&g.buf, "%s%s %s %s;\n", indent, lhs, op, g.expr(2))
-	case 4, 5:
-		if g.depth >= 2 {
-			fmt.Fprintf(&g.buf, "%sg0 += %s;\n", indent, g.expr(1))
-			return
-		}
-		g.depth++
-		fmt.Fprintf(&g.buf, "%sif (%s) {\n", indent, g.expr(1))
-		g.block(indent+"    ", 1+g.rng.Intn(2))
-		if g.rng.Intn(2) == 0 {
-			fmt.Fprintf(&g.buf, "%s} else {\n", indent)
-			g.block(indent+"    ", 1+g.rng.Intn(2))
-		}
-		fmt.Fprintf(&g.buf, "%s}\n", indent)
-		g.depth--
-	case 6, 7:
-		if g.depth >= 2 || g.loops >= 3 {
-			fmt.Fprintf(&g.buf, "%sg1 ^= %s;\n", indent, g.expr(1))
-			return
-		}
-		g.depth++
-		v := fmt.Sprintf("i%d", g.loops)
-		g.loops++
-		fmt.Fprintf(&g.buf, "%sfor (%s = 0; %s < %d; %s++) {\n", indent, v, v, 2+g.rng.Intn(5), v)
-		g.block(indent+"    ", 1+g.rng.Intn(2))
-		fmt.Fprintf(&g.buf, "%s}\n", indent)
-		g.depth--
-	case 8:
-		fmt.Fprintf(&g.buf, "%sg2 = helper(%s, %s);\n", indent, g.expr(1), g.expr(1))
-	case 9:
-		if g.depth >= 2 {
-			fmt.Fprintf(&g.buf, "%sg3 %s= %s;\n", indent,
-				[]string{"*", "&", "|", "^"}[g.rng.Intn(4)], g.expr(1))
-			return
-		}
-		g.depth++
-		fmt.Fprintf(&g.buf, "%sswitch (%s & 3) {\n", indent, g.expr(1))
-		for c := 0; c < 4; c++ {
-			fmt.Fprintf(&g.buf, "%scase %d:\n", indent, c)
-			g.block(indent+"    ", 1)
-			if g.rng.Intn(2) == 0 {
-				fmt.Fprintf(&g.buf, "%s    break;\n", indent)
-			}
-		}
-		fmt.Fprintf(&g.buf, "%s}\n", indent)
-		g.depth--
-	default:
-		fmt.Fprintf(&g.buf, "%sstash(%s);\n", indent, g.expr(1))
-	}
-}
-
-func (g *progGen) block(indent string, n int) {
-	for i := 0; i < n; i++ {
-		g.stmt(indent)
-	}
-}
-
-func (g *progGen) program(seed int64) string {
-	g.rng = rand.New(rand.NewSource(seed))
-	g.buf.Reset()
-	g.depth, g.loops = 0, 0
-	g.buf.WriteString(`
-int g0; int g1; int g2; int g3;
-int arr[8];
-int slot;
-
-int helper(int x, int y) {
-    int t = x ^ (y << 1);
-    if (t < 0) { t = -t; }
-    return t + g0;
-}
-
-void stash(int v) {
-    arr[slot & 7] = v;
-    slot++;
-}
-
-int main() {
-    int a = 1;
-    int b = 2;
-    int c = 3;
-    int i0;
-    int i1;
-    int i2;
-`)
-	g.block("    ", 8+g.rng.Intn(8))
-	g.buf.WriteString(`
-    out(0, g0); out(0, g1); out(0, g2); out(0, g3);
-    out(0, a); out(0, b); out(0, c); out(0, slot);
-    for (i0 = 0; i0 < 8; i0++) { out(1, arr[i0]); }
-    return 0;
-}
-`)
-	return g.buf.String()
-}
 
 // FuzzTICSInvariants runs random programs on TICS under failure injection
 // with the trace auditor attached: every run must complete, match the
@@ -166,8 +28,7 @@ func FuzzTICSInvariants(f *testing.F) {
 			k = -k
 		}
 		k = 5_000 + k%95_000
-		var g progGen
-		src := g.program(seed)
+		src := apps.Random(seed)
 		oracle, err := tics.Run(src, tics.BuildOptions{Runtime: tics.RTPlain}, tics.RunOptions{})
 		if err != nil || !oracle.Completed {
 			t.Fatalf("oracle: %v completed=%v\n%s", err, oracle.Completed, src)
@@ -214,9 +75,8 @@ func FuzzRecordReplay(f *testing.F) {
 	f.Add(int64(9), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, powIdx uint8) {
 		powers := []string{"fail:9973", "duty:0.48", "harvest:40000,800"}
-		var g progGen
 		spec := replay.Spec{
-			Source:    g.program(seed),
+			Source:    apps.Random(seed),
 			Runtime:   "tics",
 			Power:     powers[int(powIdx)%len(powers)],
 			Clock:     "perfect",
@@ -249,9 +109,8 @@ func TestFuzzDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 6
 	}
-	var g progGen
 	for seed := int64(0); seed < int64(n); seed++ {
-		src := g.program(seed)
+		src := apps.Random(seed)
 		oracle, err := tics.Run(src, tics.BuildOptions{Runtime: tics.RTPlain}, tics.RunOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: oracle: %v\n%s", seed, err, src)
@@ -305,15 +164,14 @@ func TestFuzzDifferential(t *testing.T) {
 // FuzzAnalysis throws arbitrary source at the ticsvet static analyzer:
 // it must never panic or loop, and must either reject the input with a
 // compile error or terminate with a sorted diagnostic list. Valid random
-// programs from progGen additionally exercise every analysis pass on
+// programs from apps.Random additionally exercise every analysis pass on
 // structurally rich inputs (nested loops, helper calls, arrays).
 func FuzzAnalysis(f *testing.F) {
 	f.Add("int main() { return 0; }")
 	f.Add("@expires_after=100 int s;\nint main() { s @= sense(0); send(s); return 0; }")
 	f.Add("int g;\nint r(int n) { if (n <= 0) { return 0; } return r(n - 1); }\nint main() { g = r(3); return 0; }")
 	f.Add("int main() { @expires(") // truncated garbage
-	var g progGen
-	f.Add(g.program(7))
+	f.Add(apps.Random(7))
 	f.Fuzz(func(t *testing.T, src string) {
 		diags, err := analysis.AnalyzeSource(src, analysis.Options{
 			StackBytes:      256,
@@ -350,8 +208,7 @@ func FuzzResetPoint(f *testing.F) {
 	f.Add(int64(7), uint32(77_000))
 	f.Add(int64(13), uint32(1))
 	f.Fuzz(func(t *testing.T, seed int64, cut uint32) {
-		var g progGen
-		src := g.program(seed)
+		src := apps.Random(seed)
 		img, err := tics.Build(src, tics.BuildOptions{Runtime: tics.RTTICS})
 		if err != nil {
 			t.Fatalf("build: %v\n%s", err, src)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -204,6 +205,28 @@ func TestCompareGatesDigestRead(t *testing.T) {
 	}
 }
 
+// TestCompareGatesUnitCosts: a dearer unit on a shared key is a
+// regression; a cheaper one, or a key on one side only, is not.
+func TestCompareGatesUnitCosts(t *testing.T) {
+	old, new := twoLedgers()
+	old.SetUnit("copy_charged", &UnitEntry{Unit: "word", Shape: "73 words, 2 passes", NsPerUnit: 2, Units: 7300})
+	e := *old.Units["copy_charged"]
+	e.NsPerUnit = 3
+	new.SetUnit("copy_charged", &e)
+	regs := Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Metric != "ns_per_unit" || regs[0].Key != "unit/copy_charged" || regs[0].DeltaPct != 50 {
+		t.Fatalf("regs %v, want one ns_per_unit regression of +50%%", regs)
+	}
+	e.NsPerUnit = 1
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("cheaper unit flagged %v", regs)
+	}
+	delete(new.Units, "copy_charged")
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("baseline-only unit key flagged %v", regs)
+	}
+}
+
 func TestCompareSkipsMismatchedHosts(t *testing.T) {
 	old, new := twoLedgers()
 	new.Fleet["n=1000"].Best.DevicesPerSec = 1 // would be a huge regression
@@ -252,6 +275,7 @@ func TestValidate(t *testing.T) {
 	f.SetGate(GateKey(DigestBatchFrames), &GateEntry{
 		BatchFrames: DigestBatchFrames, Batches: 200, FramesPerSec: 1e6, WALBytesFrame: 53.1, RecoveryMs: 33, DigestMs: 40, DecodeUs: 300,
 	})
+	f.SetUnit("copy_charged", &UnitEntry{Unit: "word", Shape: "73 words, 2 passes", NsPerUnit: 1.5, Units: 7300})
 	if errs := Validate(f); len(errs) != 0 {
 		t.Fatalf("valid file rejected: %v", errs)
 	}
@@ -266,10 +290,13 @@ func TestValidate(t *testing.T) {
 	bad.SetMC("depth=2", &MCEntry{Depth: 1, Schedules: 0, CyclesExplored: 0, SchedulesPerSec: 0, StatesPerSec: 0})
 	bad.SetGate("batch=9", &GateEntry{BatchFrames: 1, Batches: 0, FramesPerSec: 0, WALBytesFrame: -1, RecoveryMs: 0})
 	bad.SetGate(GateKey(DigestBatchFrames), &GateEntry{BatchFrames: DigestBatchFrames, Batches: 1, FramesPerSec: 1, WALBytesFrame: 1, RecoveryMs: 1})
+	bad.SetUnit("copy_charged", &UnitEntry{NsPerUnit: math.Inf(1), Units: 0})
+	bad.SetUnit("other", &UnitEntry{Unit: "word", Shape: "s", NsPerUnit: 0, Units: 1})
 	errs := Validate(bad)
 	for _, want := range []string{"does not match devices", "source", "unknown phase", "ns_per_instr", "instrs",
 		"program empty", "does not match depth", "schedules =", "cycles_explored", "schedules_per_sec", "states_per_sec",
-		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms", "digest_ms", "decode_us"} {
+		"does not match batch_frames", "batches =", "frames_per_sec", "wal_bytes_frame", "recovery_ms", "digest_ms", "decode_us",
+		"unit or shape empty", "unit/copy_charged: ns_per_unit is not finite", "units = 0", "unit/other: ns_per_unit = 0"} {
 		found := false
 		for _, err := range errs {
 			if strings.Contains(err.Error(), want) {

@@ -30,7 +30,7 @@ func (r Regression) String() string {
 // carry, devices/sec must not drop and peak RSS must not rise by more
 // than tolerance; for every shared opcode, ns/instr must not rise; for
 // every shared gate key, the digest read and the ingest decode must not
-// slow down.
+// slow down; for every shared unit cost, ns per unit must not rise.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -128,6 +128,25 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 					DeltaPct: 100 * (m.new - m.old) / m.old,
 				})
 			}
+		}
+	}
+
+	unitKeys := make([]string, 0, len(old.Units))
+	for key := range old.Units {
+		unitKeys = append(unitKeys, key)
+	}
+	sort.Strings(unitKeys)
+	for _, key := range unitKeys {
+		oe, ne := old.Units[key], new.Units[key]
+		if oe == nil || ne == nil {
+			continue
+		}
+		if oe.NsPerUnit > 0 && ne.NsPerUnit > oe.NsPerUnit*(1+tolerance) {
+			regs = append(regs, Regression{
+				Key: "unit/" + key, Metric: "ns_per_unit",
+				Old: oe.NsPerUnit, New: ne.NsPerUnit,
+				DeltaPct: 100 * (ne.NsPerUnit - oe.NsPerUnit) / oe.NsPerUnit,
+			})
 		}
 	}
 	return regs

@@ -35,6 +35,10 @@ type File struct {
 	// Gate holds the standalone gateway service's durable-ingest costs,
 	// keyed "batch=<frames>" (BenchmarkGateIngest).
 	Gate map[string]*GateEntry `json:"gate,omitempty"`
+	// Units holds host costs per unit of simulated work, keyed by the
+	// operation priced ("copy_charged": BenchmarkCopyCharged) — the unit
+	// costs a layer decomposition multiplies by counted units.
+	Units map[string]*UnitEntry `json:"units,omitempty"`
 }
 
 // Host describes the measuring machine.
@@ -136,6 +140,15 @@ type GateEntry struct {
 	DecodeUs float64 `json:"decode_us,omitempty"`
 }
 
+// UnitEntry is the host cost of one unit of an operation, measured by a
+// microbenchmark over a fixed shape of the operation.
+type UnitEntry struct {
+	Unit      string  `json:"unit"`        // what one unit is, e.g. "word"
+	Shape     string  `json:"shape"`       // the operation measured, e.g. "73 words, 2 passes"
+	NsPerUnit float64 `json:"ns_per_unit"` // host ns per unit
+	Units     int64   `json:"units"`       // units measured
+}
+
 // The digest-read row: the batch size whose gate entry carries
 // digest_ms and decode_us, and the store state that read is priced at.
 const (
@@ -193,6 +206,14 @@ func (f *File) SetGate(key string, e *GateEntry) {
 		f.Gate = map[string]*GateEntry{}
 	}
 	f.Gate[key] = e
+}
+
+// SetUnit merges one unit-cost entry by key.
+func (f *File) SetUnit(key string, e *UnitEntry) {
+	if f.Units == nil {
+		f.Units = map[string]*UnitEntry{}
+	}
+	f.Units[key] = e
 }
 
 // FleetKeys returns the fleet keys sorted by device count (then

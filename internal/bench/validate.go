@@ -152,5 +152,19 @@ func Validate(f *File) []error {
 			finite("gate/"+key, "decode_us", e.DecodeUs, true)
 		}
 	}
+
+	for key, e := range f.Units {
+		if e == nil {
+			bad("unit %s: null entry", key)
+			continue
+		}
+		if e.Unit == "" || e.Shape == "" {
+			bad("unit %s: unit or shape empty", key)
+		}
+		finite("unit/"+key, "ns_per_unit", e.NsPerUnit, true)
+		if e.Units <= 0 {
+			bad("unit %s: units = %d, want > 0", key, e.Units)
+		}
+	}
 	return errs
 }

@@ -6,13 +6,8 @@ import (
 	"testing"
 )
 
-// FuzzIngest feeds arbitrary ingest bodies through DecodeIngest, which
-// must decode each exactly as json.Unmarshal does (both refuse with the
-// same error, or both yield equal requests), then ingests the request
-// into a store and reopens it: whatever Ingest accepted must replay from
-// the WAL to the same digest and high-water mark, and whatever it
-// refused must leave no trace.
-func FuzzIngest(f *testing.F) {
+// addIngestSeeds seeds an ingest-body fuzz target.
+func addIngestSeeds(f *testing.F) {
 	f.Add([]byte(`{"source":"s","batch":1,"frames":[{"dev":1,"seq":1,"arrive_ms":5}]}`))
 	f.Add([]byte(`{"source":"s","batch":1,"frames":[{"dev":4294967297,"seq":1,"attempt":2}]}`))
 	f.Add([]byte(`{"source":"s","batch":1,"frames":[{"dev":-3,"seq":-1,"value":-7,"sent_ms":1e300,"device_ms":-9,"arrive_ms":-0.5,"attempt":-2147483648,"echo":true,"fresh_ms":3}]}`))
@@ -57,18 +52,43 @@ func FuzzIngest(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
+}
+
+// decodeLikeUnmarshal decodes body with DecodeIngest and requires
+// json.Unmarshal's verdict: both refuse with the same error text, or
+// both yield equal requests. ok reports a decoded request.
+func decodeLikeUnmarshal(t *testing.T, body []byte) (req IngestRequest, ok bool) {
+	req, err := DecodeIngest(body)
+	var ref IngestRequest
+	refErr := json.Unmarshal(body, &ref)
+	if (err != nil) != (refErr != nil) || err != nil && err.Error() != refErr.Error() {
+		t.Fatalf("DecodeIngest error %v, json.Unmarshal error %v", err, refErr)
+	}
+	if err == nil && !reflect.DeepEqual(req, ref) {
+		t.Fatalf("DecodeIngest decoded %+v, json.Unmarshal %+v", req, ref)
+	}
+	return req, err == nil
+}
+
+// FuzzDecodeIngest checks only the decoder against json.Unmarshal, with
+// no store behind it, so a fuzzing budget goes to decoding rather than
+// to fsync.
+func FuzzDecodeIngest(f *testing.F) {
+	addIngestSeeds(f)
+	f.Fuzz(func(t *testing.T, body []byte) { decodeLikeUnmarshal(t, body) })
+}
+
+// FuzzIngest feeds arbitrary ingest bodies through DecodeIngest, which
+// must decode each exactly as json.Unmarshal does, then ingests the
+// request into a store and reopens it: whatever Ingest accepted must
+// replay from the WAL to the same digest and high-water mark, and
+// whatever it refused must leave no trace.
+func FuzzIngest(f *testing.F) {
+	addIngestSeeds(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, err := DecodeIngest(body)
-		var ref IngestRequest
-		refErr := json.Unmarshal(body, &ref)
-		if (err != nil) != (refErr != nil) || err != nil && err.Error() != refErr.Error() {
-			t.Fatalf("DecodeIngest error %v, json.Unmarshal error %v", err, refErr)
-		}
-		if err != nil {
+		req, ok := decodeLikeUnmarshal(t, body)
+		if !ok {
 			return
-		}
-		if !reflect.DeepEqual(req, ref) {
-			t.Fatalf("DecodeIngest decoded %+v, json.Unmarshal %+v", req, ref)
 		}
 		dir := t.TempDir()
 		st := openStore(t, dir, Options{})

@@ -443,6 +443,31 @@ func (m *Memory) CopyWithin(dst, src uint32, n int) {
 	m.stats.Writes++
 	m.stats.ReadBytes += uint64(n)
 	m.stats.WriteBytes += uint64(n)
+	m.moveRange(dst, src, n)
+}
+
+// CopyWords copies words whole words from src to dst, page by page, and
+// counts the traffic as the word loop
+//
+//	for i := range words { WriteWord(dst+4i, ReadWord(src+4i)) }
+//
+// counts it: one read and one write per word. The ranges must not
+// overlap, since the word loop and a memmove part ways there; an
+// out-of-range copy panics with a RangeError before anything moves.
+func (m *Memory) CopyWords(dst, src uint32, words int) {
+	n := words * WordBytes
+	m.check(src, n, "read")
+	m.check(dst, n, "write")
+	m.stats.Reads += uint64(words)
+	m.stats.Writes += uint64(words)
+	m.stats.ReadBytes += uint64(n)
+	m.stats.WriteBytes += uint64(n)
+	m.moveRange(dst, src, n)
+}
+
+// moveRange copies n bytes from src to dst like memmove, without stats.
+// Callers bounds-check first.
+func (m *Memory) moveRange(dst, src uint32, n int) {
 	if n <= 0 || dst == src {
 		return
 	}

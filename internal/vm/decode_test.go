@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	tics "repro"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/energy"
 	"repro/internal/isa"
 	"repro/internal/link"
+	"repro/internal/obs"
+	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -116,4 +119,79 @@ func transfersControl(op isa.Op) bool {
 		return true
 	}
 	return isa.Lookup(op).Class == isa.ClassCtl
+}
+
+// TestDecodedRuns: every slot of the decoded table records the
+// straight-line run a forward walk finds from it — the instructions of
+// the ALU and memory classes other than logged stores, up to the first
+// other one, capped at 255 — with its ClassMem count. The slot stays 20
+// bytes. A program whose run exceeds the cap also runs as it
+// single-steps, under power that cuts it every few dozen instructions.
+func TestDecodedRuns(t *testing.T) {
+	if vm.DecodedInstrSize != 20 {
+		t.Fatalf("decoded slot is %d bytes, want 20", vm.DecodedInstrSize)
+	}
+	long := "int g; int h; int main() {\n" + strings.Repeat("    g = g + h * 3;\n", 120) + "    return g;\n}\n"
+	longImg := build(t, long)
+	images := map[string]*link.Image{"long": longImg}
+	for _, app := range apps.All() {
+		for _, rt := range []tics.RuntimeKind{tics.RTPlain, tics.RTTICS, tics.RTMementos} {
+			img, err := tics.Build(app.Source, tics.BuildOptions{Runtime: rt})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", app.Name, rt, err)
+			}
+			images[app.Name+"/"+string(rt)] = img.Image
+		}
+	}
+	capped := false
+	for name, img := range images {
+		m, err := vm.New(vm.Config{Image: img})
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrs, offs, err := isa.DecodeAll(img.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range instrs {
+			n, mems := 0, 0
+			for k := j; k < len(instrs) && n < 255 && inRun(instrs[k].Op); k++ {
+				n++
+				if isa.Lookup(instrs[k].Op).Class == isa.ClassMem {
+					mems++
+				}
+			}
+			capped = capped || n == 255
+			pc := img.TextBase + uint32(offs[j])
+			if gotN, gotMems := m.RunAt(pc); gotN != n || gotMems != mems {
+				t.Fatalf("%s: run at %#x (%v) is (%d, %d mem), want (%d, %d mem)", name, pc, instrs[j], gotN, gotMems, n, mems)
+			}
+		}
+	}
+	if !capped {
+		t.Fatal("no run reached the 255-instruction cap")
+	}
+	twoWays(t, "long run", func() snapRun {
+		r := snapRun{rec: obs.NewRecorder(snapRecOpts), cap: &capture{}}
+		r.rec.AddSink(r.cap)
+		src, err := replay.ParsePower("fail:97", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.m, err = vm.New(vm.Config{Image: longImg, Power: src, Recorder: r.rec, MaxCycles: 200_000}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}, nil)
+}
+
+// inRun is the reference for which instructions a straight-line run
+// holds: the ALU and memory classes, logged stores excepted.
+func inRun(op isa.Op) bool {
+	switch op {
+	case isa.StoreGL, isa.StoreGBL, isa.StoreIL, isa.StoreIBL:
+		return false
+	}
+	c := isa.Lookup(op).Class
+	return c == isa.ClassALU || c == isa.ClassMem
 }

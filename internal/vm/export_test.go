@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"unsafe"
+
 	"repro/internal/isa"
 	"repro/internal/mem"
 )
@@ -34,7 +36,7 @@ func (m *Machine) StepAt(pc uint32) (fault error) {
 			panic(r)
 		}
 	}()
-	m.step()
+	m.step(m.instrAt(pc))
 	return nil
 }
 
@@ -54,3 +56,26 @@ func (m *Machine) Powered(cycles int64, fn func()) (failed bool) {
 	fn()
 	return false
 }
+
+// SetSingleStep turns straight-line runs off (on=true) or back on, so a
+// test can hold the run path to single-stepping.
+func (m *Machine) SetSingleStep(on bool) { m.singleStep = on }
+
+// SpendEach exposes spendEach: k charges of c cycles in one batch.
+func (m *Machine) SpendEach(c int64, k int) { m.spendEach(c, k) }
+
+// RunAt reports the straight-line run decoded at pc: its length and how
+// many of its instructions are ClassMem.
+func (m *Machine) RunAt(pc uint32) (n, mems int) {
+	d := m.instrAt(pc)
+	if d == nil {
+		return 0, 0
+	}
+	return int(d.run), int(d.runMem)
+}
+
+// DecodedInstrSize is the size of one decoded-table slot.
+const DecodedInstrSize = unsafe.Sizeof(decodedInstr{})
+
+// OnMs returns the powered time so far, the float Spend accumulates.
+func (m *Machine) OnMs() float64 { return m.onMs }

@@ -269,6 +269,16 @@ type Machine struct {
 	decoded   []decodedInstr
 	textBase  uint32
 	classCost [4]int64
+	classMs   [4]float64 // classCost in ms, as Spend computes it
+	// singleStep turns straight-line runs off, so every instruction goes
+	// through step (tests compare the two paths).
+	singleStep bool
+	// inRun is set while tryRun executes a run; runStart is the cycle
+	// count the run started at, so a fault inside it can hand the
+	// recorder the cycles charged so far. Between instructions, where
+	// snapshots are taken, no run is open.
+	inRun    bool
+	runStart int64
 	// prepared is the shared image this machine forked from (nil when the
 	// machine owns a privately loaded flat memory). Reset requires it.
 	prepared *Prepared
@@ -340,12 +350,21 @@ type runState struct {
 // decodedInstr is one slot of the decoded table. The slots of an
 // immediate's bytes stay zero (ok unset), so a jump into the middle of an
 // instruction faults.
+//
+// run and runMem describe the straight-line run starting at the slot (see
+// straightLine): how many instructions it holds, capped at 255, and how
+// many of those are ClassMem, the rest being ClassALU. Its cycle price is
+// therefore runMem×InstrMem + (run−runMem)×Instr, the basic-block cost of
+// the code from this slot to the next branch or trap. Both live in what
+// would otherwise be padding: the slot stays 20 bytes.
 type decodedInstr struct {
-	in    isa.Instr
-	next  uint32
-	fn    int32     // enclosing function index (-1 for the boot stub)
-	class isa.Class // cost class, resolved once at decode time
-	ok    bool      // an instruction starts at this address
+	in     isa.Instr
+	next   uint32
+	fn     int32     // enclosing function index (-1 for the boot stub)
+	class  isa.Class // cost class, resolved once at decode time
+	ok     bool      // an instruction starts at this address
+	run    uint8     // straight-line instructions from here (0: this one is not)
+	runMem uint8     // how many of them are ClassMem
 }
 
 type outEntry struct {
@@ -433,6 +452,9 @@ func (m *Machine) apply(cfg Config) error {
 		isa.ClassMem:  cfg.Cost.InstrMem,
 		isa.ClassCtl:  cfg.Cost.InstrCtl,
 		isa.ClassTrap: cfg.Cost.TrapBase,
+	}
+	for i, c := range m.classCost {
+		m.classMs[i] = float64(c) / energy.CyclesPerMs
 	}
 	m.setRuntime(cfg.Runtime)
 	m.powerSrc = cfg.Power
@@ -535,10 +557,12 @@ func (m *Machine) Reset(cfg Config) error {
 
 // decodeImage decodes the image's text segment into the dense table
 // machines dispatch from: one slot per text byte, indexed by
-// pc - img.TextBase.
+// pc - img.TextBase. A backward pass then marks each slot's straight-line
+// run.
 func decodeImage(img *link.Image) ([]decodedInstr, error) {
 	code := img.Text
 	decoded := make([]decodedInstr, len(code))
+	var offs []int
 	for off := 0; off < len(code); {
 		in, next, err := isa.Decode(code, off)
 		if err != nil {
@@ -552,9 +576,49 @@ func decodeImage(img *link.Image) ([]decodedInstr, error) {
 			class: isa.Lookup(in.Op).Class,
 			ok:    true,
 		}
+		offs = append(offs, off)
 		off = next
 	}
+	// Walking backward, tail[j] is the uncapped length of the run from
+	// instruction j and mems[j] the ClassMem count of instructions j and
+	// after, so a capped run's ClassMem count is a difference of two.
+	tail := make([]int, len(offs)+1)
+	mems := make([]int, len(offs)+1)
+	for j := len(offs) - 1; j >= 0; j-- {
+		d := &decoded[offs[j]]
+		mems[j] = mems[j+1]
+		if d.class == isa.ClassMem {
+			mems[j]++
+		}
+		if !straightLine(d.in.Op) {
+			continue
+		}
+		tail[j] = 1 + tail[j+1]
+		n := min(tail[j], math.MaxUint8)
+		d.run, d.runMem = uint8(n), uint8(mems[j]-mems[j+n])
+	}
 	return decoded, nil
+}
+
+// straightLine reports whether op may sit inside a straight-line run: it
+// falls through to the next instruction, costs its class price (ALU or
+// memory) and nothing more, reads no clock, and calls no runtime hook.
+// Raw stores qualify (their OnStore observers see a clock advanced per
+// instruction); logged stores, Mark and SetTS go through the runtime, and
+// every branch, call, frame op and trap ends a run.
+func straightLine(op isa.Op) bool {
+	switch op {
+	case isa.Nop, isa.PushI, isa.Dup, isa.Drop, isa.Swap,
+		isa.LoadG, isa.StoreG, isa.LoadGB, isa.StoreGB, isa.LoadL, isa.StoreL,
+		isa.AddrL, isa.LoadI, isa.StoreI, isa.LoadIB, isa.StoreIB,
+		isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
+		isa.Shl, isa.Shr, isa.Neg, isa.Not, isa.LNot,
+		isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt, isa.CmpGe,
+		isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU,
+		isa.SetRV, isa.GetRV, isa.AddSP:
+		return true
+	}
+	return false
 }
 
 // instrAt returns the decoded instruction starting at pc, or nil when pc
@@ -739,11 +803,20 @@ func (m *Machine) NoteRestore() {
 // Spend charges cycles; it panics with the power-failure sentinel when the
 // window is exhausted, so multi-step runtime operations (checkpoint
 // copies, undo-log appends) can die halfway exactly like real FRAM writes.
-func (m *Machine) Spend(c int64) {
+//
+// Time is kept in floats: each charge adds c/CyclesPerMs to the on-time
+// and to the timekeeper. Float addition does not associate, so a batch of
+// charges (spendEach, a straight-line run) must make the same adds in the
+// same order, never one add of their sum; only the integer counters and
+// the recorder may take a batch's total at once.
+func (m *Machine) Spend(c int64) { m.charge(c, float64(c)/energy.CyclesPerMs) }
+
+// charge is Spend with c's time in ms, float64(c)/CyclesPerMs, worked out
+// by the caller (step reads it from classMs).
+func (m *Machine) charge(c int64, ms float64) {
 	m.remaining -= c
 	m.cycles += c
 	m.sinceCp += c
-	ms := float64(c) / energy.CyclesPerMs
 	m.onMs += ms
 	m.clock.AdvanceOn(ms)
 	if m.rec != nil {
@@ -756,16 +829,64 @@ func (m *Machine) Spend(c int64) {
 	}
 }
 
-// CopyCharged copies n bytes (whole words) from src to dst one word at a
-// time, charging passes×(NV read + NV write) before each word, so a power
-// failure mid-copy leaves exactly the words copied so far. Checkpoints
-// charge two passes (the two-phase commit), restores one.
+// spendEach charges k units of c cycles as k Spend(c) calls would, bit
+// for bit: k ordered float adds to the on-time and the timekeeper, the
+// integer counters and the recorder once for the total. The caller
+// guarantees the window covers all k (remaining ≥ k×c); a charge that may
+// run out goes through Spend.
+func (m *Machine) spendEach(c int64, k int) {
+	total := c * int64(k)
+	m.remaining -= total
+	m.cycles += total
+	m.sinceCp += total
+	ms := float64(c) / energy.CyclesPerMs
+	for range k {
+		m.onMs += ms
+		m.clock.AdvanceOn(ms)
+	}
+	if m.rec != nil {
+		m.rec.OnSpend(total)
+	}
+	if m.remaining < 0 {
+		panic(powerFailure{})
+	}
+}
+
+// CopyCharged copies n bytes (whole words) from src to dst as if one word
+// at a time, charging passes×(NV read + NV write) before each word, so a
+// power failure mid-copy leaves exactly the words copied so far.
+// Checkpoints charge two passes (the two-phase commit), restores one.
+//
+// The words the window pays for are charged through one spendEach and
+// moved in one page-wise Memory.CopyWords, which counts the traffic word
+// by word; the first word it cannot pay for fails in Spend as in the word
+// loop. Overlapping and out-of-range copies, where the word loop is not a
+// memmove or faults partway, run the word loop itself.
 func (m *Machine) CopyCharged(dst, src uint32, n int, passes int64) {
 	c := passes * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
-	for off := 0; off < n; off += 4 {
+	words := (n + mem.WordBytes - 1) / mem.WordBytes
+	done := 0
+	if words > 0 && disjointInRange(dst, src, words*mem.WordBytes) {
+		done = words
+		if c > 0 {
+			done = int(min(int64(words), max(m.remaining/c, 0)))
+		}
+		if done > 0 {
+			m.spendEach(c, done)
+			m.Mem.CopyWords(dst, src, done)
+		}
+	}
+	for off := done * mem.WordBytes; off < n; off += mem.WordBytes {
 		m.Spend(c)
 		m.Mem.WriteWord(dst+uint32(off), m.Mem.ReadWord(src+uint32(off)))
 	}
+}
+
+// disjointInRange reports whether [dst, dst+n) and [src, src+n) lie in
+// the address space without overlapping.
+func disjointInRange(dst, src uint32, n int) bool {
+	d, s, l := uint64(dst), uint64(src), uint64(n)
+	return d+l <= mem.Size && s+l <= mem.Size && (d+l <= s || s+l <= d)
 }
 
 // Halt stops the machine as if the program executed Halt (used by task
@@ -949,6 +1070,9 @@ func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
 		default:
 			panic(r)
 		}
+		if m.inRun {
+			m.endRun()
+		}
 	}()
 	if !resume {
 		if cold {
@@ -962,7 +1086,9 @@ func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
 		m.resetRecStack()
 	}
 	for !m.halted {
-		m.step()
+		if d := m.instrAt(m.Regs.PC); d == nil || d.run == 0 || !m.tryRun(d) {
+			m.step(d)
+		}
 		if m.cycles > m.cycleLimit && m.pastLimit() {
 			return // watchdog; Run turns this into starvation
 		}
@@ -1006,13 +1132,80 @@ func (m *Machine) pastLimit() bool {
 	return false
 }
 
-func (m *Machine) step() {
-	d := m.instrAt(m.Regs.PC)
+// wallMargin widens the wall-deadline test tryRun makes before a run. A
+// run adds at most 255 per-instruction times to the on-time, each add
+// rounding by at most half an ulp, and the test's own sum rounds too: all
+// of it stays below 2⁻³⁰ of the total, so a run the widened test admits
+// cannot reach the deadline under any rounding.
+const wallMargin = 1 + 0x1p-30
+
+// tryRun executes the straight-line run at d, if it fits, as step
+// would, instruction by instruction, and reports whether it did. It fits
+// when none of the checks single-stepping makes between instructions can
+// fire inside it, bar the expiry check it keeps: the power window covers
+// it, it stays within the watchdog and boundary-hook limit, it cannot
+// reach a timer checkpoint or the wall deadline, and no ISR or interrupt
+// timer needs watching. Each test is on the run's total: every quantity
+// it bounds moves one way inside a run, so a total within bounds keeps
+// every prefix within them.
+//
+// A run drops the fetch check, the limit compares and the post-step
+// checks, but each instruction still charges its class price before it
+// executes, with its own float adds to the on-time and the timekeeper,
+// so a store observer reads the clock and cycle count single-stepping
+// would show, and a fault leaves the same state; the recorder takes the
+// run's cycles in one charge (endRun). An armed expiry is checked after
+// each instruction as step checks it, and its firing ends the run there.
+func (m *Machine) tryRun(d *decodedInstr) bool {
+	n, mems := int64(d.run), int64(d.runMem)
+	sum := mems*m.classCost[isa.ClassMem] + (n-mems)*m.classCost[isa.ClassALU]
+	if m.remaining < sum || m.cycles+sum > m.cycleLimit ||
+		m.autoCpCycles > 0 && !m.CpDisabled() && m.sinceCp+sum >= m.autoCpCycles ||
+		m.inISR || m.irqPeriodMs > 0 || m.singleStep ||
+		m.maxWallMs > 0 && (m.TrueNowMs()+float64(sum)*(1.0/energy.CyclesPerMs))*wallMargin >= m.maxWallMs {
+		return false
+	}
+	m.inRun, m.runStart = true, m.cycles
+	for ; ; n-- {
+		c, ms := m.classCost[d.class], m.classMs[d.class]
+		m.remaining -= c
+		m.cycles += c
+		m.sinceCp += c
+		m.onMs += ms
+		m.clock.AdvanceOn(ms)
+		m.exec(d.in)
+		m.Regs.PC = d.next
+		if m.expired() {
+			m.endRun()
+			m.fireExpiry()
+			return true
+		}
+		if n == 1 {
+			break
+		}
+		d = &m.decoded[d.next-m.textBase]
+	}
+	m.endRun()
+	return true
+}
+
+// endRun closes a run, charging the recorder the cycles it spent.
+func (m *Machine) endRun() {
+	m.inRun = false
+	if m.rec != nil {
+		m.rec.OnSpend(m.cycles - m.runStart)
+	}
+}
+
+// step executes the instruction at d, the slot for the current PC (nil
+// when PC is not an instruction boundary), then makes the checks a timer
+// checkpoint, an expiry or an interrupt needs.
+func (m *Machine) step(d *decodedInstr) {
 	if d == nil {
 		m.Fault("PC=%#x is not an instruction boundary", m.Regs.PC)
 	}
 	in := d.in
-	m.Spend(m.classCost[d.class])
+	m.charge(m.classCost[d.class], m.classMs[d.class])
 	next := d.next
 	if m.preStorer != nil {
 		switch in.Op {
@@ -1021,68 +1214,18 @@ func (m *Machine) step() {
 		}
 	}
 	switch in.Op {
-	case isa.Nop:
 	case isa.Halt:
 		m.halted = true
-	case isa.PushI:
-		m.Push(uint32(in.Imm))
-	case isa.Dup:
-		v := m.Pop()
-		m.Push(v)
-		m.Push(v)
-	case isa.Drop:
-		m.Pop()
-	case isa.Swap:
-		a := m.Pop()
-		b := m.Pop()
-		m.Push(a)
-		m.Push(b)
-	case isa.LoadG:
-		m.Push(m.Mem.ReadWord(uint32(in.Imm)))
-	case isa.StoreG:
-		m.RawStore(uint32(in.Imm), 4, m.Pop())
 	case isa.StoreGL:
 		m.rt.LoggedStore(m, uint32(in.Imm), 4, m.Pop())
-	case isa.LoadGB:
-		m.Push(uint32(m.Mem.ReadByteAt(uint32(in.Imm))))
-	case isa.StoreGB:
-		m.RawStore(uint32(in.Imm), 1, m.Pop())
 	case isa.StoreGBL:
 		m.rt.LoggedStore(m, uint32(in.Imm), 1, m.Pop())
-	case isa.LoadL:
-		m.Push(m.Mem.ReadWord(uint32(int32(m.Regs.FP) + in.Imm)))
-	case isa.StoreL:
-		m.RawStore(uint32(int32(m.Regs.FP)+in.Imm), 4, m.Pop())
-	case isa.AddrL:
-		m.Push(uint32(int32(m.Regs.FP) + in.Imm))
-	case isa.LoadI:
-		m.Push(m.Mem.ReadWord(m.Pop()))
-	case isa.StoreI:
-		v := m.Pop()
-		m.RawStore(m.Pop(), 4, v)
 	case isa.StoreIL:
 		v := m.Pop()
 		m.rt.LoggedStore(m, m.Pop(), 4, v)
-	case isa.LoadIB:
-		m.Push(uint32(m.Mem.ReadByteAt(m.Pop())))
-	case isa.StoreIB:
-		v := m.Pop()
-		m.RawStore(m.Pop(), 1, v)
 	case isa.StoreIBL:
 		v := m.Pop()
 		m.rt.LoggedStore(m, m.Pop(), 1, v)
-	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
-		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
-		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
-		r := m.Pop()
-		v, ok := isa.Eval(in.Op, m.Pop(), r)
-		if !ok {
-			m.zeroDivisor(in.Op)
-		}
-		m.Push(v)
-	case isa.Neg, isa.Not, isa.LNot:
-		v, _ := isa.Eval(in.Op, m.Pop(), 0)
-		m.Push(v)
 	case isa.Jmp:
 		next = uint32(in.Imm)
 	case isa.Jz:
@@ -1120,12 +1263,6 @@ func (m *Machine) step() {
 			m.rec.LeaveFunc()
 		}
 		next = m.Regs.PC // Leave sets PC to the return address
-	case isa.SetRV:
-		m.Regs.RV = m.Pop()
-	case isa.GetRV:
-		m.Push(m.Regs.RV)
-	case isa.AddSP:
-		m.Regs.SP += uint32(in.Imm)
 	case isa.Sense:
 		m.Spend(m.Cost.SenseExtra)
 		var v int32
@@ -1214,23 +1351,15 @@ func (m *Machine) step() {
 		m.resetRecStack() // a fresh task stack replaces the old frames
 		next = m.Regs.PC  // transitions jump to the next task's entry
 	default:
-		m.Fault("unimplemented opcode %s", in.Op)
+		m.exec(in)
 	}
 	m.Regs.PC = next
 	// Timer-driven automatic checkpoints.
 	if m.autoCpCycles > 0 && !m.CpDisabled() && m.sinceCp >= m.autoCpCycles && !m.halted {
 		m.rt.Checkpoint(m, CpTimer)
 	}
-	// Armed data-expiration deadline (exception-based @expires/catch).
-	if m.ExpiryArmed && m.clock.Now() >= m.ExpiryDeadline {
-		m.ExpiryArmed = false
-		m.EmitEvent(obs.EvExpiry, m.ExpiryDeadline, 0)
-		m.PushCat(obs.CatRestore)
-		if m.expirer != nil {
-			m.expirer.OnExpiry(m)
-		}
-		m.PopCat()
-		m.resetRecStack() // TICS restored to the block-entry checkpoint
+	if m.expired() {
+		m.fireExpiry()
 	}
 	// ISR return: the Leave above brought PC/SP back to the interrupted
 	// point.
@@ -1258,6 +1387,90 @@ func (m *Machine) step() {
 			m.Regs.PC = m.irqEntry
 		}
 	}
+}
+
+// exec executes a straight-line instruction (see straightLine) for step
+// and tryRun; any other opcode reaching it is unimplemented.
+func (m *Machine) exec(in isa.Instr) {
+	switch in.Op {
+	case isa.Nop:
+	case isa.PushI:
+		m.Push(uint32(in.Imm))
+	case isa.Dup:
+		v := m.Pop()
+		m.Push(v)
+		m.Push(v)
+	case isa.Drop:
+		m.Pop()
+	case isa.Swap:
+		a := m.Pop()
+		b := m.Pop()
+		m.Push(a)
+		m.Push(b)
+	case isa.LoadG:
+		m.Push(m.Mem.ReadWord(uint32(in.Imm)))
+	case isa.StoreG:
+		m.RawStore(uint32(in.Imm), 4, m.Pop())
+	case isa.LoadGB:
+		m.Push(uint32(m.Mem.ReadByteAt(uint32(in.Imm))))
+	case isa.StoreGB:
+		m.RawStore(uint32(in.Imm), 1, m.Pop())
+	case isa.LoadL:
+		m.Push(m.Mem.ReadWord(uint32(int32(m.Regs.FP) + in.Imm)))
+	case isa.StoreL:
+		m.RawStore(uint32(int32(m.Regs.FP)+in.Imm), 4, m.Pop())
+	case isa.AddrL:
+		m.Push(uint32(int32(m.Regs.FP) + in.Imm))
+	case isa.LoadI:
+		m.Push(m.Mem.ReadWord(m.Pop()))
+	case isa.StoreI:
+		v := m.Pop()
+		m.RawStore(m.Pop(), 4, v)
+	case isa.LoadIB:
+		m.Push(uint32(m.Mem.ReadByteAt(m.Pop())))
+	case isa.StoreIB:
+		v := m.Pop()
+		m.RawStore(m.Pop(), 1, v)
+	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
+		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
+		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
+		r := m.Pop()
+		v, ok := isa.Eval(in.Op, m.Pop(), r)
+		if !ok {
+			m.zeroDivisor(in.Op)
+		}
+		m.Push(v)
+	case isa.Neg, isa.Not, isa.LNot:
+		v, _ := isa.Eval(in.Op, m.Pop(), 0)
+		m.Push(v)
+	case isa.SetRV:
+		m.Regs.RV = m.Pop()
+	case isa.GetRV:
+		m.Push(m.Regs.RV)
+	case isa.AddSP:
+		m.Regs.SP += uint32(in.Imm)
+	default:
+		m.Fault("unimplemented opcode %s", in.Op)
+	}
+}
+
+// expired reports whether an armed data-expiration deadline
+// (exception-based @expires/catch) has passed on the device clock.
+func (m *Machine) expired() bool {
+	return m.ExpiryArmed && m.clock.Now() >= m.ExpiryDeadline
+}
+
+// fireExpiry disarms the passed deadline and hands control to the
+// runtime's expiry handler.
+func (m *Machine) fireExpiry() {
+	m.ExpiryArmed = false
+	m.EmitEvent(obs.EvExpiry, m.ExpiryDeadline, 0)
+	m.PushCat(obs.CatRestore)
+	if m.expirer != nil {
+		m.expirer.OnExpiry(m)
+	}
+	m.PopCat()
+	m.resetRecStack() // TICS restored to the block-entry checkpoint
 }
 
 // zeroDivisor faults the Div or Mod that isa.Eval refused: a zero
