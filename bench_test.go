@@ -21,6 +21,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/link"
 	"repro/internal/mc"
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
@@ -369,6 +370,35 @@ func BenchmarkCopyCharged(b *testing.B) {
 	err = bench.Update("BENCH_fleet.json", func(f *bench.File) error {
 		f.SetUnit("copy_charged", &bench.UnitEntry{
 			Unit: "word", Shape: fmt.Sprintf("%d words, 2 passes", copyWords), NsPerUnit: ns, Units: words,
+		})
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCOWFault prices a first write to a shared page on the host:
+// a fresh copy-on-write fork of a base takes one word write on each of
+// its pages, each of which materializes a private copy of the page. It
+// is reported as ns per faulting write, the fork's own cost spread over
+// its pages, and merged into BENCH_fleet.json's units table as
+// "cow_fault", where -compare gates it.
+func BenchmarkCOWFault(b *testing.B) {
+	base := mem.New().Freeze()
+	b.ResetTimer()
+	for range b.N {
+		m := mem.Fork(base)
+		for pg := uint32(0); pg < mem.NumPages; pg++ {
+			m.WriteWord(pg*mem.PageSize, pg)
+		}
+	}
+	faults := int64(b.N) * mem.NumPages
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(faults)
+	b.ReportMetric(ns, "ns/fault")
+	err := bench.Update("BENCH_fleet.json", func(f *bench.File) error {
+		f.SetUnit("cow_fault", &bench.UnitEntry{
+			Unit: "page", Shape: fmt.Sprintf("a fresh fork, one word on each of its %d pages", mem.NumPages), NsPerUnit: ns, Units: faults,
 		})
 		return nil
 	})

@@ -227,6 +227,34 @@ func TestCompareGatesUnitCosts(t *testing.T) {
 	}
 }
 
+// TestCompareGatesMC: a model-checker sweep whose schedules/sec or
+// states/sec drops past tolerance on a shared key is a regression; a
+// faster one, or a key on one side only, is not.
+func TestCompareGatesMC(t *testing.T) {
+	old, new := twoLedgers()
+	old.SetMC(MCKey(1), &MCEntry{Program: "bc", Depth: 1, Schedules: 400, CyclesExplored: 8e8, SchedulesPerSec: 800, StatesPerSec: 1.6e9})
+	e := *old.MC[MCKey(1)]
+	e.StatesPerSec = 0.8e9
+	new.SetMC(MCKey(1), &e)
+	regs := Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Metric != "states_per_sec" || regs[0].Key != "mc/depth=1" || regs[0].DeltaPct != 50 {
+		t.Fatalf("regs %v, want one states_per_sec regression of +50%%", regs)
+	}
+	e.StatesPerSec, e.SchedulesPerSec = 1.6e9, 400
+	regs = Compare(old, new, 0, nil)
+	if len(regs) != 1 || regs[0].Metric != "schedules_per_sec" || regs[0].Key != "mc/depth=1" || regs[0].DeltaPct != 50 {
+		t.Fatalf("regs %v, want one schedules_per_sec regression of +50%%", regs)
+	}
+	e.StatesPerSec, e.SchedulesPerSec = 3e9, 1000
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("faster sweep flagged %v", regs)
+	}
+	delete(new.MC, MCKey(1))
+	if regs := Compare(old, new, 0, nil); len(regs) != 0 {
+		t.Fatalf("baseline-only mc key flagged %v", regs)
+	}
+}
+
 func TestCompareSkipsMismatchedHosts(t *testing.T) {
 	old, new := twoLedgers()
 	new.Fleet["n=1000"].Best.DevicesPerSec = 1 // would be a huge regression

@@ -30,7 +30,9 @@ func (r Regression) String() string {
 // carry, devices/sec must not drop and peak RSS must not rise by more
 // than tolerance; for every shared opcode, ns/instr must not rise; for
 // every shared gate key, the digest read and the ingest decode must not
-// slow down; for every shared unit cost, ns per unit must not rise.
+// slow down; for every shared model-checker key, schedules/sec and
+// states/sec must not drop; for every shared unit cost, ns per unit must
+// not rise.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -126,6 +128,31 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 					Key: "gate/" + key, Metric: m.name,
 					Old: m.old, New: m.new,
 					DeltaPct: 100 * (m.new - m.old) / m.old,
+				})
+			}
+		}
+	}
+
+	mcKeys := make([]string, 0, len(old.MC))
+	for key := range old.MC {
+		mcKeys = append(mcKeys, key)
+	}
+	sort.Strings(mcKeys)
+	for _, key := range mcKeys {
+		oe, ne := old.MC[key], new.MC[key]
+		if oe == nil || ne == nil {
+			continue
+		}
+		// Lower throughput is worse.
+		for _, m := range []struct {
+			name     string
+			old, new float64
+		}{{"schedules_per_sec", oe.SchedulesPerSec, ne.SchedulesPerSec}, {"states_per_sec", oe.StatesPerSec, ne.StatesPerSec}} {
+			if m.old > 0 && m.new < m.old*(1-tolerance) {
+				regs = append(regs, Regression{
+					Key: "mc/" + key, Metric: m.name,
+					Old: m.old, New: m.new,
+					DeltaPct: 100 * (m.old - m.new) / m.old,
 				})
 			}
 		}

@@ -25,6 +25,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -138,7 +139,12 @@ type Memory struct {
 	dirty   uint64 // bit i set: pages[i] is private and writable
 	base    *Base  // nil for flat memories
 	regions []Region
-	stats   Stats
+	// stats holds every access but the word reads and writes, which
+	// count into wordReads and wordWrites alone: the word fast paths
+	// make one increment, and Stats folds the words in.
+	stats      Stats
+	wordReads  uint64
+	wordWrites uint64
 }
 
 // New returns a zeroed flat memory with no layout regions. All pages are
@@ -189,7 +195,7 @@ func (m *Memory) ResetToBase(b *Base) {
 		m.dirty = 0
 	}
 	m.regions = append(m.regions[:0], b.regions...)
-	m.stats = Stats{}
+	m.ResetStats()
 }
 
 // Pages is a memory's contents relative to the base it forks from — its
@@ -206,7 +212,7 @@ type Pages struct {
 // SavePages copies the memory's private pages and statistics into p,
 // reusing p's storage.
 func (m *Memory) SavePages(p *Pages) {
-	p.base, p.dirty, p.stats = m.base, m.dirty, m.stats
+	p.base, p.dirty, p.stats = m.base, m.dirty, m.Stats()
 	p.data = slices.Grow(p.data[:0], bits.OnesCount64(m.dirty)*PageSize)
 	for d := m.dirty; d != 0; d &= d - 1 {
 		p.data = append(p.data, m.pages[bits.TrailingZeros64(d)]...)
@@ -231,7 +237,7 @@ func (m *Memory) RestorePages(p *Pages) error {
 			copy(m.pages[i], m.base.page(i))
 		}
 	}
-	m.stats = p.stats
+	m.stats, m.wordReads, m.wordWrites = p.stats, 0, 0
 	return nil
 }
 
@@ -254,10 +260,17 @@ func (m *Memory) wpage(pg uint32) []byte {
 }
 
 // Stats returns a copy of the accumulated access statistics.
-func (m *Memory) Stats() Stats { return m.stats }
+func (m *Memory) Stats() Stats {
+	s := m.stats
+	s.Reads += m.wordReads
+	s.ReadBytes += m.wordReads * WordBytes
+	s.Writes += m.wordWrites
+	s.WriteBytes += m.wordWrites * WordBytes
+	return s
+}
 
 // ResetStats zeroes the access statistics.
-func (m *Memory) ResetStats() { m.stats = Stats{} }
+func (m *Memory) ResetStats() { m.stats, m.wordReads, m.wordWrites = Stats{}, 0, 0 }
 
 // AddRegion registers a layout region. Regions must not overlap; the linker
 // relies on this check to catch layout bugs.
@@ -372,40 +385,58 @@ func (m *Memory) WriteByteAt(addr uint32, v byte) {
 	m.wpage(addr >> PageShift)[addr&pageMask] = v
 }
 
-// ReadWord reads a 32-bit little-endian word.
+// ReadWord reads a 32-bit little-endian word. A word inside one page of
+// the address space is read here with no further call; the rest go to
+// readWordSlow.
 func (m *Memory) ReadWord(addr uint32) uint32 {
+	if addr < Size && addr&pageMask <= PageSize-WordBytes {
+		m.wordReads++
+		return binary.LittleEndian.Uint32(m.pages[addr>>PageShift][addr&pageMask:])
+	}
+	return m.readWordSlow(addr)
+}
+
+// readWordSlow reads a word that straddles a page or leaves the address
+// space, where it panics with a RangeError before counting.
+func (m *Memory) readWordSlow(addr uint32) uint32 {
 	m.check(addr, WordBytes, "read")
-	m.stats.Reads++
-	m.stats.ReadBytes += WordBytes
+	m.wordReads++
 	return m.peekWord(addr)
 }
 
 func (m *Memory) peekWord(addr uint32) uint32 {
 	if off := addr & pageMask; off <= PageSize-WordBytes {
-		p := m.pages[addr>>PageShift]
-		return uint32(p[off]) | uint32(p[off+1])<<8 |
-			uint32(p[off+2])<<16 | uint32(p[off+3])<<24
+		return binary.LittleEndian.Uint32(m.pages[addr>>PageShift][off:])
 	}
 	var b [WordBytes]byte
 	m.peekRange(addr, b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	return binary.LittleEndian.Uint32(b[:])
 }
 
-// WriteWord writes a 32-bit little-endian word.
+// WriteWord writes a 32-bit little-endian word. A word inside one page
+// that is already private is written here with no further call; the
+// rest go to writeWordSlow.
 func (m *Memory) WriteWord(addr uint32, v uint32) {
+	if pg := addr >> PageShift; pg < NumPages && addr&pageMask <= PageSize-WordBytes && m.dirty&(1<<pg) != 0 {
+		m.wordWrites++
+		binary.LittleEndian.PutUint32(m.pages[pg][addr&pageMask:], v)
+		return
+	}
+	m.writeWordSlow(addr, v)
+}
+
+// writeWordSlow writes a word that straddles a page, leaves the address
+// space (a RangeError panic before counting) or lands on a shared page,
+// which it materializes first.
+func (m *Memory) writeWordSlow(addr uint32, v uint32) {
 	m.check(addr, WordBytes, "write")
-	m.stats.Writes++
-	m.stats.WriteBytes += WordBytes
+	m.wordWrites++
 	if off := addr & pageMask; off <= PageSize-WordBytes {
-		p := m.wpage(addr >> PageShift)
-		p[off] = byte(v)
-		p[off+1] = byte(v >> 8)
-		p[off+2] = byte(v >> 16)
-		p[off+3] = byte(v >> 24)
+		binary.LittleEndian.PutUint32(m.wpage(addr >> PageShift)[off:], v)
 		return
 	}
 	var b [WordBytes]byte
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+	binary.LittleEndian.PutUint32(b[:], v)
 	m.pokeRange(addr, b[:])
 }
 

@@ -260,7 +260,7 @@ func (r *Runtime) Boot(m *vm.Machine, cold bool) {
 // checkTokens enforces MayFly edge freshness on entry to the current task:
 // a stale inbound token reroutes the flow to the edge's recovery task.
 func (r *Runtime) checkTokens(m *vm.Machine) {
-	now := m.Clock().Now()
+	now := m.Now()
 	for i, e := range r.cfg.Edges {
 		if e.To != r.cur || e.ExpireMs <= 0 {
 			continue
@@ -295,7 +295,7 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 		for i, e := range r.cfg.Edges {
 			if e.From == r.cur && e.To == int(task) {
 				m.Spend(m.Cost.TimestampWrite)
-				m.Mem.WriteInt(r.addrToken+uint32(4*i), int32(m.Clock().Now()))
+				m.Mem.WriteInt(r.addrToken+uint32(4*i), int32(m.Now()))
 			}
 		}
 	}

@@ -25,6 +25,12 @@ func (m *Machine) StepAt(pc uint32) (fault error) {
 	top := m.Img.StackBase + m.Img.StackLen - 64
 	m.Regs = Registers{PC: pc, SP: top, FP: top}
 	m.PowerOn(1 << 40)
+	return faultOf(func() { m.step(m.instrAt(pc)) })
+}
+
+// faultOf runs fn and returns the program fault it raised, nil when it
+// ran cleanly.
+func faultOf(fn func()) (fault error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -36,8 +42,31 @@ func (m *Machine) StepAt(pc uint32) (fault error) {
 			panic(r)
 		}
 	}()
-	m.step(m.instrAt(pc))
+	fn()
 	return nil
+}
+
+// ExecOp executes op as the interpreter does and returns its fault.
+func (m *Machine) ExecOp(op isa.Op) error { return faultOf(func() { m.exec(isa.Instr{Op: op}) }) }
+
+// PopPushOp is the reference for the in-place ALU, compare and unary
+// ops: it executes op as Pop, Pop, Push (Pop, Push for a unary op) and
+// returns its fault.
+func (m *Machine) PopPushOp(op isa.Op) error {
+	return faultOf(func() {
+		switch op {
+		case isa.Neg, isa.Not, isa.LNot:
+			v, _ := isa.Eval(op, m.Pop(), 0)
+			m.Push(v)
+			return
+		}
+		r := m.Pop()
+		v, ok := isa.Eval(op, m.Pop(), r)
+		if !ok {
+			m.zeroDivisor(op)
+		}
+		m.Push(v)
+	})
 }
 
 // Powered runs fn in a powered window of the given cycles, as a boot
@@ -79,3 +108,11 @@ const DecodedInstrSize = unsafe.Sizeof(decodedInstr{})
 
 // OnMs returns the powered time so far, the float Spend accumulates.
 func (m *Machine) OnMs() float64 { return m.onMs }
+
+// EstMs returns the device clock's running estimate, the float Now
+// truncates.
+func (m *Machine) EstMs() float64 { return m.estMs }
+
+// ClockOff adds an outage of ms to the device clock, estimated by the
+// timekeeper as a power failure would.
+func (m *Machine) ClockOff(ms float64) { m.estMs += m.clock.OffEstimate(ms) }

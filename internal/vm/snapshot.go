@@ -9,15 +9,15 @@ import (
 )
 
 // Snapshot is a machine's whole run state at an instruction boundary:
-// registers, cycle, time and runtime counters, interrupt and expiry
-// state, the committed and pending send and out logs, the memory as its
-// private pages over the shared image, the clock, and a clone of the
-// runtime. It
-// leaves out what a run reads but never changes — the image, the config,
-// the sensor bank (a pure function of channel and time) — and what the
-// machine it is restored into brings along: its power source, recorder
-// and observers. A snapshot is immutable; any number of machines forked
-// from the same Prepared image can Restore it.
+// registers, cycle, time and runtime counters, the device clock's
+// estimate, interrupt and expiry state, the committed and pending send
+// and out logs, the memory as its private pages over the shared image,
+// and clones of the timekeeper and the runtime. It leaves out what a run
+// reads but never changes — the image, the config, the sensor bank (a
+// pure function of channel and time) — and what the machine it is
+// restored into brings along: its power source, recorder and observers.
+// A snapshot is immutable; any number of machines forked from the same
+// Prepared image can Restore it.
 type Snapshot struct {
 	st    runState
 	mem   mem.Pages

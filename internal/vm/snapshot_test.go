@@ -86,12 +86,12 @@ type taken struct {
 	seqs   []int64
 }
 
-// takeSnapshots runs spec under continuous power with a snapshot at the
-// first instruction boundary past each cut, and returns them with the
-// run's own observation.
-func takeSnapshots(t *testing.T, spec replay.Spec, img *tics.Image, cuts []int64) ([]taken, observed) {
+// takeSnapshots runs spec under power with a snapshot at the first
+// instruction boundary past each cut, and returns them with the run's own
+// observation.
+func takeSnapshots(t *testing.T, spec replay.Spec, img *tics.Image, power string, cuts []int64) ([]taken, observed) {
 	t.Helper()
-	r := newSnapRun(t, spec, img, "continuous")
+	r := newSnapRun(t, spec, img, power)
 	var snaps []taken
 	r.m.SetBoundaryHook(cuts[0], func(m *vm.Machine) int64 {
 		s := taken{m: m.Snapshot(), events: slices.Clone(r.cap.events), seqs: slices.Clone(r.cap.seqs)}
@@ -161,7 +161,7 @@ func checkResumes(t *testing.T, spec replay.Spec, img *tics.Image, rng *rand.Ran
 		cuts[i] = 1 + rng.Int64N(want.res.Cycles)
 	}
 	slices.Sort(cuts)
-	snaps, hooked := takeSnapshots(t, spec, img, cuts)
+	snaps, hooked := takeSnapshots(t, spec, img, "continuous", cuts)
 	sameRun(t, "run with snapshot hook", hooked, want)
 	for _, s := range snaps {
 		sameRun(t, fmt.Sprintf("resumed at cycle %d", s.m.Cycles()), resume(t, spec, img, "continuous", s), want)
@@ -206,6 +206,35 @@ func TestSnapshotResume(t *testing.T) {
 	})
 }
 
+// TestSnapshotCarriesRemanence: a remanence clock draws each outage's
+// estimate from its own generator, and the machine adds it to the clock
+// estimate in its run state. Snapshots taken after several outages of a
+// fail:20000 run of ar, whose windows are all alike, resume under the
+// same power into the straight run: the same off-time estimates, so the
+// same expiries, event stream (every event stamped with the device
+// clock), sends and result.
+func TestSnapshotCarriesRemanence(t *testing.T) {
+	const power = "fail:20000"
+	spec := replay.Spec{App: "ar", Runtime: "tics", Clock: "remanence:0.5,5000", TimerMs: 2, WallMs: 1500, Seed: 1}
+	img, _, err := replay.BuildImage(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := straight(t, spec, img, power)
+	if want.res.Failures < 8 {
+		t.Fatalf("the straight run failed %d times; the test needs outages before and after each snapshot", want.res.Failures)
+	}
+	c := want.res.Cycles
+	snaps, hooked := takeSnapshots(t, spec, img, power, []int64{c / 4, c / 2, 3 * c / 4})
+	sameRun(t, "run with snapshot hook", hooked, want)
+	if len(snaps) != 3 {
+		t.Fatalf("took %d snapshots, want 3", len(snaps))
+	}
+	for _, s := range snaps {
+		sameRun(t, fmt.Sprintf("resumed at cycle %d", s.m.Cycles()), resume(t, spec, img, power, s), want)
+	}
+}
+
 // TestSnapshotRemainingRule: a run that reads Remaining() — Mementos
 // gating its trigger checkpoints on the voltage proxy — depends on its
 // window, so it takes no snapshot from the first read on. Its boot reads
@@ -230,7 +259,7 @@ func TestSnapshotRefusesALateWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := takeSnapshots(t, spec, img, []int64{10_000})
+	snaps, _ := takeSnapshots(t, spec, img, "continuous", []int64{10_000})
 	r := newSnapRun(t, spec, img, "sched:5000@20")
 	if err := r.m.Restore(snaps[0].m); err != nil {
 		t.Fatal(err)

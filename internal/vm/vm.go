@@ -313,6 +313,7 @@ type runState struct {
 	sinceCp       int64
 	onMs          float64
 	offMs         float64
+	estMs         float64 // the device clock: on-times exact, off-times estimated
 	failures      int
 	halted        bool
 	timedOut      bool
@@ -692,7 +693,7 @@ func (m *Machine) EmitEvent(kind obs.EventKind, a0, a1 int64) {
 		Kind:     kind,
 		Cycles:   m.cycles,
 		TrueMs:   m.TrueNowMs(),
-		DeviceMs: m.clock.Now(),
+		DeviceMs: m.Now(),
 		Arg0:     a0,
 		Arg1:     a1,
 	})
@@ -732,8 +733,10 @@ func (m *Machine) resetRecStack() {
 // suppressed by an atomic time-annotation region.
 func (m *Machine) CpDisabled() bool { return m.CpDisable > 0 }
 
-// Clock returns the persistent timekeeper.
-func (m *Machine) Clock() timekeeper.Keeper { return m.clock }
+// Now returns the device clock: the elapsed milliseconds as the device
+// estimates them, its powered time exact and each outage as the
+// persistent timekeeper estimated it.
+func (m *Machine) Now() int64 { return int64(m.estMs) }
 
 // TrueNowMs returns the true wall-clock time (on + off) in milliseconds.
 func (m *Machine) TrueNowMs() float64 { return m.onMs + m.offMs }
@@ -778,7 +781,7 @@ func (m *Machine) CommitObservables() {
 	// between them would drop already-committed packets).
 	for _, rec := range m.sendPending {
 		rec.TrueMs = m.TrueNowMs()
-		rec.EstMs = m.clock.Now()
+		rec.EstMs = m.Now()
 		m.SendLog = append(m.SendLog, rec)
 		if m.OnSend != nil {
 			m.OnSend(rec)
@@ -805,10 +808,10 @@ func (m *Machine) NoteRestore() {
 // copies, undo-log appends) can die halfway exactly like real FRAM writes.
 //
 // Time is kept in floats: each charge adds c/CyclesPerMs to the on-time
-// and to the timekeeper. Float addition does not associate, so a batch of
-// charges (spendEach, a straight-line run) must make the same adds in the
-// same order, never one add of their sum; only the integer counters and
-// the recorder may take a batch's total at once.
+// and to the clock estimate. Float addition does not associate, so a
+// batch of charges (spendEach, a straight-line run) must make the same
+// adds in the same order, never one add of their sum; only the integer
+// counters and the recorder may take a batch's total at once.
 func (m *Machine) Spend(c int64) { m.charge(c, float64(c)/energy.CyclesPerMs) }
 
 // charge is Spend with c's time in ms, float64(c)/CyclesPerMs, worked out
@@ -818,7 +821,7 @@ func (m *Machine) charge(c int64, ms float64) {
 	m.cycles += c
 	m.sinceCp += c
 	m.onMs += ms
-	m.clock.AdvanceOn(ms)
+	m.estMs += ms
 	if m.rec != nil {
 		// Attribute before the failure check: cycles charged by the dying
 		// operation are consumed cycles too.
@@ -830,7 +833,7 @@ func (m *Machine) charge(c int64, ms float64) {
 }
 
 // spendEach charges k units of c cycles as k Spend(c) calls would, bit
-// for bit: k ordered float adds to the on-time and the timekeeper, the
+// for bit: k ordered float adds to the on-time and the clock, the
 // integer counters and the recorder once for the total. The caller
 // guarantees the window covers all k (remaining ≥ k×c); a charge that may
 // run out goes through Spend.
@@ -842,7 +845,7 @@ func (m *Machine) spendEach(c int64, k int) {
 	ms := float64(c) / energy.CyclesPerMs
 	for range k {
 		m.onMs += ms
-		m.clock.AdvanceOn(ms)
+		m.estMs += ms
 	}
 	if m.rec != nil {
 		m.rec.OnSpend(total)
@@ -907,7 +910,7 @@ func (m *Machine) Fault(format string, args ...any) {
 func (m *Machine) Push(v uint32) {
 	sp := m.Regs.SP - 4
 	if sp < m.Img.StackBase {
-		m.Fault("stack overflow: SP=%#x below stack base %#x", sp, m.Img.StackBase)
+		m.stackOverflow(sp)
 	}
 	m.Regs.SP = sp
 	m.Mem.WriteWord(sp, v)
@@ -915,12 +918,26 @@ func (m *Machine) Push(v uint32) {
 
 // Pop pops a word from the machine stack.
 func (m *Machine) Pop() uint32 {
-	if m.Regs.SP >= m.Img.StackBase+m.Img.StackLen {
-		m.Fault("stack underflow: SP=%#x", m.Regs.SP)
+	sp := m.Regs.SP
+	if sp >= m.Img.StackBase+m.Img.StackLen {
+		m.stackUnderflow()
 	}
-	v := m.Mem.ReadWord(m.Regs.SP)
-	m.Regs.SP += 4
+	v := m.Mem.ReadWord(sp)
+	m.Regs.SP = sp + 4
 	return v
+}
+
+// stackOverflow and stackUnderflow fault a Push or Pop out of line, so
+// the two stay small.
+//
+//go:noinline
+func (m *Machine) stackOverflow(sp uint32) {
+	m.Fault("stack overflow: SP=%#x below stack base %#x", sp, m.Img.StackBase)
+}
+
+//go:noinline
+func (m *Machine) stackUnderflow() {
+	m.Fault("stack underflow: SP=%#x", m.Regs.SP)
 }
 
 // writable reports whether the program may store to addr (globals, mark
@@ -945,7 +962,7 @@ func (m *Machine) RawStore(addr uint32, size int, v uint32) {
 		m.Mem.WriteWord(addr, v)
 	}
 	if m.OnStore != nil {
-		m.OnStore(addr, size, v, m.clock.Now())
+		m.OnStore(addr, size, v, m.Now())
 	}
 }
 
@@ -1028,7 +1045,7 @@ func (m *Machine) run(resume bool) (Result, error) {
 				m.rec.OnPowerFail()
 			}
 			m.offMs += m.pendingOffMs
-			m.clock.AdvanceOff(m.pendingOffMs)
+			m.estMs += m.clock.OffEstimate(m.pendingOffMs)
 			m.Regs = Registers{}
 			m.CpDisable = 0
 			m.ExpiryArmed = false
@@ -1151,7 +1168,7 @@ const wallMargin = 1 + 0x1p-30
 //
 // A run drops the fetch check, the limit compares and the post-step
 // checks, but each instruction still charges its class price before it
-// executes, with its own float adds to the on-time and the timekeeper,
+// executes, with its own float adds to the on-time and the clock,
 // so a store observer reads the clock and cycle count single-stepping
 // would show, and a fault leaves the same state; the recorder takes the
 // run's cycles in one charge (endRun). An armed expiry is checked after
@@ -1172,7 +1189,7 @@ func (m *Machine) tryRun(d *decodedInstr) bool {
 		m.cycles += c
 		m.sinceCp += c
 		m.onMs += ms
-		m.clock.AdvanceOn(ms)
+		m.estMs += ms
 		m.exec(d.in)
 		m.Regs.PC = d.next
 		if m.expired() {
@@ -1271,7 +1288,7 @@ func (m *Machine) step(d *decodedInstr) {
 		}
 		m.Push(uint32(v))
 	case isa.Send:
-		now, est := m.TrueNowMs(), m.clock.Now()
+		now, est := m.TrueNowMs(), m.Now()
 		rec := SendRec{Value: int32(m.Pop()), TrueMs: now, EstMs: est,
 			EmitTrueMs: now, EmitEstMs: est, Seq: m.sendSeq, PC: m.Regs.PC}
 		m.sendSeq++
@@ -1301,11 +1318,11 @@ func (m *Machine) step(d *decodedInstr) {
 		v := m.Mem.ReadWord(addr)
 		m.rt.LoggedStore(m, addr, 4, v+1)
 		if m.OnMark != nil {
-			m.OnMark(in.Imm, m.clock.Now())
+			m.OnMark(in.Imm, m.Now())
 		}
 	case isa.Now:
 		m.Spend(m.Cost.TimeRead)
-		m.Push(uint32(int32(m.clock.Now())))
+		m.Push(uint32(int32(m.Now())))
 	case isa.Chkpt:
 		// Advance PC first so the checkpoint resumes after this
 		// instruction instead of re-taking it forever.
@@ -1320,13 +1337,13 @@ func (m *Machine) step(d *decodedInstr) {
 	case isa.SetTS:
 		m.Spend(m.Cost.TimestampWrite)
 		addr := m.Pop()
-		m.rt.LoggedStore(m, addr, 4, uint32(int32(m.clock.Now())))
+		m.rt.LoggedStore(m, addr, 4, uint32(int32(m.Now())))
 	case isa.ExpBegin, isa.ExpCatch:
 		m.Spend(m.Cost.TimeRead)
 		dur := int64(int32(m.Pop()))
 		tsAddr := m.Pop()
 		ts := int64(m.Mem.ReadInt(tsAddr))
-		now := m.clock.Now()
+		now := m.Now()
 		if now-ts > dur {
 			next = uint32(in.Imm)
 		} else if in.Op == isa.ExpCatch {
@@ -1339,7 +1356,7 @@ func (m *Machine) step(d *decodedInstr) {
 	case isa.Timely:
 		m.Spend(m.Cost.TimeRead)
 		deadline := int64(int32(m.Pop()))
-		if m.clock.Now() >= deadline {
+		if m.Now() >= deadline {
 			next = uint32(in.Imm)
 		}
 	case isa.TransTo:
@@ -1434,15 +1451,9 @@ func (m *Machine) exec(in isa.Instr) {
 	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
 		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
 		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
-		r := m.Pop()
-		v, ok := isa.Eval(in.Op, m.Pop(), r)
-		if !ok {
-			m.zeroDivisor(in.Op)
-		}
-		m.Push(v)
+		m.binary(in.Op)
 	case isa.Neg, isa.Not, isa.LNot:
-		v, _ := isa.Eval(in.Op, m.Pop(), 0)
-		m.Push(v)
+		m.unary(in.Op)
 	case isa.SetRV:
 		m.Regs.RV = m.Pop()
 	case isa.GetRV:
@@ -1454,10 +1465,49 @@ func (m *Machine) exec(in isa.Instr) {
 	}
 }
 
+// binary executes a two-operand ALU or compare op in place: it reads the
+// right operand at SP and the left one above it, writes the result over
+// the left one and raises SP one word, the same reads and writes at the
+// same addresses as Pop, Pop, Push. Where a pop would underflow or the
+// push overflow, it makes those three calls instead, so the fault and the
+// registers are theirs; a zero divisor faults with both operands popped.
+func (m *Machine) binary(op isa.Op) {
+	sp := m.Regs.SP
+	if sp+4 >= m.Img.StackBase+m.Img.StackLen || sp+4 < m.Img.StackBase {
+		r := m.Pop()
+		v, ok := isa.Eval(op, m.Pop(), r)
+		if !ok {
+			m.zeroDivisor(op)
+		}
+		m.Push(v)
+		return
+	}
+	r := m.Mem.ReadWord(sp)
+	v, ok := isa.Eval(op, m.Mem.ReadWord(sp+4), r)
+	if !ok {
+		m.Regs.SP = sp + 8
+		m.zeroDivisor(op)
+	}
+	m.Regs.SP = sp + 4
+	m.Mem.WriteWord(sp+4, v)
+}
+
+// unary executes a one-operand op in place, as Pop then Push would.
+func (m *Machine) unary(op isa.Op) {
+	sp := m.Regs.SP
+	if sp >= m.Img.StackBase+m.Img.StackLen || sp < m.Img.StackBase {
+		v, _ := isa.Eval(op, m.Pop(), 0)
+		m.Push(v)
+		return
+	}
+	v, _ := isa.Eval(op, m.Mem.ReadWord(sp), 0)
+	m.Mem.WriteWord(sp, v)
+}
+
 // expired reports whether an armed data-expiration deadline
 // (exception-based @expires/catch) has passed on the device clock.
 func (m *Machine) expired() bool {
-	return m.ExpiryArmed && m.clock.Now() >= m.ExpiryDeadline
+	return m.ExpiryArmed && m.Now() >= m.ExpiryDeadline
 }
 
 // fireExpiry disarms the passed deadline and hands control to the

@@ -1,11 +1,15 @@
 package vm_test
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/cc"
+	"repro/internal/isa"
 	"repro/internal/link"
+	"repro/internal/mem"
 	"repro/internal/power"
 	"repro/internal/vm"
 )
@@ -227,5 +231,56 @@ int main() { g = 5; mark(0); return 0; }`)
 	}
 	if stores == 0 || marks != 1 {
 		t.Fatalf("hooks: stores=%d marks=%d", stores, marks)
+	}
+}
+
+// TestInPlaceOpsMatchPopPush: every two-operand ALU and compare op and
+// every unary op, with SP anywhere from below the stack to past its top
+// and with zero and nonzero operands, leaves the fault, registers,
+// memory and memory statistics that Pop, Pop, Push leaves.
+func TestInPlaceOpsMatchPopPush(t *testing.T) {
+	img := build(t, `int main() { return 0; }`)
+	ops := []isa.Op{isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
+		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt, isa.CmpGe,
+		isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU, isa.Neg, isa.Not, isa.LNot}
+	base, top := img.StackBase, img.StackBase+img.StackLen
+	sps := []uint32{0, 2, base - 8, base - 6, base - 4, base, base + 4, top - 12, top - 8, top - 6,
+		top - 4, top, top + 4, mem.Size - 4, mem.Size - 2, ^uint32(3), ^uint32(1)}
+	for _, op := range ops {
+		for _, sp := range sps {
+			for _, r := range []uint32{0, 7} {
+				var got [2]error
+				var ms [2]*vm.Machine
+				for i := range ms {
+					m, err := vm.New(vm.Config{Image: img})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, v := range []uint32{r, 0x80000123} {
+						if a := uint64(sp) + 4*uint64(j); a+4 <= mem.Size {
+							m.Mem.WriteWord(uint32(a), v)
+						}
+					}
+					m.Mem.ResetStats()
+					m.Regs.SP = sp
+					if i == 0 {
+						got[i] = m.ExecOp(op)
+					} else {
+						got[i] = m.PopPushOp(op)
+					}
+					ms[i] = m
+				}
+				what := fmt.Sprintf("%s at SP=%#x, right operand %d", op, sp, r)
+				if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
+					t.Fatalf("%s: fault %v, want %v", what, got[0], got[1])
+				}
+				if ms[0].Regs != ms[1].Regs || ms[0].Mem.Stats() != ms[1].Mem.Stats() ||
+					!bytes.Equal(ms[0].Mem.Snapshot(), ms[1].Mem.Snapshot()) {
+					t.Fatalf("%s: registers %+v stats %+v, want %+v %+v (memory equal: %v)", what,
+						ms[0].Regs, ms[0].Mem.Stats(), ms[1].Regs, ms[1].Mem.Stats(),
+						bytes.Equal(ms[0].Mem.Snapshot(), ms[1].Mem.Snapshot()))
+				}
+			}
+		}
 	}
 }
