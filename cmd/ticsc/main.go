@@ -52,11 +52,8 @@ func main() {
 
 	opts := tics.BuildOptions{
 		Runtime:      tics.RuntimeKind(*runtime),
-		OptLevel:     *optLvl,
+		O0:           *optLvl < 2,
 		SegmentBytes: *segment,
-	}
-	if *optLvl == 0 {
-		opts = opts.WithO0()
 	}
 	if app, ok := apps.ByName(*appName); ok && isTask(opts.Runtime) {
 		taskSrc, tasks, edges := app.TaskSource, app.Tasks, app.Edges

@@ -172,7 +172,7 @@ func run(args []string) int {
 			return 2
 		}
 		if !*jsonOut {
-			fmt.Printf("%s: counterexample manifest written to %s (replay with ticsreplay)\n", label, *outPath)
+			fmt.Printf("%s: counterexample manifest written to %s (replay with ticsrun -replay %s)\n", label, *outPath, *outPath)
 		}
 	}
 	return 1

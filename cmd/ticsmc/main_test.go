@@ -9,7 +9,10 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/replay"
 )
 
 // TestCPUProfile: -cpuprofile writes a non-empty pprof profile of the
@@ -97,6 +100,44 @@ func TestCrossCheckGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	code, out := runCaptured(t, "-crosscheck", "../../testdata/vet/seeded", "-workers", "2")
+	if code != 0 {
+		t.Fatalf("exit status %d:\n%s", code, out)
+	}
+	if !bytes.Equal(out, want) {
+		t.Fatalf("crosscheck output differs from testdata/mc/crosscheck.golden:\n%s", out)
+	}
+}
+
+// TestOutNamesTheReplayCommand: -out writes a counterexample manifest
+// and tells the user the command that replays it, and that manifest
+// re-verifies.
+func TestOutNamesTheReplayCommand(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cx.json")
+	code, out := runCaptured(t, "-runtime", "plain", "-max-schedules", "30", "-out", path, "../../testdata/vet/seeded/war.c")
+	if code != 1 {
+		t.Fatalf("exit status %d, want 1 (a counterexample):\n%s", code, out)
+	}
+	if want := "(replay with ticsrun -replay " + path + ")"; !strings.Contains(string(out), want) {
+		t.Fatalf("output does not say %q:\n%s", want, out)
+	}
+	man, err := replay.ReadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := replay.Replay(man, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.VerifyReplay(man, again); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// runCaptured runs the command with args and returns its exit status
+// and everything it wrote to stdout.
+func runCaptured(t *testing.T, args ...string) (int, []byte) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +149,8 @@ func TestCrossCheckGolden(t *testing.T) {
 	}()
 	stdout := os.Stdout
 	os.Stdout = w
-	code := run([]string{"-crosscheck", "../../testdata/vet/seeded", "-workers", "2"})
+	code := run(args)
 	os.Stdout = stdout
 	w.Close()
-	out := <-got
-	if code != 0 {
-		t.Fatalf("exit status %d:\n%s", code, out)
-	}
-	if !bytes.Equal(out, want) {
-		t.Fatalf("crosscheck output differs from testdata/mc/crosscheck.golden:\n%s", out)
-	}
+	return code, <-got
 }

@@ -46,12 +46,12 @@ func main() {
 	var (
 		runtime  = flag.String("runtime", "tics", "runtime: plain|tics|tics-st|mementos|chinchilla|alpaca|ink|mayfly")
 		appName  = flag.String("app", "", "run a built-in benchmark instead of a file")
-		powerArg = flag.String("power", "continuous", "power source: continuous | duty:RATE | fail:CYCLES | sched:C@OFF,... | harvest:CAP,RATE")
+		powerArg = flag.String("power", "continuous", "power source: continuous | duty:RATE | fail:CYCLES[,OFF_MS] | sched:C@OFF,... | harvest:CAP,RATE")
 		timerMs  = flag.Float64("timer", 0, "timer-driven checkpoint period in ms (0 = off)")
 		wallMs   = flag.Float64("wall", 0, "wall-clock budget in ms (0 = run to completion)")
 		segment  = flag.Int("segment", 0, "TICS segment bytes (0 = minimum)")
 		seed     = flag.Uint64("seed", 1, "sensor/power seed")
-		clockArg = flag.String("clock", "perfect", "persistent timekeeper: perfect | rtc:RES_MS | remanence:ERR,MAX_MS")
+		clockArg = flag.String("clock", "perfect", "persistent timekeeper: perfect | rtc:RES_MS | remanence:ERR,MAX_MS[,SEED]")
 
 		traceOut   = flag.String("trace", "", "write Chrome/Perfetto trace_event JSON to FILE")
 		eventsOut  = flag.String("events", "", "write the raw event stream as JSONL to FILE")

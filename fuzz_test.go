@@ -119,7 +119,7 @@ func TestFuzzDifferential(t *testing.T) {
 			t.Fatalf("seed %d: oracle incomplete", seed)
 		}
 		// Optimizer equivalence: O0 must compute exactly what O2 does.
-		o0, err := tics.Run(src, tics.BuildOptions{Runtime: tics.RTPlain}.WithO0(), tics.RunOptions{})
+		o0, err := tics.Run(src, tics.BuildOptions{Runtime: tics.RTPlain, O0: true}, tics.RunOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: O0: %v\n%s", seed, err, src)
 		}

@@ -61,10 +61,10 @@ func imagePrograms(t *testing.T) []imageProgram {
 // and renders it as a golden line: section sizes and the SHA-256 of the
 // linked text followed by the initialised data, or the build error.
 func imageRow(p imageProgram, rt tics.RuntimeKind, o0 bool) string {
-	opts := tics.BuildOptions{Runtime: rt, Tasks: p.tasks, Edges: p.edges}
+	opts := tics.BuildOptions{Runtime: rt, O0: o0, Tasks: p.tasks, Edges: p.edges}
 	level := "O2"
 	if o0 {
-		opts, level = opts.WithO0(), "O0"
+		level = "O0"
 	}
 	head := fmt.Sprintf("%s %s %s", p.label, rt, level)
 	img, err := tics.Build(p.src, opts)

@@ -6,9 +6,7 @@ import (
 
 	tics "repro"
 	"repro/internal/apps"
-	"repro/internal/power"
-	"repro/internal/sensors"
-	"repro/internal/timekeeper"
+	"repro/internal/replay"
 )
 
 // AblationPoint is one configuration's outcome in an ablation sweep.
@@ -37,28 +35,22 @@ func Ablations() (Report, error) {
 		points = append(points, AblationPoint{Study: study, Config: config, Cycles: cycles, Checkpoints: cps, Extra: extra})
 	}
 
-	runIntermittent := func(src string, opts tics.BuildOptions, cpMs float64, failK int64) (int64, int64, map[string]int64, error) {
-		img, err := tics.Build(src, opts)
+	// runIntermittent runs spec to completion with a reboot every failK
+	// cycles and a 10 ms outage after each.
+	runIntermittent := func(spec replay.Spec, failK int64) (int64, int64, error) {
+		spec.Power, spec.Seed, spec.MaxCycles = fmt.Sprintf("fail:%d,10", failK), 3, 500_000_000
+		_, m, err := machine(spec, nil, nil)
 		if err != nil {
-			return 0, 0, nil, err
-		}
-		m, err := tics.NewMachine(img, tics.RunOptions{
-			Power:          &power.FailEvery{Cycles: failK, OffMs: 10},
-			Sensors:        sensors.NewBank(3),
-			AutoCpPeriodMs: cpMs,
-			MaxCycles:      500_000_000,
-		})
-		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 		res, err := m.Run()
 		if err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 		if !res.Completed {
-			return res.Cycles, res.TotalCheckpoints, res.RuntimeStats, fmt.Errorf("did not complete (starved=%v)", res.Starved)
+			return 0, 0, fmt.Errorf("did not complete (starved=%v)", res.Starved)
 		}
-		return res.Cycles, res.TotalCheckpoints, res.RuntimeStats, nil
+		return res.Cycles, res.TotalCheckpoints, nil
 	}
 
 	// --- Segment size (BC, intermittent) ---
@@ -69,8 +61,8 @@ func Ablations() (Report, error) {
 		return Report{}, err
 	}
 	for _, seg := range []int{prog.MinSegmentBytes(), 128, 256, 512} {
-		cycles, cps, _, err := runIntermittent(apps.BC().Source,
-			tics.BuildOptions{Runtime: tics.RTTICS, SegmentBytes: seg, StackBytes: 2048}, 10, 30_000)
+		cycles, cps, err := runIntermittent(replay.Spec{App: "bc", Runtime: string(tics.RTTICS),
+			Segment: seg, StackBytes: 2048, TimerMs: 10}, 30_000)
 		if err != nil {
 			return Report{}, fmt.Errorf("segment %d: %w", seg, err)
 		}
@@ -93,8 +85,8 @@ func Ablations() (Report, error) {
 		{"stack-change + timer", tics.RTTICS, 0, 10},
 		{"task-boundary (ST)", tics.RTTICSTask, 512, 10},
 	} {
-		cycles, cps, _, err := runIntermittent(apps.CF().Source,
-			tics.BuildOptions{Runtime: c.kind, SegmentBytes: c.segment, StackBytes: 2048}, c.timerMs, 25_000)
+		cycles, cps, err := runIntermittent(replay.Spec{App: "cf", Runtime: string(c.kind),
+			Segment: c.segment, StackBytes: 2048, TimerMs: c.timerMs}, 25_000)
 		if err != nil {
 			return Report{}, fmt.Errorf("policy %s: %w", c.name, err)
 		}
@@ -107,13 +99,8 @@ func Ablations() (Report, error) {
 	b.WriteString("\n[undo granularity] CF, continuous power (+10 ms timer)\n")
 	tbl = &table{header: []string{"block", "cycles", "logged stores", "dedup hits"}}
 	for _, block := range []int{4, 16, 32} {
-		img, err := tics.Build(apps.CF().Source, tics.BuildOptions{
-			Runtime: tics.RTTICS, SegmentBytes: 512, StackBytes: 2048, UndoBlockBytes: block,
-		})
-		if err != nil {
-			return Report{}, err
-		}
-		m, err := tics.NewMachine(img, tics.RunOptions{AutoCpPeriodMs: 10})
+		_, m, err := machine(replay.Spec{App: "cf", Runtime: string(tics.RTTICS), Seed: 1,
+			Segment: 512, StackBytes: 2048, UndoBlockBytes: block, TimerMs: 10}, nil, nil)
 		if err != nil {
 			return Report{}, err
 		}
@@ -140,9 +127,8 @@ func Ablations() (Report, error) {
 		if diff {
 			name = "differential (used tail)"
 		}
-		cycles, cps, _, err := runIntermittent(apps.BC().Source, tics.BuildOptions{
-			Runtime: tics.RTTICS, SegmentBytes: 512, StackBytes: 2048, DifferentialCheckpoints: diff,
-		}, 5, 30_000)
+		cycles, cps, err := runIntermittent(replay.Spec{App: "bc", Runtime: string(tics.RTTICS),
+			Segment: 512, StackBytes: 2048, DifferentialCheckpoints: diff, TimerMs: 5}, 30_000)
 		if err != nil {
 			return Report{}, fmt.Errorf("differential=%v: %w", diff, err)
 		}
@@ -155,25 +141,21 @@ func Ablations() (Report, error) {
 	// --- Timekeeper error model (AR freshness decisions) ---
 	b.WriteString("\n[timekeeper] AR on harvested power: committed freshness decisions per clock\n")
 	tbl = &table{header: []string{"clock", "fresh windows", "stale discarded"}}
-	img, err := tics.Build(apps.AR().Source, tics.BuildOptions{Runtime: tics.RTTICS})
+	// The remanence timer draws its error from seed 3; power and sensors
+	// use seed 8 (Fig 8's harvest).
+	spec := replay.Spec{App: "ar", Runtime: string(tics.RTTICS), Power: "harvest:40000,450", Seed: 8, TimerMs: 10}
+	img, _, err := replay.BuildImage(spec)
 	if err != nil {
 		return Report{}, err
 	}
-	for _, c := range []struct {
-		name string
-		mk   func() timekeeper.Keeper
-	}{
-		{"perfect", func() timekeeper.Keeper { return &timekeeper.Perfect{} }},
-		{"rtc 10 ms", func() timekeeper.Keeper { return &timekeeper.RTC{ResolutionMs: 10} }},
-		{"remanence ±10%", func() timekeeper.Keeper { return timekeeper.NewRemanence(0.1, 5000, 3) }},
-		{"remanence ±50%", func() timekeeper.Keeper { return timekeeper.NewRemanence(0.5, 5000, 3) }},
+	for _, c := range []struct{ name, clock string }{
+		{"perfect", "perfect"},
+		{"rtc 10 ms", "rtc:10"},
+		{"remanence ±10%", "remanence:0.1,5000,3"},
+		{"remanence ±50%", "remanence:0.5,5000,3"},
 	} {
-		m, err := tics.NewMachine(img, tics.RunOptions{
-			Power:          power.NewHarvester(40_000, 450, 0.8, 8),
-			Clock:          c.mk(),
-			Sensors:        sensors.NewBank(8),
-			AutoCpPeriodMs: 10,
-		})
+		spec.Clock = c.clock
+		m, err := spec.Machine(img, nil, nil, nil)
 		if err != nil {
 			return Report{}, err
 		}

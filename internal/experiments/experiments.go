@@ -11,7 +11,10 @@ import (
 	"strings"
 
 	tics "repro"
+	"repro/internal/obs"
 	"repro/internal/power"
+	"repro/internal/replay"
+	"repro/internal/vm"
 )
 
 // Report is one regenerated table or figure.
@@ -70,6 +73,20 @@ func RunAll() ([]Report, error) {
 		out = append(out, r)
 	}
 	return out, nil
+}
+
+// machine builds spec's image and a machine for it through
+// replay.Spec.Machine, the one spec → machine path, so an experiment
+// point is a run ticsrun, mc and record/replay can name. A non-nil src
+// replaces the spec's power (Table 1's looping trace, which the power
+// grammar cannot name); rec may be nil.
+func machine(spec replay.Spec, src power.Source, rec *obs.Recorder) (*tics.Image, *vm.Machine, error) {
+	img, _, err := replay.BuildImage(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := spec.Machine(img, nil, src, rec)
+	return img, m, err
 }
 
 // intermittencyTrace builds the pre-programmed reset pattern used by the

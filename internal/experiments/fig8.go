@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	tics "repro"
-	"repro/internal/apps"
-	"repro/internal/power"
-	"repro/internal/sensors"
+	"repro/internal/replay"
 )
 
 // Fig8Event is one entry of the AR execution trace.
@@ -22,21 +20,11 @@ type Fig8Event struct {
 // harvested power, showing sampled windows, fresh windows classified,
 // stale windows discarded by @expires/catch, and @timely alerts.
 func Fig8() (Report, error) {
-	app := apps.AR()
-	img, err := tics.Build(app.Source, tics.BuildOptions{Runtime: tics.RTTICS})
-	if err != nil {
-		return Report{}, err
-	}
 	// Milder harvesting than the Table 2 stress run: recharge times
 	// straddle the 200 ms freshness window, so the trace shows both fresh
 	// windows classified and stale windows discarded.
-	fig8Power := power.NewHarvester(40_000, 450, 0.8, 8)
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Power:          fig8Power,
-		Sensors:        sensors.NewBank(8),
-		AutoCpPeriodMs: 10,
-		MaxCycles:      3_000_000_000,
-	})
+	_, m, err := machine(replay.Spec{App: "ar", Runtime: string(tics.RTTICS),
+		Power: "harvest:40000,450", Seed: 8, TimerMs: 10, MaxCycles: 3_000_000_000}, nil, nil)
 	if err != nil {
 		return Report{}, err
 	}

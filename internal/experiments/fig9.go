@@ -8,7 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/audit"
 	"repro/internal/obs"
-	"repro/internal/sensors"
+	"repro/internal/replay"
 )
 
 // Fig9Point is one (app, configuration) performance measurement under
@@ -29,20 +29,13 @@ func overhead(cycles, plain int64) string {
 	return fmt.Sprintf("%.2fx", float64(cycles)/float64(plain))
 }
 
-func fig9Run(src string, build tics.BuildOptions, autoCpMs float64) (int64, int64, error) {
-	img, err := tics.Build(src, build)
-	if err != nil {
-		return 0, 0, err
-	}
+// fig9Run runs spec to completion under continuous power.
+func fig9Run(spec replay.Spec) (int64, int64, error) {
+	spec.Seed, spec.MaxCycles = 3, 3_000_000_000
 	// The flight recorder rides along (metrics only, tiny ring) so every
 	// figure point is cross-checked against the recorded event stream.
 	rec := obs.NewRecorder(obs.Options{RingCap: 16, Keep: obs.MaskOf(obs.EvPowerFail)})
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Sensors:        sensors.NewBank(3),
-		AutoCpPeriodMs: autoCpMs,
-		MaxCycles:      3_000_000_000,
-		Recorder:       rec,
-	})
+	_, m, err := machine(spec, nil, rec)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -52,8 +45,8 @@ func fig9Run(src string, build tics.BuildOptions, autoCpMs float64) (int64, int6
 	// runtimes that claim it — Mementos and Chinchilla genuinely send
 	// expired data on AR (the paper's Table 1), and this figure measures
 	// their cycles anyway.
-	claimsTime := build.Runtime == tics.RTTICS || build.Runtime == tics.RTTICSTask ||
-		build.Runtime == tics.RTMayFly
+	rt := tics.RuntimeKind(spec.Runtime)
+	claimsTime := rt == tics.RTTICS || rt == tics.RTTICSTask || rt == tics.RTMayFly
 	aud, err := audit.Attach(m, audit.Options{CheckTime: &claimsTime})
 	if err != nil {
 		return 0, 0, err
@@ -106,12 +99,8 @@ func Fig9() (Report, error) {
 			{tics.RTTICS, true}, {tics.RTTICS, false},
 			{tics.RTChinchilla, true}, {tics.RTChinchilla, false},
 		} {
-			opts := tics.BuildOptions{Runtime: cfg.kind}
-			if cfg.o0 {
-				opts = opts.WithO0()
-			}
 			label := fmt.Sprintf("%s-O%d", cfg.kind, map[bool]int{true: 0, false: 2}[cfg.o0])
-			cycles, cps, err := fig9Run(app.Source, opts, 10)
+			cycles, cps, err := fig9Run(replay.Spec{App: app.Name, Runtime: string(cfg.kind), O0: cfg.o0, TimerMs: 10})
 			record(app.Name, label, cycles, cps, err)
 			if err != nil {
 				row = append(row, "✗") // Chinchilla cannot run recursion (BC)
@@ -144,9 +133,8 @@ func Fig9() (Report, error) {
 		}{
 			{"S1", s1, 0}, {"S2", s2, 0}, {"S1*", s1, 10}, {"S2*", s2, 10},
 		} {
-			cycles, cps, err := fig9Run(app.Source, tics.BuildOptions{
-				Runtime: tics.RTTICS, SegmentBytes: cfg.seg, StackBytes: 2048,
-			}, cfg.timer)
+			cycles, cps, err := fig9Run(replay.Spec{App: app.Name, Runtime: string(tics.RTTICS),
+				Segment: cfg.seg, StackBytes: 2048, TimerMs: cfg.timer})
 			record(app.Name, "micro-"+cfg.label, cycles, cps, err)
 			if err != nil {
 				return Report{}, fmt.Errorf("%s %s: %w", app.Name, cfg.label, err)
@@ -164,11 +152,11 @@ func Fig9() (Report, error) {
 	for _, app := range benches {
 		// The plain baseline runs the *legacy* program (the manual-time AR
 		// variant), matching what the task ports implement.
-		plainSrc := app.Source
+		plain := replay.Spec{App: app.Name, Runtime: string(tics.RTPlain)}
 		if app.ManualSource != "" {
-			plainSrc = app.ManualSource
+			plain.App, plain.Source = "", app.ManualSource
 		}
-		plainCycles, _, err := fig9Run(plainSrc, tics.BuildOptions{Runtime: tics.RTPlain}, 0)
+		plainCycles, _, err := fig9Run(plain)
 		if err != nil {
 			return Report{}, err
 		}
@@ -183,18 +171,16 @@ func Fig9() (Report, error) {
 				row = append(row, overhead(cycles, plainCycles))
 			}
 		}
-		c, _, err := fig9Run(app.Source, tics.BuildOptions{Runtime: tics.RTTICS, SegmentBytes: 512, StackBytes: 4096}, 10)
+		s2 := replay.Spec{App: app.Name, Runtime: string(tics.RTTICS), Segment: 512, StackBytes: 4096, TimerMs: 10}
+		c, _, err := fig9Run(s2)
 		cell("TICS-S2*", c, err)
-		c, _, err = fig9Run(app.Source, tics.BuildOptions{Runtime: tics.RTTICSTask, SegmentBytes: 512, StackBytes: 4096}, 10)
+		s2.Runtime = string(tics.RTTICSTask)
+		c, _, err = fig9Run(s2)
 		cell("TICS-ST", c, err)
-		c, _, err = fig9Run(app.Source, tics.BuildOptions{Runtime: tics.RTMementos}, 0)
+		c, _, err = fig9Run(replay.Spec{App: app.Name, Runtime: string(tics.RTMementos)})
 		cell("naive", c, err)
 		for _, kind := range []tics.RuntimeKind{tics.RTAlpaca, tics.RTInK, tics.RTMayFly} {
-			src, tasks, edges := app.TaskSource, app.Tasks, app.Edges
-			if kind == tics.RTMayFly {
-				src, tasks, edges = app.ForMayfly()
-			}
-			c, _, err = fig9Run(src, tics.BuildOptions{Runtime: kind, Tasks: tasks, Edges: edges}, 0)
+			c, _, err = fig9Run(replay.Spec{App: app.Name, Runtime: string(kind)})
 			cell(string(kind), c, err)
 		}
 		tblR.add(row...)

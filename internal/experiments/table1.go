@@ -5,7 +5,7 @@ import (
 
 	tics "repro"
 	"repro/internal/apps"
-	"repro/internal/sensors"
+	"repro/internal/replay"
 )
 
 // Table1Row is one (program, intermittency, runtime) measurement.
@@ -39,17 +39,8 @@ func Table1() (Report, error) {
 	var rows []Table1Row
 	for _, rate := range rates {
 		for _, v := range variants {
-			img, err := tics.Build(v.app.Source, tics.BuildOptions{Runtime: v.runtime})
-			if err != nil {
-				return Report{}, err
-			}
-			m, err := tics.NewMachine(img, tics.RunOptions{
-				Power:          intermittencyTrace(rate),
-				Sensors:        sensors.NewBank(7),
-				AutoCpPeriodMs: 10,
-				MaxWallMs:      wallBudgetMs,
-				MaxCycles:      1_000_000_000,
-			})
+			_, m, err := machine(replay.Spec{App: v.app.Name, Runtime: string(v.runtime), Seed: 7,
+				TimerMs: 10, WallMs: wallBudgetMs, MaxCycles: 1_000_000_000}, intermittencyTrace(rate), nil)
 			if err != nil {
 				return Report{}, err
 			}

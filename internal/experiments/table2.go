@@ -6,8 +6,7 @@ import (
 	tics "repro"
 	"repro/internal/apps"
 	"repro/internal/obs"
-	"repro/internal/power"
-	"repro/internal/sensors"
+	"repro/internal/replay"
 	"repro/internal/trace"
 )
 
@@ -33,28 +32,15 @@ func (t Table2Result) add(o Table2Result) Table2Result {
 	return t
 }
 
-// arPower models the paper's RF-harvesting setup (Powercast transmitter,
-// 10 µF storage capacitor): short powered bursts separated by recharge
-// times that regularly exceed the 200 ms freshness window.
-func arPower(seed uint64) power.Source {
-	return power.NewHarvester(20_000, 90, 0.8, seed)
-}
-
-// runAR executes one AR variant with the violation detectors attached.
-func runAR(src string, build tics.BuildOptions, tsName string, seed uint64) (Table2Result, error) {
-	img, err := tics.Build(src, build)
-	if err != nil {
-		return Table2Result{}, err
-	}
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Power:          arPower(seed),
-		Sensors:        sensors.NewBank(seed),
-		AutoCpPeriodMs: 10,
-		MaxCycles:      3_000_000_000,
-		// The detectors follow commits on the event stream; a one-slot
-		// ring keeps the recorder itself negligible.
-		Recorder: obs.NewRecorder(obs.Options{RingCap: 1}),
-	})
+// runAR executes one AR variant with the violation detectors attached,
+// on power that models the paper's RF-harvesting setup (Powercast
+// transmitter, 10 µF storage capacitor): short powered bursts separated
+// by recharge times that regularly exceed the 200 ms freshness window.
+func runAR(spec replay.Spec, tsName string, seed uint64) (Table2Result, error) {
+	spec.Power, spec.Seed, spec.TimerMs, spec.MaxCycles = "harvest:20000,90", seed, 10, 3_000_000_000
+	// The detectors follow commits on the event stream; a one-slot ring
+	// keeps the recorder itself negligible.
+	img, m, err := machine(spec, nil, obs.NewRecorder(obs.Options{RingCap: 1}))
 	if err != nil {
 		return Table2Result{}, err
 	}
@@ -98,18 +84,17 @@ func Table2() (Report, error) {
 	noVersion := false
 	var manual, withTICS Table2Result
 	for _, seed := range seeds {
-		man, err := runAR(apps.AR().ManualSource,
-			tics.BuildOptions{
-				Runtime:                tics.RTMementos,
-				VersionGlobals:         &noVersion,
-				VoltageThresholdCycles: 3000, // voltage-gated triggers, as Mementos does
-			}, "ats", seed)
+		man, err := runAR(replay.Spec{
+			Source:                 apps.AR().ManualSource,
+			Runtime:                string(tics.RTMementos),
+			VersionGlobals:         &noVersion,
+			VoltageThresholdCycles: 3000, // voltage-gated triggers, as Mementos does
+		}, "ats", seed)
 		if err != nil {
 			return Report{}, fmt.Errorf("manual AR: %w", err)
 		}
 		manual = manual.add(man)
-		tic, err := runAR(apps.AR().Source,
-			tics.BuildOptions{Runtime: tics.RTTICS}, "", seed)
+		tic, err := runAR(replay.Spec{App: "ar", Runtime: string(tics.RTTICS)}, "", seed)
 		if err != nil {
 			return Report{}, fmt.Errorf("annotated AR: %w", err)
 		}

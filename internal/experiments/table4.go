@@ -4,14 +4,12 @@ import (
 	"fmt"
 
 	tics "repro"
-	"repro/internal/apps"
 	"repro/internal/audit"
 	"repro/internal/cc"
 	"repro/internal/core"
 	"repro/internal/link"
 	"repro/internal/obs"
-	"repro/internal/power"
-	"repro/internal/sensors"
+	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
@@ -166,17 +164,9 @@ func Table4() (Report, error) {
 // duty-cycled power (timer checkpoints on) with an attached auditor and
 // returns the p50/p99 of the committed-checkpoint latency histogram.
 func checkpointLatencyQuantiles() (int64, int64, error) {
-	img, err := tics.Build(apps.AR().Source, tics.BuildOptions{Runtime: tics.RTTICS})
-	if err != nil {
-		return 0, 0, err
-	}
 	rec := obs.NewRecorder(obs.Options{RingCap: 64})
-	m, err := tics.NewMachine(img, tics.RunOptions{
-		Power:          &power.DutyCycle{Rate: 0.48, OnMs: 40},
-		Sensors:        sensors.NewBank(3),
-		AutoCpPeriodMs: 10,
-		Recorder:       rec,
-	})
+	_, m, err := machine(replay.Spec{App: "ar", Runtime: string(tics.RTTICS),
+		Power: "duty:0.48", Seed: 3, TimerMs: 10}, nil, rec)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -194,12 +194,13 @@ func (img *Image) LoadInto(m *mem.Memory) error {
 	return nil
 }
 
-// FuncAt returns the metadata for the function with the given index.
-func (img *Image) FuncAt(idx int) (FuncMeta, error) {
+// FuncAt returns the metadata for the function with the given index: a
+// pointer into img.Funcs, which callers must not modify.
+func (img *Image) FuncAt(idx int) (*FuncMeta, error) {
 	if idx < 0 || idx >= len(img.Funcs) {
-		return FuncMeta{}, fmt.Errorf("link: function index %d out of range", idx)
+		return nil, fmt.Errorf("link: function index %d out of range", idx)
 	}
-	return img.Funcs[idx], nil
+	return &img.Funcs[idx], nil
 }
 
 // GlobalAddr returns the absolute address of a named global.

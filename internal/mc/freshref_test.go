@@ -243,10 +243,7 @@ func TestDataProvenanceMatchesReference(t *testing.T) {
 		}
 		for _, rt := range tics.Runtimes() {
 			for _, o0 := range []bool{true, false} {
-				opts := tics.BuildOptions{Runtime: rt, Tasks: p.tasks, Edges: p.edges}
-				if o0 {
-					opts = opts.WithO0()
-				}
+				opts := tics.BuildOptions{Runtime: rt, O0: o0, Tasks: p.tasks, Edges: p.edges}
 				img, err := tics.Build(p.src, opts)
 				if err != nil {
 					continue // a runtime the program cannot build for

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -386,5 +387,48 @@ func TestSweepLogsOneLinePerDepth(t *testing.T) {
 	}
 	if kept != rep.Schedules || candidates-kept != rep.Dropped {
 		t.Fatalf("logged %d candidates / %d kept; report has %d schedules, %d dropped", candidates, kept, rep.Schedules, rep.Dropped)
+	}
+}
+
+// TestSweepVoltageGatedMementos sweeps Mementos with its voltage gate on,
+// the configuration Table 2 runs, at depth 1. On BC the gate is clean.
+// Table 2's exact build (AR's manual-time source, globals unversioned)
+// rolls back only the stack and registers, so the sweep finds the
+// unversioned globals' write-after-read hazards as rollback-exactness
+// findings, and nothing else.
+func TestSweepVoltageGatedMementos(t *testing.T) {
+	maxSchedules := 600
+	if testing.Short() || raceDetector {
+		maxSchedules = 48
+	}
+	noVersion := false
+	for _, c := range []struct {
+		label string
+		spec  replay.Spec
+		kinds []string // the finding kinds, sorted
+	}{
+		{"bc", replay.Spec{App: "bc", Runtime: "mementos", VoltageThresholdCycles: 3000}, nil},
+		{"ar-table2", replay.Spec{Source: apps.AR().ManualSource, Runtime: "mementos", VersionGlobals: &noVersion,
+			VoltageThresholdCycles: 3000, TimerMs: 10, Seed: 42}, []string{"rollback-exactness"}},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			rep, err := Sweep(Config{Spec: c.spec, Workers: runtime.GOMAXPROCS(0), MaxSchedules: maxSchedules})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Schedules != maxSchedules || len(rep.OracleFindings) != 0 {
+				t.Fatalf("%d schedules (want %d), oracle findings %v", rep.Schedules, maxSchedules, rep.OracleFindings)
+			}
+			var kinds []string
+			for _, f := range rep.Findings {
+				if !slices.Contains(kinds, f.Kind) {
+					kinds = append(kinds, f.Kind)
+				}
+			}
+			slices.Sort(kinds)
+			if !slices.Equal(kinds, c.kinds) {
+				t.Fatalf("finding kinds %v, want %v (first: %v)", kinds, c.kinds, rep.Counterexample())
+			}
+		})
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // ParsePower builds a power source from ticsrun's -power syntax:
-// continuous | duty:RATE | fail:CYCLES | sched:C@OFF,... |
-// harvest:CAP,RATE. The same string goes into a replay Spec, which is why
-// it lives here.
+// continuous | duty:RATE | fail:CYCLES[,OFF_MS] | sched:C@OFF,... |
+// harvest:CAP,RATE. fail's off-time defaults to 20 ms. The same string
+// goes into a replay Spec, which is why it lives here.
 func ParsePower(arg string, seed uint64) (power.Source, error) {
 	switch {
 	case arg == "continuous":
@@ -24,24 +24,23 @@ func ParsePower(arg string, seed uint64) (power.Source, error) {
 		}
 		return &power.DutyCycle{Rate: rate, OnMs: 40}, nil
 	case strings.HasPrefix(arg, "fail:"):
-		n, err := strconv.ParseInt(arg[5:], 10, 64)
+		cycles, offMs, hasOff := strings.Cut(arg[5:], ",")
+		n, err := strconv.ParseInt(cycles, 10, 64)
 		if err != nil {
 			return nil, err
 		}
-		return &power.FailEvery{Cycles: n, OffMs: 20}, nil
+		off := 20.0
+		if hasOff {
+			if off, err = strconv.ParseFloat(offMs, 64); err != nil {
+				return nil, err
+			}
+		}
+		return &power.FailEvery{Cycles: n, OffMs: off}, nil
 	case strings.HasPrefix(arg, "sched:"):
 		// Explicit cycle-exact reboot schedule (internal/mc counterexamples).
 		return power.ParseSchedule(arg)
 	case strings.HasPrefix(arg, "harvest:"):
-		parts := strings.Split(arg[8:], ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("harvest wants CAP,RATE")
-		}
-		cap, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return nil, err
-		}
-		rate, err := strconv.ParseFloat(parts[1], 64)
+		cap, rate, err := pair(strings.Split(arg[8:], ","), "harvest wants CAP,RATE")
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +50,8 @@ func ParsePower(arg string, seed uint64) (power.Source, error) {
 }
 
 // ParseClock builds a persistent timekeeper from ticsrun's -clock
-// syntax: perfect | rtc:RES_MS | remanence:ERR,MAX_MS.
+// syntax: perfect | rtc:RES_MS | remanence:ERR,MAX_MS[,SEED]. The
+// remanence timer draws its error from SEED when given, else from seed.
 func ParseClock(arg string, seed uint64) (timekeeper.Keeper, error) {
 	switch {
 	case arg == "perfect":
@@ -64,18 +64,32 @@ func ParseClock(arg string, seed uint64) (timekeeper.Keeper, error) {
 		return &timekeeper.RTC{ResolutionMs: res}, nil
 	case strings.HasPrefix(arg, "remanence:"):
 		parts := strings.Split(arg[10:], ",")
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("remanence wants ERR,MAX_MS")
+		if len(parts) == 3 {
+			s, err := strconv.ParseUint(parts[2], 10, 64)
+			if err != nil {
+				return nil, err
+			}
+			parts, seed = parts[:2], s
 		}
-		errFrac, err := strconv.ParseFloat(parts[0], 64)
-		if err != nil {
-			return nil, err
-		}
-		max, err := strconv.ParseFloat(parts[1], 64)
+		errFrac, max, err := pair(parts, "remanence wants ERR,MAX_MS[,SEED]")
 		if err != nil {
 			return nil, err
 		}
 		return timekeeper.NewRemanence(errFrac, max, seed), nil
 	}
 	return nil, fmt.Errorf("unknown clock %q", arg)
+}
+
+// pair parses exactly two numbers; usage is the error for any other
+// count.
+func pair(parts []string, usage string) (float64, float64, error) {
+	if len(parts) != 2 {
+		return 0, 0, fmt.Errorf("%s", usage)
+	}
+	a, err := strconv.ParseFloat(parts[0], 64)
+	if err != nil {
+		return 0, 0, err
+	}
+	b, err := strconv.ParseFloat(parts[1], 64)
+	return a, b, err
 }

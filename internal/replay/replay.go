@@ -35,19 +35,27 @@ type Spec struct {
 	Runtime string `json:"runtime"`
 	Segment int    `json:"segment,omitempty"` // TICS segment bytes (0 = minimum)
 
-	Power string `json:"power"` // continuous | duty:RATE | fail:CYCLES | sched:... | harvest:CAP,RATE
-	Clock string `json:"clock"` // perfect | rtc:RES_MS | remanence:ERR,MAX_MS
+	Power string `json:"power"` // continuous | duty:RATE | fail:CYCLES[,OFF_MS] | sched:... | harvest:CAP,RATE
+	Clock string `json:"clock"` // perfect | rtc:RES_MS | remanence:ERR,MAX_MS[,SEED]
 	Seed  uint64 `json:"seed"`  // sensor/power/clock seed
 
 	// Build knobs beyond Segment that change the image (and therefore the
-	// event stream a replay must reproduce). StackBytes sizes the stack
-	// region / TICS segment arena (0 = runtime default); UndoCapBytes
-	// sizes the TICS undo log (0 = default); VersionGlobals toggles
-	// Mementos' global versioning (nil = default true; false reproduces
-	// the Table 1 WAR-violation counterexamples).
-	StackBytes     int   `json:"stack_bytes,omitempty"`
-	UndoCapBytes   int   `json:"undo_cap_bytes,omitempty"`
-	VersionGlobals *bool `json:"version_globals,omitempty"`
+	// event stream a replay must reproduce), one per tics.BuildOptions
+	// field. StackBytes sizes the stack region / TICS segment arena (0 =
+	// runtime default); UndoCapBytes sizes the TICS undo log (0 =
+	// default); UndoBlockBytes and DifferentialCheckpoints are the TICS
+	// undo-granularity and checkpoint-size ablations; VersionGlobals
+	// toggles Mementos' global versioning (nil = default true; false
+	// reproduces the Table 1 WAR-violation counterexamples);
+	// VoltageThresholdCycles gates Mementos' checkpoints on the energy
+	// left (Table 2); O0 compiles without optimization (Fig 9).
+	StackBytes              int   `json:"stack_bytes,omitempty"`
+	UndoCapBytes            int   `json:"undo_cap_bytes,omitempty"`
+	UndoBlockBytes          int   `json:"undo_block_bytes,omitempty"`
+	DifferentialCheckpoints bool  `json:"differential_checkpoints,omitempty"`
+	VersionGlobals          *bool `json:"version_globals,omitempty"`
+	VoltageThresholdCycles  int64 `json:"voltage_threshold_cycles,omitempty"`
+	O0                      bool  `json:"o0,omitempty"`
 
 	TimerMs   float64 `json:"timer_ms,omitempty"`
 	WallMs    float64 `json:"wall_ms,omitempty"`
@@ -124,17 +132,22 @@ type capture struct{ events []obs.Event }
 func (c *capture) OnEvent(_ int64, ev obs.Event) { c.events = append(c.events, ev) }
 
 // BuildImage resolves the spec's program (built-in app or inline source)
-// and builds it for the spec's runtime. The returned image is immutable
-// after linking, so callers running many devices (internal/fleet) build
-// once and share it across machines; the source text is returned for
-// program hashing.
+// and builds it for the spec's runtime with the spec's build knobs; a
+// task runtime builds the app's task port (MayFly its loop-free one).
+// The returned image is immutable after linking, so callers running many
+// devices (internal/fleet) build once and share it across machines; the
+// source text is returned for program hashing.
 func BuildImage(spec Spec) (*tics.Image, string, error) {
 	opts := tics.BuildOptions{
-		Runtime:        tics.RuntimeKind(spec.Runtime),
-		SegmentBytes:   spec.Segment,
-		StackBytes:     spec.StackBytes,
-		UndoCapBytes:   spec.UndoCapBytes,
-		VersionGlobals: spec.VersionGlobals,
+		Runtime:                 tics.RuntimeKind(spec.Runtime),
+		O0:                      spec.O0,
+		SegmentBytes:            spec.Segment,
+		StackBytes:              spec.StackBytes,
+		UndoCapBytes:            spec.UndoCapBytes,
+		UndoBlockBytes:          spec.UndoBlockBytes,
+		DifferentialCheckpoints: spec.DifferentialCheckpoints,
+		VoltageThresholdCycles:  spec.VoltageThresholdCycles,
+		VersionGlobals:          spec.VersionGlobals,
 	}
 	src := spec.Source
 	if spec.App != "" {

@@ -5,11 +5,13 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 	"repro/internal/power"
 	"repro/internal/replay"
+	"repro/internal/timekeeper"
 )
 
 func TestRecordingSourceLogsEveryWindow(t *testing.T) {
@@ -114,17 +116,97 @@ func TestReplayRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestParsePowerAndClockErrors(t *testing.T) {
-	for _, bad := range []string{"", "solar", "duty:x", "fail:x", "harvest:1", "harvest:a,b"} {
+	for _, bad := range []string{"", "solar", "duty:x", "fail:x", "fail:3000,", "fail:3000,x", "harvest:1", "harvest:a,b"} {
 		if _, err := replay.ParsePower(bad, 1); err == nil {
 			t.Fatalf("ParsePower(%q) accepted", bad)
 		}
 	}
-	for _, bad := range []string{"", "sundial", "rtc:x", "remanence:1", "remanence:a,b"} {
+	for _, bad := range []string{"", "sundial", "rtc:x", "remanence:1", "remanence:a,b", "remanence:0.1,5000,x", "remanence:0.1,5000,3,4"} {
 		if _, err := replay.ParseClock(bad, 1); err == nil {
 			t.Fatalf("ParseClock(%q) accepted", bad)
 		}
 	}
 	if src, err := replay.ParsePower("harvest:25000,300", 42); err != nil || src.Name() == "" {
 		t.Fatalf("harvest parse: %v", err)
+	}
+}
+
+// TestPowerAndClockOptionalFields: fail's off-time defaults to 20 ms,
+// and a remanence clock's own seed overrides the run seed.
+func TestPowerAndClockOptionalFields(t *testing.T) {
+	for arg, want := range map[string]power.FailEvery{
+		"fail:3000":    {Cycles: 3000, OffMs: 20},
+		"fail:3000,10": {Cycles: 3000, OffMs: 10},
+	} {
+		src, err := replay.ParsePower(arg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := src.(*power.FailEvery); !ok || *got != want {
+			t.Fatalf("%s: %#v, want %+v", arg, src, want)
+		}
+	}
+	for arg, seed := range map[string]uint64{"remanence:0.1,5000": 8, "remanence:0.1,5000,3": 3} {
+		c, err := replay.ParseClock(arg, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := timekeeper.NewRemanence(0.1, 5000, seed); !reflect.DeepEqual(c, want) {
+			t.Fatalf("%s: %#v, want %#v", arg, c, want)
+		}
+	}
+}
+
+// TestBuildKnobsRecordAndReplay: every build knob a Spec names goes into
+// the manifest, changes the run, and replays byte-identically from the
+// manifest alone.
+func TestBuildKnobsRecordAndReplay(t *testing.T) {
+	for _, c := range []struct {
+		key  string // the knob's manifest field
+		spec replay.Spec
+	}{
+		{`"undo_block_bytes": 16`, replay.Spec{Runtime: "tics", UndoBlockBytes: 16}},
+		{`"undo_block_bytes": 64`, replay.Spec{Runtime: "tics", UndoBlockBytes: 64}},
+		{`"differential_checkpoints": true`, replay.Spec{Runtime: "tics", DifferentialCheckpoints: true}},
+		{`"undo_cap_bytes": 96`, replay.Spec{Runtime: "tics", UndoCapBytes: 96}},
+		{`"voltage_threshold_cycles": 3000`, replay.Spec{Runtime: "mementos", VoltageThresholdCycles: 3000}},
+		{`"o0": true`, replay.Spec{Runtime: "tics", O0: true}},
+	} {
+		spec := c.spec
+		spec.App, spec.Power, spec.Seed, spec.MaxCycles = "cf", "fail:3000", 1, 2_000_000
+		man, run, err := replay.Record(spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "run.manifest.json")
+		if err := replay.WriteManifest(path, man); err != nil {
+			t.Fatal(err)
+		}
+		back, err := replay.ReadManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.MarshalIndent(back.Spec, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Spec, man.Spec) || !strings.Contains(string(b), c.key) {
+			t.Fatalf("manifest spec does not name %s:\n%s", c.key, b)
+		}
+		rerun, err := replay.Replay(back, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.VerifyReplay(back, rerun); err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		_, without, err := replay.Record(replay.Spec{App: spec.App, Runtime: spec.Runtime,
+			Power: spec.Power, Seed: spec.Seed, MaxCycles: spec.MaxCycles}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if without.SHA256 == run.SHA256 {
+			t.Fatalf("%s: the knob does not change the run", c.key)
+		}
 	}
 }

@@ -72,8 +72,9 @@ type Interrupter interface {
 	OnInterruptReturn(m *Machine)
 }
 
-// Func returns function fn's metadata, faulting on a bad index.
-func (m *Machine) Func(fn int) link.FuncMeta {
+// Func returns function fn's metadata (shared with the image: read
+// only), faulting on a bad index.
+func (m *Machine) Func(fn int) *link.FuncMeta {
 	meta, err := m.Img.FuncAt(fn)
 	if err != nil {
 		panic(machineFault{err})

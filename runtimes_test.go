@@ -5,8 +5,6 @@
 package tics_test
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -17,8 +15,6 @@ import (
 	"testing"
 
 	tics "repro"
-	"repro/internal/apps"
-	"repro/internal/obs"
 	"repro/internal/replay"
 )
 
@@ -29,14 +25,10 @@ var updateRuntimes = flag.Bool("update-runtimes", false, "rewrite testdata/runti
 // run to the default watchdog.
 const runtimesMaxCycles = 2_000_000
 
-// runtimeRow is one golden run. A non-nil build bypasses the spec's
-// build knobs and links the app with these options directly (knobs
-// replay.Spec does not carry: the TICS ablations, the Mementos voltage
-// gate).
+// runtimeRow is one golden run: a replay spec and its row label.
 type runtimeRow struct {
 	label string
 	spec  replay.Spec
-	build *tics.BuildOptions
 }
 
 func runtimeRows() []runtimeRow {
@@ -53,20 +45,15 @@ func runtimeRows() []runtimeRow {
 			s := spec
 			s.Runtime, s.VersionGlobals = string(tics.RTMementos), &noVersion
 			rows = append(rows, runtimeRow{label: "mementos/unversioned", spec: s})
-			for _, v := range []struct {
-				label string
-				opts  tics.BuildOptions
-			}{
-				{"tics/block16", tics.BuildOptions{UndoBlockBytes: 16}},
-				{"tics/block64", tics.BuildOptions{UndoBlockBytes: 64}},
-				{"tics/differential", tics.BuildOptions{DifferentialCheckpoints: true}},
-				{"tics/undocap96", tics.BuildOptions{UndoCapBytes: 96}},
+			for _, v := range []runtimeRow{
+				{"tics/block16", replay.Spec{UndoBlockBytes: 16}},
+				{"tics/block64", replay.Spec{UndoBlockBytes: 64}},
+				{"tics/differential", replay.Spec{DifferentialCheckpoints: true}},
+				{"tics/undocap96", replay.Spec{UndoCapBytes: 96}},
 			} {
-				s := spec
-				s.Runtime = string(tics.RTTICS)
-				opts := v.opts
-				opts.Runtime = tics.RTTICS
-				rows = append(rows, runtimeRow{label: v.label, spec: s, build: &opts})
+				s := v.spec
+				s.App, s.Power, s.Seed, s.MaxCycles, s.Runtime = app, pw, 1, runtimesMaxCycles, string(tics.RTTICS)
+				rows = append(rows, runtimeRow{label: v.label, spec: s})
 			}
 		}
 	}
@@ -74,65 +61,27 @@ func runtimeRows() []runtimeRow {
 	// cold boot must commit a checkpoint the gate would skip.
 	for _, app := range []string{"bc", "cf", "ar", "ghm"} {
 		for _, pw := range []string{"harvest:40000,800", "fail:3000", "fail:700"} {
-			s := replay.Spec{App: app, Power: pw, Seed: 1, MaxCycles: runtimesMaxCycles, Runtime: string(tics.RTMementos)}
-			opts := tics.BuildOptions{Runtime: tics.RTMementos, VoltageThresholdCycles: 3000}
-			rows = append(rows, runtimeRow{label: "mementos/voltage3000", spec: s, build: &opts})
+			s := replay.Spec{App: app, Power: pw, Seed: 1, MaxCycles: runtimesMaxCycles,
+				Runtime: string(tics.RTMementos), VoltageThresholdCycles: 3000}
+			rows = append(rows, runtimeRow{label: "mementos/voltage3000", spec: s})
 		}
 	}
 	return rows
 }
 
-// captureSink keeps a direct build's full event stream, hashed like
-// replay.Run.SHA256.
-type captureSink struct{ events []obs.Event }
-
-func (c *captureSink) OnEvent(_ int64, ev obs.Event) { c.events = append(c.events, ev) }
-
 // runRow executes one row and renders it as a golden line.
 func runRow(r runtimeRow) (string, map[string]int64, error) {
 	head := fmt.Sprintf("%s %s %s", r.spec.App, r.label, r.spec.Power)
-	var (
-		sha   string
-		res   replay.ResultDigest
-		stats map[string]int64
-		ms    any
-	)
-	if r.build == nil {
-		_, run, err := replay.Record(r.spec, nil)
-		if err != nil {
-			return head + " error: " + err.Error(), nil, nil
-		}
-		sha, res, stats, ms = run.SHA256, run.Res, run.Result.RuntimeStats, run.Result.MemStats
-	} else {
-		app, ok := apps.ByName(r.spec.App)
-		if !ok {
-			return "", nil, fmt.Errorf("unknown app %s", r.spec.App)
-		}
-		img, err := tics.Build(app.Source, *r.build)
-		if err != nil {
-			return head + " error: " + err.Error(), nil, nil
-		}
-		sink := &captureSink{}
-		rec := obs.NewRecorder(obs.Options{RingCap: 1024})
-		rec.AddSink(sink)
-		m, err := r.spec.Machine(img, nil, nil, rec)
-		if err != nil {
-			return "", nil, err
-		}
-		result, _ := m.Run()
-		jsonl, err := obs.EventsJSONL(sink.events)
-		if err != nil {
-			return "", nil, err
-		}
-		sum := sha256.Sum256(jsonl)
-		sha = hex.EncodeToString(sum[:])
-		res, stats, ms = replay.DigestOf(result), result.RuntimeStats, result.MemStats
+	_, run, err := replay.Record(r.spec, nil)
+	if err != nil {
+		return head + " error: " + err.Error(), nil, nil
 	}
-	digest, err := json.Marshal(res)
+	stats := run.Result.RuntimeStats
+	digest, err := json.Marshal(run.Res)
 	if err != nil {
 		return "", nil, err
 	}
-	memJSON, err := json.Marshal(ms)
+	memJSON, err := json.Marshal(run.Result.MemStats)
 	if err != nil {
 		return "", nil, err
 	}
@@ -146,7 +95,7 @@ func runRow(r runtimeRow) (string, map[string]int64, error) {
 		kv[i] = fmt.Sprintf("%s=%d", k, stats[k])
 	}
 	return fmt.Sprintf("%s events=%s result=%s mem=%s stats={%s}",
-		head, sha, digest, memJSON, strings.Join(kv, ",")), stats, nil
+		head, run.SHA256, digest, memJSON, strings.Join(kv, ",")), stats, nil
 }
 
 // TestRuntimesGolden pins every runtime (plus Mementos without global

@@ -64,9 +64,8 @@ func Runtimes() []RuntimeKind {
 // BuildOptions configures compilation, instrumentation and linking.
 type BuildOptions struct {
 	Runtime RuntimeKind
-	// OptLevel is 0 or 2 (default 2).
-	OptLevel    int
-	optLevelSet bool
+	// O0 compiles at optimization level 0 instead of the default 2.
+	O0 bool
 
 	// TICS knobs.
 	SegmentBytes int // working-stack segment size (0 = program minimum)
@@ -87,20 +86,6 @@ type BuildOptions struct {
 	Tasks     []string
 	StartTask int
 	Edges     []taskrt.Edge
-}
-
-// WithO0 returns a copy of the options at optimization level 0.
-func (b BuildOptions) WithO0() BuildOptions {
-	b.OptLevel = 0
-	b.optLevelSet = true
-	return b
-}
-
-func (b BuildOptions) optLevel() int {
-	if b.OptLevel == 0 && !b.optLevelSet {
-		return 2
-	}
-	return b.OptLevel
 }
 
 // Image bundles a linked firmware image with a factory for its runtime
@@ -142,7 +127,10 @@ func Build(src string, opts BuildOptions) (*Image, error) {
 	if opts.Runtime == "" {
 		opts.Runtime = RTTICS
 	}
-	ccOpts := cc.Options{OptLevel: opts.optLevel(), StaticLocals: opts.Runtime == RTChinchilla}
+	ccOpts := cc.Options{OptLevel: 2, StaticLocals: opts.Runtime == RTChinchilla}
+	if opts.O0 {
+		ccOpts.OptLevel = 0
+	}
 	prog, err := cc.Compile(src, ccOpts)
 	if err != nil {
 		return nil, err

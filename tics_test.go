@@ -58,9 +58,10 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
-func TestWithO0(t *testing.T) {
+func TestO0(t *testing.T) {
 	base := tics.BuildOptions{Runtime: tics.RTTICS}
-	o0 := base.WithO0()
+	o0 := base
+	o0.O0 = true
 	imgBase, err := tics.Build(apps.CF().Source, base)
 	if err != nil {
 		t.Fatal(err)
