@@ -300,7 +300,7 @@ func BenchmarkAppCF(b *testing.B) { benchApp(b, apps.CF(), tics.RTTICS) }
 
 func microRig(b *testing.B, segBytes int) (*vm.Machine, *core.TICS) {
 	b.Helper()
-	prog, err := cc.Compile(`int g; int main() { g = 1; return 0; }`, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(`int g; int main() { g = 1; return 0; }`, cc.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -458,7 +458,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BC under intermittent power: small segments trade frequent cheap
 // checkpoints against large segments' rare expensive ones.
 func BenchmarkAblationSegmentSize(b *testing.B) {
-	prog, err := tics.Compile(apps.BC().Source, 2)
+	prog, err := tics.Compile(apps.BC().Source)
 	if err != nil {
 		b.Fatal(err)
 	}

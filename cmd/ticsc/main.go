@@ -16,9 +16,9 @@ import (
 	"fmt"
 	"os"
 
-	tics "repro"
 	"repro/internal/analysis"
 	"repro/internal/apps"
+	"repro/internal/replay"
 )
 
 func main() {
@@ -31,8 +31,11 @@ func main() {
 		vet     = flag.Bool("vet", false, "run the intermittence hazard analyzer instead of building")
 	)
 	flag.Parse()
+	if *optLvl != 0 && *optLvl != 2 {
+		fatal(fmt.Errorf("-O %d: the compiler has only -O0 and -O2", *optLvl))
+	}
 
-	src, label, err := loadSource(*appName, flag.Args(), tics.RuntimeKind(*runtime))
+	src, label, err := loadSource(*appName, flag.Args())
 	if err != nil {
 		fatal(err)
 	}
@@ -50,27 +53,19 @@ func main() {
 		return
 	}
 
-	opts := tics.BuildOptions{
-		Runtime:      tics.RuntimeKind(*runtime),
-		O0:           *optLvl < 2,
-		SegmentBytes: *segment,
+	// A built-in app builds as every run of it does, so a task runtime
+	// gets the app's task port (MayFly its loop-free one).
+	spec := replay.Spec{App: *appName, Runtime: *runtime, Segment: *segment, O0: *optLvl < 2}
+	if spec.App == "" {
+		spec.Source = src
 	}
-	if app, ok := apps.ByName(*appName); ok && isTask(opts.Runtime) {
-		taskSrc, tasks, edges := app.TaskSource, app.Tasks, app.Edges
-		if opts.Runtime == tics.RTMayFly {
-			taskSrc, tasks, edges = app.ForMayfly()
-		}
-		src = taskSrc
-		opts.Tasks, opts.Edges = tasks, edges
-	}
-
-	img, err := tics.Build(src, opts)
+	img, _, err := replay.BuildImage(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, analysis.FormatError(label, err))
 		os.Exit(1)
 	}
 	fmt.Printf("built %s for %s: %d functions, entry %#x\n",
-		label, opts.Runtime, len(img.Funcs), img.EntryPC)
+		label, spec.Runtime, len(img.Funcs), img.EntryPC)
 	switch *dump {
 	case "sections":
 		fmt.Printf(".text  %6d B\n.data  %6d B\n.bss   %6d B\n", img.Sect.Text, img.Sect.Data, img.Sect.BSS)
@@ -88,11 +83,7 @@ func main() {
 	}
 }
 
-func isTask(k tics.RuntimeKind) bool {
-	return k == tics.RTAlpaca || k == tics.RTInK || k == tics.RTMayFly
-}
-
-func loadSource(appName string, args []string, runtime tics.RuntimeKind) (src, label string, err error) {
+func loadSource(appName string, args []string) (src, label string, err error) {
 	if appName != "" {
 		app, ok := apps.ByName(appName)
 		if !ok {

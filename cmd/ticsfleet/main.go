@@ -35,7 +35,6 @@ func main() {
 		n       = flag.Int("n", 64, "fleet size (number of devices)")
 		workers = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		wave    = flag.Int("wave", 0, "devices per scheduling wave (0 = auto); send logs stream to the channel pass and machines are pooled across waves")
-		noPool  = flag.Bool("no-pool", false, "build a fresh machine per device instead of resetting pooled ones")
 		appName = flag.String("app", "ghm", "built-in benchmark to run on every device")
 		runtime = flag.String("runtime", "tics", "runtime: plain|tics|tics-st|mementos|chinchilla|alpaca|ink|mayfly")
 		power   = flag.String("power", "harvest:40000,800", "per-device power source (replay.ParsePower syntax)")
@@ -115,7 +114,6 @@ func main() {
 		Profile:     *foldedOut != "" || *profileSum,
 		AnomalyK:    *anomalyK,
 		Wave:        *wave,
-		DisablePool: *noPool,
 	}
 	if flag.NArg() == 1 {
 		b, err := os.ReadFile(flag.Arg(0))

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"repro/internal/cc"
-	"repro/internal/energy"
-)
+import "repro/internal/cc"
 
 // Options configures an analysis run.
 type Options struct {
@@ -14,9 +11,6 @@ type Options struct {
 	// an atomic region must fit within (TV008). Zero disables the budget
 	// comparison; structural (unbounded-region) checking always runs.
 	GapBudgetCycles int64
-	// Model is the cost model for the checkpoint-gap pass; nil selects
-	// the calibrated default.
-	Model *energy.CostModel
 }
 
 // DefaultStackBytes mirrors the runtime's default working-stack arena.
@@ -30,11 +24,6 @@ func AnalyzeSource(src string, opts Options) ([]Diagnostic, error) {
 	if opts.StackBytes <= 0 {
 		opts.StackBytes = DefaultStackBytes
 	}
-	model := energy.Default()
-	if opts.Model != nil {
-		model = *opts.Model
-	}
-
 	f, err := cc.Parse(src)
 	if err != nil {
 		return nil, err
@@ -46,7 +35,7 @@ func AnalyzeSource(src string, opts Options) ([]Diagnostic, error) {
 	// Compile without optimization so every instruction keeps a faithful
 	// source position, and without instrumentation so checkpoint placement
 	// reflects the program text, not a runtime policy.
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 0})
+	prog, err := cc.Compile(src, cc.Options{O0: true})
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +44,7 @@ func AnalyzeSource(src string, opts Options) ([]Diagnostic, error) {
 	diags = append(diags, runWAR(prog)...)
 	diags = append(diags, runLints(unit)...)
 	diags = append(diags, runStack(unit, prog, opts.StackBytes)...)
-	diags = append(diags, runGap(unit, opts.GapBudgetCycles, model)...)
+	diags = append(diags, runGap(unit, opts.GapBudgetCycles)...)
 	sortDiags(diags)
 	return diags, nil
 }

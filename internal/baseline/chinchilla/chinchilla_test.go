@@ -30,7 +30,7 @@ int main() {
 
 func buildChin(t *testing.T) (*link.Image, chinchilla.Config) {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2, StaticLocals: true})
+	prog, err := cc.Compile(src, cc.Options{StaticLocals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestChinchillaFailureSweep(t *testing.T) {
 }
 
 func TestChinchillaRequiresStaticLocals(t *testing.T) {
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ int main() {
 
 func buildMementos(t *testing.T, src string, cfg mementos.Config) (*link.Image, mementos.Config) {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,12 +27,12 @@ func (r Regression) String() string {
 }
 
 // Compare gates new against old: for every fleet key both ledgers
-// carry, devices/sec must not drop and peak RSS must not rise by more
-// than tolerance; for every shared opcode, ns/instr must not rise; for
-// every shared gate key, the digest read and the ingest decode must not
-// slow down; for every shared model-checker key, schedules/sec and
-// states/sec must not drop; for every shared unit cost, ns per unit must
-// not rise.
+// carry, devices/sec must not drop and bytes/device and peak RSS must
+// not rise by more than tolerance; for every shared opcode, ns/instr
+// must not rise; for every shared gate key, the digest read and the
+// ingest decode must not slow down; for every shared model-checker key,
+// schedules/sec and states/sec must not drop; for every shared unit
+// cost, ns per unit must not rise.
 // Keys only one side has are skipped — adding a new sweep point is not
 // a regression. A zero tolerance means DefaultTolerance; hosts with
 // different CPU counts are never compared (one warning Regression-free
@@ -41,13 +41,20 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 	if tolerance == 0 {
 		tolerance = DefaultTolerance
 	}
-	var regs []Regression
 	if old.Host.CPUs != 0 && new.Host.CPUs != 0 && old.Host.CPUs != new.Host.CPUs {
 		if warnings != nil {
 			fmt.Fprintf(warnings, "bench: hosts differ (%d vs %d CPUs); skipping throughput/RSS gates\n",
 				old.Host.CPUs, new.Host.CPUs)
 		}
 		return nil
+	}
+	var regs []Regression
+	gate := func(key string, ms ...metric) {
+		for _, m := range ms {
+			if r, worse := m.regression(key, tolerance); worse {
+				regs = append(regs, r)
+			}
+		}
 	}
 
 	for _, key := range old.FleetKeys() {
@@ -58,123 +65,71 @@ func Compare(old, new *File, tolerance float64, warnings io.Writer) []Regression
 			}
 			continue
 		}
-		// Lower devices/sec is worse.
-		if oe.Best.DevicesPerSec > 0 && ne.Best.DevicesPerSec < oe.Best.DevicesPerSec*(1-tolerance) {
-			regs = append(regs, Regression{
-				Key: key, Metric: "devices_per_sec",
-				Old: oe.Best.DevicesPerSec, New: ne.Best.DevicesPerSec,
-				DeltaPct: 100 * (oe.Best.DevicesPerSec - ne.Best.DevicesPerSec) / oe.Best.DevicesPerSec,
-			})
-		}
-		// Higher bytes/device is worse: per-device footprint is the wall
-		// between today's fleets and 10⁶ devices, so its regressions gate
-		// like throughput does. Only gated when both sides measured it.
-		if oe.BytesPerDevice > 0 && ne.BytesPerDevice > 0 &&
-			ne.BytesPerDevice > oe.BytesPerDevice*(1+tolerance) {
-			regs = append(regs, Regression{
-				Key: key, Metric: "bytes_per_device",
-				Old: oe.BytesPerDevice, New: ne.BytesPerDevice,
-				DeltaPct: 100 * (ne.BytesPerDevice - oe.BytesPerDevice) / oe.BytesPerDevice,
-			})
-		}
-		// Higher peak RSS is worse. Only gate when both sides measured it
-		// the same way (per-entry resets vs monotone-across-sweep are not
-		// comparable).
-		if oe.PeakRSSBytes > 0 && ne.PeakRSSBytes > 0 && oe.RSSResettable == ne.RSSResettable &&
-			float64(ne.PeakRSSBytes) > float64(oe.PeakRSSBytes)*(1+tolerance) {
-			regs = append(regs, Regression{
-				Key: key, Metric: "peak_rss_bytes",
-				Old: float64(oe.PeakRSSBytes), New: float64(ne.PeakRSSBytes),
-				DeltaPct: 100 * (float64(ne.PeakRSSBytes) - float64(oe.PeakRSSBytes)) / float64(oe.PeakRSSBytes),
-			})
+		// Per-device footprint is the wall between today's fleets and 10⁶
+		// devices, so it gates like throughput does.
+		gate(key,
+			metric{"devices_per_sec", oe.Best.DevicesPerSec, ne.Best.DevicesPerSec, true},
+			metric{"bytes_per_device", oe.BytesPerDevice, ne.BytesPerDevice, false})
+		// Peak RSS gates only when both sides measured it the same way
+		// (per-entry resets vs monotone-across-sweep are not comparable).
+		if oe.RSSResettable == ne.RSSResettable {
+			gate(key, metric{"peak_rss_bytes", float64(oe.PeakRSSBytes), float64(ne.PeakRSSBytes), false})
 		}
 	}
-
-	opNames := make([]string, 0, len(old.Opcodes))
-	for name := range old.Opcodes {
-		opNames = append(opNames, name)
+	for _, key := range sharedKeys(old.Opcodes, new.Opcodes) {
+		oe, ne := old.Opcodes[key], new.Opcodes[key]
+		gate("opcode/"+key, metric{"ns_per_instr", oe.NsPerInstr, ne.NsPerInstr, false})
 	}
-	sort.Strings(opNames)
-	for _, name := range opNames {
-		oe, ne := old.Opcodes[name], new.Opcodes[name]
-		if ne == nil {
-			continue
-		}
-		if oe.NsPerInstr > 0 && ne.NsPerInstr > oe.NsPerInstr*(1+tolerance) {
-			regs = append(regs, Regression{
-				Key: "opcode/" + name, Metric: "ns_per_instr",
-				Old: oe.NsPerInstr, New: ne.NsPerInstr,
-				DeltaPct: 100 * (ne.NsPerInstr - oe.NsPerInstr) / oe.NsPerInstr,
-			})
-		}
-	}
-
-	gateKeys := make([]string, 0, len(old.Gate))
-	for key := range old.Gate {
-		gateKeys = append(gateKeys, key)
-	}
-	sort.Strings(gateKeys)
-	for _, key := range gateKeys {
+	for _, key := range sharedKeys(old.Gate, new.Gate) {
 		oe, ne := old.Gate[key], new.Gate[key]
-		if oe == nil || ne == nil {
-			continue
-		}
-		for _, m := range []struct {
-			name     string
-			old, new float64
-		}{{"digest_ms", oe.DigestMs, ne.DigestMs}, {"decode_us", oe.DecodeUs, ne.DecodeUs}} {
-			if m.old > 0 && m.new > m.old*(1+tolerance) {
-				regs = append(regs, Regression{
-					Key: "gate/" + key, Metric: m.name,
-					Old: m.old, New: m.new,
-					DeltaPct: 100 * (m.new - m.old) / m.old,
-				})
-			}
-		}
+		gate("gate/"+key,
+			metric{"digest_ms", oe.DigestMs, ne.DigestMs, false},
+			metric{"decode_us", oe.DecodeUs, ne.DecodeUs, false})
 	}
-
-	mcKeys := make([]string, 0, len(old.MC))
-	for key := range old.MC {
-		mcKeys = append(mcKeys, key)
-	}
-	sort.Strings(mcKeys)
-	for _, key := range mcKeys {
+	for _, key := range sharedKeys(old.MC, new.MC) {
 		oe, ne := old.MC[key], new.MC[key]
-		if oe == nil || ne == nil {
-			continue
-		}
-		// Lower throughput is worse.
-		for _, m := range []struct {
-			name     string
-			old, new float64
-		}{{"schedules_per_sec", oe.SchedulesPerSec, ne.SchedulesPerSec}, {"states_per_sec", oe.StatesPerSec, ne.StatesPerSec}} {
-			if m.old > 0 && m.new < m.old*(1-tolerance) {
-				regs = append(regs, Regression{
-					Key: "mc/" + key, Metric: m.name,
-					Old: m.old, New: m.new,
-					DeltaPct: 100 * (m.old - m.new) / m.old,
-				})
-			}
-		}
+		gate("mc/"+key,
+			metric{"schedules_per_sec", oe.SchedulesPerSec, ne.SchedulesPerSec, true},
+			metric{"states_per_sec", oe.StatesPerSec, ne.StatesPerSec, true})
 	}
-
-	unitKeys := make([]string, 0, len(old.Units))
-	for key := range old.Units {
-		unitKeys = append(unitKeys, key)
-	}
-	sort.Strings(unitKeys)
-	for _, key := range unitKeys {
+	for _, key := range sharedKeys(old.Units, new.Units) {
 		oe, ne := old.Units[key], new.Units[key]
-		if oe == nil || ne == nil {
-			continue
-		}
-		if oe.NsPerUnit > 0 && ne.NsPerUnit > oe.NsPerUnit*(1+tolerance) {
-			regs = append(regs, Regression{
-				Key: "unit/" + key, Metric: "ns_per_unit",
-				Old: oe.NsPerUnit, New: ne.NsPerUnit,
-				DeltaPct: 100 * (ne.NsPerUnit - oe.NsPerUnit) / oe.NsPerUnit,
-			})
-		}
+		gate("unit/"+key, metric{"ns_per_unit", oe.NsPerUnit, ne.NsPerUnit, false})
 	}
 	return regs
+}
+
+// metric is one gated number of a key both ledgers carry.
+type metric struct {
+	name     string
+	old, new float64
+	higher   bool // a higher value is better
+}
+
+// regression reports whether m moved worse by more than tolerance, and
+// the Regression that records it. A metric the baseline did not measure
+// (old <= 0) is not gated.
+func (m metric) regression(key string, tolerance float64) (Regression, bool) {
+	worse, delta := m.new > m.old*(1+tolerance), m.new-m.old
+	if m.higher {
+		worse, delta = m.new < m.old*(1-tolerance), m.old-m.new
+	}
+	if m.old <= 0 || !worse {
+		return Regression{}, false
+	}
+	return Regression{Key: key, Metric: m.name, Old: m.old, New: m.new, DeltaPct: 100 * delta / m.old}, true
+}
+
+// sharedKeys returns, sorted, the keys whose entries both tables carry: a
+// key only one side has is skipped, since adding a new point is not a
+// regression.
+func sharedKeys[E any](old, new map[string]*E) []string {
+	var keys []string
+	for key, oe := range old {
+		if oe != nil && new[key] != nil {
+			keys = append(keys, key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -15,9 +15,9 @@ import (
 
 // run compiles src, links it with a plain spec, executes it on the VM
 // under continuous power and returns the out-channel log.
-func run(t *testing.T, src string, opt int) map[int32][]int32 {
+func run(t *testing.T, src string, o0 bool) map[int32][]int32 {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: opt})
+	prog, err := cc.Compile(src, cc.Options{O0: o0})
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestLexerDefines(t *testing.T) {
 #define N 7
 #define NEG -3
 int main() { out(0, N + NEG); return 0; }
-`, 2)
+`, false)
 	if out[0][0] != 4 {
 		t.Fatalf("defines: got %d", out[0][0])
 	}
@@ -94,7 +94,7 @@ func TestCompileErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := cc.Compile(c.src, cc.Options{OptLevel: 2})
+			_, err := cc.Compile(c.src, cc.Options{})
 			if err == nil {
 				t.Fatalf("compiled without error")
 			}
@@ -113,7 +113,7 @@ int even(int n);
 	prog, err := cc.Compile(`
 int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
 int main() { return fact(5); }
-`, cc.Options{OptLevel: 2})
+`, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,20 +123,20 @@ int main() { return fact(5); }
 	if _, err := cc.Compile(`
 int fact(int n) { if (n < 2) { return 1; } return n * fact(n - 1); }
 int main() { return fact(5); }
-`, cc.Options{OptLevel: 2, StaticLocals: true}); err == nil {
+`, cc.Options{StaticLocals: true}); err == nil {
 		t.Fatal("static-locals mode accepted recursion")
 	}
 }
 
 func TestPointerFlag(t *testing.T) {
-	prog, err := cc.Compile(`int main() { int x; int *p; p = &x; *p = 3; return x; }`, cc.Options{})
+	prog, err := cc.Compile(`int main() { int x; int *p; p = &x; *p = 3; return x; }`, cc.Options{O0: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !prog.UsesPointers {
 		t.Fatal("pointer use not detected")
 	}
-	prog, err = cc.Compile(`int main() { return 0; }`, cc.Options{})
+	prog, err = cc.Compile(`int main() { return 0; }`, cc.Options{O0: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ int main() { int i = 5; out(0, i++); out(1, ++i); out(2, i--); out(3, --i); out(
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			for _, opt := range []int{0, 2} {
-				out := run(t, c.src, opt)
+			for _, o0 := range []bool{true, false} {
+				out := run(t, c.src, o0)
 				if c.want != nil {
 					got := out[0]
 					var all []int32
@@ -225,7 +225,7 @@ int main() { int i = 5; out(0, i++); out(1, ++i); out(2, i--); out(3, --i); out(
 					_ = got
 					for i, w := range c.want {
 						if all[i] != w {
-							t.Fatalf("O%d: out[%d] = %d, want %d (all %v)", opt, i, all[i], w, all)
+							t.Fatalf("O0=%v: out[%d] = %d, want %d (all %v)", o0, i, all[i], w, all)
 						}
 					}
 				}
@@ -236,19 +236,19 @@ int main() { int i = 5; out(0, i++); out(1, ++i); out(2, i--); out(3, --i); out(
 	out := run(t, `
 int g;
 int bump() { g++; return 0; }
-int main() { int r = bump() && bump(); out(0, g); out(1, r); return 0; }`, 2)
+int main() { int r = bump() && bump(); out(0, g); out(1, r); return 0; }`, false)
 	if out[0][0] != 1 || out[1][0] != 0 {
 		t.Fatalf("short circuit: %v", out)
 	}
 	out = run(t, `
 char c;
-int main() { c = 300; out(0, c); return 0; }`, 2)
+int main() { c = 300; out(0, c); return 0; }`, false)
 	if out[0][0] != 44 {
 		t.Fatalf("char truncation: %v", out)
 	}
 	out = run(t, `
 uint u;
-int main() { u = 0 - 1; out(0, u > 100); out(1, -1 > 100); return 0; }`, 2)
+int main() { u = 0 - 1; out(0, u > 100); out(1, -1 > 100); return 0; }`, false)
 	if out[0][0] != 1 || out[1][0] != 0 {
 		t.Fatalf("unsigned compare: %v", out)
 	}
@@ -340,10 +340,10 @@ func TestExpressionProperty(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		expr, want := g.gen(4)
 		src := fmt.Sprintf("int main() { out(0, %s); return 0; }", expr)
-		for _, opt := range []int{0, 2} {
-			out := run(t, src, opt)
+		for _, o0 := range []bool{true, false} {
+			out := run(t, src, o0)
 			if got := out[0][0]; got != want {
-				t.Fatalf("iter %d O%d: %s = %d, want %d", i, opt, expr, got, want)
+				t.Fatalf("iter %d O0=%v: %s = %d, want %d", i, o0, expr, got, want)
 			}
 		}
 	}
@@ -366,8 +366,8 @@ int main() {
     out(0, s);
     return 0;
 }`
-	want := run(t, src, 2)[0][0]
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2, StaticLocals: true})
+	want := run(t, src, false)[0][0]
+	prog, err := cc.Compile(src, cc.Options{StaticLocals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,11 +397,11 @@ int main() {
     out(0, y * 1);
     return 0;
 }`
-	p0, err := cc.Compile(src, cc.Options{OptLevel: 0})
+	p0, err := cc.Compile(src, cc.Options{O0: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	p2, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ int big(int a, int b, int c) {
     return buf[0];
 }
 int main() { return big(1, 2, 3); }
-`, cc.Options{OptLevel: 2})
+`, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ int main() { return big(1, 2, 3); }
 
 // TestDisassemble exercises the ISA decoder over a full compiled program.
 func TestDisassemble(t *testing.T) {
-	prog, err := cc.Compile(`int main() { out(0, 1); return 0; }`, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(`int main() { out(0, 1); return 0; }`, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

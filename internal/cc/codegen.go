@@ -24,7 +24,6 @@ func generate(unit *Unit, opts Options) (*Program, error) {
 		opts: opts,
 		prog: &Program{
 			FuncByName:   map[string]*Func{},
-			OptLevel:     opts.OptLevel,
 			StaticLocals: opts.StaticLocals,
 			HasRecursion: unit.HasRecursion,
 			UsesPointers: unit.UsesPointers,
@@ -335,7 +334,7 @@ func (cg *codegen) genFunc(fn *FuncDecl) (f *Func, err error) {
 	cg.bind(cg.epilogue)
 	cg.emit(isa.Leave, 0)
 
-	if cg.opts.OptLevel >= 2 {
+	if !cg.opts.O0 {
 		cg.peephole()
 	}
 	f = &Func{

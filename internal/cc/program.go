@@ -89,7 +89,6 @@ type Program struct {
 	MainIndex int
 	MarkCount int // number of mark counters the program uses
 	// Options the program was compiled with.
-	OptLevel     int
 	StaticLocals bool
 	HasRecursion bool
 	UsesPointers bool
@@ -154,9 +153,10 @@ func (p *Program) String() string {
 
 // Options configures compilation.
 type Options struct {
-	// OptLevel 0 disables optimization; 2 enables constant folding and
-	// peephole optimization (the paper's O0/O2 axis in Figure 9).
-	OptLevel int
+	// O0 turns optimization off. Without it the compiler folds constants
+	// and runs the peephole pass: -O2, the paper's other point on Figure
+	// 9's O0/O2 axis.
+	O0 bool
 	// StaticLocals promotes every local and parameter to a static
 	// allocation in the globals space, Chinchilla-style. Rejects recursive
 	// programs.
@@ -173,7 +173,7 @@ func Compile(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if opts.OptLevel >= 2 {
+	if !opts.O0 {
 		foldFile(file)
 	}
 	return generate(unit, opts)

@@ -14,15 +14,15 @@ import (
 func runBoth(t *testing.T, src string, want []int32) {
 	t.Helper()
 	var ref []int32
-	for _, opt := range []int{0, 2} {
-		got := run(t, src, opt)[0]
+	for _, o0 := range []bool{true, false} {
+		got := run(t, src, o0)[0]
 		if want != nil {
 			if len(got) != len(want) {
-				t.Fatalf("O%d: got %v want %v", opt, got, want)
+				t.Fatalf("O0=%v: got %v want %v", o0, got, want)
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("O%d: out[%d]=%d want %d (%v)", opt, i, got[i], want[i], got)
+					t.Fatalf("O0=%v: out[%d]=%d want %d (%v)", o0, i, got[i], want[i], got)
 				}
 			}
 		}
@@ -31,7 +31,7 @@ func runBoth(t *testing.T, src string, want []int32) {
 		}
 	}
 	// Static-locals lowering must agree too (pointer/recursion-free srcs).
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2, StaticLocals: true})
+	prog, err := cc.Compile(src, cc.Options{StaticLocals: true})
 	if err != nil {
 		return // recursion or similar: fine, skip
 	}
@@ -152,7 +152,7 @@ func TestSwitchErrors(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := cc.Compile(c.src, cc.Options{OptLevel: 2})
+			_, err := cc.Compile(c.src, cc.Options{})
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %v does not mention %q", err, c.want)
 			}
@@ -205,7 +205,7 @@ int main() {
     out(0, s);
     out(1, i);
     return 0;
-}`, 2)
+}`, false)
 	if got[0][0] != 1+2+4+5 || got[1][0] != 6 {
 		t.Fatalf("do-while control flow: %v", got)
 	}

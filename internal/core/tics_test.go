@@ -55,7 +55,7 @@ int main() {
 
 func buildTICS(t *testing.T, src string, cfg core.Config) (*link.Image, core.Config) {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestUndoLogRollbackProperty(t *testing.T) {
 
 // TestSegmentTooSmall verifies the compile-time floor on segment size.
 func TestSegmentTooSmall(t *testing.T) {
-	prog, err := cc.Compile(tortureSrc, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(tortureSrc, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestSegmentArrayExhaustion(t *testing.T) {
 int rec(int n) { int pad[8]; pad[0] = n; if (n > 0) { return rec(n - 1) + pad[0]; } return 0; }
 int main() { out(0, rec(60)); return 0; }
 `
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

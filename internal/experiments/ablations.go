@@ -56,7 +56,7 @@ func Ablations() (Report, error) {
 	// --- Segment size (BC, intermittent) ---
 	b.WriteString("\n[segment size] BC under fail-every-30k cycles (+10 ms timer)\n")
 	tbl := &table{header: []string{"segment (B)", "cycles", "checkpoints"}}
-	prog, err := tics.Compile(apps.BC().Source, 2)
+	prog, err := tics.Compile(apps.BC().Source)
 	if err != nil {
 		return Report{}, err
 	}

@@ -34,7 +34,7 @@ func fig9Run(spec replay.Spec) (int64, int64, error) {
 	spec.Seed, spec.MaxCycles = 3, 3_000_000_000
 	// The flight recorder rides along (metrics only, tiny ring) so every
 	// figure point is cross-checked against the recorded event stream.
-	rec := obs.NewRecorder(obs.Options{RingCap: 16, Keep: obs.MaskOf(obs.EvPowerFail)})
+	rec := obs.NewRecorder(obs.Options{RingCap: 16})
 	_, m, err := machine(spec, nil, rec)
 	if err != nil {
 		return 0, 0, err
@@ -117,7 +117,7 @@ func Fig9() (Report, error) {
 	b.WriteString("\n[center] TICS working-stack size micro-benchmark\n")
 	tblC := &table{header: []string{"app", "config", "segment (B)", "cycles", "checkpoints"}}
 	for _, app := range benches {
-		prog, err := tics.Compile(app.Source, 2)
+		prog, err := tics.Compile(app.Source)
 		if err != nil {
 			return Report{}, err
 		}

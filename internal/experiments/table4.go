@@ -29,7 +29,7 @@ int g;
 void leaf() { g = g + 1; }
 int main() { leaf(); return 0; }
 `
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		return nil, nil, err
 	}

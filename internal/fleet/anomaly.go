@@ -3,6 +3,8 @@ package fleet
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Anomaly detection: a deterministic outlier pass over per-device
@@ -46,20 +48,6 @@ const (
 // modified-z-score cut (Iglewicz & Hoaglin).
 const DefaultAnomalyK = 3.5
 
-// median returns the middle of a sorted copy of xs (0 when empty).
-func median(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
 // mad returns the median absolute deviation of xs around med.
 func mad(xs []float64, med float64) float64 {
 	d := make([]float64, len(xs))
@@ -70,7 +58,7 @@ func mad(xs []float64, med float64) float64 {
 			d[i] = med - x
 		}
 	}
-	return median(d)
+	return stats.Median(d)
 }
 
 // madOutliers flags indices whose value exceeds median + k·MAD. When the
@@ -78,7 +66,7 @@ func mad(xs []float64, med float64) float64 {
 // flagged if it exceeds twice the median — pure jitter around a uniform
 // fleet must not page anyone.
 func madOutliers(xs []float64, k float64) (cut float64, idx []int) {
-	med := median(xs)
+	med := stats.Median(xs)
 	m := mad(xs, med)
 	if m > 0 {
 		cut = med + k*m

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
@@ -21,10 +22,10 @@ func TestMedianAndMAD(t *testing.T) {
 		{[]float64{2, 4, 6, 8, 10}, 6, 2},
 	}
 	for _, c := range cases {
-		if got := median(c.xs); got != c.med {
-			t.Errorf("median(%v) = %v, want %v", c.xs, got, c.med)
+		if got := stats.Median(c.xs); got != c.med {
+			t.Errorf("stats.Median(%v) = %v, want %v", c.xs, got, c.med)
 		}
-		if got := mad(c.xs, median(c.xs)); got != c.mad {
+		if got := mad(c.xs, stats.Median(c.xs)); got != c.mad {
 			t.Errorf("mad(%v) = %v, want %v", c.xs, got, c.mad)
 		}
 	}

@@ -93,10 +93,6 @@ type Config struct {
 	// wave regardless of fleet size. Every externally visible result is
 	// byte-identical for any Wave value.
 	Wave int
-	// DisablePool builds a fresh machine for every device instead of
-	// resetting pooled ones — the escape hatch the pooled-reuse
-	// equivalence test compares against.
-	DisablePool bool
 }
 
 // DeviceSeed derives device i's seed from the fleet seed with a
@@ -286,9 +282,9 @@ func newDeviceRecorder(cfg Config) *obs.Recorder {
 }
 
 // slot is one worker's share of the pool: a machine reset between
-// devices (nil until first use; rebuilt per device under DisablePool) and,
-// when collecting, one recorder rearmed before each device so every
-// device the slot runs folds into its registry and profile.
+// devices (nil until first use) and, when collecting, one recorder
+// rearmed before each device so every device the slot runs folds into
+// its registry and profile.
 type slot struct {
 	m   *vm.Machine
 	rec *obs.Recorder
@@ -560,9 +556,6 @@ func runDevice(img *tics.Image, cfg Config, dev int, s *slot) DeviceOutcome {
 		} else {
 			s.rec.Rearm()
 		}
-	}
-	if cfg.DisablePool {
-		s.m = nil
 	}
 	var err error
 	if s.m, err = spec.Machine(img, s.m, nil, s.rec); err != nil {

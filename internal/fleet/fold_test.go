@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,11 +11,15 @@ import (
 	"repro/internal/replay"
 )
 
-// perDeviceReference folds a finished round's telemetry the way a fleet
-// with one fresh recorder per device would: every device re-run under
-// its own recorder, the registries merged in device order, the profiles
-// merged likewise, then the same fleet_* rollups. It also returns each
-// device's registry dump, what DeviceRegistry must reproduce.
+// perDeviceReference re-runs a finished round the way a fleet with a
+// fresh machine and a fresh recorder per device would. Every device's
+// outcome must equal the round's (its Result, send counts and seed), and
+// the fresh send logs, passed through the same channel into a fresh
+// gateway, must give the round's link and gateway stats and digest. It
+// returns the telemetry folded from the fresh recorders: the registries
+// merged in device order, the profiles merged likewise, then the same
+// fleet_* rollups, and each device's registry dump, what DeviceRegistry
+// must reproduce.
 func perDeviceReference(t *testing.T, cfg Config, rep *Report) (*obs.Registry, obs.Profile, []string) {
 	t.Helper()
 	img, _, err := replay.BuildImage(cfg.DeviceSpec(0))
@@ -24,15 +29,28 @@ func perDeviceReference(t *testing.T, cfg Config, rep *Report) (*obs.Registry, o
 	merged := obs.NewRegistry()
 	var profiles []obs.Profile
 	dumps := make([]string, rep.Devices)
+	gw := NewGateway(cfg.FreshnessMs)
+	var link LinkStats
 	for dev := 0; dev < rep.Devices; dev++ {
+		spec := cfg.DeviceSpec(dev)
 		rec := obs.NewRecorder(obs.Options{RingCap: 64, Profile: cfg.Profile})
-		m, err := cfg.DeviceSpec(dev).Machine(img, nil, nil, rec)
+		m, err := spec.Machine(img, nil, nil, rec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, _ := m.Run()
-		if res.Cycles != rep.Outcomes[dev].Res.Cycles {
-			t.Fatalf("device %d: reference run took %d cycles, fleet %d", dev, res.Cycles, rep.Outcomes[dev].Res.Cycles)
+		log := res.SendLog
+		res.SendLog = nil
+		got := rep.Outcomes[dev]
+		if !reflect.DeepEqual(res, got.Res) || got.Seed != spec.Seed ||
+			got.Sends != len(log) || int64(got.UniqueSends) != uniqueSends(log) {
+			t.Fatalf("device %d: fleet outcome differs from a fresh run:\n got %+v\nwant %+v (sends %d, unique %d, seed %d)",
+				dev, got, res, len(log), uniqueSends(log), spec.Seed)
+		}
+		arr, st := transmit(dev, DeviceSeed(cfg.Seed, dev), cfg.Link, log, nil)
+		link.add(st)
+		for _, a := range arr {
+			gw.Accept(a)
 		}
 		if err := merged.Merge(rec.Metrics()); err != nil {
 			t.Fatal(err)
@@ -41,6 +59,12 @@ func perDeviceReference(t *testing.T, cfg Config, rep *Report) (*obs.Registry, o
 		var b strings.Builder
 		rec.Metrics().Dump(&b)
 		dumps[dev] = b.String()
+	}
+	if link != rep.Link {
+		t.Fatalf("link stats differ from fresh runs: %+v vs %+v", rep.Link, link)
+	}
+	if sum := gw.Summary(); sum.Digest != rep.Digest || sum.Stats != rep.Gateway {
+		t.Fatalf("gateway differs from fresh runs: digest %s, %+v\nvs digest %s, %+v", rep.Digest, rep.Gateway, sum.Digest, sum.Stats)
 	}
 	if err := addRollups(merged, rep); err != nil {
 		t.Fatal(err)
@@ -62,8 +86,8 @@ func registryText(t *testing.T, reg *obs.Registry) (dump, prom string) {
 // their devices into one rearmed recorder reports exactly the metrics,
 // Prometheus text, profile and per-device registries of one fresh
 // recorder per device merged in device order — for every runtime that
-// observes into a recorder, any worker count, tiny and automatic waves,
-// and pooled or fresh machines.
+// observes into a recorder, any worker count, and tiny and automatic
+// waves.
 func TestWorkerFoldEqualsPerDeviceMerge(t *testing.T) {
 	for _, rt := range []string{"tics", "mementos", "chinchilla", "alpaca"} {
 		base := Config{
@@ -84,31 +108,29 @@ func TestWorkerFoldEqualsPerDeviceMerge(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, wave := range []int{0, 2} {
-				for _, disable := range []bool{false, true} {
-					label := fmt.Sprintf("%s workers=%d wave=%d no-pool=%v", rt, workers, wave, disable)
-					cfg := base
-					cfg.Workers, cfg.Wave, cfg.DisablePool = workers, wave, disable
-					rep, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dump, prom := registryText(t, rep.Metrics)
-					if dump != refDump {
-						t.Fatalf("%s: merged metrics differ from the per-device merge:\n%s\nvs\n%s", label, dump, refDump)
-					}
-					if prom != refProm {
-						t.Fatalf("%s: Prometheus text differs from the per-device merge", label)
-					}
-					if p, _ := json.Marshal(rep.Profile); string(p) != string(refProfJSON) {
-						t.Fatalf("%s: profile differs from the per-device merge:\n%s\nvs\n%s", label, p, refProfJSON)
-					}
-					if workers == 2 && wave == 2 && !disable {
-						for dev, want := range refDumps {
-							var b strings.Builder
-							rep.DeviceRegistry(dev).Dump(&b)
-							if b.String() != want {
-								t.Fatalf("%s: DeviceRegistry(%d) differs:\n%s\nvs\n%s", label, dev, b.String(), want)
-							}
+				label := fmt.Sprintf("%s workers=%d wave=%d", rt, workers, wave)
+				cfg := base
+				cfg.Workers, cfg.Wave = workers, wave
+				rep, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dump, prom := registryText(t, rep.Metrics)
+				if dump != refDump {
+					t.Fatalf("%s: merged metrics differ from the per-device merge:\n%s\nvs\n%s", label, dump, refDump)
+				}
+				if prom != refProm {
+					t.Fatalf("%s: Prometheus text differs from the per-device merge", label)
+				}
+				if p, _ := json.Marshal(rep.Profile); string(p) != string(refProfJSON) {
+					t.Fatalf("%s: profile differs from the per-device merge:\n%s\nvs\n%s", label, p, refProfJSON)
+				}
+				if workers == 2 && wave == 2 {
+					for dev, want := range refDumps {
+						var b strings.Builder
+						rep.DeviceRegistry(dev).Dump(&b)
+						if b.String() != want {
+							t.Fatalf("%s: DeviceRegistry(%d) differs:\n%s\nvs\n%s", label, dev, b.String(), want)
 						}
 					}
 				}

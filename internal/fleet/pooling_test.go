@@ -11,7 +11,7 @@ import (
 )
 
 // assertReportsMatch compares every externally visible fleet result two
-// runs produced — the pooled-reuse and wave-size equivalence gates.
+// runs produced — the wave-size equivalence gate.
 func assertReportsMatch(t *testing.T, label string, a, b *Report) {
 	t.Helper()
 	if a.Digest != b.Digest {
@@ -53,42 +53,36 @@ func assertReportsMatch(t *testing.T, label string, a, b *Report) {
 
 // TestPooledReuseMatchesFresh is the pooled-machine acceptance gate: a
 // fleet whose machines are reset and reused across waves must be
-// indistinguishable — digest, counters, per-device results, merged
-// metrics — from one that builds a fresh machine per device. A tiny Wave
-// forces every pooled machine through many reuse cycles, and the -race
-// runs in CI make it double as the pool's sharing regression.
+// indistinguishable — per-device results, link and gateway stats,
+// digest, merged metrics — from a fresh machine per device
+// (perDeviceReference). A tiny Wave forces every pooled machine through
+// many reuse cycles, and the -race runs in CI make it double as the
+// pool's sharing regression.
 func TestPooledReuseMatchesFresh(t *testing.T) {
-	mk := func(disable bool) Config {
-		cfg := fleetCfg(3)
-		cfg.Devices = 13
-		cfg.WallMs = 150
-		cfg.Wave = 4
-		cfg.DisablePool = disable
-		return cfg
-	}
-	pooled, err := Run(mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := Run(mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReportsMatch(t, "pooled vs fresh", pooled, fresh)
-
-	// Raw-radio replays stress the send-seq reset path specifically.
+	ghm := fleetCfg(3)
+	ghm.Devices = 13
+	ghm.WallMs = 150
+	ghm.Wave = 4
+	// Raw-radio replays stress the send-seq reset path specifically. The
+	// 300-cycle first window cuts every device before its first commit
+	// point, so a device that inherits its slot's last committed send
+	// seq numbers every send after it wrongly.
 	raw := sendyCfg(false)
+	raw.Power = "sched:300@20,7300@20,7300@20,7300@20,7300@20,7300@20"
 	raw.Wave = 2
-	rawPooled, err := Run(raw)
-	if err != nil {
-		t.Fatal(err)
+	for name, cfg := range map[string]Config{"ghm": ghm, "raw radio": raw} {
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, _, _ := perDeviceReference(t, cfg, rep)
+		if rep.Metrics != nil {
+			want, _ := registryText(t, ref)
+			if got, _ := registryText(t, rep.Metrics); got != want {
+				t.Fatalf("%s: merged metrics differ from fresh runs:\n%s\nvs\n%s", name, got, want)
+			}
+		}
 	}
-	raw.DisablePool = true
-	rawFresh, err := Run(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertReportsMatch(t, "raw-radio pooled vs fresh", rawPooled, rawFresh)
 }
 
 // TestWaveSizeIndependence: the streaming handoff must not leak into any

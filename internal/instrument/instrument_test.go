@@ -27,7 +27,7 @@ int main() {
 
 func compile(t *testing.T) *cc.Program {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

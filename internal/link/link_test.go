@@ -21,7 +21,7 @@ int main() {
 `
 
 func TestLayoutInvariants(t *testing.T) {
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestLayoutInvariants(t *testing.T) {
 }
 
 func TestFuncMetadata(t *testing.T) {
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFuncMetadata(t *testing.T) {
 }
 
 func TestImageTooBig(t *testing.T) {
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestImageTooBig(t *testing.T) {
 }
 
 func TestSectionsAccounting(t *testing.T) {
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

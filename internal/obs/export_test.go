@@ -83,10 +83,10 @@ func (c *captureSink) OnEvent(seq int64, ev Event) {
 }
 
 // TestSinkSeesFullEnrichedStream: sinks observe every event (past ring
-// capacity and through Keep filtering) with dense ordinals, and see the
-// recorder's enrichment (commit latency in Arg1).
+// capacity) with dense ordinals, and see the recorder's enrichment
+// (commit latency in Arg1).
 func TestSinkSeesFullEnrichedStream(t *testing.T) {
-	r := NewRecorder(Options{RingCap: 2, Keep: MaskOf(EvCheckpointCommit)})
+	r := NewRecorder(Options{RingCap: 2})
 	sink := &captureSink{}
 	r.AddSink(sink)
 	r.Emit(Event{Kind: EvCheckpointBegin, Cycles: 100})

@@ -72,21 +72,6 @@ func KindByName(name string) (EventKind, bool) {
 	return 0, false
 }
 
-// Mask selects event kinds to keep; bit i keeps EventKind(i).
-type Mask uint32
-
-// MaskAll keeps every event kind.
-const MaskAll Mask = 1<<evKindCount - 1
-
-// MaskOf builds a mask keeping exactly the given kinds.
-func MaskOf(kinds ...EventKind) Mask {
-	var m Mask
-	for _, k := range kinds {
-		m |= 1 << k
-	}
-	return m
-}
-
 // Event is one recorded occurrence. Cycles/TrueMs/DeviceMs snapshot the
 // machine's cycle counter, true wall clock and persistent device clock at
 // emission; Arg0/Arg1 are kind-specific (see the EventKind constants).
@@ -135,20 +120,17 @@ type Options struct {
 	// Profile enables cycle attribution (category, function, folded
 	// stacks). Off, the recorder keeps only events and metrics.
 	Profile bool
-	// Keep selects which event kinds are recorded (zero = MaskAll).
-	// Filtered kinds still update metrics; they just skip the ring.
-	Keep Mask
 }
 
 // Sink observes the full event stream online, as it is emitted. A sink
-// sees every event — including kinds the Keep mask filters out of the
-// ring and events the ring later overwrites — in emission order, after
-// the recorder has enriched it (e.g. the commit-latency Arg1). seq is the
-// zero-based ordinal of the event in the run's complete stream. Sinks run
-// synchronously inside Emit, so they may inspect the machine's state at
-// the exact moment of the event; like the recorder itself they must never
-// charge simulated cycles. The trace auditor (internal/audit) and the
-// replay capture (internal/replay) are sinks.
+// sees every event — including those the ring later overwrites — in
+// emission order, after the recorder has enriched it (e.g. the
+// commit-latency Arg1). seq is the zero-based ordinal of the event in the
+// run's complete stream. Sinks run synchronously inside Emit, so they may
+// inspect the machine's state at the exact moment of the event; like the
+// recorder itself they must never charge simulated cycles. The trace
+// auditor (internal/audit) and the replay capture (internal/replay) are
+// sinks.
 type Sink interface {
 	OnEvent(seq int64, ev Event)
 }
@@ -163,7 +145,6 @@ type Recorder struct {
 	n       int // filled entries
 	dropped int64
 	seq     int64
-	keep    Mask
 	sinks   []Sink
 
 	reg *Registry
@@ -212,12 +193,8 @@ func NewRecorder(opts Options) *Recorder {
 	if opts.RingCap <= 0 {
 		opts.RingCap = 1 << 16
 	}
-	if opts.Keep == 0 {
-		opts.Keep = MaskAll
-	}
 	r := &Recorder{
 		ring:    make([]Event, opts.RingCap),
-		keep:    opts.Keep,
 		reg:     NewRegistry(),
 		profile: opts.Profile,
 	}
@@ -426,9 +403,6 @@ func (r *Recorder) Emit(ev Event) {
 	r.seq++
 	for _, s := range r.sinks {
 		s.OnEvent(seq, ev)
-	}
-	if r.keep&(1<<ev.Kind) == 0 {
-		return
 	}
 	if r.n == len(r.ring) {
 		// Ring overflow: the oldest retained event is overwritten. Count

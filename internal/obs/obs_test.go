@@ -30,21 +30,6 @@ func TestRingRetainsTailAndCountsDrops(t *testing.T) {
 	}
 }
 
-func TestMaskFiltersRingNotMetrics(t *testing.T) {
-	r := NewRecorder(Options{Keep: MaskOf(EvCheckpointCommit)})
-	r.Emit(Event{Kind: EvUndoAppend})
-	r.Emit(Event{Kind: EvCheckpointCommit, Cycles: 5})
-	if n := len(r.Events()); n != 1 {
-		t.Fatalf("ring kept %d events, want 1", n)
-	}
-	if r.Metrics().Counter("undo_appends") != 1 {
-		t.Fatal("filtered kinds must still update metrics")
-	}
-	if r.CountKind(EvCheckpointCommit) != 1 {
-		t.Fatal("kept kind missing from ring")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]float64{10, 100})
 	for _, v := range []float64{1, 10, 11, 1000} {

@@ -194,7 +194,7 @@ func NewHarvester(capacity, ratePerMs float64, jitter float64, seed uint64) *Har
 
 func (h *Harvester) Name() string { return "harvester" }
 
-func (h *Harvester) next() float64 { // xorshift64*, deterministic
+func (h *Harvester) next() float64 { // xorshift64, deterministic
 	h.rng ^= h.rng << 13
 	h.rng ^= h.rng >> 7
 	h.rng ^= h.rng << 17

@@ -36,7 +36,7 @@ int main() { return 0; }
 
 func buildTask(t *testing.T, src string, cfg taskrt.Config) (*link.Image, taskrt.Config) {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestMayflyTokenExpiry(t *testing.T) {
 }
 
 func TestTaskConfigErrors(t *testing.T) {
-	prog, err := cc.Compile(taskSrc, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(taskSrc, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"slices"
 	"unsafe"
 
 	"repro/internal/isa"
@@ -86,9 +87,16 @@ func (m *Machine) Powered(cycles int64, fn func()) (failed bool) {
 	return false
 }
 
-// SetSingleStep turns straight-line runs off (on=true) or back on, so a
-// test can hold the run path to single-stepping.
-func (m *Machine) SetSingleStep(on bool) { m.singleStep = on }
+// SetSingleStep turns straight-line runs off, so a test can hold the run
+// path to single-stepping: the machine gets a private copy of its decoded
+// table with every run length zeroed, and runWindow then steps every
+// instruction. Reset keeps the copy.
+func (m *Machine) SetSingleStep() {
+	m.decoded = slices.Clone(m.decoded)
+	for i := range m.decoded {
+		m.decoded[i].run, m.decoded[i].runMem = 0, 0
+	}
+}
 
 // SpendEach exposes spendEach: k charges of c cycles in one batch.
 func (m *Machine) SpendEach(c int64, k int) { m.spendEach(c, k) }

@@ -210,7 +210,9 @@ func twoWays(t *testing.T, what string, mk func() snapRun, cuts []int64) vm.Resu
 	var snaps [2][]*vm.Snapshot
 	for i, single := range []bool{false, true} {
 		r := mk()
-		r.m.SetSingleStep(single)
+		if single {
+			r.m.SetSingleStep()
+		}
 		if len(cuts) > 0 {
 			r.m.SetBoundaryHook(cuts[0], func(m *vm.Machine) int64 {
 				snaps[i] = append(snaps[i], m.Snapshot())

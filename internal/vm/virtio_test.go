@@ -25,7 +25,7 @@ int main() {
 
 func runSendy(t *testing.T, virtualize bool, cpMs float64, p power.Source) []vm.SendRec {
 	t.Helper()
-	prog, err := cc.Compile(sendySrc, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(sendySrc, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

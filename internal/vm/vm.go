@@ -172,7 +172,6 @@ type Config struct {
 	// again. Image may be left nil (it is taken from Prepared) but must
 	// match Prepared.Img when both are set. Build one with Prepare.
 	Prepared *Prepared
-	Cost     energy.CostModel
 	Power    power.Source
 	Clock    timekeeper.Keeper
 	Runtime  Runtime
@@ -190,13 +189,11 @@ type Config struct {
 	// fixed-duration experiments (Table 1) use it.
 	MaxWallMs float64
 	// InterruptPeriodMs fires a periodic timer interrupt every period of
-	// powered time, delivered to the function named ISRName. Zero
+	// powered time, delivered to the program's isr_timer function. Zero
 	// disables. A pending interrupt is volatile: a power failure before
 	// its ISR completes makes it vanish, exactly the paper's semantics
 	// ("the system will continue as if the interrupt did not occur").
 	InterruptPeriodMs float64
-	// ISRName is the interrupt service routine (default "isr_timer").
-	ISRName string
 	// VirtualizeSends buffers radio sends in the runtime's commit
 	// machinery so each committed send transmits exactly once — the
 	// "virtualizing the I/O interface across power failures" the paper
@@ -211,8 +208,10 @@ type Config struct {
 
 // Machine is the simulated MCU.
 type Machine struct {
-	Mem  *mem.Memory
-	Img  *link.Image
+	Mem *mem.Memory
+	Img *link.Image
+	// Cost is the calibrated cost model (energy.Default), the one every
+	// runtime and ticsvet's TV008 bound charge.
 	Cost energy.CostModel
 
 	// runState holds everything a run changes (Reset clears it, Snapshot
@@ -264,15 +263,11 @@ type Machine struct {
 
 	// decoded is the dense PC-indexed instruction table (shared with every
 	// machine forked from the same Prepared); slot i describes address
-	// textBase+i. classCost is the cycle price of each isa.Class under
-	// this machine's cost model.
+	// textBase+i. classCost is the cycle price of each isa.Class under Cost.
 	decoded   []decodedInstr
 	textBase  uint32
 	classCost [4]int64
 	classMs   [4]float64 // classCost in ms, as Spend computes it
-	// singleStep turns straight-line runs off, so every instruction goes
-	// through step (tests compare the two paths).
-	singleStep bool
 	// inRun is set while tryRun executes a run; runStart is the cycle
 	// count the run started at, so a fault inside it can hand the
 	// recorder the cycles charged so far. Between instructions, where
@@ -437,9 +432,6 @@ func (cfg Config) normalize() (Config, error) {
 	if cfg.MaxFailures == 0 {
 		cfg.MaxFailures = 1_000_000
 	}
-	if (cfg.Cost == energy.CostModel{}) {
-		cfg.Cost = energy.Default()
-	}
 	return cfg, nil
 }
 
@@ -447,12 +439,12 @@ func (cfg Config) normalize() (Config, error) {
 // decoded program are already in place. Shared by New and Reset.
 func (m *Machine) apply(cfg Config) error {
 	m.Img = cfg.Image
-	m.Cost = cfg.Cost
+	m.Cost = energy.Default()
 	m.classCost = [4]int64{
-		isa.ClassALU:  cfg.Cost.Instr,
-		isa.ClassMem:  cfg.Cost.InstrMem,
-		isa.ClassCtl:  cfg.Cost.InstrCtl,
-		isa.ClassTrap: cfg.Cost.TrapBase,
+		isa.ClassALU:  m.Cost.Instr,
+		isa.ClassMem:  m.Cost.InstrMem,
+		isa.ClassCtl:  m.Cost.InstrCtl,
+		isa.ClassTrap: m.Cost.TrapBase,
 	}
 	for i, c := range m.classCost {
 		m.classMs[i] = float64(c) / energy.CyclesPerMs
@@ -470,10 +462,7 @@ func (m *Machine) apply(cfg Config) error {
 	m.autoCpCycles = int64(cfg.AutoCpPeriodMs * energy.CyclesPerMs)
 	m.irqPeriodMs, m.irqEntry = 0, 0
 	if cfg.InterruptPeriodMs > 0 {
-		name := cfg.ISRName
-		if name == "" {
-			name = "isr_timer"
-		}
+		const name = "isr_timer"
 		found := false
 		for _, f := range cfg.Image.Funcs {
 			if f.Name == name {
@@ -1178,7 +1167,7 @@ func (m *Machine) tryRun(d *decodedInstr) bool {
 	sum := mems*m.classCost[isa.ClassMem] + (n-mems)*m.classCost[isa.ClassALU]
 	if m.remaining < sum || m.cycles+sum > m.cycleLimit ||
 		m.autoCpCycles > 0 && !m.CpDisabled() && m.sinceCp+sum >= m.autoCpCycles ||
-		m.inISR || m.irqPeriodMs > 0 || m.singleStep ||
+		m.inISR || m.irqPeriodMs > 0 ||
 		m.maxWallMs > 0 && (m.TrueNowMs()+float64(sum)*(1.0/energy.CyclesPerMs))*wallMargin >= m.maxWallMs {
 		return false
 	}

@@ -16,7 +16,7 @@ import (
 
 func build(t *testing.T, src string) *link.Image {
 	t.Helper()
-	prog, err := cc.Compile(src, cc.Options{OptLevel: 2})
+	prog, err := cc.Compile(src, cc.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

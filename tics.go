@@ -116,10 +116,10 @@ func (img *Image) prepared() (*vm.Prepared, error) {
 	return img.prep, img.prepErr
 }
 
-// Compile parses, checks and compiles TICS-C source without committing to
-// a runtime (useful for inspection and tests).
-func Compile(src string, optLevel int) (*cc.Program, error) {
-	return cc.Compile(src, cc.Options{OptLevel: optLevel})
+// Compile parses, checks and compiles TICS-C source at -O2 without
+// committing to a runtime (useful for inspection and tests).
+func Compile(src string) (*cc.Program, error) {
+	return cc.Compile(src, cc.Options{})
 }
 
 // Build compiles, instruments and links src for the chosen runtime.
@@ -127,11 +127,7 @@ func Build(src string, opts BuildOptions) (*Image, error) {
 	if opts.Runtime == "" {
 		opts.Runtime = RTTICS
 	}
-	ccOpts := cc.Options{OptLevel: 2, StaticLocals: opts.Runtime == RTChinchilla}
-	if opts.O0 {
-		ccOpts.OptLevel = 0
-	}
-	prog, err := cc.Compile(src, ccOpts)
+	prog, err := cc.Compile(src, cc.Options{O0: opts.O0, StaticLocals: opts.Runtime == RTChinchilla})
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +242,9 @@ type RunOptions struct {
 	MaxCycles      int64
 	MaxFailures    int
 	MaxWallMs      float64
-	// InterruptPeriodMs fires a periodic timer interrupt into the function
-	// named ISRName (default "isr_timer"); zero disables.
+	// InterruptPeriodMs fires a periodic timer interrupt into the
+	// program's isr_timer function; zero disables.
 	InterruptPeriodMs float64
-	ISRName           string
 	// VirtualizeSends buffers radio sends in the runtime's commit
 	// machinery so each committed send transmits exactly once (see
 	// vm.Config.VirtualizeSends). Off by default: the raw radio
@@ -279,7 +274,6 @@ func machineConfig(prep *vm.Prepared, rt vm.Runtime, opts RunOptions) vm.Config 
 		MaxFailures:       opts.MaxFailures,
 		MaxWallMs:         opts.MaxWallMs,
 		InterruptPeriodMs: opts.InterruptPeriodMs,
-		ISRName:           opts.ISRName,
 		VirtualizeSends:   opts.VirtualizeSends,
 		Recorder:          opts.Recorder,
 	}

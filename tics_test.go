@@ -76,7 +76,7 @@ func TestO0(t *testing.T) {
 }
 
 func TestCompileFacade(t *testing.T) {
-	prog, err := tics.Compile(apps.Swap().Source, 2)
+	prog, err := tics.Compile(apps.Swap().Source)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestAppRegistry(t *testing.T) {
 		if app.Source == "" {
 			t.Fatalf("%s has no source", n)
 		}
-		if _, err := tics.Compile(app.Source, 2); err != nil {
+		if _, err := tics.Compile(app.Source); err != nil {
 			t.Fatalf("%s does not compile: %v", n, err)
 		}
 	}
@@ -113,7 +113,7 @@ func TestAppRegistry(t *testing.T) {
 	if norec.Source == apps.BC().Source {
 		t.Fatal("bc-norec equals bc")
 	}
-	prog, err := tics.Compile(norec.Source, 2)
+	prog, err := tics.Compile(norec.Source)
 	if err != nil {
 		t.Fatal(err)
 	}
