@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/cc"
+	"repro/internal/energy"
 	"repro/internal/link"
 	"repro/internal/vm"
 )
@@ -177,7 +178,7 @@ func (c *Chinchilla) PreStore(m *vm.Machine) {
 // Chinchilla has no working-stack fast path, which is why its per-store
 // overhead exceeds TICS's on stack-local traffic.
 func (c *Chinchilla) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
-	c.log.Append(m, addr, size, m.Cost.UndoLogEntry)
+	c.log.Append(m, addr, size, energy.UndoLogEntry)
 	m.RawStore(addr, size, value)
 	m.Count(vm.CtrStoresLogged)
 }

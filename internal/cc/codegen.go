@@ -206,34 +206,6 @@ func collectLocals(s Stmt, fn func(*LocalDecl)) {
 
 // ---- Emission helpers ----
 
-// stackPops/stackPushes give the static operand-stack effect of an opcode.
-func stackEffect(op isa.Op) (pops, pushes int) {
-	switch op {
-	case isa.PushI, isa.AddrL, isa.GetRV, isa.Now, isa.LoadG, isa.LoadGB, isa.LoadL:
-		return 0, 1
-	case isa.Sense:
-		return 0, 1
-	case isa.Dup:
-		return 1, 2
-	case isa.Swap:
-		return 2, 2
-	case isa.Drop, isa.StoreG, isa.StoreGL, isa.StoreGB, isa.StoreGBL, isa.StoreL,
-		isa.Jz, isa.Jnz, isa.SetRV, isa.Send, isa.SetTS, isa.Timely:
-		return 1, 0
-	case isa.Out:
-		return 1, 0
-	case isa.LoadI, isa.LoadIB, isa.Neg, isa.Not, isa.LNot:
-		return 1, 1
-	case isa.StoreI, isa.StoreIL, isa.StoreIB, isa.StoreIBL, isa.ExpBegin, isa.ExpCatch:
-		return 2, 0
-	case isa.Add, isa.Sub, isa.Mul, isa.Div, isa.Mod, isa.And, isa.Or, isa.Xor,
-		isa.Shl, isa.Shr, isa.CmpEq, isa.CmpNe, isa.CmpLt, isa.CmpLe, isa.CmpGt,
-		isa.CmpGe, isa.CmpLtU, isa.CmpLeU, isa.CmpGtU, isa.CmpGeU:
-		return 2, 1
-	}
-	return 0, 0
-}
-
 func (cg *codegen) emit(op isa.Op, imm int32) int {
 	idx := len(cg.out)
 	cg.out = append(cg.out, isa.Instr{Op: op, Imm: imm})
@@ -241,7 +213,7 @@ func (cg *codegen) emit(op isa.Op, imm int32) int {
 	if cg.dead {
 		return idx
 	}
-	pops, pushes := stackEffect(op)
+	pops, pushes := isa.StackEffect(op)
 	if op == isa.AddSP {
 		pops, pushes = int(imm/4), 0
 	}

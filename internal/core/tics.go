@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/energy"
 	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/vm"
@@ -353,7 +354,7 @@ func (t *TICS) PreStore(m *vm.Machine) {
 // store inside the working segment needs no versioning (the segment
 // checkpoint covers it); anything else is write-ahead undo-logged.
 func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
-	m.Spend(m.Cost.PtrCheck)
+	m.Spend(energy.PtrCheck)
 	if t.inWorking(addr, size) {
 		m.RawStore(addr, size, value)
 		m.Count(vm.CtrStoresDirect)
@@ -377,7 +378,7 @@ func (t *TICS) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 			return
 		}
 	}
-	t.log.Append(m, logAddr, logSize, m.Cost.UndoLogEntry)
+	t.log.Append(m, logAddr, logSize, energy.UndoLogEntry)
 	if logged != nil {
 		*logged = t.logGen
 	}
@@ -400,13 +401,13 @@ func (t *TICS) Enter(m *vm.Machine, fn int) {
 		}
 		m.EmitEvent(obs.EvStackGrow, int64(t.working+1), int64(meta.EntryCopyBytes))
 		m.PushCat(obs.CatCheckpoint)
-		m.Spend(m.Cost.StackGrow)
+		m.Spend(energy.StackGrow)
 		oldSP := m.Regs.SP
 		newSP := t.segTop(t.working+1) - uint32(meta.EntryCopyBytes)
 		m.CopyCharged(newSP, oldSP, meta.EntryCopyBytes, 1)
 		t.working++
 		ctl := t.addrSegCtl + uint32(t.working*segCtlLen)
-		m.Spend(2 * m.Cost.NVWritePerWord)
+		m.Spend(2 * energy.NVWritePerWord)
 		m.Mem.WriteWord(ctl+4, oldSP) // caller SP at the call site
 		m.Regs.SP = newSP
 		m.Push(m.Regs.FP)
@@ -447,7 +448,7 @@ func (t *TICS) Leave(m *vm.Machine) {
 	if isGrowFrame {
 		m.EmitEvent(obs.EvStackShrink, int64(t.working-1), 0)
 		m.PushCat(obs.CatCheckpoint)
-		m.Spend(m.Cost.StackShrink)
+		m.Spend(energy.StackShrink)
 		callerSP := m.Mem.ReadWord(t.addrSegCtl + uint32(t.working*segCtlLen) + 4)
 		t.working--
 		m.Regs.SP = callerSP + 4 // the caller's stack with the return PC popped

@@ -16,54 +16,65 @@ package energy
 // (1 MHz → 1000 cycles/ms).
 const CyclesPerMs = 1000
 
-// CostModel holds the per-operation cycle charges. All runtimes charge
-// through the same model, which is what makes cross-runtime execution-time
-// comparisons meaningful.
-type CostModel struct {
+// The calibrated per-operation cycle charges. The interpreter and every
+// runtime charge these constants directly, so nothing can price an
+// instruction or a checkpoint copy differently from a runtime charge;
+// Default collects them into a CostModel for the static analyses.
+const (
 	// Base instruction costs.
-	Instr      int64 // ALU / stack manipulation
-	InstrMem   int64 // load/store (NV access)
-	InstrCtl   int64 // branch / call / return
-	TrapBase   int64 // entering any runtime service or peripheral trap
-	SenseExtra int64 // additional cycles for an ADC sample
-	SendExtra  int64 // additional cycles for a radio send
+	Instr      = 1    // ALU / stack manipulation
+	InstrMem   = 4    // load/store (NV access)
+	InstrCtl   = 3    // branch / call / return
+	TrapBase   = 10   // entering any runtime service or peripheral trap
+	SenseExtra = 400  // additional cycles for an ADC sample (warm-up and conversion)
+	SendExtra  = 2000 // additional cycles for a radio send (milliseconds-scale energy)
 
 	// NV copy costs used by checkpoint commits, undo logging, stack moves.
-	NVWritePerWord int64 // per 4-byte word written to FRAM
-	NVReadPerWord  int64 // per 4-byte word read from FRAM
+	NVWritePerWord = 3 // per 4-byte word written to FRAM
+	NVReadPerWord  = 2 // per 4-byte word read from FRAM
 
 	// TICS runtime operations (Table 4 calibration).
-	CheckpointBase int64 // register file + metadata + commit flag flip
-	RestoreBase    int64 // register reload + metadata on reboot
-	StackGrow      int64 // working-stack switch + argument copy overhead
-	StackShrink    int64 // working-stack switch back
-	PtrCheck       int64 // address-range check on an instrumented store
-	UndoLogEntry   int64 // write-ahead undo log append (addr+len+old+commit)
-	UndoRollback   int64 // restoring one logged word on reboot
-	TimestampWrite int64 // shadow-timestamp update on a @= assignment
-	TimeRead       int64 // reading the persistent timekeeper
+	CheckpointBase = 264 // register file + metadata + commit flag flip
+	RestoreBase    = 273 // register reload + metadata on reboot
+	StackGrow      = 345 // working-stack switch + argument copy overhead
+	StackShrink    = 345 // working-stack switch back
+	PtrCheck       = 13  // address-range check on an instrumented store
+	UndoLogEntry   = 295 // write-ahead undo log append; + PtrCheck = 308, Table 4's "log 4 B"
+	UndoRollback   = 234 // restoring one logged word on reboot
+	TimestampWrite = 40  // shadow-timestamp update on a @= assignment
+	TimeRead       = 25  // reading the persistent timekeeper
+)
+
+// CostModel holds the per-operation cycle charges as values, for code
+// that prices programs rather than running them (ticsvet's bounds).
+type CostModel struct {
+	Instr, InstrMem, InstrCtl, TrapBase, SenseExtra, SendExtra int64
+	NVWritePerWord, NVReadPerWord                              int64
+	CheckpointBase, RestoreBase, StackGrow, StackShrink        int64
+	PtrCheck, UndoLogEntry, UndoRollback, TimestampWrite       int64
+	TimeRead                                                   int64
 }
 
-// Default returns the calibrated cost model used throughout the repo.
+// Default returns the calibrated cost model: the constants above.
 func Default() CostModel {
 	return CostModel{
-		Instr:          1,
-		InstrMem:       4,
-		InstrCtl:       3,
-		TrapBase:       10,
-		SenseExtra:     400,  // ADC warm-up + conversion dominate a sample
-		SendExtra:      2000, // a radio packet costs milliseconds-scale energy
-		NVWritePerWord: 3,
-		NVReadPerWord:  2,
-		CheckpointBase: 264,
-		RestoreBase:    273,
-		StackGrow:      345,
-		StackShrink:    345,
-		PtrCheck:       13,
-		UndoLogEntry:   295, // + PtrCheck = 308, matching Table 4's "log 4 B"
-		UndoRollback:   234,
-		TimestampWrite: 40,
-		TimeRead:       25,
+		Instr:          Instr,
+		InstrMem:       InstrMem,
+		InstrCtl:       InstrCtl,
+		TrapBase:       TrapBase,
+		SenseExtra:     SenseExtra,
+		SendExtra:      SendExtra,
+		NVWritePerWord: NVWritePerWord,
+		NVReadPerWord:  NVReadPerWord,
+		CheckpointBase: CheckpointBase,
+		RestoreBase:    RestoreBase,
+		StackGrow:      StackGrow,
+		StackShrink:    StackShrink,
+		PtrCheck:       PtrCheck,
+		UndoLogEntry:   UndoLogEntry,
+		UndoRollback:   UndoRollback,
+		TimestampWrite: TimestampWrite,
+		TimeRead:       TimeRead,
 	}
 }
 

@@ -197,6 +197,35 @@ func Lookup(op Op) Info {
 	return infos[op]
 }
 
+// StackEffect gives the static operand-stack effect of an opcode: it pops
+// pops words, reading each at SP and raising SP past it, then pushes
+// pushes words, lowering SP and writing each at it. AddSP, which moves SP
+// by its immediate without touching a word, and the opcodes that change
+// no stack word report 0, 0. Call's return-address push is left out: the
+// compiler accounts for it on its own.
+func StackEffect(op Op) (pops, pushes int) {
+	switch op {
+	case PushI, AddrL, GetRV, Now, Sense, LoadG, LoadGB, LoadL:
+		return 0, 1
+	case Dup:
+		return 1, 2
+	case Swap:
+		return 2, 2
+	case Drop, StoreG, StoreGL, StoreGB, StoreGBL, StoreL,
+		Jz, Jnz, SetRV, Send, Out, SetTS, Timely:
+		return 1, 0
+	case LoadI, LoadIB, Neg, Not, LNot:
+		return 1, 1
+	case StoreI, StoreIL, StoreIB, StoreIBL, ExpBegin, ExpCatch:
+		return 2, 0
+	case Add, Sub, Mul, Div, Mod, And, Or, Xor,
+		Shl, Shr, CmpEq, CmpNe, CmpLt, CmpLe, CmpGt,
+		CmpGe, CmpLtU, CmpLeU, CmpGtU, CmpGeU:
+		return 2, 1
+	}
+	return 0, 0
+}
+
 // Valid reports whether op is a defined opcode.
 func Valid(op Op) bool { return int(op) < NumOps }
 

@@ -245,6 +245,25 @@ func (m *Memory) RestorePages(p *Pages) error {
 // with a base (always NumPages for a flat memory).
 func (m *Memory) PrivatePages() int { return bits.OnesCount64(m.dirty) }
 
+// PrivatePage returns page pg (below NumPages) when it is private, nil
+// when it is shared with the base. The slice is the page itself: writes
+// to it land in memory uncounted (see CountWords), and it stays the page
+// for as long as the page is private, which it is until the memory is
+// reset or restored.
+func (m *Memory) PrivatePage(pg uint32) []byte {
+	if m.dirty&(1<<pg) == 0 {
+		return nil
+	}
+	return m.pages[pg]
+}
+
+// CountWords counts reads and writes word accesses made directly on a
+// PrivatePage slice, as that many ReadWord and WriteWord calls count.
+func (m *Memory) CountWords(reads, writes uint64) {
+	m.wordReads += reads
+	m.wordWrites += writes
+}
+
 // wpage returns page pg as a writable slice, materializing a private copy
 // of a shared page first.
 func (m *Memory) wpage(pg uint32) []byte {

@@ -21,6 +21,7 @@ package taskrt
 import (
 	"fmt"
 
+	"repro/internal/energy"
 	"repro/internal/link"
 	"repro/internal/vm"
 )
@@ -236,18 +237,18 @@ func (r *Runtime) setupTask(m *vm.Machine) {
 // and restart it from its beginning (tasks are atomic and idempotent).
 func (r *Runtime) Boot(m *vm.Machine, cold bool) {
 	if cold || m.Mem.ReadWord(r.addrMagic) != initMagic {
-		m.Spend(m.Cost.RestoreBase)
+		m.Spend(energy.RestoreBase)
 		r.cur = r.cfg.StartTask
 		r.log.Reset(m, uint32(r.cur))
 		m.Mem.WriteWord(r.addrMagic, initMagic)
 		r.setupTask(m)
 		return
 	}
-	m.Spend(m.Cost.RestoreBase)
+	m.Spend(energy.RestoreBase)
 	cur, n := r.log.Header(m)
 	r.cur = int(cur)
 	r.log.Rollback(m, n)
-	m.Spend(m.Cost.NVWritePerWord)
+	m.Spend(energy.NVWritePerWord)
 	r.log.Reset(m, cur)
 	m.Count(vm.CtrTaskRestarts)
 	m.NoteRestore()
@@ -265,12 +266,12 @@ func (r *Runtime) checkTokens(m *vm.Machine) {
 		if e.To != r.cur || e.ExpireMs <= 0 {
 			continue
 		}
-		m.Spend(m.Cost.TimeRead)
+		m.Spend(energy.TimeRead)
 		ts := int64(m.Mem.ReadInt(r.addrToken + uint32(4*i)))
 		if now-ts > e.ExpireMs {
 			m.Count(vm.CtrExpiredTokens)
 			r.cur = e.OnExpired
-			m.Spend(m.Cost.NVWritePerWord)
+			m.Spend(energy.NVWritePerWord)
 			r.log.Reset(m, uint32(r.cur))
 			return
 		}
@@ -294,14 +295,14 @@ func (r *Runtime) Transition(m *vm.Machine, task int32) {
 		// Stamp the token on the traversed edge before committing.
 		for i, e := range r.cfg.Edges {
 			if e.From == r.cur && e.To == int(task) {
-				m.Spend(m.Cost.TimestampWrite)
+				m.Spend(energy.TimestampWrite)
 				m.Mem.WriteInt(r.addrToken+uint32(4*i), int32(m.Now()))
 			}
 		}
 	}
 	r.log.ObserveLen(m)
 	r.cur = int(task)
-	m.Spend(m.Cost.NVWritePerWord)
+	m.Spend(energy.NVWritePerWord)
 	r.log.Reset(m, uint32(r.cur)) // atomic commit
 	m.CommitObservables()
 	m.Count(vm.CtrTransitions)

@@ -1,6 +1,9 @@
 package vm
 
-import "repro/internal/obs"
+import (
+	"repro/internal/energy"
+	"repro/internal/obs"
+)
 
 // CheckpointMeta is the size of the register meta every checkpoint slot
 // starts with: PC, SP, FP, RV and CpDisable. The runtime's meta words
@@ -52,7 +55,7 @@ func (s *CheckpointSlots) Boot(m *Machine, cold bool) (restore bool) {
 	if !cold && m.Mem.ReadWord(s.base) == s.magic {
 		return true
 	}
-	m.Spend(m.Cost.RestoreBase)
+	m.Spend(energy.RestoreBase)
 	m.Regs, m.CpDisable = EntryRegisters(m.Img), 0
 	s.sealing = true
 	return false
@@ -70,9 +73,9 @@ func (s *CheckpointSlots) Reset(m *Machine) {
 func (s *CheckpointSlots) Begin(m *Machine, kind CpKind, bytes int, metaWords int64) uint32 {
 	m.EmitEvent(obs.EvCheckpointBegin, int64(kind), int64(bytes))
 	m.PushCat(obs.CatCheckpoint)
-	m.Spend(m.Cost.CheckpointBase)
+	m.Spend(energy.CheckpointBase)
 	slot := s.slot[1-s.active]
-	m.Spend(metaWords * m.Cost.NVWritePerWord)
+	m.Spend(metaWords * energy.NVWritePerWord)
 	m.Mem.WriteWord(slot+0, m.Regs.PC)
 	m.Mem.WriteWord(slot+4, m.Regs.SP)
 	m.Mem.WriteWord(slot+8, m.Regs.FP)
@@ -86,7 +89,7 @@ func (s *CheckpointSlots) Begin(m *Machine, kind CpKind, bytes int, metaWords in
 // Done: power fails only inside Spend, so a torn checkpoint always
 // restores the old slot, and a committed one always reaches Done.
 func (s *CheckpointSlots) Commit(m *Machine, preWords int64) {
-	m.Spend(preWords * m.Cost.NVWritePerWord)
+	m.Spend(preWords * energy.NVWritePerWord)
 	s.active = 1 - s.active
 	m.Mem.WriteWord(s.base+4, uint32(s.active))
 }
@@ -98,7 +101,7 @@ func (s *CheckpointSlots) Done(m *Machine, kind CpKind) {
 	m.PopCat()
 	m.NoteCheckpoint(kind)
 	if s.sealing {
-		m.Spend(m.Cost.NVWritePerWord)
+		m.Spend(energy.NVWritePerWord)
 		m.Mem.WriteWord(s.base, s.magic)
 		s.sealing = false
 	}
@@ -107,7 +110,7 @@ func (s *CheckpointSlots) Done(m *Machine, kind CpKind) {
 // Restore charges RestoreBase, re-reads the active word and returns the
 // active slot.
 func (s *CheckpointSlots) Restore(m *Machine) uint32 {
-	m.Spend(m.Cost.RestoreBase)
+	m.Spend(energy.RestoreBase)
 	s.active = int(m.Mem.ReadWord(s.base+4) & 1)
 	return s.slot[s.active]
 }

@@ -124,3 +124,14 @@ func (m *Machine) EstMs() float64 { return m.estMs }
 // ClockOff adds an outage of ms to the device clock, estimated by the
 // timekeeper as a power failure would.
 func (m *Machine) ClockOff(ms float64) { m.estMs += m.clock.OffEstimate(ms) }
+
+// AddEach exposes addEach: x after k rounded adds of d.
+func AddEach(x, d float64, k int) float64 { return addEach(x, d, k) }
+
+// WindowAt reports the stack window decoded for the run at pc: the bytes
+// [SP+lo, SP+hi) it touches, SP taken at the run's start (lo == hi: no
+// window), and the stack words it reads and writes.
+func (m *Machine) WindowAt(pc uint32) (lo, hi, reads, writes int) {
+	w := m.windows[pc-m.textBase]
+	return int(w.lo), int(w.hi), int(w.reads), int(w.writes)
+}

@@ -9,6 +9,7 @@ import (
 
 	tics "repro"
 	"repro/internal/apps"
+	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/replay"
 	"repro/internal/timekeeper"
@@ -129,7 +130,7 @@ func cutCopy(t *testing.T, prep *vm.Prepared, w int64, fn func(m *vm.Machine)) c
 // wordLoop is the reference CopyCharged: one charge, one read and one
 // write per word.
 func wordLoop(m *vm.Machine, dst, src uint32, n int, passes int64) {
-	c := passes * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
+	c := passes * (energy.NVReadPerWord + energy.NVWritePerWord)
 	for off := 0; off < n; off += 4 {
 		m.Spend(c)
 		m.Mem.WriteWord(dst+uint32(off), m.Mem.ReadWord(src+uint32(off)))

@@ -1,6 +1,9 @@
 package vm
 
-import "repro/internal/obs"
+import (
+	"repro/internal/energy"
+	"repro/internal/obs"
+)
 
 // UndoLog is the write-ahead undo log of the paper's memory-consistency
 // guarantee (§3.1.2): before a logged store overwrites non-volatile data,
@@ -88,7 +91,7 @@ func (l *UndoLog) Recover(m *Machine, tag uint32) {
 	if t, n := l.Header(m); t == tag&0xFFFF {
 		l.Rollback(m, n)
 	}
-	m.Spend(m.Cost.NVWritePerWord)
+	m.Spend(energy.NVWritePerWord)
 	l.Reset(m, tag)
 }
 
@@ -132,7 +135,7 @@ func (l *UndoLog) Rollback(m *Machine, n int) {
 	}
 	m.PushCat(obs.CatUndoLog)
 	for i := n - 1; i >= 0; i-- {
-		m.Spend(m.Cost.UndoRollback)
+		m.Spend(energy.UndoRollback)
 		e := l.base + uint32(i)*l.entry
 		addr := m.Mem.ReadWord(e)
 		size := int(m.Mem.ReadWord(e + 4))

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	tics "repro"
+	"repro/internal/energy"
 	"repro/internal/vm"
 )
 
@@ -26,7 +27,7 @@ func (r *logOnly) Clone() vm.Runtime {
 }
 
 func (r *logOnly) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
-	r.log.Append(m, addr, size, m.Cost.UndoLogEntry)
+	r.log.Append(m, addr, size, energy.UndoLogEntry)
 	m.RawStore(addr, size, value)
 }
 
@@ -108,11 +109,11 @@ int main() { c = 1; w = 2; blk[0] = 3; return 0; }
 	log := vm.NewUndoLog(img.RuntimeBase, img.RuntimeBase+4, 3*(8+16), 16)
 	if m.Powered(big, func() {
 		log.Reset(m, 7)
-		log.Append(m, cAddr, 1, m.Cost.UndoLogEntry)
+		log.Append(m, cAddr, 1, energy.UndoLogEntry)
 		m.Mem.WriteByteAt(cAddr, 0xFF)
-		log.Append(m, wAddr, 4, m.Cost.UndoLogEntry)
+		log.Append(m, wAddr, 4, energy.UndoLogEntry)
 		m.Mem.WriteWord(wAddr, 0xDEADBEEF)
-		log.Append(m, blkAddr, 16, m.Cost.UndoLogEntry)
+		log.Append(m, blkAddr, 16, energy.UndoLogEntry)
 		for i := uint32(0); i < 4; i++ {
 			m.Mem.WriteWord(blkAddr+4*i, 0xB0B0B000+i)
 		}

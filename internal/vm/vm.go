@@ -8,6 +8,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -210,9 +211,6 @@ type Config struct {
 type Machine struct {
 	Mem *mem.Memory
 	Img *link.Image
-	// Cost is the calibrated cost model (energy.Default), the one every
-	// runtime and ticsvet's TV008 bound charge.
-	Cost energy.CostModel
 
 	// runState holds everything a run changes (Reset clears it, Snapshot
 	// copies it), including the exported Regs, CpDisable, Expiry*,
@@ -263,17 +261,21 @@ type Machine struct {
 
 	// decoded is the dense PC-indexed instruction table (shared with every
 	// machine forked from the same Prepared); slot i describes address
-	// textBase+i. classCost is the cycle price of each isa.Class under Cost.
-	decoded   []decodedInstr
-	textBase  uint32
-	classCost [4]int64
-	classMs   [4]float64 // classCost in ms, as Spend computes it
+	// textBase+i. windows is its stack-window side table, shared the same
+	// way.
+	decoded  []decodedInstr
+	windows  []stackWindow
+	textBase uint32
 	// inRun is set while tryRun executes a run; runStart is the cycle
 	// count the run started at, so a fault inside it can hand the
-	// recorder the cycles charged so far. Between instructions, where
-	// snapshots are taken, no run is open.
+	// recorder the cycles charged so far. windowed is set while the run
+	// works on its stack window, and runPC is its first instruction, so a
+	// fault can count the stack words of the instructions run so far.
+	// Between instructions, where snapshots are taken, no run is open.
 	inRun    bool
+	windowed bool
 	runStart int64
+	runPC    uint32
 	// prepared is the shared image this machine forked from (nil when the
 	// machine owns a privately loaded flat memory). Reset requires it.
 	prepared *Prepared
@@ -343,6 +345,23 @@ type runState struct {
 	outPending []outEntry
 }
 
+// classCost is the cycle price of each isa.Class, and classMs the same
+// in ms, as Spend computes it.
+var (
+	classCost = [4]int64{
+		isa.ClassALU:  energy.Instr,
+		isa.ClassMem:  energy.InstrMem,
+		isa.ClassCtl:  energy.InstrCtl,
+		isa.ClassTrap: energy.TrapBase,
+	}
+	classMs = [4]float64{
+		isa.ClassALU:  float64(energy.Instr) / energy.CyclesPerMs,
+		isa.ClassMem:  float64(energy.InstrMem) / energy.CyclesPerMs,
+		isa.ClassCtl:  float64(energy.InstrCtl) / energy.CyclesPerMs,
+		isa.ClassTrap: float64(energy.TrapBase) / energy.CyclesPerMs,
+	}
+)
+
 // decodedInstr is one slot of the decoded table. The slots of an
 // immediate's bytes stay zero (ok unset), so a jump into the middle of an
 // instruction faults.
@@ -363,6 +382,17 @@ type decodedInstr struct {
 	runMem uint8     // how many of them are ClassMem
 }
 
+// stackWindow is the side-table entry, indexed like the decoded table,
+// of the straight-line run starting at a slot: the stack bytes
+// [SP+lo, SP+hi) its pushes and pops touch, SP taken at the run's start,
+// and how many stack words they read and write (isa.StackEffect summed
+// over the run). lo == hi when the run touches no stack word, or when the
+// bytes it touches cannot fit one page; such a run has no window.
+type stackWindow struct {
+	lo, hi        int16
+	reads, writes uint16
+}
+
 type outEntry struct {
 	ch  int32
 	val int32
@@ -375,6 +405,7 @@ type outEntry struct {
 type Prepared struct {
 	Img       *link.Image
 	decoded   []decodedInstr
+	windows   []stackWindow
 	funcNames []string
 	base      *mem.Base
 }
@@ -389,11 +420,11 @@ func Prepare(img *link.Image) (*Prepared, error) {
 	if err := img.LoadInto(scratch); err != nil {
 		return nil, err
 	}
-	decoded, err := decodeImage(img)
+	decoded, windows, err := decodeImage(img)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Img: img, decoded: decoded, funcNames: funcNames(img), base: scratch.Freeze()}, nil
+	return &Prepared{Img: img, decoded: decoded, windows: windows, funcNames: funcNames(img), base: scratch.Freeze()}, nil
 }
 
 // funcNames lists the image's function names by function index.
@@ -439,16 +470,6 @@ func (cfg Config) normalize() (Config, error) {
 // decoded program are already in place. Shared by New and Reset.
 func (m *Machine) apply(cfg Config) error {
 	m.Img = cfg.Image
-	m.Cost = energy.Default()
-	m.classCost = [4]int64{
-		isa.ClassALU:  m.Cost.Instr,
-		isa.ClassMem:  m.Cost.InstrMem,
-		isa.ClassCtl:  m.Cost.InstrCtl,
-		isa.ClassTrap: m.Cost.TrapBase,
-	}
-	for i, c := range m.classCost {
-		m.classMs[i] = float64(c) / energy.CyclesPerMs
-	}
 	m.setRuntime(cfg.Runtime)
 	m.powerSrc = cfg.Power
 	m.clock = cfg.Clock
@@ -507,6 +528,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Prepared != nil {
 		m.Mem = mem.Fork(cfg.Prepared.base)
 		m.decoded = cfg.Prepared.decoded
+		m.windows = cfg.Prepared.windows
 		m.funcNames = cfg.Prepared.funcNames
 		m.prepared = cfg.Prepared
 	} else {
@@ -514,7 +536,7 @@ func New(cfg Config) (*Machine, error) {
 		if err := cfg.Image.LoadInto(m.Mem); err != nil {
 			return nil, err
 		}
-		if m.decoded, err = decodeImage(cfg.Image); err != nil {
+		if m.decoded, m.windows, err = decodeImage(cfg.Image); err != nil {
 			return nil, err
 		}
 		m.funcNames = funcNames(cfg.Image)
@@ -548,15 +570,15 @@ func (m *Machine) Reset(cfg Config) error {
 // decodeImage decodes the image's text segment into the dense table
 // machines dispatch from: one slot per text byte, indexed by
 // pc - img.TextBase. A backward pass then marks each slot's straight-line
-// run.
-func decodeImage(img *link.Image) ([]decodedInstr, error) {
+// run, and a forward walk of each run fills its stack window.
+func decodeImage(img *link.Image) ([]decodedInstr, []stackWindow, error) {
 	code := img.Text
 	decoded := make([]decodedInstr, len(code))
 	var offs []int
 	for off := 0; off < len(code); {
 		in, next, err := isa.Decode(code, off)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		addr := img.TextBase + uint32(off)
 		decoded[off] = decodedInstr{
@@ -587,7 +609,44 @@ func decodeImage(img *link.Image) ([]decodedInstr, error) {
 		n := min(tail[j], math.MaxUint8)
 		d.run, d.runMem = uint8(n), uint8(mems[j]-mems[j+n])
 	}
-	return decoded, nil
+	windows := make([]stackWindow, len(code))
+	for _, off := range offs {
+		if n := decoded[off].run; n > 0 {
+			windows[off] = windowOf(decoded, img.TextBase, uint32(off), int(n))
+		}
+	}
+	return decoded, windows, nil
+}
+
+// windowOf walks the n-instruction run at slot off and returns its stack
+// window. Each instruction's pops read the words from SP up and raise SP
+// past them, then its pushes lower SP and write the words from SP up
+// (isa.StackEffect); AddSP moves SP by its immediate.
+func windowOf(decoded []decodedInstr, textBase, off uint32, n int) stackWindow {
+	var sp, reads, writes int // sp is SP's offset from the run's start
+	lo, hi := math.MaxInt, math.MinInt
+	for range n {
+		d := &decoded[off]
+		pops, pushes := isa.StackEffect(d.in.Op)
+		if pops > 0 {
+			lo, hi = min(lo, sp), max(hi, sp+4*pops)
+			sp += 4 * pops
+		}
+		if pushes > 0 {
+			sp -= 4 * pushes
+			lo, hi = min(lo, sp), max(hi, sp+4*pushes)
+		}
+		if d.in.Op == isa.AddSP {
+			sp += int(d.in.Imm)
+		}
+		reads, writes = reads+pops, writes+pushes
+		off = d.next - textBase
+	}
+	w := stackWindow{reads: uint16(reads), writes: uint16(writes)}
+	if lo < hi && hi-lo <= mem.PageSize && lo >= math.MinInt16 && hi <= math.MaxInt16 {
+		w.lo, w.hi = int16(lo), int16(hi)
+	}
+	return w
 }
 
 // straightLine reports whether op may sit inside a straight-line run: it
@@ -822,26 +881,72 @@ func (m *Machine) charge(c int64, ms float64) {
 }
 
 // spendEach charges k units of c cycles as k Spend(c) calls would, bit
-// for bit: k ordered float adds to the on-time and the clock, the
-// integer counters and the recorder once for the total. The caller
-// guarantees the window covers all k (remaining ≥ k×c); a charge that may
-// run out goes through Spend.
+// for bit: the k ordered float adds to the on-time and the clock each
+// land where addEach puts them, and the integer counters and the
+// recorder take the total once. The caller guarantees the window covers
+// all k (remaining ≥ k×c); a charge that may run out goes through Spend.
 func (m *Machine) spendEach(c int64, k int) {
 	total := c * int64(k)
 	m.remaining -= total
 	m.cycles += total
 	m.sinceCp += total
 	ms := float64(c) / energy.CyclesPerMs
-	for range k {
-		m.onMs += ms
-		m.estMs += ms
-	}
+	m.onMs = addEach(m.onMs, ms, k)
+	m.estMs = addEach(m.estMs, ms, k)
 	if m.rec != nil {
 		m.rec.OnSpend(total)
 	}
 	if m.remaining < 0 {
 		panic(powerFailure{})
 	}
+}
+
+// addEach returns x after k rounded adds of d (x += d, k times), for
+// finite x ≥ 0 and d ≥ 0, bit for bit, in closed form where the adds are
+// provably uniform.
+//
+// Inside one binade [2ᵉ, 2ᵉ⁺¹) every float is a multiple of the binade's
+// ulp u, and while x+d stays below the top 2ᵉ⁺¹ it rounds to a multiple
+// of u: the step fl(x+d)−x is d rounded to a multiple of u, the same for
+// every x of the binade, bar a tie. When d lies exactly halfway between
+// two multiples, ties-to-even picks by the parity of x/u, but a tied add
+// always lands on an even multiple, so after one add made inside the
+// binade every later one rounds the same way (below 2⁻¹⁰²² the grid is
+// the subnormal one, as uniform). So once the two adds before x both
+// started inside x's binade, each further add moves x by δ = x − x₁, and
+// n of them whose results stay below the top come to x + n·δ exactly: a
+// multiple of u inside the binade, where the one add rounds nothing. n
+// is taken two steps short of the top, which covers the rounding of the
+// division that finds it. addEach makes single adds until that holds,
+// jumps, and does the same in the next binade.
+func addEach(x, d float64, k int) float64 {
+	const mantissa = 1<<52 - 1
+	for k >= 2 {
+		x0 := x
+		x1 := x0 + d
+		x = x1 + d
+		k -= 2
+		bin := math.Float64bits(x) &^ mantissa
+		lo, top := math.Float64frombits(bin), math.Float64frombits(bin+1<<52)
+		if x0 < lo || math.IsInf(top, 1) {
+			continue
+		}
+		n := k
+		if step := x - x1; step > 0 {
+			if q := (top - x) / step; q < float64(k+2) {
+				n = int(q) - 2
+			}
+			if n <= 0 {
+				continue
+			}
+			x += float64(n) * step
+		}
+		k -= n
+	}
+	if k == 1 {
+		x += d
+	}
+	return x
 }
 
 // CopyCharged copies n bytes (whole words) from src to dst as if one word
@@ -855,7 +960,7 @@ func (m *Machine) spendEach(c int64, k int) {
 // loop. Overlapping and out-of-range copies, where the word loop is not a
 // memmove or faults partway, run the word loop itself.
 func (m *Machine) CopyCharged(dst, src uint32, n int, passes int64) {
-	c := passes * (m.Cost.NVReadPerWord + m.Cost.NVWritePerWord)
+	c := passes * (energy.NVReadPerWord + energy.NVWritePerWord)
 	words := (n + mem.WordBytes - 1) / mem.WordBytes
 	done := 0
 	if words > 0 && disjointInRange(dst, src, words*mem.WordBytes) {
@@ -1077,6 +1182,9 @@ func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
 			panic(r)
 		}
 		if m.inRun {
+			if m.windowed {
+				m.countWindow(true)
+			}
 			m.endRun()
 		}
 	}()
@@ -1162,9 +1270,13 @@ const wallMargin = 1 + 0x1p-30
 // would show, and a fault leaves the same state; the recorder takes the
 // run's cycles in one charge (endRun). An armed expiry is checked after
 // each instruction as step checks it, and its firing ends the run there.
+//
+// A run of two or more instructions whose stack window lies in the stack
+// region, inside one page that is already private, runs in runWindowed;
+// the others run here, every stack word through Push and Pop.
 func (m *Machine) tryRun(d *decodedInstr) bool {
 	n, mems := int64(d.run), int64(d.runMem)
-	sum := mems*m.classCost[isa.ClassMem] + (n-mems)*m.classCost[isa.ClassALU]
+	sum := mems*classCost[isa.ClassMem] + (n-mems)*classCost[isa.ClassALU]
 	if m.remaining < sum || m.cycles+sum > m.cycleLimit ||
 		m.autoCpCycles > 0 && !m.CpDisabled() && m.sinceCp+sum >= m.autoCpCycles ||
 		m.inISR || m.irqPeriodMs > 0 ||
@@ -1172,8 +1284,19 @@ func (m *Machine) tryRun(d *decodedInstr) bool {
 		return false
 	}
 	m.inRun, m.runStart = true, m.cycles
+	if n > 1 {
+		if w := m.windows[m.Regs.PC-m.textBase]; w.lo < w.hi {
+			lo, hi := int64(m.Regs.SP)+int64(w.lo), int64(m.Regs.SP)+int64(w.hi)
+			if lo >= int64(m.Img.StackBase) && hi <= int64(m.Img.StackBase)+int64(m.Img.StackLen) && lo>>mem.PageShift == (hi-1)>>mem.PageShift {
+				if p := m.Mem.PrivatePage(uint32(lo >> mem.PageShift)); p != nil {
+					m.runWindowed(d, n, w, p, uint32(lo)&^(mem.PageSize-1))
+					return true
+				}
+			}
+		}
+	}
 	for ; ; n-- {
-		c, ms := m.classCost[d.class], m.classMs[d.class]
+		c, ms := classCost[d.class], classMs[d.class]
 		m.remaining -= c
 		m.cycles += c
 		m.sinceCp += c
@@ -1195,6 +1318,157 @@ func (m *Machine) tryRun(d *decodedInstr) bool {
 	return true
 }
 
+// runWindowed executes the n-instruction run at d as tryRun's loop
+// would, with every push and pop made on p, the private page at base
+// that holds the run's stack window w: the window lies in the stack
+// region, so no push overflows and no pop underflows, and the page is
+// the one the memory itself reads and writes, so the loads and stores
+// through computed addresses, which keep ReadWord and WriteWord, see the
+// same bytes. A pop or push whose bytes are already in place (Drop, the
+// lower word of Dup) leaves p alone. SP lives in a local and reaches the
+// register file before every call that can fault or observe the machine,
+// with the pops made so far, and after the run. The stack words count
+// once, w's totals at the end, or the words of the instructions run so
+// far where an expiry or a fault ends the run early (countWindow).
+//
+// The page must be private even for a run that only reads the stack: a
+// raw store inside the run to a shared page would materialize it, and p
+// would then be the stale shared copy.
+func (m *Machine) runWindowed(d *decodedInstr, n int64, w stackWindow, p []byte, base uint32) {
+	m.windowed, m.runPC = true, m.Regs.PC
+	decoded, textBase := m.decoded, m.textBase
+	sp := m.Regs.SP - base // SP's offset in p
+	for ; ; n-- {
+		c, ms := classCost[d.class&3], classMs[d.class&3]
+		m.remaining -= c
+		m.cycles += c
+		m.sinceCp += c
+		m.onMs += ms
+		m.estMs += ms
+		switch in := d.in; in.Op {
+		case isa.Nop:
+		case isa.PushI:
+			sp -= 4
+			le.PutUint32(p[sp:], uint32(in.Imm))
+		case isa.Dup:
+			v := le.Uint32(p[sp:])
+			sp -= 4
+			le.PutUint32(p[sp:], v)
+		case isa.Drop:
+			sp += 4
+		case isa.Swap:
+			a, b := le.Uint32(p[sp:]), le.Uint32(p[sp+4:])
+			le.PutUint32(p[sp:], b)
+			le.PutUint32(p[sp+4:], a)
+		case isa.LoadG, isa.LoadGB, isa.LoadL:
+			m.Regs.SP = base + sp
+			var v uint32
+			switch in.Op {
+			case isa.LoadG:
+				v = m.Mem.ReadWord(uint32(in.Imm))
+			case isa.LoadGB:
+				v = uint32(m.Mem.ReadByteAt(uint32(in.Imm)))
+			default:
+				v = m.Mem.ReadWord(uint32(int32(m.Regs.FP) + in.Imm))
+			}
+			sp -= 4
+			le.PutUint32(p[sp:], v)
+		case isa.AddrL:
+			sp -= 4
+			le.PutUint32(p[sp:], uint32(int32(m.Regs.FP)+in.Imm))
+		case isa.GetRV:
+			sp -= 4
+			le.PutUint32(p[sp:], m.Regs.RV)
+		case isa.SetRV:
+			m.Regs.RV = le.Uint32(p[sp:])
+			sp += 4
+		case isa.StoreG, isa.StoreGB, isa.StoreL:
+			v := le.Uint32(p[sp:])
+			sp += 4
+			m.Regs.SP = base + sp
+			addr, size := uint32(in.Imm), 4
+			if in.Op == isa.StoreL {
+				addr = uint32(int32(m.Regs.FP) + in.Imm)
+			} else if in.Op == isa.StoreGB {
+				size = 1
+			}
+			m.RawStore(addr, size, v)
+		case isa.LoadI, isa.LoadIB:
+			addr := le.Uint32(p[sp:])
+			m.Regs.SP = base + sp + 4
+			var v uint32
+			if in.Op == isa.LoadI {
+				v = m.Mem.ReadWord(addr)
+			} else {
+				v = uint32(m.Mem.ReadByteAt(addr))
+			}
+			le.PutUint32(p[sp:], v)
+		case isa.StoreI, isa.StoreIB:
+			v, addr := le.Uint32(p[sp:]), le.Uint32(p[sp+4:])
+			sp += 8
+			m.Regs.SP = base + sp
+			size := 4
+			if in.Op == isa.StoreIB {
+				size = 1
+			}
+			m.RawStore(addr, size, v)
+		case isa.Neg, isa.Not, isa.LNot:
+			v, _ := isa.Eval(in.Op, le.Uint32(p[sp:]), 0)
+			le.PutUint32(p[sp:], v)
+		case isa.AddSP:
+			sp += uint32(in.Imm)
+		default: // the two-operand ALU and compare ops
+			v, ok := isa.Eval(in.Op, le.Uint32(p[sp+4:]), le.Uint32(p[sp:]))
+			if !ok {
+				m.Regs.SP = base + sp + 8
+				m.zeroDivisor(in.Op)
+			}
+			sp += 4
+			le.PutUint32(p[sp:], v)
+		}
+		m.Regs.PC = d.next
+		if m.expired() {
+			m.Regs.SP = base + sp
+			m.countWindow(false)
+			m.endRun()
+			m.fireExpiry()
+			return
+		}
+		if n == 1 {
+			break
+		}
+		d = &decoded[d.next-textBase]
+	}
+	m.Regs.SP = base + sp
+	m.windowed = false
+	m.Mem.CountWords(uint64(w.reads), uint64(w.writes))
+	m.endRun()
+}
+
+// countWindow counts the stack words of a windowed run that ends before
+// its last instruction: those of the instructions from runPC up to PC,
+// and, when the instruction at PC faulted, its pops, which every
+// instruction that can fault inside a window makes before it faults
+// (its pushes come after).
+func (m *Machine) countWindow(faulted bool) {
+	m.windowed = false
+	var reads, writes uint64
+	for pc := m.runPC; pc != m.Regs.PC; {
+		d := &m.decoded[pc-m.textBase]
+		pops, pushes := isa.StackEffect(d.in.Op)
+		reads, writes = reads+uint64(pops), writes+uint64(pushes)
+		pc = d.next
+	}
+	if faulted {
+		pops, _ := isa.StackEffect(m.decoded[m.Regs.PC-m.textBase].in.Op)
+		reads += uint64(pops)
+	}
+	m.Mem.CountWords(reads, writes)
+}
+
+// le is the byte order of a word in memory.
+var le = binary.LittleEndian
+
 // endRun closes a run, charging the recorder the cycles it spent.
 func (m *Machine) endRun() {
 	m.inRun = false
@@ -1211,7 +1485,7 @@ func (m *Machine) step(d *decodedInstr) {
 		m.Fault("PC=%#x is not an instruction boundary", m.Regs.PC)
 	}
 	in := d.in
-	m.charge(m.classCost[d.class], m.classMs[d.class])
+	m.charge(classCost[d.class], classMs[d.class])
 	next := d.next
 	if m.preStorer != nil {
 		switch in.Op {
@@ -1270,7 +1544,7 @@ func (m *Machine) step(d *decodedInstr) {
 		}
 		next = m.Regs.PC // Leave sets PC to the return address
 	case isa.Sense:
-		m.Spend(m.Cost.SenseExtra)
+		m.Spend(energy.SenseExtra)
 		var v int32
 		if m.sensors != nil {
 			v = m.sensors.Sense(in.Imm, m.TrueNowMs())
@@ -1291,10 +1565,10 @@ func (m *Machine) step(d *decodedInstr) {
 			// in the commit queue — it transmits atomically with the next
 			// commit point, so committed sends go out exactly once and
 			// rolled-back sends never leave the device.
-			m.Spend(m.Cost.SendExtra)
+			m.Spend(energy.SendExtra)
 			m.sendPending = append(m.sendPending, rec)
 		} else {
-			m.Spend(m.Cost.SendExtra)
+			m.Spend(energy.SendExtra)
 			m.SendLog = append(m.SendLog, rec)
 			if m.OnSend != nil {
 				m.OnSend(rec)
@@ -1310,7 +1584,7 @@ func (m *Machine) step(d *decodedInstr) {
 			m.OnMark(in.Imm, m.Now())
 		}
 	case isa.Now:
-		m.Spend(m.Cost.TimeRead)
+		m.Spend(energy.TimeRead)
 		m.Push(uint32(int32(m.Now())))
 	case isa.Chkpt:
 		// Advance PC first so the checkpoint resumes after this
@@ -1324,11 +1598,11 @@ func (m *Machine) step(d *decodedInstr) {
 			m.CpDisable--
 		}
 	case isa.SetTS:
-		m.Spend(m.Cost.TimestampWrite)
+		m.Spend(energy.TimestampWrite)
 		addr := m.Pop()
 		m.rt.LoggedStore(m, addr, 4, uint32(int32(m.Now())))
 	case isa.ExpBegin, isa.ExpCatch:
-		m.Spend(m.Cost.TimeRead)
+		m.Spend(energy.TimeRead)
 		dur := int64(int32(m.Pop()))
 		tsAddr := m.Pop()
 		ts := int64(m.Mem.ReadInt(tsAddr))
@@ -1343,7 +1617,7 @@ func (m *Machine) step(d *decodedInstr) {
 	case isa.ExpEnd:
 		m.ExpiryArmed = false
 	case isa.Timely:
-		m.Spend(m.Cost.TimeRead)
+		m.Spend(energy.TimeRead)
 		deadline := int64(int32(m.Pop()))
 		if m.Now() >= deadline {
 			next = uint32(in.Imm)
