@@ -122,11 +122,8 @@ func New(img *link.Image, cfg Config) (*Chinchilla, error) {
 // Name implements vm.Runtime.
 func (c *Chinchilla) Name() string { return "chinchilla" }
 
-// Clone implements vm.Runtime.
-func (c *Chinchilla) Clone() vm.Runtime {
-	d := *c
-	return &d
-}
+// CloneInto implements vm.Runtime.
+func (c *Chinchilla) CloneInto(dst vm.Runtime) vm.Runtime { return vm.CopyInto(c, dst) }
 
 // Boot implements vm.Runtime.
 func (c *Chinchilla) Boot(m *vm.Machine, cold bool) {

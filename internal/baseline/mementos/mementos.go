@@ -105,11 +105,8 @@ func New(img *link.Image, cfg Config) (*Mementos, error) {
 // Name implements vm.Runtime.
 func (b *Mementos) Name() string { return "mementos" }
 
-// Clone implements vm.Runtime.
-func (b *Mementos) Clone() vm.Runtime {
-	c := *b
-	return &c
-}
+// CloneInto implements vm.Runtime.
+func (b *Mementos) CloneInto(dst vm.Runtime) vm.Runtime { return vm.CopyInto(b, dst) }
 
 // Boot implements vm.Runtime.
 func (b *Mementos) Boot(m *vm.Machine, cold bool) {

@@ -24,7 +24,8 @@ type File struct {
 	// Host records where the numbers came from — a 1-CPU CI runner and
 	// a 16-core workstation must never be compared as equals.
 	Host Host `json:"host"`
-	// Fleet holds one entry per fleet configuration, keyed "n=<devices>".
+	// Fleet holds one entry per fleet configuration, keyed by
+	// FleetEntry.Key: "n=<devices>" for ghm, "<app>/n=<devices>" else.
 	Fleet map[string]*FleetEntry `json:"fleet"`
 	// Opcodes holds the per-opcode dispatch microbenchmark, keyed by
 	// opcode name (ROADMAP item 2's baseline).
@@ -168,6 +169,16 @@ func NewFile() *File {
 
 // FleetKey is the canonical fleet-entry key for a device count.
 func FleetKey(devices int) string { return fmt.Sprintf("n=%d", devices) }
+
+// Key is the key the entry is stored under: FleetKey for the ghm fleets
+// the ledger's fleet rows have always run, "<app>/n=<devices>" for any
+// other app, so rows of two apps never share a key.
+func (e *FleetEntry) Key() string {
+	if e.App == "ghm" {
+		return FleetKey(e.Devices)
+	}
+	return e.App + "/" + FleetKey(e.Devices)
+}
 
 // SetFleet merges one fleet entry by key, leaving every other key
 // untouched — how the sweep and the n=64 benchmark coexist.

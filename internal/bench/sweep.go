@@ -58,7 +58,7 @@ func (sc SweepConfig) fleetConfig(n, workers int, telemetry bool) fleet.Config {
 }
 
 // RunSweep measures the fleet at every size in sc and returns one
-// entry per size, keyed FleetKey(n). Per size it runs the worker
+// entry per size, keyed FleetEntry.Key. Per size it runs the worker
 // matrix with telemetry off, prices the full observability stack at
 // the best worker count, and attributes peak RSS per size when the
 // kernel lets us reset the high-water mark (obs.ResetPeakRSS);
@@ -130,7 +130,7 @@ func RunSweep(sc SweepConfig, logf func(format string, args ...any)) (map[string
 		}
 		logf("sweep n=%d: best workers=%d, %.0f devices/s, peak RSS %.1f MB, %.0f B/device",
 			n, bestWorkers, e.Best.DevicesPerSec, float64(e.PeakRSSBytes)/1e6, e.BytesPerDevice)
-		out[FleetKey(n)] = e
+		out[e.Key()] = e
 	}
 	return out, nil
 }

@@ -54,7 +54,7 @@ func Validate(f *File) []error {
 		if e.Devices <= 0 {
 			bad("%s: devices = %d, want > 0", key, e.Devices)
 		}
-		if want := FleetKey(e.Devices); key != want {
+		if want := e.Key(); key != want {
 			bad("%s: key does not match devices (want %s)", key, want)
 		}
 		if e.App == "" {

@@ -24,7 +24,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/link"
@@ -219,11 +218,16 @@ func (t *TICS) NumSegments() int { return t.numSegs }
 // Name implements vm.Runtime.
 func (t *TICS) Name() string { return "tics" }
 
-// Clone implements vm.Runtime.
-func (t *TICS) Clone() vm.Runtime {
-	c := *t
-	c.loggedAt = slices.Clone(t.loggedAt)
-	return &c
+// CloneInto implements vm.Runtime. The block-dedup table is copied into
+// dst's own.
+func (t *TICS) CloneInto(dst vm.Runtime) vm.Runtime {
+	var loggedAt []uint32
+	if d, ok := dst.(*TICS); ok {
+		loggedAt = d.loggedAt[:0]
+	}
+	c := vm.CopyInto(t, dst)
+	c.loggedAt = append(loggedAt, t.loggedAt...)
+	return c
 }
 
 // segTop returns one past the highest address of segment i (the stack

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"time"
@@ -330,7 +331,16 @@ func uniqueSends(log []vm.SendRec) int64 {
 // see the same state whatever the worker count, wave size, or pooled
 // versus fresh machines, and every externally visible result stays
 // byte-identical across them.
-func Run(cfg Config) (*Report, error) {
+//
+// Devices without a recorder start from the shared prefix: snapshots of
+// one oracle device's run (sharedPrefix), each device restoring the
+// latest one its first power window covers.
+func Run(cfg Config) (*Report, error) { return run(cfg, cfg.DeviceSpec) }
+
+// run is Run with device dev running spec(dev): cfg.DeviceSpec(dev), or
+// in tests that spec with what Config cannot express changed (a build
+// knob, a power source per device). Seeds stay DeviceSeed's.
+func run(cfg Config, spec func(dev int) replay.Spec) (*Report, error) {
 	n := cfg.Devices
 	if n <= 0 {
 		n = 1
@@ -344,7 +354,7 @@ func Run(cfg Config) (*Report, error) {
 	// Build (machines fork its post-link snapshot copy-on-write), and it
 	// is by far the most expensive per-device setup cost.
 	pc.enter(PhaseBuild)
-	img, _, err := replay.BuildImage(cfg.DeviceSpec(0))
+	img, _, err := replay.BuildImage(spec(0))
 	if err != nil {
 		return nil, err
 	}
@@ -379,6 +389,18 @@ func Run(cfg Config) (*Report, error) {
 		gw = NewGateway(cfg.FreshnessMs)
 	}
 	var elapsed float64
+	// The oracle device is device work. Slot recorders accumulate across
+	// the devices a slot runs, so a device with a recorder records its
+	// whole run from cold boot.
+	var prefix []*vm.Snapshot
+	if !collect && n > 1 {
+		pc.enter(PhaseDevices)
+		start := time.Now()
+		if prefix, err = sharedPrefix(img, spec, n); err != nil {
+			return nil, err
+		}
+		elapsed += time.Since(start).Seconds()
+	}
 	wave := cfg.waveSize(workers)
 	for lo := 0; lo < n; lo += wave {
 		hi := lo + wave
@@ -389,7 +411,7 @@ func Run(cfg Config) (*Report, error) {
 		start := time.Now()
 		ParallelFor(hi-lo, workers, func(k int) {
 			s := <-pool
-			outcomes[lo+k] = runDevice(img, cfg, lo+k, s)
+			outcomes[lo+k] = runDevice(img, cfg, lo+k, spec(lo+k), s, prefix)
 			pool <- s
 		})
 		elapsed += time.Since(start).Seconds()
@@ -538,17 +560,18 @@ func addRollups(reg *obs.Registry, rep *Report) error {
 	return nil
 }
 
-// runDevice executes device dev as the single-device run
-// cfg.DeviceSpec(dev) describes — replay.Spec.Machine gives it its own
-// seeded power source, sensor bank and clock. The slot's machine, if it
-// has one, is reset to a fresh fork of the shared image before running,
-// which is indistinguishable from a new machine; the slot's recorder is
-// rearmed, so the device records exactly what a fresh recorder would and
-// adds it to what the slot's earlier devices left there. Nothing here
-// may touch state shared with another in-flight device — the -race
-// fleet test enforces it.
-func runDevice(img *tics.Image, cfg Config, dev int, s *slot) DeviceOutcome {
-	spec := cfg.DeviceSpec(dev)
+// runDevice executes device dev as the single-device run spec
+// describes — replay.Spec.Machine gives it its own seeded power source,
+// sensor bank and clock. The slot's machine, if it has one, is reset to a
+// fresh fork of the shared image before running, which is
+// indistinguishable from a new machine; the slot's recorder is rearmed,
+// so the device records exactly what a fresh recorder would and adds it
+// to what the slot's earlier devices left there. The device starts from
+// the latest prefix snapshot its first window covers, the cold run's
+// state at that cycle. Nothing here may touch state shared with another
+// in-flight device — the snapshots are only read — and the -race fleet
+// tests enforce it.
+func runDevice(img *tics.Image, cfg Config, dev int, spec replay.Spec, s *slot, prefix []*vm.Snapshot) DeviceOutcome {
 	out := DeviceOutcome{ID: dev, Seed: spec.Seed}
 	if cfg.Collect || cfg.Profile {
 		if s.rec == nil {
@@ -566,8 +589,56 @@ func runDevice(img *tics.Image, cfg Config, dev int, s *slot) DeviceOutcome {
 	// already folded into Res.Fault. Only setup errors abort the fleet.
 	// Run's trailing CommitObservables flushes pending attribution, so
 	// the slot's profile partitions its devices' cycles exactly.
-	out.Res, _ = s.m.Run()
+	out.Res, _ = s.m.RunFrom(prefix, nil)
 	return out
+}
+
+// prefixGap is the spacing of the shared prefix's snapshots, in cycles:
+// a device re-executes at most this much of the prefix, and restoring a
+// snapshot costs about as much host time as interpreting 1,000–2,500
+// cycles.
+const prefixGap = 2048
+
+// sharedPrefix runs the fleet's oracle device — device 0's spec under
+// continuous power, with no recorder — and snapshots it every prefixGap
+// cycles. Until its first power failure a device's run is a function of
+// the image alone, unless the program reads its seeded sensor bank or
+// the energy left (Remaining()): so the snapshots stop at the oracle's
+// first sensor read (SetBoundaryHook stops them at a Remaining() read
+// already), and a device with any seed can start from one its first
+// window covers. Each device's power source is a pure function of its
+// seed, so every first window is drawn here up front, and the oracle
+// runs no further than the longest.
+func sharedPrefix(img *tics.Image, spec func(dev int) replay.Spec, n int) ([]*vm.Snapshot, error) {
+	var until int64
+	for dev := 0; dev < n; dev++ {
+		s := spec(dev)
+		src, err := replay.ParsePower(s.Power, s.Seed)
+		if err != nil {
+			return nil, err
+		}
+		w, _ := src.NextWindow()
+		until = max(until, w)
+	}
+	oracle := spec(0)
+	oracle.Power = "continuous"
+	if until < math.MaxInt64 && (oracle.MaxCycles == 0 || until < oracle.MaxCycles) {
+		oracle.MaxCycles = until
+	}
+	m, err := oracle.Machine(img, nil, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	var snaps []*vm.Snapshot
+	m.SetBoundaryHook(prefixGap, func(m *vm.Machine) int64 {
+		if m.Sensed() {
+			return math.MaxInt64
+		}
+		snaps = append(snaps, m.Snapshot())
+		return m.Cycles() + prefixGap
+	})
+	m.Run()
+	return snaps, nil
 }
 
 // ExportDevice records device dev of the fleet as a replay manifest —

@@ -20,9 +20,9 @@ import (
 // merged in device order, the profiles merged likewise, then the same
 // fleet_* rollups, and each device's registry dump, what DeviceRegistry
 // must reproduce.
-func perDeviceReference(t *testing.T, cfg Config, rep *Report) (*obs.Registry, obs.Profile, []string) {
+func perDeviceReference(t *testing.T, cfg Config, spec func(dev int) replay.Spec, rep *Report) (*obs.Registry, obs.Profile, []string) {
 	t.Helper()
-	img, _, err := replay.BuildImage(cfg.DeviceSpec(0))
+	img, _, err := replay.BuildImage(spec(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func perDeviceReference(t *testing.T, cfg Config, rep *Report) (*obs.Registry, o
 	gw := NewGateway(cfg.FreshnessMs)
 	var link LinkStats
 	for dev := 0; dev < rep.Devices; dev++ {
-		spec := cfg.DeviceSpec(dev)
+		spec := spec(dev)
 		rec := obs.NewRecorder(obs.Options{RingCap: 64, Profile: cfg.Profile})
 		m, err := spec.Machine(img, nil, nil, rec)
 		if err != nil {
@@ -100,7 +100,7 @@ func TestWorkerFoldEqualsPerDeviceMerge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, refProf, refDumps := perDeviceReference(t, base, first)
+		ref, refProf, refDumps := perDeviceReference(t, base, base.DeviceSpec, first)
 		refDump, refProm := registryText(t, ref)
 		refProfJSON, _ := json.Marshal(refProf)
 		if !strings.Contains(refDump, "undo_len_per_epoch") && rt != "mementos" {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -54,10 +55,19 @@ func assertReportsMatch(t *testing.T, label string, a, b *Report) {
 // TestPooledReuseMatchesFresh is the pooled-machine acceptance gate: a
 // fleet whose machines are reset and reused across waves must be
 // indistinguishable — per-device results, link and gateway stats,
-// digest, merged metrics — from a fresh machine per device
+// digest, merged metrics — from a fresh machine per device run cold
 // (perDeviceReference). A tiny Wave forces every pooled machine through
 // many reuse cycles, and the -race runs in CI make it double as the
 // pool's sharing regression.
+//
+// The fleets without a recorder start their devices from the shared
+// prefix, so they also hold every rule that makes a prefix snapshot
+// shareable: devices that differ in seed, power, clock or wall limit;
+// a first window that ends before some snapshots (fail:3000, and
+// per-device windows); a remanence clock seeded per device, which only
+// a post-failure snapshot may carry; ar, which senses, so its prefix
+// stops at its first sensor read; and Mementos gating its checkpoints on
+// Remaining(), which its boot reads, so it shares nothing.
 func TestPooledReuseMatchesFresh(t *testing.T) {
 	ghm := fleetCfg(3)
 	ghm.Devices = 13
@@ -70,20 +80,95 @@ func TestPooledReuseMatchesFresh(t *testing.T) {
 	raw := sendyCfg(false)
 	raw.Power = "sched:300@20,7300@20,7300@20,7300@20,7300@20,7300@20"
 	raw.Wave = 2
-	for name, cfg := range map[string]Config{"ghm": ghm, "raw radio": raw} {
-		rep, err := Run(cfg)
+	prefixed := func(app, rt, power string) Config {
+		return Config{Devices: 6, Workers: 2, Wave: 2, App: app, Runtime: rt, Power: power, Seed: 9, WallMs: 60,
+			Link: LinkParams{Loss: 0.05, DelayMinMs: 2, DelayMaxMs: 20}}
+	}
+	remanence := prefixed("bc", "tics", "harvest:40000,800")
+	remanence.Clock = "remanence:0.5,5000"
+	clock := prefixed("", "tics", "harvest:40000,800")
+	clock.Source, clock.Clock, clock.TimerMs, clock.WallMs = clockSrc, "remanence:0.5,5000", 2, 300
+	unbounded := prefixed("bc", "tics", "continuous")
+	unbounded.WallMs = 20
+	// Windows of 2,500 to 10,000 cycles: device 0 must not take the
+	// snapshot at 4,096 the later devices take.
+	windows := prefixed("cf", "tics", "")
+	perDevicePower := func(dev int, spec replay.Spec) replay.Spec {
+		spec.Power = fmt.Sprintf("fail:%d,5", 2500+1500*dev)
+		return spec
+	}
+	voltage := prefixed("cf", "mementos", "harvest:40000,800")
+	fleets := []struct {
+		name string
+		cfg  Config
+		// edit changes a device's spec in what Config does not carry;
+		// prefix tells whether the fleet must share any prefix snapshot.
+		edit   func(dev int, spec replay.Spec) replay.Spec
+		prefix bool
+	}{
+		{"ghm", ghm, nil, false},
+		{"raw radio", raw, nil, false},
+		{"bc/tics harvest", prefixed("bc", "tics", "harvest:40000,800"), nil, true},
+		{"cf/chinchilla harvest", prefixed("cf", "chinchilla", "harvest:40000,800"), nil, true},
+		{"bc/tics fail:3000", prefixed("bc", "tics", "fail:3000"), nil, true},
+		{"bc/tics continuous", unbounded, nil, true},
+		{"bc/tics remanence", remanence, nil, true},
+		{"clock sends, remanence", clock, nil, true},
+		{"ghm/tics harvest", prefixed("ghm", "tics", "harvest:40000,800"), nil, false},
+		{"ar/tics harvest", prefixed("ar", "tics", "harvest:40000,800"), nil, false},
+		{"cf/tics per-device windows", windows, perDevicePower, true},
+		{"cf/mementos voltage", voltage, func(_ int, spec replay.Spec) replay.Spec {
+			spec.VoltageThresholdCycles = 3000
+			return spec
+		}, false},
+	}
+	for _, f := range fleets {
+		spec := f.cfg.DeviceSpec
+		if f.edit != nil {
+			spec = func(dev int) replay.Spec { return f.edit(dev, f.cfg.DeviceSpec(dev)) }
+		}
+		rep, err := run(f.cfg, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, _, _ := perDeviceReference(t, cfg, rep)
+		ref, _, _ := perDeviceReference(t, f.cfg, spec, rep)
 		if rep.Metrics != nil {
 			want, _ := registryText(t, ref)
 			if got, _ := registryText(t, rep.Metrics); got != want {
-				t.Fatalf("%s: merged metrics differ from fresh runs:\n%s\nvs\n%s", name, got, want)
+				t.Fatalf("%s: merged metrics differ from fresh runs:\n%s\nvs\n%s", f.name, got, want)
 			}
+			continue
+		}
+		img, _, err := replay.BuildImage(spec(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps, err := sharedPrefix(img, spec, f.cfg.Devices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.prefix != (len(snaps) > 0) {
+			t.Fatalf("%s: the shared prefix holds %d snapshots", f.name, len(snaps))
 		}
 	}
 }
+
+// clockSrc computes past its first snapshot, then sends the device clock
+// every few hundred cycles: after each outage the reading carries the
+// timekeeper's estimate of it.
+const clockSrc = `
+int main() {
+    int i;
+    int j;
+    int s = 0;
+    for (i = 0; i < 500; i++) { s = s + i; }
+    for (i = 0; i < 40; i++) {
+        for (j = 0; j < 100; j++) { s = s + j; }
+        send(now());
+    }
+    return s;
+}
+`
 
 // TestWaveSizeIndependence: the streaming handoff must not leak into any
 // result — one wave per device, tiny waves, and one big wave all match.

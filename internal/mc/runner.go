@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"sort"
 
 	tics "repro"
 	"repro/internal/audit"
@@ -42,24 +41,26 @@ type runOutcome struct {
 // sweep's configuration with the run spec in cfg.Spec: continuous power,
 // and after the oracle MaxCycles holds the starvation bound for
 // interrupted runs. Once snapshotOracle ran, snaps holds the oracle
-// snapshots schedules start from.
+// snapshots schedules start from, and observers the recorder and
+// auditor state taken with each.
 type runner struct {
-	img   *tics.Image
-	cfg   Config
-	pool  chan *slot
-	snaps []*snapshot // in cycle order
+	img       *tics.Image
+	cfg       Config
+	pool      chan *slot
+	snaps     []*vm.Snapshot // in cycle order
+	observers []observers
 }
 
-// snapshot is the oracle run's whole state at one instruction boundary:
-// the machine with its runtime, and the recorder and auditor observing
-// it. Everything a schedule executes before its first reboot is the
-// oracle's run, cycle for cycle, so a schedule whose first reboot comes
-// at or after a snapshot starts from it — restored into its slot —
-// instead of from cold boot. vm.Machine.SetBoundaryHook stops
-// snapshots once the oracle reads Remaining(), the one input that
-// differs between the oracle's window and a schedule's.
-type snapshot struct {
-	m   *vm.Snapshot
+// observers is the state of the recorder and auditor watching the oracle
+// at one of its snapshots. Everything a schedule executes before its
+// first reboot is the oracle's run, cycle for cycle, so a schedule whose
+// first window covers a snapshot starts from it (vm.Machine.RunFrom) —
+// restored into its slot with these observers — instead of from cold
+// boot. vm.Machine.SetBoundaryHook stops snapshots once the oracle reads
+// Remaining(), the one input that differs between the oracle's window
+// and a schedule's; the oracle and every schedule share one seed, so
+// sensor readings and the timekeeper agree between them.
+type observers struct {
 	rec obs.RecorderState
 	aud audit.Auditor
 }
@@ -111,22 +112,13 @@ func (r *runner) snapshotOracle(oracle runOutcome) error {
 // every multiple of interval.
 func (r *runner) snapshotHook(interval int64, rec *obs.Recorder, aud *audit.Auditor) func(*vm.Machine) int64 {
 	return func(m *vm.Machine) int64 {
-		s := &snapshot{m: m.Snapshot()}
-		rec.Save(&s.rec)
-		s.aud.CopyFrom(aud)
-		r.snaps = append(r.snaps, s)
+		r.snaps = append(r.snaps, m.Snapshot())
+		r.observers = append(r.observers, observers{})
+		o := &r.observers[len(r.observers)-1]
+		rec.Save(&o.rec)
+		o.aud.CopyFrom(aud)
 		return (m.Cycles()/interval + 1) * interval
 	}
-}
-
-// latest returns the last snapshot at or before cycle c (nil: none, start
-// cold).
-func (r *runner) latest(c int64) *snapshot {
-	i := sort.Search(len(r.snaps), func(i int) bool { return r.snaps[i].m.Cycles() > c })
-	if i == 0 {
-		return nil
-	}
-	return r.snaps[i-1]
 }
 
 // ringCap is the event-ring capacity of every recorder a sweep builds.
@@ -158,9 +150,9 @@ type slot struct {
 // run executes one schedule (nil = uninterrupted) and gathers the
 // outcome. collectGlobals snapshots the committed global data bytes;
 // collectStamps gathers event+store cycle stamps for deeper enumeration.
-// A schedule starts from the latest oracle snapshot at or before its
-// first reboot; the stamps it then does not collect all lie at or before
-// that reboot, where enumeration drops them anyway (boundariesFrom).
+// A schedule starts from the latest oracle snapshot its first window
+// covers; the stamps it then does not collect all lie at or before its
+// first reboot, where enumeration drops them anyway (boundariesFrom).
 // snapshotEvery > 0 makes the run take r.snaps at that spacing (the
 // oracle).
 func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps bool, snapshotEvery int64) (runOutcome, error) {
@@ -187,29 +179,17 @@ func (r *runner) run(windows []power.SchedWindow, collectGlobals, collectStamps 
 		})
 	}
 
-	var from *snapshot
-	if len(windows) > 0 {
-		from = r.latest(windows[0].Cycles)
-	}
-	var res vm.Result
-	var resumedAt int64
-	switch {
-	case from != nil:
-		if err := m.Restore(from.m); err != nil {
-			return runOutcome{}, err
-		}
-		rec.Load(&from.rec)
-		aud.CopyFrom(&from.aud)
-		res, err = m.Resume()
-		resumedAt = from.m.Cycles()
-	case snapshotEvery > 0:
+	if snapshotEvery > 0 {
 		m.SetBoundaryHook(snapshotEvery, r.snapshotHook(snapshotEvery, rec, aud))
-		fallthrough
-	default:
-		res, err = m.Run()
 	}
-	// A fault is itself a verdict, not an executor error; only Resume
-	// refusing the snapshot is one.
+	var resumedAt int64
+	res, err := m.RunFrom(r.snaps, func(i int) {
+		rec.Load(&r.observers[i].rec)
+		aud.CopyFrom(&r.observers[i].aud)
+		resumedAt = r.snaps[i].Cycles()
+	})
+	// A fault is itself a verdict, not an executor error; only a snapshot
+	// that does not restore is one.
 	if err != nil && res.Fault == nil {
 		return runOutcome{}, err
 	}

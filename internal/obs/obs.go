@@ -414,7 +414,9 @@ func (r *Recorder) Emit(ev Event) {
 		r.n++
 	}
 	r.ring[r.head] = ev
-	r.head = (r.head + 1) % len(r.ring)
+	if r.head++; r.head == len(r.ring) {
+		r.head = 0
+	}
 }
 
 // ObserveUndoLen records the undo-log length a commit point closes (the

@@ -214,11 +214,8 @@ func New(img *link.Image, cfg Config) (*Runtime, error) {
 // Name implements vm.Runtime.
 func (r *Runtime) Name() string { return r.cfg.Kind.String() }
 
-// Clone implements vm.Runtime.
-func (r *Runtime) Clone() vm.Runtime {
-	c := *r
-	return &c
-}
+// CloneInto implements vm.Runtime.
+func (r *Runtime) CloneInto(dst vm.Runtime) vm.Runtime { return vm.CopyInto(r, dst) }
 
 // haltPC is the Halt instruction in the boot stub — the dummy return
 // address for task frames, so a task that returns without transitioning

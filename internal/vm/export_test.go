@@ -135,3 +135,6 @@ func (m *Machine) WindowAt(pc uint32) (lo, hi, reads, writes int) {
 	w := m.windows[pc-m.textBase]
 	return int(w.lo), int(w.hi), int(w.reads), int(w.writes)
 }
+
+// Restore is the restore RunFrom makes when a snapshot fits.
+func (m *Machine) Restore(s *Snapshot) error { return m.restore(s) }

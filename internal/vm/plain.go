@@ -34,6 +34,21 @@ func (p *Plain) LoggedStore(m *Machine, addr uint32, size int, value uint32) {
 // Checkpoint implements Runtime as a no-op: plain code has no checkpoints.
 func (p *Plain) Checkpoint(m *Machine, kind CpKind) {}
 
-// Clone implements Runtime: a plain runtime holds no state, so it is its
-// own copy.
-func (p *Plain) Clone() Runtime { return p }
+// CloneInto implements Runtime: a plain runtime holds no state, so it is
+// its own copy.
+func (p *Plain) CloneInto(Runtime) Runtime { return p }
+
+// CopyInto is CloneInto for a runtime whose whole state is its struct
+// value: it copies *src into dst when dst is a runtime of src's type, and
+// into a new one otherwise.
+func CopyInto[T any, P interface {
+	*T
+	Runtime
+}](src P, dst Runtime) P {
+	c, ok := dst.(P)
+	if !ok {
+		c = new(T)
+	}
+	*c = *src
+	return c
+}

@@ -21,11 +21,14 @@ type Runtime interface {
 	// Checkpoint handles a checkpoint request. Runtimes without
 	// checkpoints treat it as a no-op.
 	Checkpoint(m *Machine, kind CpKind)
-	// Clone returns an independent copy of the runtime: its volatile
+	// CloneInto returns an independent copy of the runtime: its volatile
 	// mirrors and undo-log position, sharing nothing mutable with the
-	// original. A machine Snapshot holds one clone and every Restore
-	// installs another.
-	Clone() Runtime
+	// original. When dst is a runtime of the same kind the copy is
+	// written into it and dst is returned; otherwise (dst nil) it is
+	// newly allocated. A machine Snapshot holds one copy, and a machine
+	// starting from the snapshot copies it into the runtime it was built
+	// with, so a restored start builds no second runtime.
+	CloneInto(dst Runtime) Runtime
 }
 
 // Framer replaces the conventional function prologue and epilogue (TICS:

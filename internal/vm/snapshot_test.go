@@ -106,18 +106,22 @@ func takeSnapshots(t *testing.T, spec replay.Spec, img *tics.Image, power string
 	return snaps, r.observe(res)
 }
 
-// resume restores s into a fresh machine under power and runs it on.
+// resume starts a fresh machine under power from s, which its first
+// window must cover, and runs it on.
 func resume(t *testing.T, spec replay.Spec, img *tics.Image, power string, s taken) observed {
 	t.Helper()
 	r := newSnapRun(t, spec, img, power)
-	if err := r.m.Restore(s.m); err != nil {
-		t.Fatal(err)
-	}
-	r.rec.Load(&s.rec)
-	r.cap.events, r.cap.seqs = slices.Clone(s.events), slices.Clone(s.seqs)
-	res, err := r.m.Resume()
+	restored := false
+	res, err := r.m.RunFrom([]*vm.Snapshot{s.m}, func(int) {
+		restored = true
+		r.rec.Load(&s.rec)
+		r.cap.events, r.cap.seqs = slices.Clone(s.events), slices.Clone(s.seqs)
+	})
 	if err != nil && res.Fault == nil {
 		t.Fatal(err)
+	}
+	if !restored {
+		t.Fatalf("the first window of %s did not cover the snapshot at cycle %d", power, s.m.Cycles())
 	}
 	return r.observe(res)
 }
@@ -251,20 +255,27 @@ func TestSnapshotRemainingRule(t *testing.T) {
 	}
 }
 
-// TestSnapshotRefusesALateWindow: Resume refuses a power source whose
-// first window ends before the snapshot point.
+// TestSnapshotRefusesALateWindow: RunFrom refuses a snapshot its first
+// window ends before, and boots cold inside that window instead: the run
+// is the straight run of the same power.
 func TestSnapshotRefusesALateWindow(t *testing.T) {
 	spec := replay.Spec{App: "cf", Runtime: "tics", TimerMs: 2, WallMs: 40, Seed: 1}
 	img, _, err := replay.BuildImage(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := takeSnapshots(t, spec, img, "continuous", []int64{10_000})
-	r := newSnapRun(t, spec, img, "sched:5000@20")
-	if err := r.m.Restore(snaps[0].m); err != nil {
+	const power = "sched:5000@20"
+	snaps, _ := takeSnapshots(t, spec, img, "continuous", []int64{4_000, 10_000})
+	r := newSnapRun(t, spec, img, power)
+	res, err := r.m.RunFrom([]*vm.Snapshot{snaps[1].m}, func(int) {
+		t.Fatal("restored a snapshot past the first window")
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err := r.m.Resume(); err == nil || res.Fault != nil {
-		t.Fatalf("resume into a window ending before the snapshot: res %+v, err %v", res, err)
+	sameRun(t, "refused snapshot", r.observe(res), straight(t, spec, img, power))
+	// The earlier snapshot fits, and is the one picked.
+	if got := resume(t, spec, img, power, snaps[0]); !reflect.DeepEqual(got.res, res) {
+		t.Fatalf("resumed at cycle %d: %+v, want %+v", snaps[0].m.Cycles(), got.res, res)
 	}
 }

@@ -22,9 +22,7 @@ func (r *logOnly) Boot(m *vm.Machine, cold bool) {
 	r.Plain.Boot(m, cold)
 }
 
-func (r *logOnly) Clone() vm.Runtime {
-	return &logOnly{Plain: r.Plain.Clone().(*vm.Plain), log: r.log}
-}
+func (r *logOnly) CloneInto(dst vm.Runtime) vm.Runtime { return vm.CopyInto(r, dst) }
 
 func (r *logOnly) LoggedStore(m *vm.Machine, addr uint32, size int, value uint32) {
 	r.log.Append(m, addr, size, energy.UndoLogEntry)

@@ -315,6 +315,7 @@ type runState struct {
 	halted        bool
 	timedOut      bool
 	remainingRead bool // something read Remaining() during this run
+	sensed        bool // the program read the sensor bank during this run
 
 	// Interrupt controller state (volatile).
 	nextIrqMs float64
@@ -801,6 +802,11 @@ func (m *Machine) Remaining() int64 {
 	return m.remaining
 }
 
+// Sensed reports whether the program has read the sensor bank during
+// this run. The readings depend on the bank's seed, so a state taken
+// after one is not shared with a machine seeded differently.
+func (m *Machine) Sensed() bool { return m.sensed }
+
 // SinceCheckpoint returns cycles executed since the last checkpoint.
 func (m *Machine) SinceCheckpoint() int64 { return m.sinceCp }
 
@@ -1094,41 +1100,61 @@ type Result struct {
 func (r Result) WallMs() float64 { return r.OnMs + r.OffMs }
 
 // Run executes the image to completion (Halt), starvation, or fault.
-func (m *Machine) Run() (Result, error) { return m.run(false) }
+func (m *Machine) Run() (Result, error) { return m.RunFrom(nil, nil) }
 
-// Resume continues a machine that Restore put into a snapshot's state,
-// from the instruction boundary the snapshot was taken at. The power
-// source's next window stands in for the window the snapshot was taken
-// in, with the cycles the snapshot had spent in it already gone: a
-// snapshot S cycles into a continuous run, resumed under a schedule whose
-// first window is C ≥ S cycles, continues with C-S cycles left, exactly
-// where a cold run of that schedule stands at cycle S — provided nothing
-// before S read Remaining(), which SetBoundaryHook guarantees.
-func (m *Machine) Resume() (Result, error) {
-	used := m.cycles - m.winStart
+// RunFrom starts a machine that has not run since New or Reset: it draws
+// the first power window, restores the latest of snaps (taken in cycle
+// order) that the window covers, or boots cold inside it when none fits,
+// and runs. The restored machine continues from the instruction boundary
+// its snapshot was taken at, in the drawn window with the cycles the
+// snapshot had spent in its own window already gone: a snapshot S cycles
+// into a continuous run, started under a source whose first window is
+// C ≥ S cycles, continues with C-S cycles left, exactly where a cold run
+// of that source stands at cycle S — provided nothing before S read
+// Remaining(), which SetBoundaryHook guarantees. A snapshot past the
+// watchdog does not fit either. restored, when set, learns the index of
+// the restored snapshot before the run continues, so callers can load
+// the observers' state taken with it.
+func (m *Machine) RunFrom(snaps []*Snapshot, restored func(i int)) (Result, error) {
 	w, off := m.powerSrc.NextWindow()
-	if w < used {
-		return Result{}, fmt.Errorf("vm: resume: the power window of %d cycles ends before the snapshot, %d cycles into it", w, used)
+	i := len(snaps) - 1
+	for ; i >= 0; i-- {
+		st := &snaps[i].st
+		if st.cycles-st.winStart <= w && st.cycles <= m.maxCycles {
+			break
+		}
 	}
-	if m.cycles > m.maxCycles {
-		return Result{}, fmt.Errorf("vm: resume: snapshot at cycle %d is past the %d-cycle watchdog", m.cycles, m.maxCycles)
+	if i >= 0 {
+		if err := m.restore(snaps[i]); err != nil {
+			return Result{}, err
+		}
+		if restored != nil {
+			restored(i)
+		}
+	} else {
+		m.winStart = m.cycles
 	}
-	m.remaining, m.pendingOffMs = w-used, off
-	return m.run(true)
+	m.remaining, m.pendingOffMs = w-(m.cycles-m.winStart), off
+	return m.run(i < 0)
 }
 
-// run is Run's loop; resume enters it inside a window Resume has drawn.
-func (m *Machine) run(resume bool) (Result, error) {
-	cold := !resume
-	for !m.halted {
+// run is the run loop, entered inside the first window RunFrom drew;
+// boot boots the runtime cold in it, else a restored machine continues.
+func (m *Machine) run(boot bool) (Result, error) {
+	cold := boot
+	for first := true; !m.halted; first = false {
 		if m.timedOut {
 			return m.result(false, false, nil), nil
 		}
 		if m.failures > m.maxFailures || m.cycles > m.maxCycles {
 			return m.result(false, true, nil), nil
 		}
-		failed, fault := m.runWindow(cold, resume)
-		cold, resume = false, false
+		if !first {
+			m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
+			m.winStart = m.cycles
+		}
+		failed, fault := m.runWindow(boot, cold)
+		boot, cold = true, false
 		if fault != nil {
 			return m.result(false, false, fault), fault
 		}
@@ -1157,14 +1183,10 @@ func (m *Machine) run(resume bool) (Result, error) {
 	return m.result(true, false, nil), nil
 }
 
-// runWindow powers the device for one window and executes until Halt,
-// fault, or power failure. resume continues a restored machine in the
-// window Resume drew, without a boot.
-func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
-	if !resume {
-		m.remaining, m.pendingOffMs = m.powerSrc.NextWindow()
-		m.winStart = m.cycles
-	}
+// runWindow executes in the window drawn for it until Halt, fault, or
+// power failure. boot boots the runtime first (cold for a fresh
+// device's first boot); without it a restored machine continues.
+func (m *Machine) runWindow(boot, cold bool) (failed bool, fault error) {
 	defer func() {
 		r := recover()
 		switch r := r.(type) {
@@ -1188,7 +1210,7 @@ func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
 			m.endRun()
 		}
 	}()
-	if !resume {
+	if boot {
 		if cold {
 			m.EmitEvent(obs.EvBoot, 1, 0)
 		} else {
@@ -1217,11 +1239,11 @@ func (m *Machine) runWindow(cold, resume bool) (failed bool, fault error) {
 // SetBoundaryHook arranges for fn to run at the first instruction
 // boundary at which the cycle counter exceeds at, and then at the first
 // boundary past each cycle count fn returns (math.MaxInt64: never
-// again). Between instructions is where Snapshot takes a state Resume can
+// again). Between instructions is where Snapshot takes a state RunFrom can
 // continue from. fn is not called on a halted machine, once the wall
 // budget has run out, or — for the rest of the run — once anything has
-// read Remaining(): a continuous run's window is not the window a resumed
-// schedule gets, so state that depended on it cannot be shared. The hook
+// read Remaining(): a continuous run's window is not the window a
+// restored machine gets, so state that depended on it cannot be shared. The hook
 // adds no per-instruction work: its trigger is folded into the
 // watchdog's cycle compare. Reset removes it.
 func (m *Machine) SetBoundaryHook(at int64, fn func(*Machine) int64) {
@@ -1545,6 +1567,7 @@ func (m *Machine) step(d *decodedInstr) {
 		next = m.Regs.PC // Leave sets PC to the return address
 	case isa.Sense:
 		m.Spend(energy.SenseExtra)
+		m.sensed = true
 		var v int32
 		if m.sensors != nil {
 			v = m.sensors.Sense(in.Imm, m.TrueNowMs())
